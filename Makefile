@@ -11,10 +11,9 @@
 #                        (includes the multi-replica warm-start scenario)
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
 #   make predict         predictor suites under -race + confirm-differential gate
-#   make engine-diff     cross-engine differential gate (tree vs bytecode)
+#   make engine-diff     cross-engine differential gate (tree oracle vs bytecode)
 #   make fmt-check       fail if any file needs gofmt (CI lint job)
 #   make golden          diff `owl-tables -stable` against the committed fixture
-#   make golden-bytecode same diff with -engine=bytecode (engines must agree)
 #   make golden-update   refresh the fixture after an intentional output change
 #   make profile         CPU+heap pprof of the pipeline -> cpu.pprof/mem.pprof
 #   make bench           full benchmark suite (tables, figures, ablations)
@@ -23,18 +22,18 @@
 #   make bench-detector  race-detector ablation    -> BENCH_detector.json
 #   make bench-explore   exploration ablation      -> BENCH_explore.json
 #   make bench-predict   prediction ablation       -> BENCH_predict.json
-#   make bench-interp    engine ablation           -> BENCH_interp.json
+#   make bench-interp    step-rung engine pair     -> BENCH_interp.json
 #   make bench-summary   fold BENCH_*.json streams -> BENCH_summary.json
 
 GO ?= go
 GOFMT ?= gofmt
 
 .PHONY: ci build vet test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
-	fmt-check golden golden-bytecode golden-update profile bench bench-smoke \
+	fmt-check golden golden-update profile bench bench-smoke \
 	bench-pipeline bench-detector bench-explore bench-predict bench-interp \
 	bench-summary clean
 
-ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff golden-bytecode
+ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff golden
 
 build:
 	$(GO) build ./...
@@ -129,23 +128,25 @@ faults:
 # tests — including the confirm-differential gate asserting every
 # confirmed prediction is also reported by plain exploration at 4x the
 # budget (zero confirmed false positives) and the determinism gate
-# across worker counts and snapshot-cache settings.
+# across worker counts with the snapshot cache on and off.
 predict:
 	$(GO) test -race -count=1 ./internal/predict/ ./internal/vclock/
 	$(GO) test -race -count=1 ./internal/owl/ -run 'Predict'
 	@echo "prediction gate passed"
 
 # Cross-engine differential gate (docs/BYTECODE.md): the bytecode
-# compiler suite, the randomized program × schedule transcript grid
-# (byte-identical events, faults, output, schedule, arena fingerprint,
-# and stacks across engines), the zero-allocation compiled-step pins,
-# the cross-engine snapshot interchange, and the engine-parity flag
-# tests on both binaries.
+# compiler suite, the transcript grid over randomized programs and the
+# built-in corpus at both noise levels (byte-identical events, faults,
+# output, schedule, arena fingerprint, and stacks between the compiled
+# engine and the tree-walking oracle), the zero-allocation compiled-step
+# pins, the cross-engine snapshot interchange, the verifier outcome pin,
+# and the pipeline-level oracle parity test.
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
 	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot'
-	$(GO) test -count=1 ./internal/vulnverify/ ./internal/cliflags/ ./cmd/owl/ ./cmd/owl-tables/ -run 'Engine|Parity|Defaults'
+	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine'
+	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity'
 	@echo "cross-engine differential gate passed"
 
 fmt-check:
@@ -162,23 +163,14 @@ golden:
 	@rm -f BENCH_golden_actual.txt
 	@echo "golden output matches"
 
-# The engines are observably identical, so the bytecode engine must
-# reproduce the same committed fixture byte for byte — no separate
-# golden file exists on purpose.
-golden-bytecode:
-	$(GO) run ./cmd/owl-tables -noise light -stable -engine bytecode > BENCH_golden_bytecode.txt
-	diff -u $(GOLDEN) BENCH_golden_bytecode.txt
-	@rm -f BENCH_golden_bytecode.txt
-	@echo "golden output matches under -engine=bytecode"
-
 golden-update:
 	mkdir -p testdata/golden
 	$(GO) run ./cmd/owl-tables -noise light -stable > $(GOLDEN)
 
 # Flame-graph starting point for perf work: CPU + heap pprof profiles of
-# the pipeline on a mid-size workload under the compiled engine.
+# the pipeline on a mid-size workload.
 # Inspect with `go tool pprof cpu.pprof` (see README).
-PROFILE_ARGS ?= -workload mysql -engine bytecode -runs 64
+PROFILE_ARGS ?= -workload mysql -runs 64
 profile:
 	$(GO) run ./cmd/owl $(PROFILE_ARGS) -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	@echo "wrote cpu.pprof and mem.pprof"
@@ -227,14 +219,13 @@ bench-predict:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkPrediction' -benchtime 1x . > BENCH_predict.json
 	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_predict.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
 
-# Interpreter-engine ablation (docs/BYTECODE.md): the tree-walking
-# oracle vs the compiled bytecode engine — the per-step microbenchmark
+# Interpreter-engine step rung (docs/BYTECODE.md): the tree-walking
+# oracle vs the compiled bytecode engine on the per-step microbenchmark
 # pair (BenchmarkBaselineNoDetector{,Bytecode}, plus the detector-attached
-# variants) and the pipeline-level corpus ablation asserting identical
-# findings. The -json stream lands in BENCH_interp.json.
+# variants). Findings parity is a test, not a benchmark: make engine-diff.
+# The -json stream lands in BENCH_interp.json.
 bench-interp:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkBaselineNoDetector|BenchmarkDetectorOverhead' -benchmem ./internal/race > BENCH_interp.json
-	$(GO) test -json -run '^$$' -bench 'BenchmarkEngineAblation' -benchtime 1x . >> BENCH_interp.json
 	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_interp.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
 
 # Distill whatever BENCH_*.json test2json streams exist into one
@@ -247,5 +238,5 @@ bench-summary:
 clean:
 	rm -f BENCH_pipeline.json BENCH_detector.json BENCH_explore.json \
 		BENCH_predict.json BENCH_interp.json BENCH_smoke.json BENCH_serve.json \
-		BENCH_summary.json BENCH_golden_actual.txt BENCH_golden_bytecode.txt \
+		BENCH_summary.json BENCH_golden_actual.txt \
 		cpu.pprof mem.pprof

@@ -358,59 +358,6 @@ func BenchmarkExploration(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAblation is the interpreter-engine ablation behind
-// `make bench-interp`: the tree-walking oracle versus the compiled
-// bytecode engine on the bench-explore corpus at an identical fixed-seed
-// budget, pure detection only so the comparison isolates instruction
-// dispatch. The engines are required to be observably identical
-// (docs/BYTECODE.md), so the gate asserts both variants find exactly the
-// same deduplicated races per workload; the wall-clock ratio is the
-// claim. Run with -benchtime=1x; the microbenchmark companion is
-// BenchmarkBaselineNoDetector{,Bytecode} in internal/race.
-func BenchmarkEngineAblation(b *testing.B) {
-	const budget = 24
-	detectOnly := owl.Options{
-		DetectRuns:   budget,
-		DisableAdhoc: true, DisableRaceVerify: true, DisableVulnVerify: true,
-	}
-	races := map[interp.Engine]map[string]int{}
-	for _, engine := range []interp.Engine{interp.EngineTree, interp.EngineBytecode} {
-		b.Run(string(engine), func(b *testing.B) {
-			var perWL map[string]int
-			for i := 0; i < b.N; i++ {
-				perWL = map[string]int{}
-				for _, w := range explorationWorkloads() {
-					rec := w.Recipe(w.Attacks[0].InputRecipe)
-					opts := detectOnly
-					opts.Engine = engine
-					res, err := owl.Run(owl.Program{
-						Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
-					}, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					perWL[w.Name] = len(res.Raw)
-				}
-			}
-			total := 0
-			for _, n := range perWL {
-				total += n
-			}
-			b.ReportMetric(float64(total), "races")
-			races[engine] = perWL
-		})
-	}
-	tree, bc := races[interp.EngineTree], races[interp.EngineBytecode]
-	if tree == nil || bc == nil {
-		return // sub-benchmark filtered out; nothing to compare
-	}
-	for name, nt := range tree {
-		if nb := bc[name]; nb != nt {
-			b.Errorf("%s: bytecode found %d races, tree found %d — engines must be observably identical", name, nb, nt)
-		}
-	}
-}
-
 // BenchmarkPrediction is the predictive-detection ablation behind
 // `make bench-predict`: plain coverage-guided exploration versus
 // predict-then-confirm at the same run budget on the same application

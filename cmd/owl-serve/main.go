@@ -7,7 +7,7 @@
 // Usage:
 //
 //	owl-serve [-addr :8080] [-shards 4] [-queue 64] [-workers 1]
-//	          [-snap-entries 64] [-tenant-quota 16] [-drain-timeout 30s]
+//	          [-tenant-quota 16] [-drain-timeout 30s]
 //	          [-state-dir DIR] [-checkpoint-every 8] [-max-programs 0]
 //	          [-peers http://replica-2:8080,...] [-peer-timeout 2s]
 //	owl-serve -fsck -state-dir DIR
@@ -59,7 +59,6 @@ func run(args []string) error {
 	shards := fs.Int("shards", 4, "shard queues (jobs for one program serialize on one shard)")
 	queue := fs.Int("queue", 64, "per-shard queue depth (full queue → 429 + Retry-After)")
 	workers := fs.Int("workers", 1, "default per-job pipeline worker-pool size")
-	snapEntries := fs.Int("snap-entries", 64, "persistent snapshot-cache entries per stored program (0 = off)")
 	tenantQuota := fs.Int("tenant-quota", 16, "max queued+running jobs per tenant")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight jobs on shutdown")
@@ -96,7 +95,6 @@ func run(args []string) error {
 		Shards:          *shards,
 		QueueDepth:      *queue,
 		Workers:         *workers,
-		SnapEntries:     *snapEntries,
 		TenantQuota:     *tenantQuota,
 		RetryAfter:      *retryAfter,
 		StateDir:        *stateDir,

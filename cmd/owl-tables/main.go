@@ -7,7 +7,7 @@
 // Usage:
 //
 //	owl-tables [-table all|1|2|3|4] [-noise full|light] [-workers N] [-metrics out.json]
-//	owl-tables [-engine tree|bytecode] [-explore fixed|coverage] [-budget N] [-seed N] [-stable]
+//	owl-tables [-explore fixed|coverage] [-budget N] [-seed N] [-stable]
 //	owl-tables [-predict [-predict-reversal]] [-max-steps N] [-fail-fast=false]
 //
 // -stable elides the non-deterministic timing fields so the output can be
@@ -70,10 +70,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	engine, err := shared.EngineVal()
-	if err != nil {
-		return err
-	}
 	var mc *metrics.Collector
 	if shared.MetricsOut != "" {
 		mc = metrics.New()
@@ -86,8 +82,8 @@ func run(args []string) error {
 
 	fmt.Printf("building tables (noise=%s)...\n\n", shared.Noise)
 	t, err := eval.BuildTablesParallel(eval.Config{
-		Noise: lvl, Metrics: mc, Engine: engine, Explore: mode, Budget: shared.Budget,
-		Seed: shared.Seed, SnapCache: shared.SnapCache, MaxSteps: shared.MaxSteps,
+		Noise: lvl, Metrics: mc, Explore: mode, Budget: shared.Budget,
+		Seed: shared.Seed, MaxSteps: shared.MaxSteps,
 		Predict: shared.Predict, PredictReversal: shared.PredictReversal,
 		StageTimeout: shared.StageTimeout, Retries: shared.Retries, Faults: plan,
 		AllowDegraded: !shared.FailFast,

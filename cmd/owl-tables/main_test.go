@@ -42,7 +42,4 @@ func TestOwnDefaults(t *testing.T) {
 	if *own.table != "all" || *own.stable {
 		t.Errorf("table/stable defaults wrong: %q %v", *own.table, *own.stable)
 	}
-	if shared.Engine != "tree" {
-		t.Errorf("engine default = %q, want tree (the golden fixture pins the oracle engine)", shared.Engine)
-	}
 }

@@ -12,7 +12,7 @@
 //	owl -file prog.oir [-inputs 1,2,3] [-v]
 //	owl -workload ssdb -metrics - [-workers 0]
 //	owl -workload libsafe -faults plan.json [-stage-timeout 30s] [-retries 1] [-fail-fast]
-//	owl -workload mysql -engine bytecode [-cpuprofile cpu.out] [-memprofile mem.out]
+//	owl -workload mysql [-cpuprofile cpu.out] [-memprofile mem.out]
 //	owl -list
 package main
 
@@ -105,10 +105,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	engine, err := shared.EngineVal()
-	if err != nil {
-		return err
-	}
 	plan, err := shared.Plan()
 	if err != nil {
 		return err
@@ -119,8 +115,7 @@ func run(args []string) error {
 	}
 	res, err := owl.Run(prog, owl.Options{
 		DetectRuns: *own.detectRuns, Workers: nWorkers, Metrics: mc,
-		Engine:  engine,
-		Explore: mode, Budget: shared.Budget, Seed: shared.Seed, SnapCache: shared.SnapCache,
+		Explore: mode, Budget: shared.Budget, Seed: shared.Seed,
 		Predict: shared.Predict, PredictReversal: shared.PredictReversal,
 		StageTimeout: shared.StageTimeout, Retries: shared.Retries,
 		Faults: plan, FailFast: shared.FailFast,

@@ -40,9 +40,6 @@ func TestOwnDefaults(t *testing.T) {
 	if *own.detectRuns != 8 {
 		t.Errorf("runs default = %d, want 8", *own.detectRuns)
 	}
-	if shared.Engine != "tree" {
-		t.Errorf("engine default = %q, want tree (the differential oracle)", shared.Engine)
-	}
 	if *own.cpuProfile != "" || *own.memProfile != "" {
 		t.Error("profiling must default off")
 	}

@@ -174,11 +174,9 @@ type FuncCode struct {
 	// EntryPC is the first word of the entry block (always 0, kept for
 	// clarity). PCofInstr maps flat instruction indices (ir.Instr.Index)
 	// to word pcs for snapshot restore; phis map to their block's first
-	// word. EndPC maps each block to its sentinel pc (the compiled
-	// equivalent of a tree frame whose PC ran past the block's end).
+	// word.
 	EntryPC   int
 	PCofInstr []int
-	EndPC     map[*ir.Block]int
 
 	// BlockOfPC maps each word pc (sentinels included) to the block it
 	// belongs to, so the engine never has to maintain a current-block
@@ -188,6 +186,14 @@ type FuncCode struct {
 	// FusedHeads counts superinstruction heads emitted for the function.
 	FusedHeads int
 }
+
+// StartPC returns the first word of block b.
+func (fc *FuncCode) StartPC(b *ir.Block) int { return fc.PCofInstr[b.Instrs[0].Index] }
+
+// EndPC returns block b's sentinel pc (the compiled equivalent of a tree
+// frame whose PC ran past the block's end): the word after its
+// terminator, which a frozen block always ends with.
+func (fc *FuncCode) EndPC(b *ir.Block) int { return fc.PCofInstr[b.Instrs[len(b.Instrs)-1].Index] + 1 }
 
 // Program is a module's compiled form.
 type Program struct {

@@ -36,8 +36,28 @@ func compile(mod *ir.Module) (*Program, error) {
 		fnIdx[f.Name] = i
 	}
 	p := &Program{Mod: mod, Funcs: make(map[*ir.Func]*FuncCode, len(mod.Funcs))}
-	for _, f := range mod.Funcs {
-		fc, err := compileFunc(f, gOrd, fnIdx)
+	sz := make([]sizes, len(mod.Funcs))
+	var total sizes
+	for i, f := range mod.Funcs {
+		sz[i] = measure(f)
+		total.add(sz[i])
+	}
+	c := &fnComp{
+		gOrd: gOrd, fnIdx: fnIdx,
+		constIdx: make(map[int64]int),
+		otherIdx: make(map[string]int),
+		code:     make([]uint64, 0, total.words),
+		instrs:   make([]*ir.Instr, 0, total.words),
+		blockOf:  make([]*ir.Block, 0, total.words),
+		ints:     make([]int, 0, total.flat+total.params),
+		names:    make([]string, 0, total.slots),
+		consts:   make([]int64, 0, total.consts),
+		edges:    make([]Edge, 0, total.edges),
+		calls:    make([]CallSite, 0, total.calls),
+		args:     make([]uint16, 0, total.args),
+	}
+	for i, f := range mod.Funcs {
+		fc, err := c.compileFunc(f, sz[i])
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: func @%s: %w", f.Name, err)
 		}
@@ -48,7 +68,63 @@ func compile(mod *ir.Module) (*Program, error) {
 	return p, nil
 }
 
-// fnComp is the per-function compilation state.
+// sizes bounds the tables one function compiles to, so compile can
+// allocate each table once per module and carve every function's slice
+// from it.
+type sizes struct {
+	words  int // non-phi instructions plus one sentinel per block
+	flat   int // instructions, phis included
+	params int
+	slots  int // parameters plus defined registers (read-only ones are rare)
+	consts int // constant operands; function references may add a few more
+	edges  int
+	calls  int
+	args   int // call arguments
+}
+
+func measure(f *ir.Func) sizes {
+	z := sizes{words: len(f.Blocks), flat: f.NumInstrs(), params: len(f.Params), slots: len(f.Params)}
+	for _, in := range f.Instrs() {
+		if defines(in) {
+			z.slots++
+		}
+		for _, a := range in.Args {
+			if a.Kind == ir.OperandConst {
+				z.consts++
+			}
+		}
+		switch in.Op {
+		case ir.OpPhi:
+			continue
+		case ir.OpBr:
+			z.edges += 2
+		case ir.OpJmp:
+			z.edges++
+		case ir.OpCall:
+			z.calls++
+			z.args += len(in.CallArgs())
+		}
+		z.words++
+	}
+	return z
+}
+
+func (z *sizes) add(o sizes) {
+	z.words += o.words
+	z.flat += o.flat
+	z.params += o.params
+	z.slots += o.slots
+	z.consts += o.consts
+	z.edges += o.edges
+	z.calls += o.calls
+	z.args += o.args
+}
+
+// fnComp is the compilation state of the function being lowered.
+// Lowering runs when a program's first machine is built, so its
+// allocations are paid on a job's critical path: the index maps are
+// scratch, cleared and reused for every function of the module, and the
+// tables are carved from module-wide arrays.
 type fnComp struct {
 	f     *ir.Func
 	gOrd  map[string]int // global name -> module ordinal
@@ -57,21 +133,48 @@ type fnComp struct {
 	fc       *FuncCode
 	constIdx map[int64]int
 	otherIdx map[string]int // Operand.String() -> Others index
-	blockPC  map[*ir.Block]int
+
+	code    []uint64
+	instrs  []*ir.Instr
+	blockOf []*ir.Block
+	ints    []int // PCofInstr and ParamSlots
+	names   []string
+	consts  []int64
+	edges   []Edge
+	calls   []CallSite
+	args    []uint16
 }
 
-func compileFunc(f *ir.Func, gOrd, fnIdx map[string]int) (*FuncCode, error) {
-	c := &fnComp{
-		f: f, gOrd: gOrd, fnIdx: fnIdx,
-		fc: &FuncCode{
-			Fn:     f,
-			SlotOf: make(map[string]int),
-			EndPC:  make(map[*ir.Block]int),
-		},
-		constIdx: make(map[int64]int),
-		otherIdx: make(map[string]int),
-		blockPC:  make(map[*ir.Block]int),
+// carve returns an empty slice of capacity n taken from the front of
+// *pool, or a fresh one when the pool is short. The capacity is capped,
+// so appending past n reallocates instead of overwriting the next
+// function's table.
+func carve[T any](pool *[]T, n int) []T {
+	if cap(*pool) < n {
+		return make([]T, 0, n)
 	}
+	s := (*pool)[:0:n]
+	*pool = (*pool)[n:n]
+	return s
+}
+
+func (c *fnComp) compileFunc(f *ir.Func, z sizes) (*FuncCode, error) {
+	c.f = f
+	c.fc = &FuncCode{
+		Fn:         f,
+		SlotOf:     make(map[string]int, z.slots),
+		SlotNames:  carve(&c.names, z.slots),
+		ParamSlots: carve(&c.ints, z.params),
+		Code:       carve(&c.code, z.words),
+		Instrs:     carve(&c.instrs, z.words),
+		BlockOfPC:  carve(&c.blockOf, z.words),
+		PCofInstr:  carve(&c.ints, z.flat)[:z.flat],
+		Consts:     carve(&c.consts, z.consts),
+		Edges:      carve(&c.edges, z.edges),
+		Calls:      carve(&c.calls, z.calls),
+	}
+	clear(c.constIdx)
+	clear(c.otherIdx)
 	if err := c.assignSlots(); err != nil {
 		return nil, err
 	}
@@ -84,14 +187,16 @@ func compileFunc(f *ir.Func, gOrd, fnIdx map[string]int) (*FuncCode, error) {
 			c.fc.BlockOfPC = append(c.fc.BlockOfPC, b)
 		}
 	}
-	c.buildPCofInstr()
 	c.fuse()
 	return c.fc, nil
 }
 
-// assignSlots gives every register name the function defines or reads a
-// dense slot index: parameters first (so frames can bind arguments by
-// position), then first appearance in flat instruction order.
+// assignSlots gives every register name the function defines a dense
+// slot index: parameters first (so frames can bind arguments by
+// position), then definitions in flat instruction order. The verifier
+// rejects reads of undefined registers, so this covers every read too;
+// vref still slots a name it meets unslotted, which only a destination
+// on a non-defining op (read as 0 by the tree walker too) can be.
 func (c *fnComp) assignSlots() error {
 	for _, p := range c.f.Params {
 		s, err := c.slot(p)
@@ -104,20 +209,6 @@ func (c *fnComp) assignSlots() error {
 		if defines(in) {
 			if _, err := c.slot(in.Dst); err != nil {
 				return err
-			}
-		}
-		for _, a := range in.Args {
-			if a.Kind == ir.OperandReg {
-				if _, err := c.slot(a.Name); err != nil {
-					return err
-				}
-			}
-		}
-		for _, pe := range in.Phis {
-			if pe.Val.Kind == ir.OperandReg {
-				if _, err := c.slot(pe.Val.Name); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -153,22 +244,22 @@ func (c *fnComp) slot(name string) (int, error) {
 	return s, nil
 }
 
-// layoutBlocks assigns each block's first pc: blocks in ir order, one
-// word per non-phi instruction, plus one sentinel word per block.
+// layoutBlocks assigns every instruction its word pc (PCofInstr): blocks
+// in ir order, one word per non-phi instruction, plus one sentinel word
+// per block. Phis (which have no word) map to their block's first pc: a
+// frame snapshotted at a phi is a frame about to enter the block body,
+// and block-entry state is exactly pc = first word.
 func (c *fnComp) layoutBlocks() {
 	pc := 0
 	for _, b := range c.f.Blocks {
-		c.blockPC[b] = pc
 		for _, in := range b.Instrs {
+			c.fc.PCofInstr[in.Index] = pc
 			if in.Op != ir.OpPhi {
 				pc++
 			}
 		}
-		c.fc.EndPC[b] = pc
 		pc++ // sentinel
 	}
-	c.fc.Code = make([]uint64, 0, pc)
-	c.fc.Instrs = make([]*ir.Instr, 0, pc)
 	c.fc.EntryPC = 0
 }
 
@@ -211,10 +302,9 @@ func (c *fnComp) vref(o ir.Operand) (uint16, error) {
 	case ir.OperandConst:
 		return c.constRef(o.Imm)
 	case ir.OperandReg:
-		s, ok := c.fc.SlotOf[o.Name]
-		if !ok {
-			// assignSlots walked every operand; unreachable, but fail loud.
-			return 0, fmt.Errorf("register %%%s has no slot", o.Name)
+		s, err := c.slot(o.Name)
+		if err != nil {
+			return 0, err
 		}
 		return MakeRef(RefSlot, s), nil
 	case ir.OperandGlobal:
@@ -253,7 +343,7 @@ func (c *fnComp) edge(src *ir.Block, target string) (int, error) {
 	if tb == nil {
 		return 0, fmt.Errorf("branch to unknown block %s", target)
 	}
-	e := Edge{Target: tb, Src: src, PC: c.blockPC[tb]}
+	e := Edge{Target: tb, Src: src, PC: c.fc.StartPC(tb)}
 	for _, in := range tb.Instrs {
 		if in.Op != ir.OpPhi {
 			break
@@ -532,6 +622,7 @@ func (c *fnComp) callSite(in *ir.Instr) (int, error) {
 		cs.Kind = CallBad
 	}
 	if cs.Kind != CallBad {
+		cs.Args = carve(&c.args, len(in.CallArgs()))
 		for _, a := range in.CallArgs() {
 			ar, err := c.vref(a)
 			if err != nil {
@@ -548,23 +639,6 @@ func (c *fnComp) callSite(in *ir.Instr) (int, error) {
 	return idx, nil
 }
 
-// buildPCofInstr maps flat instruction indices to word pcs. Phis (which
-// have no word) map to their block's first pc: a frame snapshotted at a
-// phi is a frame about to enter the block body, and block-entry state
-// is exactly pc = first word.
-func (c *fnComp) buildPCofInstr() {
-	c.fc.PCofInstr = make([]int, c.f.NumInstrs())
-	for _, b := range c.f.Blocks {
-		pc := c.blockPC[b]
-		for _, in := range b.Instrs {
-			c.fc.PCofInstr[in.Index] = pc
-			if in.Op != ir.OpPhi {
-				pc++
-			}
-		}
-	}
-}
-
 // fuse marks superinstruction heads: short in-block sequences the
 // batched dispatch loop may run back-to-back without re-entering the
 // outer scheduling loop, provided the scheduler keeps picking the same
@@ -574,9 +648,8 @@ func (c *fnComp) buildPCofInstr() {
 // mutex_lock/single access/mutex_unlock.
 func (c *fnComp) fuse() {
 	for _, b := range c.f.Blocks {
-		bs := c.blockPC[b]
-		be := c.fc.EndPC[b]
-		pc := bs
+		be := c.fc.EndPC(b)
+		pc := c.fc.StartPC(b)
 		for pc < be {
 			n := c.fuseLenAt(pc, be)
 			if n > 0 {

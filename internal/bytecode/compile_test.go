@@ -78,7 +78,7 @@ func TestCompileShapes(t *testing.T) {
 	}
 	// One sentinel per block, with a nil Instrs entry at each EndPC.
 	for _, b := range main.Blocks {
-		end := fc.EndPC[b]
+		end := fc.EndPC(b)
 		if byte(fc.Code[end]) != OpNop || fc.Instrs[end] != nil {
 			t.Fatalf("block %s: EndPC %d is not a sentinel", b.Name, end)
 		}

@@ -14,18 +14,15 @@ import (
 	"time"
 
 	"github.com/conanalysis/owl/internal/faultinject"
-	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/owl"
 )
 
 // Shared holds the parsed values of the flags both binaries accept.
 type Shared struct {
 	Noise           string
-	Engine          string
 	Explore         string
 	Budget          int
 	Seed            uint64
-	SnapCache       int
 	Workers         int
 	MetricsOut      string
 	MaxSteps        int
@@ -50,7 +47,7 @@ type Defaults struct {
 // tests assert each binary's flag set contains every one of them.
 func Names() []string {
 	return []string{
-		"noise", "engine", "explore", "budget", "seed", "snap-cache", "workers",
+		"noise", "explore", "budget", "seed", "workers",
 		"metrics", "max-steps", "stage-timeout", "retries", "faults",
 		"fail-fast", "predict", "predict-reversal",
 	}
@@ -68,11 +65,9 @@ func Register(fs *flag.FlagSet, d Defaults) *Shared {
 		workersUsage = "worker pool size (0 = NumCPU)"
 	}
 	fs.StringVar(&s.Noise, "noise", noise, "workload noise level: light or full")
-	fs.StringVar(&s.Engine, "engine", "tree", "interpreter execution engine: tree or bytecode (docs/BYTECODE.md)")
 	fs.StringVar(&s.Explore, "explore", "fixed", "detect-stage schedule exploration: fixed or coverage")
 	fs.IntVar(&s.Budget, "budget", 0, "run budget for -explore=coverage and -predict (0 = detect runs)")
 	fs.Uint64Var(&s.Seed, "seed", 0, "base seed for -explore=coverage and -predict")
-	fs.IntVar(&s.SnapCache, "snap-cache", 0, "snapshot-cache entries per coverage stage for prefix-sharing exploration (0 = off)")
 	fs.IntVar(&s.Workers, "workers", d.Workers, workersUsage)
 	fs.StringVar(&s.MetricsOut, "metrics", "", `write per-stage metrics JSON to this file ("-" = stdout)`)
 	fs.IntVar(&s.MaxSteps, "max-steps", 0, "interpreter step budget per run (0 = program default)")
@@ -83,15 +78,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Shared {
 	fs.BoolVar(&s.Predict, "predict", false, "predictive race detection: predict pairs from seed traces, confirm with steered replays (docs/PREDICTION.md)")
 	fs.BoolVar(&s.PredictReversal, "predict-reversal", false, "with -predict: also predict optimistic sync-reversal pairs (confirmation filters infeasible ones)")
 	return s
-}
-
-// EngineVal validates and returns the execution engine.
-func (s *Shared) EngineVal() (interp.Engine, error) {
-	eng := interp.Engine(s.Engine)
-	if eng != interp.EngineTree && eng != interp.EngineBytecode {
-		return "", fmt.Errorf("unknown -engine %q (want tree or bytecode)", s.Engine)
-	}
-	return eng, nil
 }
 
 // Mode validates and returns the exploration mode.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/owl"
 )
 
@@ -48,22 +47,19 @@ func TestDefaultsApplied(t *testing.T) {
 	if s2.Predict || s2.PredictReversal {
 		t.Error("prediction must default off")
 	}
-	if s2.Engine != "tree" {
-		t.Errorf("engine default = %q, want tree (goldens and benchmarks pin the oracle engine)", s2.Engine)
-	}
 }
 
 func TestParseSharedFlags(t *testing.T) {
 	fs, s := newSet(Defaults{})
 	err := fs.Parse([]string{
 		"-explore", "coverage", "-budget", "32", "-seed", "7",
-		"-snap-cache", "64", "-max-steps", "1000", "-stage-timeout", "30s",
+		"-max-steps", "1000", "-stage-timeout", "30s",
 		"-predict", "-predict-reversal", "-fail-fast",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Budget != 32 || s.Seed != 7 || s.SnapCache != 64 || s.MaxSteps != 1000 {
+	if s.Budget != 32 || s.Seed != 7 || s.MaxSteps != 1000 {
 		t.Errorf("numeric flags misparsed: %+v", s)
 	}
 	if s.StageTimeout != 30*time.Second {
@@ -88,26 +84,14 @@ func TestModeRejectsUnknown(t *testing.T) {
 	}
 }
 
-func TestEngineVal(t *testing.T) {
-	for _, tc := range []struct {
-		arg  string
-		want interp.Engine
-		ok   bool
-	}{
-		{"tree", interp.EngineTree, true},
-		{"bytecode", interp.EngineBytecode, true},
-		{"jit", "", false},
-	} {
-		fs, s := newSet(Defaults{})
-		if err := fs.Parse([]string{"-engine", tc.arg}); err != nil {
-			t.Fatal(err)
-		}
-		eng, err := s.EngineVal()
-		if tc.ok && (err != nil || eng != tc.want) {
-			t.Errorf("EngineVal(%q) = %v, %v; want %v", tc.arg, eng, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("EngineVal(%q) accepted an unknown engine", tc.arg)
+// TestRemovedFlagsRejected pins that the execution path is not
+// selectable: the compiled engine and the per-stage snapshot cache are
+// always on, so no -engine or -snap-cache flag may parse.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "tree"}, {"-snap-cache", "0"}} {
+		fs, _ := newSet(Defaults{})
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v parsed; the flag should no longer exist", args)
 		}
 	}
 }

@@ -36,11 +36,6 @@ type Config struct {
 	KernelDecisions int
 	// DisableVulnVerify skips the slowest stage (useful in quick tests).
 	DisableVulnVerify bool
-	// Engine selects the interpreter execution engine for every machine
-	// the evaluation builds — application pipelines and the SKI-style
-	// kernel exploration alike (default interp.EngineTree; see
-	// owl.Options.Engine).
-	Engine interp.Engine
 	// Explore selects the detect-stage exploration mode for application
 	// workloads (default owl.ExploreFixed); Budget is the coverage-mode
 	// run budget (0 = DetectRuns). See owl.Options.
@@ -58,10 +53,6 @@ type Config struct {
 	// arm. See owl.Options.
 	Predict         bool
 	PredictReversal bool
-	// SnapCache is the per-stage snapshot-cache entry budget for
-	// coverage-mode exploration (0 disables prefix sharing; see
-	// owl.Options.SnapCache — results are identical either way).
-	SnapCache int
 	// PipelineWorkers bounds the owl pipeline's inner worker pool per
 	// workload (seeded detections and the verification loops). Default 1:
 	// BuildTablesParallel already fans out across workloads, so nesting
@@ -188,12 +179,10 @@ func evalApplication(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 		res, err := owl.Run(owl.Program{
 			Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps,
 		}, owl.Options{
-			Engine:            cfg.Engine,
 			DetectRuns:        cfg.DetectRuns,
 			Explore:           cfg.Explore,
 			Budget:            cfg.Budget,
 			Seed:              cfg.Seed,
-			SnapCache:         cfg.SnapCache,
 			Predict:           cfg.Predict,
 			PredictReversal:   cfg.PredictReversal,
 			DisableVulnVerify: cfg.DisableVulnVerify,
@@ -298,7 +287,7 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 		if cfg.MaxSteps > 0 {
 			maxSteps = cfg.MaxSteps
 		}
-		base := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps, Engine: cfg.Engine}
+		base := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps}
 		det := &ski.Detector{MaxRuns: cfg.KernelRuns, MaxDecisions: cfg.KernelDecisions}
 		reports, _, err := det.Detect(base)
 		if err != nil {

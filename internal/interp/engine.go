@@ -695,10 +695,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			m.planSize = len(m.planBuf)
 		}
 	} else {
-		m.planSize = 2 * consumed
-		if m.planSize < 8 {
-			m.planSize = 8
-		}
+		m.planSize = min(max(2*consumed, 8), len(m.planBuf))
 	}
 	return consumed
 }

@@ -22,19 +22,20 @@ import (
 
 // Engine selects how a machine executes instructions. Both engines are
 // observationally identical — same events, faults, output, schedule
-// traces, and step counts for the same scheduler decisions — so the
-// tree walker doubles as the differential oracle for the compiled
-// engine (see internal/race's engine-differential tests).
+// traces, and step counts for the same scheduler decisions. Production
+// always runs the compiled engine; the tree walker is the differential
+// oracle tests select (see internal/race's engine-differential tests).
 type Engine string
 
 // Engines.
 const (
-	// EngineTree (also selected by the empty string) walks the ir tree
-	// directly: simple, obviously correct, the reference semantics.
+	// EngineTree walks the ir tree directly: simple, obviously correct,
+	// the reference semantics. Only tests select it.
 	EngineTree Engine = "tree"
-	// EngineBytecode executes the flat bytecode lowered once per module
-	// by internal/bytecode: pre-resolved operands, per-edge phi move
-	// lists, superinstruction batching — several times faster.
+	// EngineBytecode (also selected by the empty string) executes the
+	// flat bytecode lowered once per module by internal/bytecode:
+	// pre-resolved operands, per-edge phi move lists, superinstruction
+	// batching — several times faster.
 	EngineBytecode Engine = "bytecode"
 )
 
@@ -101,7 +102,7 @@ type Config struct {
 	// HaltOnFault stops the whole machine at the first fault (default:
 	// only the faulting thread halts, as with a per-thread crash handler).
 	HaltOnFault bool
-	// Engine selects the execution engine ("" means EngineTree).
+	// Engine selects the execution engine ("" means EngineBytecode).
 	Engine Engine
 }
 
@@ -305,16 +306,9 @@ func New(cfg Config) (*Machine, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("interp: entry function @%s not found", cfg.Entry)
 	}
-	var prog *bytecode.Program
-	switch cfg.Engine {
-	case "", EngineTree:
-	case EngineBytecode:
-		var err error
-		if prog, err = bytecode.Compile(cfg.Module); err != nil {
-			return nil, fmt.Errorf("interp: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("interp: unknown engine %q", cfg.Engine)
+	prog, err := compileFor(cfg.Engine, cfg.Module)
+	if err != nil {
+		return nil, err
 	}
 	m := &Machine{
 		prog:          prog,
@@ -361,6 +355,23 @@ func New(cfg Config) (*Machine, error) {
 	main := m.newThread(entry, cfg.Args, nil)
 	_ = main
 	return m, nil
+}
+
+// compileFor returns the module's memoized bytecode lowering for the
+// compiled engine, or nil under EngineTree.
+func compileFor(eng Engine, mod *ir.Module) (*bytecode.Program, error) {
+	switch eng {
+	case "", EngineBytecode:
+		prog, err := bytecode.Compile(mod)
+		if err != nil {
+			return nil, fmt.Errorf("interp: %w", err)
+		}
+		return prog, nil
+	case EngineTree:
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("interp: unknown engine %q", eng)
+	}
 }
 
 // initGlobalTables builds the compiled engine's ordinal-indexed global

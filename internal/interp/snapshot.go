@@ -2,10 +2,8 @@ package interp
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
-	"github.com/conanalysis/owl/internal/bytecode"
 	"github.com/conanalysis/owl/internal/callstack"
 	"github.com/conanalysis/owl/internal/ir"
 )
@@ -218,7 +216,7 @@ func (ti threadImage) restore(m *Machine) *Thread {
 				prevEdge: -1,
 			}
 			if fi.pc >= len(fi.block.Instrs) {
-				fr.FPC = fc.EndPC[fi.block]
+				fr.FPC = fc.EndPC(fi.block)
 			} else {
 				fr.FPC = fc.PCofInstr[fi.block.Instrs[fi.pc].Index]
 			}
@@ -333,16 +331,9 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 	if cfg.Engine != "" {
 		mcfg.Engine = cfg.Engine
 	}
-	var prog *bytecode.Program
-	switch mcfg.Engine {
-	case "", EngineTree:
-	case EngineBytecode:
-		var err error
-		if prog, err = bytecode.Compile(mcfg.Module); err != nil {
-			return nil, fmt.Errorf("interp: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("interp: unknown engine %q", mcfg.Engine)
+	prog, err := compileFor(mcfg.Engine, mcfg.Module)
+	if err != nil {
+		return nil, err
 	}
 	m := &Machine{
 		prog:           prog,

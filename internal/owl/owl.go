@@ -64,16 +64,13 @@ const (
 	ExploreCoverage ExploreMode = "coverage"
 )
 
+// snapCacheEntries is the entry budget of the copy-on-write snapshot
+// cache every coverage-guided stage builds (docs/EXPLORATION.md).
+const snapCacheEntries = 64
+
 // Options tunes the pipeline. The Disable* switches exist for the
 // ablation benchmarks.
 type Options struct {
-	// Engine selects the interpreter execution engine for every machine
-	// the pipeline builds — detection runs, steered replays, and the
-	// dynamic verifiers (default interp.EngineTree). The two engines are
-	// observably identical (docs/BYTECODE.md); only speed and the
-	// bytecode.* / interp.engine metrics differ.
-	Engine interp.Engine
-
 	// DetectRuns is the number of seeded detection executions whose
 	// deduplicated reports form the raw report set (default 8).
 	DetectRuns int
@@ -94,22 +91,12 @@ type Options struct {
 	// random arm replay the fixed-mode seed sequence 1,2,3,...).
 	Seed uint64
 
-	// SnapCache, when > 0, gives each coverage-guided detect stage a
-	// bounded copy-on-write snapshot cache of that many entries: the DFS
-	// strategy's systematic schedules resume from the deepest cached
-	// decision-prefix ancestor instead of replaying it from step 0.
-	// Results, reports, coverage, and counters stay byte-identical with
-	// the cache on or off (only the sched.snap_* / interp.cow_* counters
-	// themselves appear); 0 disables snapshotting. Ignored in fixed mode.
-	SnapCache int
-
 	// ExploreState, when non-nil, makes the *initial* coverage-guided
 	// detect stage resume from — and fold back into — persistent
 	// cross-run exploration state (sched.ExploreState): the engine starts
 	// pre-seeded with the state's accumulated coverage and seen-report
 	// set (so a repeat run of an already-explored program saturates and
-	// early-stops after a fraction of the budget) and, when the state
-	// carries one, its persistent snapshot cache. Only consulted when
+	// early-stops after a fraction of the budget). Only consulted when
 	// Explore is ExploreCoverage and Predict is off; the ad-hoc re-run
 	// and atomicity stages always explore fresh (their detector
 	// configuration differs, so mixing their scores into the shared state
@@ -124,7 +111,7 @@ type Options struct {
 	// replays that confirm or refute the predicted pairs. Confirmed pairs
 	// become ordinary reports (and so flow into raceverify); predictions
 	// alone are never reported. Deterministic for a fixed (Seed, Budget,
-	// Workers), independent of worker count and SnapCache.
+	// Workers), independent of worker count.
 	Predict bool
 
 	// PredictReversal additionally enables the optimistic
@@ -195,6 +182,27 @@ type Options struct {
 	// quarantines or loses a run fails the pipeline with an error naming
 	// that stage, instead of degrading and continuing.
 	FailFast bool
+
+	// engine and snapEntries leave the production execution path; only
+	// this package's tests set them, to run the tree-walking oracle
+	// engine or to resize (> 0) or disable (< 0) each coverage-guided
+	// stage's snapshot cache. The zero values are production: the
+	// compiled engine and snapCacheEntries.
+	engine      interp.Engine
+	snapEntries int
+}
+
+// newSnapCache builds the fresh snapshot cache one coverage-guided
+// stage resumes DFS schedules from. The cache never changes results:
+// only the sched.snap_* / interp.cow_* counters describe it.
+func (o Options) newSnapCache() *sched.SnapCache {
+	switch {
+	case o.snapEntries < 0:
+		return nil
+	case o.snapEntries > 0:
+		return sched.NewSnapCache(o.snapEntries)
+	}
+	return sched.NewSnapCache(snapCacheEntries)
 }
 
 // Stats is the Table-3 accounting for one program.
@@ -279,11 +287,6 @@ func Run(p Program, opts Options) (*Result, error) {
 	}
 	mc := opts.Metrics
 	mc.Gauge("owl.workers", float64(workers))
-	if opts.Engine == interp.EngineBytecode {
-		mc.Gauge("interp.engine", 1)
-	} else {
-		mc.Gauge("interp.engine", 0)
-	}
 	defer mc.Stage("owl.total")()
 
 	budget := opts.Budget
@@ -346,7 +349,7 @@ func Run(p Program, opts Options) (*Result, error) {
 			return reports
 		}
 		mc.Count("owl.detect_runs", int64(detectRuns))
-		return detect(p, st, detectRuns, workers, benign, opts.Engine, mc)
+		return detect(p, st, detectRuns, workers, benign, opts.engine, mc)
 	}
 
 	// Step 1: detection runs over explored schedules; dedupe across runs.
@@ -390,7 +393,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	// loop fans out; hints are collected in report order. A quarantined
 	// verification drops its report from every later stage (neither
 	// verified nor eliminated — lost).
-	mk := factory(p, opts.Engine)
+	mk := factory(p, opts.engine)
 	rvLost := 0
 	if !opts.DisableRaceVerify {
 		rv := opts.RaceVerifier
@@ -475,7 +478,7 @@ func Run(p Program, opts Options) (*Result, error) {
 		if opts.Explore == ExploreCoverage {
 			res.AtomicityReports = detectAtomicityCoverage(p, st, budget, workers, opts, mc)
 		} else {
-			res.AtomicityReports = detectAtomicity(p, st, detectRuns, workers, opts.Engine, mc)
+			res.AtomicityReports = detectAtomicity(p, st, detectRuns, workers, opts.engine, mc)
 		}
 		for _, ar := range res.AtomicityReports {
 			in, stack, ok := atomicity.ReadSideOf(ar)
@@ -648,13 +651,7 @@ func detect(p Program, st *supervise.StageRun, runs, workers int, benign *race.A
 // indices count globally across rounds. It returns the merged reports
 // and the number of runs actually spent.
 func detectCoverage(p Program, st *supervise.StageRun, budget, workers int, benign *race.Annotations, resume *sched.ExploreState, opts Options, mc *metrics.Collector) ([]*race.Report, int) {
-	var snap *sched.SnapCache
-	if resume != nil && resume.SnapCache() != nil {
-		snap = resume.SnapCache()
-	} else if opts.SnapCache > 0 {
-		snap = sched.NewSnapCache(opts.SnapCache)
-	}
-	snapBase := snap.Stats()
+	snap := opts.newSnapCache()
 	eng := sched.NewEngine(sched.EngineConfig{Budget: budget, Seed: opts.Seed, PCTSteps: p.MaxSteps, Snap: snap, Resume: resume})
 	merged := map[string]*race.Report{}
 	var order []*race.Report
@@ -674,7 +671,7 @@ func detectCoverage(p Program, st *supervise.StageRun, budget, workers int, beni
 				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: j.Sched,
 				Observers:       []interp.Observer{d},
 				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.Engine,
+				Engine:          opts.engine,
 			})
 			if err != nil {
 				return fmt.Errorf("run machine: %w", err)
@@ -707,18 +704,14 @@ func detectCoverage(p Program, st *supervise.StageRun, budget, workers int, beni
 	})
 	resume.Absorb(eng)
 	flushEngineMetrics(res, mc)
-	flushSnapMetrics(snap, snapBase, mc)
+	flushSnapMetrics(snap, mc)
 	return order, res.Runs
 }
 
 // detectAtomicityCoverage is detectCoverage for the CTrigger-style
 // atomicity detector.
 func detectAtomicityCoverage(p Program, st *supervise.StageRun, budget, workers int, opts Options, mc *metrics.Collector) []*atomicity.Report {
-	var snap *sched.SnapCache
-	if opts.SnapCache > 0 {
-		snap = sched.NewSnapCache(opts.SnapCache)
-	}
-	snapBase := snap.Stats()
+	snap := opts.newSnapCache()
 	eng := sched.NewEngine(sched.EngineConfig{Budget: budget, Seed: opts.Seed, PCTSteps: p.MaxSteps, Snap: snap})
 	merged := map[string]*atomicity.Report{}
 	var order []*atomicity.Report
@@ -737,7 +730,7 @@ func detectAtomicityCoverage(p Program, st *supervise.StageRun, budget, workers 
 				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: j.Sched,
 				Observers:       []interp.Observer{d},
 				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.Engine,
+				Engine:          opts.engine,
 			})
 			if err != nil {
 				return fmt.Errorf("run machine: %w", err)
@@ -768,7 +761,7 @@ func detectAtomicityCoverage(p Program, st *supervise.StageRun, budget, workers 
 		return nil
 	})
 	flushEngineMetrics(res, mc)
-	flushSnapMetrics(snap, snapBase, mc)
+	flushSnapMetrics(snap, mc)
 	return order
 }
 
@@ -791,12 +784,11 @@ func flushEngineMetrics(res *sched.EngineResult, mc *metrics.Collector) {
 }
 
 // flushMachineMetrics threads one detect-run machine's compiled-engine
-// accounting into the collector; a no-op under the tree engine. Along
-// with the interp.engine gauge, bytecode.compile_ns (a memoized
-// per-module constant, so a last-wins gauge) and the
-// bytecode.superinstr_hits dispatch statistic are the only metrics
-// allowed to differ between engines — everything else the pipeline
-// emits is covered by the cross-engine determinism gate.
+// accounting into the collector; a no-op under the tree-walking oracle.
+// bytecode.compile_ns (a memoized per-module constant, so a last-wins
+// gauge) and the bytecode.superinstr_hits dispatch statistic are the
+// only metrics allowed to differ between engines — everything else the
+// pipeline emits is covered by the cross-engine parity test.
 func flushMachineMetrics(m *interp.Machine, mc *metrics.Collector) {
 	if m.Engine() != interp.EngineBytecode {
 		return
@@ -806,24 +798,20 @@ func flushMachineMetrics(m *interp.Machine, mc *metrics.Collector) {
 }
 
 // flushSnapMetrics threads one stage's snapshot-cache accounting into
-// the collector, as the delta since the stage began — a persistent
-// cross-run cache (Options.ExploreState) carries lifetime totals, and a
-// per-run collector must report only this run's share. For the fresh
-// per-stage caches the base is zero, so nothing changes there. These
-// are the only counters allowed to differ between snapshotting on and
-// off; everything else the pipeline emits is covered by the
-// byte-identical determinism gate.
-func flushSnapMetrics(snap *sched.SnapCache, base sched.SnapStats, mc *metrics.Collector) {
+// the collector. These are the only counters allowed to differ between
+// snapshotting on and off; everything else the pipeline emits is
+// covered by the byte-identical determinism gate.
+func flushSnapMetrics(snap *sched.SnapCache, mc *metrics.Collector) {
 	if snap == nil {
 		return
 	}
 	st := snap.Stats()
-	mc.Count("sched.snap_hits", st.Hits-base.Hits)
-	mc.Count("sched.snap_misses", st.Misses-base.Misses)
-	mc.Count("sched.snap_stores", st.Stores-base.Stores)
-	mc.Count("sched.snap_evictions", st.Evictions-base.Evictions)
-	mc.Count("sched.snap_resume_steps_saved", st.StepsSaved-base.StepsSaved)
-	mc.Count("interp.cow_pages_copied", st.CowPages-base.CowPages)
+	mc.Count("sched.snap_hits", st.Hits)
+	mc.Count("sched.snap_misses", st.Misses)
+	mc.Count("sched.snap_stores", st.Stores)
+	mc.Count("sched.snap_evictions", st.Evictions)
+	mc.Count("sched.snap_resume_steps_saved", st.StepsSaved)
+	mc.Count("interp.cow_pages_copied", st.CowPages)
 }
 
 func containsID(ids []string, id string) bool {

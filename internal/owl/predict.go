@@ -33,10 +33,7 @@ import (
 // predicted pairs reach raceverify), the confirmed predicted-pair IDs,
 // and the executions spent.
 func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benign *race.Annotations, opts Options, mc *metrics.Collector) ([]*race.Report, []string, int) {
-	var snap *sched.SnapCache
-	if opts.SnapCache > 0 {
-		snap = sched.NewSnapCache(opts.SnapCache)
-	}
+	snap := opts.newSnapCache()
 	seedBudget := budget / 2
 	if seedBudget < 2 {
 		seedBudget = budget
@@ -81,7 +78,7 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: runSched,
 				Observers:       []interp.Observer{d, rec},
 				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.Engine,
+				Engine:          opts.engine,
 			})
 			if err != nil {
 				return fmt.Errorf("run machine: %w", err)
@@ -172,7 +169,7 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 		i := idx - base
 		reports, hit, err := cf.Confirm(interp.Config{
 			Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-			MaxSteps: st.StepBudget(idx, p.MaxSteps), Engine: opts.Engine,
+			MaxSteps: st.StepBudget(idx, p.MaxSteps), Engine: opts.engine,
 		}, benign, cands[i])
 		if err != nil {
 			return fmt.Errorf("confirm %s: %w", cands[i].Pair.ID(), err)
@@ -205,7 +202,6 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 	if saved := int64(budget - runs); saved > 0 {
 		mc.Count("predict.schedules_saved", saved)
 	}
-	// The cache is stage-local here, so the lifetime delta is the total.
-	flushSnapMetrics(snap, sched.SnapStats{}, mc)
+	flushSnapMetrics(snap, mc)
 	return order, confirmed, runs
 }

@@ -3,6 +3,7 @@ package owl
 import (
 	"testing"
 
+	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/metrics"
 )
@@ -124,19 +125,19 @@ func TestPredictDeterministicGate(t *testing.T) {
 			cases := []struct {
 				snap, workers int
 			}{
-				{0, 1}, // reference
+				{-1, 1}, // reference: snapshotting off
+				{-1, 4},
+				{-1, 8},
+				{0, 1}, // production: snapCacheEntries
 				{0, 4},
 				{0, 8},
-				{64, 1},
-				{64, 4},
-				{64, 8},
 			}
 			for i, tc := range cases {
 				mc := metrics.New()
 				res, err := Run(p, Options{
 					Predict: true, PredictReversal: true,
 					Budget: 24, Seed: 7,
-					Workers: tc.workers, SnapCache: tc.snap, Metrics: mc,
+					Workers: tc.workers, snapEntries: tc.snap, Metrics: mc,
 				})
 				if err != nil {
 					t.Fatalf("snap=%d workers=%d: %v", tc.snap, tc.workers, err)
@@ -188,10 +189,12 @@ func TestPredictConfirmDifferentialGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Plain exploration with a much larger budget is the ground
-			// truth the confirmations must be contained in.
+			// Plain exploration with a much larger budget, on the oracle
+			// path (tree engine, no snapshot cache), is the ground truth
+			// the production-path confirmations must be contained in.
 			plain, err := Run(c.p, Options{
 				Explore: ExploreCoverage, Budget: 96, Seed: 7,
+				engine: interp.EngineTree, snapEntries: -1,
 			})
 			if err != nil {
 				t.Fatal(err)

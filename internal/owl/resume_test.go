@@ -50,7 +50,7 @@ func TestExploreStateFreshRunIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mcState := metrics.New()
-	st := sched.NewExploreState(0)
+	st := sched.NewExploreState()
 	warmed, err := Run(p, Options{
 		Explore: ExploreCoverage, Budget: 24, Seed: 7, Workers: 2,
 		Metrics: mcState, ExploreState: st,
@@ -76,7 +76,7 @@ func TestExploreStateFreshRunIsByteIdentical(t *testing.T) {
 // count exactly (cross-submission determinism).
 func TestExploreStateResumeExecutesFewerSchedules(t *testing.T) {
 	p, _ := coverageProgram(t, "libsafe")
-	st := sched.NewExploreState(64)
+	st := sched.NewExploreState()
 	opts := func(mc *metrics.Collector) Options {
 		return Options{
 			Explore: ExploreCoverage, Budget: 24, Seed: 7, Workers: 2,
@@ -115,7 +115,7 @@ func TestExploreStateResumeExecutesFewerSchedules(t *testing.T) {
 // predict-mode pipelines leave the state untouched.
 func TestExploreStateIgnoredOutsideCoverage(t *testing.T) {
 	p, _ := coverageProgram(t, "libsafe")
-	st := sched.NewExploreState(0)
+	st := sched.NewExploreState()
 	if _, err := Run(p, Options{Explore: ExploreFixed, DetectRuns: 4, ExploreState: st}); err != nil {
 		t.Fatal(err)
 	}

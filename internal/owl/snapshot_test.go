@@ -36,10 +36,10 @@ func TestSnapshotCacheDifferentialGate(t *testing.T) {
 			cases := []struct {
 				snap, workers int
 			}{
-				{0, 1}, // reference: snapshotting off
-				{64, 1},
-				{64, 4},
-				{64, 8},
+				{-1, 1}, // reference: snapshotting off
+				{0, 1},  // production: snapCacheEntries
+				{0, 4},
+				{0, 8},
 				{3, 1}, // a tiny cache must also preserve results
 			}
 			for _, tc := range cases {
@@ -47,13 +47,13 @@ func TestSnapshotCacheDifferentialGate(t *testing.T) {
 				res, err := Run(p, Options{
 					Explore: ExploreCoverage, Budget: 24, Seed: 7,
 					Workers: tc.workers, EnableAtomicity: true,
-					SnapCache: tc.snap, Metrics: mc,
+					snapEntries: tc.snap, Metrics: mc,
 				})
 				if err != nil {
 					t.Fatalf("snap=%d workers=%d: %v", tc.snap, tc.workers, err)
 				}
 				fp, cs := fingerprint(res), dropSnapCounters(countersOf(mc))
-				if tc.snap == 0 {
+				if tc.snap < 0 {
 					baseFP, baseCounters = fp, cs
 					if baseFP == "" {
 						t.Fatal("reference run produced an empty result")

@@ -24,10 +24,10 @@ type Candidate struct {
 func PrefixFor(decisions []sched.Decision, p Pair) []int {
 	var pre []int
 	for _, d := range decisions {
-		if d.Step >= p.A.Step {
+		if int(d.Step) >= p.A.Step {
 			break
 		}
-		pre = append(pre, d.Chosen)
+		pre = append(pre, int(d.Chosen))
 	}
 	return pre
 }

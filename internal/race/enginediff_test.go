@@ -3,11 +3,13 @@ package race
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/sched"
+	"github.com/conanalysis/owl/internal/workloads"
 )
 
 // eventRecorder records every event as a flat descriptor string so two
@@ -61,9 +63,19 @@ func runFingerprint(res *interp.Result, m *interp.Machine) string {
 	return s
 }
 
-// diffEngines runs mod under both engines with identical scheduler
-// seeds and returns the two full observable transcripts.
-func diffEngines(t *testing.T, mod *ir.Module, schedSeed uint64, stacks bool) (tree, bc string) {
+// diffRun names one program execution for diffEngines: the module, its
+// entry function ("" means main), the input tape, and the step budget
+// (0 means the interpreter default).
+type diffRun struct {
+	mod      *ir.Module
+	entry    string
+	inputs   []int64
+	maxSteps int
+}
+
+// diffEngines runs r under both engines with identical scheduler seeds
+// and returns the two full observable transcripts.
+func diffEngines(t *testing.T, r diffRun, schedSeed uint64, stacks bool) (tree, bc string) {
 	t.Helper()
 	run := func(engine interp.Engine) string {
 		var rec interface {
@@ -79,7 +91,8 @@ func diffEngines(t *testing.T, mod *ir.Module, schedSeed uint64, stacks bool) (t
 		}
 		d := NewDetector()
 		m, err := interp.New(interp.Config{
-			Module: mod, Sched: sched.NewRandom(schedSeed),
+			Module: r.mod, Entry: r.entry, Inputs: r.inputs, MaxSteps: r.maxSteps,
+			Sched:     sched.NewRandom(schedSeed),
 			Engine:    engine,
 			Observers: []interp.Observer{d, rec},
 		})
@@ -87,12 +100,14 @@ func diffEngines(t *testing.T, mod *ir.Module, schedSeed uint64, stacks bool) (t
 			t.Fatalf("engine %s: new machine: %v", engine, err)
 		}
 		res := m.Run()
-		s := runFingerprint(res, m)
-		s += fmt.Sprintf("reports=%v\n", reportSet(d.Reports()))
+		var b strings.Builder
+		b.WriteString(runFingerprint(res, m))
+		fmt.Fprintf(&b, "reports=%v\n", reportSet(d.Reports()))
 		for _, e := range *events {
-			s += e + "\n"
+			b.WriteString(e)
+			b.WriteByte('\n')
 		}
-		return s
+		return b.String()
 	}
 	return run(interp.EngineTree), run(interp.EngineBytecode)
 }
@@ -111,13 +126,49 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Fatalf("prog %d: generated program does not parse: %v\n%s", progSeed, err, src)
 		}
 		for schedSeed := uint64(1); schedSeed <= 4; schedSeed++ {
-			tree, bc := diffEngines(t, mod, schedSeed, false)
+			tree, bc := diffEngines(t, diffRun{mod: mod}, schedSeed, false)
 			if tree != bc {
 				t.Fatalf("prog %d sched %d: engines diverge\nprogram:\n%s\n--- tree ---\n%s\n--- bytecode ---\n%s",
 					progSeed, schedSeed, src, tree, bc)
 			}
 		}
 	}
+}
+
+// TestDifferentialEnginesCorpus extends the transcript gate from
+// generated programs to the built-in workload corpus: every model at
+// both noise levels, under each input recipe and scheduler seeds 1-4.
+// Full-noise models run long, thread-heavy schedules that cut the
+// compiled engine's plan window short at depths the generated grid
+// never reaches.
+func TestDifferentialEnginesCorpus(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
+			w := workloads.Get(name, lvl)
+			for _, rec := range w.Recipes {
+				r := diffRun{mod: w.Module, entry: w.Entry, inputs: rec.Inputs, maxSteps: w.MaxSteps}
+				for schedSeed := uint64(1); schedSeed <= 4; schedSeed++ {
+					tree, bc := diffEngines(t, r, schedSeed, false)
+					if tree != bc {
+						t.Fatalf("%s noise=%d recipe=%s sched %d: engines diverge\n%s",
+							name, lvl, rec.Name, schedSeed, firstDiff(tree, bc))
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstDiff renders the first line where two transcripts disagree; the
+// corpus transcripts run to megabytes, too long to print whole.
+func firstDiff(tree, bc string) string {
+	tl, bl := strings.Split(tree, "\n"), strings.Split(bc, "\n")
+	for i := 0; i < len(tl) && i < len(bl); i++ {
+		if tl[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n  tree:     %s\n  bytecode: %s", i+1, tl[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("one transcript is a prefix of the other (%d vs %d lines)", len(tl), len(bl))
 }
 
 // TestDifferentialEngineStacks re-runs a slice of the grid with an
@@ -132,7 +183,7 @@ func TestDifferentialEngineStacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prog %d: parse: %v", progSeed, err)
 		}
-		tree, bc := diffEngines(t, mod, 3, true)
+		tree, bc := diffEngines(t, diffRun{mod: mod}, 3, true)
 		if tree != bc {
 			t.Fatalf("prog %d: stack transcripts diverge\nprogram:\n%s\n--- tree ---\n%s\n--- bytecode ---\n%s",
 				progSeed, src, tree, bc)

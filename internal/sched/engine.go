@@ -111,8 +111,7 @@ type EngineConfig struct {
 	// ExploreState: the coverage map and seen-report set start at the
 	// state's accumulated values, so schedules the state has already
 	// covered score zero and the saturation early stop fires as soon as
-	// the program has nothing new to show. When Snap is nil the state's
-	// snapshot cache (if any) is attached too. The engine never writes
+	// the program has nothing new to show. The engine never writes
 	// the state — callers fold results back with ExploreState.Absorb.
 	Resume *ExploreState
 }
@@ -178,9 +177,6 @@ type Engine struct {
 // NewEngine returns an engine for one exploration.
 func NewEngine(cfg EngineConfig) *Engine {
 	cfg = cfg.withDefaults()
-	if cfg.Resume != nil && cfg.Snap == nil {
-		cfg.Snap = cfg.Resume.SnapCache()
-	}
 	cfg.Snap.EnsureDepth(cfg.MaxDecisions)
 	e := &Engine{
 		cfg:      cfg,

@@ -15,11 +15,22 @@ import (
 // which the decision was taken, letting a consumer cut a replayable
 // prefix at any event of the run (predictive confirmation replays every
 // decision taken strictly before a racing access).
+//
+// The fields are 32-bit: a run records one Decision per multi-runnable
+// step, and the traces of an exploration round's in-flight runs are the
+// largest live data an exploration holds. Step cannot overflow in
+// practice: the machine keeps one schedule-trace entry per step, which
+// would need 16 GiB before a run reached 2^31 steps.
 type Decision struct {
-	Choices int
-	Chosen  int
-	SameIdx int
-	Step    int
+	Choices int32
+	Chosen  int32
+	SameIdx int32
+	Step    int32
+}
+
+// newDecision records one multi-runnable point.
+func newDecision(choices, chosen, sameIdx, step int) Decision {
+	return Decision{Choices: int32(choices), Chosen: int32(chosen), SameIdx: int32(sameIdx), Step: int32(step)}
 }
 
 // DecisionSched drives the machine from an explicit decision vector: at
@@ -112,7 +123,7 @@ func (s *DecisionSched) Next(runnable []interp.ThreadID, step int) interp.Thread
 	if sameIdx >= 0 && choice != sameIdx {
 		s.Preemptions++
 	}
-	s.Trace = append(s.Trace, Decision{Choices: len(runnable), Chosen: choice, SameIdx: sameIdx, Step: step})
+	s.Trace = append(s.Trace, newDecision(len(runnable), choice, sameIdx, step))
 	s.lastTID, s.hasLast = runnable[choice], true
 	return runnable[choice]
 }
@@ -182,14 +193,14 @@ func (e *Explorer) Explore(mkRun func(s interp.Scheduler) error) (ExploreResult,
 			limit = maxDec
 		}
 		for p := limit - 1; p >= len(d); p-- {
-			for c := s.Trace[p].Choices - 1; c >= 0; c-- {
-				if c == s.Trace[p].Chosen {
+			for c := int(s.Trace[p].Choices) - 1; c >= 0; c-- {
+				if c == int(s.Trace[p].Chosen) {
 					continue
 				}
 				next := make([]int, p+1)
 				copy(next, d)
 				for q := len(d); q < p; q++ {
-					next[q] = s.Trace[q].Chosen
+					next[q] = int(s.Trace[q].Chosen)
 				}
 				next[p] = c
 				stack = append(stack, next)
@@ -306,18 +317,18 @@ func (f *ipbFrontier) expand(node ipbNode, trace []Decision) {
 		}
 	}
 	for p := limit - 1; p >= len(node.vec); p-- {
-		for c := trace[p].Choices - 1; c >= 0; c-- {
-			if c == trace[p].Chosen {
+		for c := int(trace[p].Choices) - 1; c >= 0; c-- {
+			if c == int(trace[p].Chosen) {
 				continue
 			}
 			next := make([]int, p+1)
 			copy(next, node.vec)
 			for q := len(node.vec); q < p; q++ {
-				next[q] = trace[q].Chosen
+				next[q] = int(trace[q].Chosen)
 			}
 			next[p] = c
 			pre := preAt[p]
-			if trace[p].SameIdx >= 0 && c != trace[p].SameIdx {
+			if trace[p].SameIdx >= 0 && c != int(trace[p].SameIdx) {
 				pre++
 			}
 			f.push(ipbNode{vec: next, pre: pre})

@@ -28,7 +28,7 @@ func TestDecisionSchedCountsPreemptions(t *testing.T) {
 	if s.Preemptions != 1 {
 		t.Errorf("Preemptions = %d, want 1", s.Preemptions)
 	}
-	wantSame := []int{0, 1, -1}
+	wantSame := []int32{0, 1, -1}
 	for i, d := range s.Trace {
 		if d.SameIdx != wantSame[i] {
 			t.Errorf("trace[%d].SameIdx = %d, want %d", i, d.SameIdx, wantSame[i])

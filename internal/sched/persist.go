@@ -1,17 +1,18 @@
 // Cross-exploration persistence. One Engine drives one exploration and
-// then dies with everything it learned: the interleaving-coverage map,
-// the set of report IDs it has already credited, and (via the snapshot
-// cache) the machine states of every shared schedule prefix. A
-// long-running service that analyzes the same program over and over
-// should not pay for rediscovering all of that on every submission.
+// then dies with everything it learned: the interleaving-coverage map
+// and the set of report IDs it has already credited. A long-running
+// service that analyzes the same program over and over should not pay
+// for rediscovering all of that on every submission.
 //
 // ExploreState is that knowledge, lifted out of the Engine: a
-// concurrency-safe bundle of coverage + seen-report IDs + snapshot cache
-// that outlives any single exploration. An Engine constructed with
-// EngineConfig.Resume starts pre-seeded from the state — so a re-run of
-// an already-explored program produces no new coverage and no new
-// reports, trips the saturation early stop, and spends a fraction of its
-// budget — and Absorb folds what the exploration did learn back in.
+// concurrency-safe bundle of coverage + seen-report IDs that outlives
+// any single exploration. An Engine constructed with EngineConfig.Resume
+// starts pre-seeded from the state — so a re-run of an already-explored
+// program produces no new coverage and no new reports, trips the
+// saturation early stop, and spends a fraction of its budget — and
+// Absorb folds what the exploration did learn back in. Snapshot caches
+// stay per exploration (EngineConfig.Snap): a cache kept alive across
+// runs costs heap for as long as the program is stored.
 //
 // Coverage keys are instruction identities (*ir.Instr), so an
 // ExploreState is only meaningful across explorations of the same frozen
@@ -29,7 +30,6 @@ type ExploreState struct {
 	mu           sync.Mutex
 	cov          *Coverage
 	seen         map[string]bool
-	snap         *SnapCache
 	explorations int
 	// journal, when non-nil, accumulates what each Absorb newly learned
 	// in stable form until TakeDelta drains it (see stable.go). Nil by
@@ -37,31 +37,12 @@ type ExploreState struct {
 	journal *StateDelta
 }
 
-// NewExploreState returns an empty state. snapEntries > 0 additionally
-// attaches a persistent prefix-sharing snapshot cache of that many
-// entries, shared by every exploration resumed from the state (the
-// cross-run analogue of owl's per-stage -snap-cache); snapEntries <= 0
-// leaves snapshotting to the per-exploration configuration.
-func NewExploreState(snapEntries int) *ExploreState {
-	s := &ExploreState{
+// NewExploreState returns an empty state.
+func NewExploreState() *ExploreState {
+	return &ExploreState{
 		cov:  NewCoverage(),
 		seen: make(map[string]bool),
 	}
-	if snapEntries > 0 {
-		s.snap = NewSnapCache(snapEntries)
-	}
-	return s
-}
-
-// SnapCache returns the persistent snapshot cache (nil when the state
-// was built without one).
-func (s *ExploreState) SnapCache() *SnapCache {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap
 }
 
 // Warm reports whether at least one exploration has been absorbed — the

@@ -23,7 +23,7 @@ func scriptedCoverage(pt *pairTable, j *Job) {
 // saturation early stop, and spends strictly fewer runs than the first.
 func TestExploreStateResumeEarlyStops(t *testing.T) {
 	pt := newPairTable()
-	state := NewExploreState(0)
+	state := NewExploreState()
 	runner := func(jobs []*Job) error {
 		for _, j := range jobs {
 			scriptedCoverage(pt, j)
@@ -78,7 +78,7 @@ func TestExploreStateResumeEarlyStops(t *testing.T) {
 // the serve gate asserts end to end.
 func TestExploreStateResumeIsDeterministic(t *testing.T) {
 	pt := newPairTable()
-	state := NewExploreState(0)
+	state := NewExploreState()
 	runner := func(jobs []*Job) error {
 		for _, j := range jobs {
 			scriptedCoverage(pt, j)
@@ -103,28 +103,6 @@ func TestExploreStateResumeIsDeterministic(t *testing.T) {
 	}
 	if runs[0] != runs[1] {
 		t.Errorf("resume runs differ across repeats: %d vs %d", runs[0], runs[1])
-	}
-}
-
-// TestEngineResumeAttachesStateSnapCache pins that a resumed engine picks
-// up the state's persistent snapshot cache when the caller supplies none,
-// and that an explicit Snap wins.
-func TestEngineResumeAttachesStateSnapCache(t *testing.T) {
-	state := NewExploreState(8)
-	if state.SnapCache() == nil {
-		t.Fatal("state built with entries has no snap cache")
-	}
-	e := NewEngine(EngineConfig{Budget: 6, Resume: state})
-	if e.cfg.Snap != state.SnapCache() {
-		t.Error("resumed engine did not attach the state's snap cache")
-	}
-	own := NewSnapCache(4)
-	e2 := NewEngine(EngineConfig{Budget: 6, Resume: state, Snap: own})
-	if e2.cfg.Snap != own {
-		t.Error("explicit Snap lost to the state's cache")
-	}
-	if NewExploreState(0).SnapCache() != nil {
-		t.Error("snapEntries<=0 still built a cache")
 	}
 }
 
@@ -154,9 +132,6 @@ func TestExploreStateNilSafety(t *testing.T) {
 	var s *ExploreState
 	if s.Warm() || s.Pairs() != 0 || s.SeenReports() != 0 || s.Explorations() != 0 {
 		t.Error("nil state not inert")
-	}
-	if s.SnapCache() != nil {
-		t.Error("nil state returned a snap cache")
 	}
 	s.Absorb(nil) // must not panic
 }

@@ -66,8 +66,8 @@ type SnapStats struct {
 }
 
 // SnapCache is a bounded, concurrency-safe snapshot cache keyed by
-// decision prefixes. Entries are capped at MaxEntries (the -snap-cache
-// budget) and evicted least-recently-used; snapshot depth is capped at
+// decision prefixes. Entries are capped at the NewSnapCache budget and
+// evicted least-recently-used; snapshot depth is capped at
 // maxDepth decision points, matching the exploration's MaxDecisions —
 // deeper boundaries are never looked up, so caching them would only
 // burn memory.

@@ -204,8 +204,7 @@ func TestExploreIPBRunMatchesExploreIPB(t *testing.T) {
 	}
 }
 
-// TestSnapCacheEvictsLRUWithinBudget pins the -snap-cache budget
-// semantics: the entry count never exceeds the budget, overflow evicts,
+// TestSnapCacheEvictsLRUWithinBudget pins the entry-budget semantics: the entry count never exceeds the budget, overflow evicts,
 // and a tiny cache still preserves results (it just shares less).
 func TestSnapCacheEvictsLRUWithinBudget(t *testing.T) {
 	mod := snapCacheModule(t)

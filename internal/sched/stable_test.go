@@ -42,7 +42,7 @@ func stableTestModule(t *testing.T) *ir.Module {
 // keyed against m, the way an absorbed exploration would have left it.
 func warmState(t *testing.T, m *ir.Module) *ExploreState {
 	t.Helper()
-	s := NewExploreState(0)
+	s := NewExploreState()
 	w, mn := m.Func("worker"), m.Func("main")
 	s.mu.Lock()
 	s.cov.pairs[covKey{from: w.InstrAt(0), to: mn.InstrAt(1)}] = struct{}{}
@@ -72,7 +72,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 
 	m2 := stableTestModule(t)
-	s2 := NewExploreState(0)
+	s2 := NewExploreState()
 	if err := s2.Import(m2, snap); err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -104,18 +104,18 @@ func TestExportDeterministicBytes(t *testing.T) {
 func TestImportRefusesToGuess(t *testing.T) {
 	m := stableTestModule(t)
 	bad := StateSnapshot{Pairs: []StablePair{{FromFn: "worker", FromIx: 0, ToFn: "gone", ToIx: 1}}}
-	if err := NewExploreState(0).Import(m, bad); err == nil {
+	if err := NewExploreState().Import(m, bad); err == nil {
 		t.Error("unresolvable pair imported silently")
 	}
 	outOfRange := StateSnapshot{Pairs: []StablePair{{FromFn: "worker", FromIx: 99, ToFn: "main", ToIx: 0}}}
-	if err := NewExploreState(0).Import(m, outOfRange); err == nil {
+	if err := NewExploreState().Import(m, outOfRange); err == nil {
 		t.Error("out-of-range pair imported silently")
 	}
 	warm := warmState(t, m)
 	if err := warm.Import(m, StateSnapshot{Explorations: 1}); err == nil {
 		t.Error("import into warm state succeeded")
 	}
-	if err := NewExploreState(0).Import(ir.NewModule("cold"), StateSnapshot{}); err == nil {
+	if err := NewExploreState().Import(ir.NewModule("cold"), StateSnapshot{}); err == nil {
 		t.Error("import against unfrozen module succeeded")
 	}
 }
@@ -126,7 +126,7 @@ func TestImportRefusesToGuess(t *testing.T) {
 func TestJournalCapturesAbsorbDelta(t *testing.T) {
 	m := stableTestModule(t)
 	w := m.Func("worker")
-	s := NewExploreState(0)
+	s := NewExploreState()
 	s.SetJournal(true)
 
 	e1 := NewEngine(EngineConfig{Budget: 6})
@@ -168,7 +168,7 @@ func TestApplyDeltaIdempotent(t *testing.T) {
 		Seen:         []string{"r1"},
 		Explorations: 3,
 	}
-	s := NewExploreState(0)
+	s := NewExploreState()
 	for i := 0; i < 3; i++ {
 		if err := s.ApplyDelta(m, d); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
@@ -212,21 +212,21 @@ func TestImportedStateResumes(t *testing.T) {
 		return nil
 	}
 
-	orig := NewExploreState(0)
+	orig := NewExploreState()
 	first := NewEngine(EngineConfig{Budget: 24, RoundRuns: 6, Saturation: 2})
 	if _, err := first.Explore(runner); err != nil {
 		t.Fatal(err)
 	}
 	orig.Absorb(first)
 
-	imported := NewExploreState(0)
+	imported := NewExploreState()
 	if err := imported.Import(stableTestModule(t), orig.Export()); err != nil {
 		t.Fatal(err)
 	}
 	// The imported state was bound against a re-parse; resume the engine
 	// against the ORIGINAL module's instructions (the serve layer always
 	// re-resolves module and state together, so bind against m here).
-	imported2 := NewExploreState(0)
+	imported2 := NewExploreState()
 	if err := imported2.Import(m, orig.Export()); err != nil {
 		t.Fatal(err)
 	}

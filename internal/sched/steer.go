@@ -84,7 +84,7 @@ func (s *SteerSched) steered(runnable []interp.ThreadID, choice int, step int) i
 		ds.Preemptions++
 	}
 	ds.pos++
-	ds.Trace = append(ds.Trace, Decision{Choices: len(runnable), Chosen: choice, SameIdx: sameIdx, Step: step})
+	ds.Trace = append(ds.Trace, newDecision(len(runnable), choice, sameIdx, step))
 	ds.lastTID, ds.hasLast = runnable[choice], true
 	return runnable[choice]
 }
@@ -115,7 +115,7 @@ func (s *TraceSched) Next(runnable []interp.ThreadID, step int) interp.ThreadID 
 				sameIdx = i
 			}
 		}
-		s.Trace = append(s.Trace, Decision{Choices: len(runnable), Chosen: chosen, SameIdx: sameIdx, Step: step})
+		s.Trace = append(s.Trace, newDecision(len(runnable), chosen, sameIdx, step))
 	}
 	s.lastTID, s.hasLast = id, true
 	return id

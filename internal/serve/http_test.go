@@ -132,6 +132,37 @@ func mustGet(t *testing.T, ts *httptest.Server, path string) *http.Response {
 	return r
 }
 
+// TestHTTPRejectsRemovedOptions pins the 400 a submission still
+// carrying a removed execution-path option gets: the compiled engine
+// and the per-stage snapshot cache are not selectable, and the strict
+// decoder names the offending field instead of silently ignoring it.
+func TestHTTPRejectsRemovedOptions(t *testing.T) {
+	s := mustNew(t, Config{Shards: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for field, body := range map[string]string{
+		"engine":     `{"workload":"libsafe","options":{"engine":"tree"}}`,
+		"snap_cache": `{"workload":"libsafe","options":{"snap_cache":64}}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("options.%s: status = %d, want 400", field, resp.StatusCode)
+		}
+		apiErr := decode[apiError](t, resp)
+		if !strings.Contains(apiErr.Error, `"`+field+`"`) {
+			t.Errorf("options.%s: error %q does not name the field", field, apiErr.Error)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
+	}
+}
+
 // TestHTTPBackpressure pins the wire shape of rejection: 429 with a
 // Retry-After header for queue/quota pressure, 404 for unknown jobs,
 // 400 for malformed specs, and 503 once draining.

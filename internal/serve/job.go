@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/conanalysis/owl/internal/cliflags"
-	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
@@ -17,8 +16,8 @@ import (
 
 // Spec is one submission: the program to analyze (a built-in workload or
 // an inline .oir source) plus the pipeline options. The options mirror
-// the cmd/owl flag set field for field — the same strings -engine and
-// -explore accept, validated through the same cliflags helpers — so a
+// the cmd/owl flag set field for field — the same strings -explore
+// accepts, validated through the same cliflags helpers — so a
 // submission is exactly "a cmd/owl invocation over HTTP" and the parity
 // gate can hold the two to byte-identical output.
 type Spec struct {
@@ -46,40 +45,31 @@ type Spec struct {
 // of an always-on service — only exists there. Submissions wanting the
 // CLI default ask for "fixed" explicitly.
 type SpecOptions struct {
-	Engine          string `json:"engine,omitempty"`
 	Explore         string `json:"explore,omitempty"`
 	Budget          int    `json:"budget,omitempty"`
 	Seed            uint64 `json:"seed,omitempty"`
 	Runs            int    `json:"runs,omitempty"` // fixed-mode detect runs (-runs)
 	Workers         int    `json:"workers,omitempty"`
 	MaxSteps        int    `json:"max_steps,omitempty"`
-	SnapCache       int    `json:"snap_cache,omitempty"` // per-job cache when the store's persistent one is not in play
 	Predict         bool   `json:"predict,omitempty"`
 	PredictReversal bool   `json:"predict_reversal,omitempty"`
 }
 
 // validate normalizes the options through the cliflags validators and
-// returns the resolved engine and explore mode.
-func (o SpecOptions) validate() (interp.Engine, owl.ExploreMode, error) {
-	sh := cliflags.Shared{Engine: o.Engine, Explore: o.Explore}
-	if sh.Engine == "" {
-		sh.Engine = "tree"
-	}
+// returns the resolved explore mode.
+func (o SpecOptions) validate() (owl.ExploreMode, error) {
+	sh := cliflags.Shared{Explore: o.Explore}
 	if sh.Explore == "" {
 		sh.Explore = string(owl.ExploreCoverage)
 	}
-	eng, err := sh.EngineVal()
-	if err != nil {
-		return "", "", err
-	}
 	mode, err := sh.Mode()
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	if o.Budget < 0 || o.Runs < 0 || o.Workers < 0 || o.MaxSteps < 0 || o.SnapCache < 0 {
-		return "", "", fmt.Errorf("negative option values are invalid")
+	if o.Budget < 0 || o.Runs < 0 || o.Workers < 0 || o.MaxSteps < 0 {
+		return "", fmt.Errorf("negative option values are invalid")
 	}
-	return eng, mode, nil
+	return mode, nil
 }
 
 // resumeEligible reports whether a job with these options participates

@@ -50,13 +50,13 @@ func specFromSource(src persist.ProgramSource) Spec {
 // programState bound to prog's module. The caller has already verified
 // the content key; this verifies the module fingerprint and replays the
 // state under the refuse-to-guess contract.
-func buildProgramState(rec *persist.Recovered, name string, prog owl.Program, snapEntries int) (*programState, error) {
+func buildProgramState(rec *persist.Recovered, name string, prog owl.Program) (*programState, error) {
 	ck := rec.Checkpoint
 	fp := prog.Module.Fingerprint()
 	if ck.ModuleFP != fp {
 		return nil, fmt.Errorf("module fingerprint %.12s does not match persisted %.12s", fp, ck.ModuleFP)
 	}
-	state := sched.NewExploreState(snapEntries)
+	state := sched.NewExploreState()
 	if err := state.Import(prog.Module, ck.State); err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (s *Server) rehydrateAll(recovered []*persist.Recovered) {
 		}
 		var ps *programState
 		if err == nil {
-			ps, err = buildProgramState(rec, name, prog, s.cfg.SnapEntries)
+			ps, err = buildProgramState(rec, name, prog)
 		}
 		if err != nil {
 			rec.Log.Close()

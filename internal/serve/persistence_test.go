@@ -52,7 +52,7 @@ func TestRestartResumeParity(t *testing.T) {
 	spec := libsafeSpec("parity")
 
 	// Baseline: one server, never restarted.
-	base := mustNew(t, Config{Shards: 2, SnapEntries: 64})
+	base := mustNew(t, Config{Shards: 2})
 	b1 := waitJob(t, mustSubmit(t, base, spec)).Result
 	b2 := waitJob(t, mustSubmit(t, base, spec)).Result
 	baseProgs := base.Programs()
@@ -61,7 +61,7 @@ func TestRestartResumeParity(t *testing.T) {
 	// Durable: same first submission, then a full drain and a reboot
 	// from the state directory.
 	dir := t.TempDir()
-	s1 := mustNew(t, Config{Shards: 2, SnapEntries: 64, StateDir: dir})
+	s1 := mustNew(t, Config{Shards: 2, StateDir: dir})
 	d1 := waitJob(t, mustSubmit(t, s1, spec)).Result
 	if normalizeTiming(d1.SummaryText) != normalizeTiming(b1.SummaryText) {
 		t.Fatal("first-run summaries diverged before any restart — persistence changed pipeline behavior")
@@ -70,7 +70,7 @@ func TestRestartResumeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := mustNew(t, Config{Shards: 2, SnapEntries: 64, StateDir: dir})
+	s2 := mustNew(t, Config{Shards: 2, StateDir: dir})
 	defer s2.Shutdown(context.Background())
 	if got := counterOf(s2.mc, "serve.persist_recovered"); got != 1 {
 		t.Fatalf("serve.persist_recovered = %d, want 1", got)

@@ -41,9 +41,6 @@ type Config struct {
 	// Workers is the per-job owl pipeline worker-pool width passed to
 	// owl.Run when the submission doesn't set one (default 1).
 	Workers int
-	// SnapEntries sizes each program's persistent snapshot cache
-	// (default 64; 0 disables persistent snapshotting).
-	SnapEntries int
 	// TenantQuota caps queued+running jobs per tenant (default 16;
 	// exceeding it is rejected with 429 + Retry-After).
 	TenantQuota int
@@ -96,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.SnapEntries < 0 {
-		c.SnapEntries = 0
-	}
 	if c.TenantQuota <= 0 {
 		c.TenantQuota = 16
 	}
@@ -150,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		store:   newStore(cfg.SnapEntries, cfg.MaxPrograms, cfg.Metrics),
+		store:   newStore(cfg.MaxPrograms, cfg.Metrics),
 		mc:      cfg.Metrics,
 		jobs:    make(map[string]*Job),
 		tenants: make(map[string]int),
@@ -203,7 +197,7 @@ func (e *ErrRejected) Error() string { return "serve: rejected: " + e.Reason }
 // job, or *ErrRejected when the shard queue is full / the tenant is over
 // quota / the server is draining, or a validation error.
 func (s *Server) Submit(spec Spec) (*Job, error) {
-	if _, _, err := spec.Options.validate(); err != nil {
+	if _, err := spec.Options.validate(); err != nil {
 		return nil, err
 	}
 	prog, name, key, err := resolve(spec)
@@ -378,7 +372,7 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 	s.mc.Count("serve.jobs_started", 1)
 
 	spec := j.spec
-	engine, mode, err := spec.Options.validate()
+	mode, err := spec.Options.validate()
 	if err != nil { // re-validated defensively; Submit already checked
 		return s.fail(j, err)
 	}
@@ -412,12 +406,10 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 		detectRuns = 8 // cmd/owl's -runs default
 	}
 	opts := owl.Options{
-		Engine:          engine,
 		DetectRuns:      detectRuns,
 		Explore:         mode,
 		Budget:          spec.Options.Budget,
 		Seed:            spec.Options.Seed,
-		SnapCache:       spec.Options.SnapCache,
 		Predict:         spec.Options.Predict,
 		PredictReversal: spec.Options.PredictReversal,
 		Workers:         workers,

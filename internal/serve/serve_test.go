@@ -90,7 +90,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Workload: "libsafe", Noise: "loud"}, // bad noise
 		{Program: "not oir"},                 // parse error
 		{Workload: "libsafe", Inputs: []int64{1}},
-		{Workload: "libsafe", Options: SpecOptions{Engine: "quantum"}},
 		{Workload: "libsafe", Options: SpecOptions{Explore: "psychic"}},
 		{Workload: "libsafe", Options: SpecOptions{Budget: -1}},
 	}
@@ -243,7 +242,7 @@ func TestGracefulDrain(t *testing.T) {
 // equal budget, and a third submission repeats the second's count
 // exactly (the determinism the serve-gate CI job re-runs under -race).
 func TestCrossSubmissionResume(t *testing.T) {
-	s := mustNew(t, Config{Shards: 4, SnapEntries: 64})
+	s := mustNew(t, Config{Shards: 4})
 	defer s.Shutdown(context.Background())
 
 	run := func() *JobResult {
@@ -329,7 +328,7 @@ func TestSummaryMatchesCmdOwl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine, mode, err := spec.Options.validate()
+		mode, err := spec.Options.validate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,9 +341,8 @@ func TestSummaryMatchesCmdOwl(t *testing.T) {
 			workers = 1
 		}
 		res, err := owl.Run(prog, owl.Options{
-			Engine: engine, DetectRuns: runs, Explore: mode,
-			Budget: spec.Options.Budget, Seed: spec.Options.Seed,
-			SnapCache: spec.Options.SnapCache, Workers: workers,
+			DetectRuns: runs, Explore: mode,
+			Budget: spec.Options.Budget, Seed: spec.Options.Seed, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,6 @@ type store struct {
 	mu          sync.Mutex
 	programs    map[string]*programState
 	pending     map[string]chan struct{} // keys whose create/reopen disk I/O is in flight
-	snapEntries int
 	maxPrograms int
 	tick        int64
 	mc          *metrics.Collector
@@ -117,11 +116,10 @@ const (
 // counts them into serve.store_programs like any other first sight.
 func (o acquireOutcome) known() bool { return o == acqMemory || o == acqReopened }
 
-func newStore(snapEntries, maxPrograms int, mc *metrics.Collector) *store {
+func newStore(maxPrograms int, mc *metrics.Collector) *store {
 	return &store{
 		programs:    make(map[string]*programState),
 		pending:     make(map[string]chan struct{}),
-		snapEntries: snapEntries,
 		maxPrograms: maxPrograms,
 		mc:          mc,
 	}
@@ -234,7 +232,7 @@ func (s *store) materialize(key, name string, prog owl.Program, src persist.Prog
 		key:     key,
 		name:    name,
 		prog:    prog,
-		state:   sched.NewExploreState(s.snapEntries),
+		state:   sched.NewExploreState(),
 		reports: make(map[string]bool),
 		source:  src,
 		// The fingerprint is always computed (it is cached on the
@@ -272,7 +270,7 @@ func (s *store) importCheckpoint(ck *persist.Checkpoint, name string, prog owl.P
 	if ck.ModuleFP != fp {
 		return nil, fmt.Errorf("module fingerprint %.12s does not match blob %.12s", fp, ck.ModuleFP)
 	}
-	state := sched.NewExploreState(s.snapEntries)
+	state := sched.NewExploreState()
 	if err := state.Import(prog.Module, ck.State); err != nil {
 		return nil, err
 	}
@@ -317,7 +315,7 @@ func (s *store) reopen(key, name string, prog owl.Program) *programState {
 	if err != nil || rec == nil {
 		return nil
 	}
-	ps, err := buildProgramState(rec, name, prog, s.snapEntries)
+	ps, err := buildProgramState(rec, name, prog)
 	if err != nil {
 		rec.Log.Close()
 		s.discard(key)

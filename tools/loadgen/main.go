@@ -121,7 +121,6 @@ func run(args []string) error {
 		Shards:      *shards,
 		QueueDepth:  *queue,
 		TenantQuota: q,
-		SnapEntries: 64,
 		RetryAfter:  10 * time.Millisecond,
 		StateDir:    stateDir,
 	}
@@ -673,7 +672,6 @@ func runFleetPass(n int, peered, tcp bool, specs []serve.Spec, slots []fleetSlot
 			Shards:      2,
 			QueueDepth:  64,
 			TenantQuota: 64,
-			SnapEntries: 64,
 			RetryAfter:  5 * time.Millisecond,
 			StateDir:    dir,
 		}
