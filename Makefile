@@ -139,13 +139,15 @@ predict:
 # built-in corpus at both noise levels (byte-identical events, faults,
 # output, schedule, arena fingerprint, and stacks between the compiled
 # engine and the tree-walking oracle), the zero-allocation compiled-step
-# pins, the cross-engine snapshot interchange, the verifier outcome pin,
-# and the pipeline-level oracle parity test.
+# pins, the cross-engine snapshot interchange, the runnable-set oracle
+# (the incrementally maintained set against a fresh thread scan at every
+# scheduler call), the verifier outcome pins, and the pipeline-level
+# oracle parity test.
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
-	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot'
-	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine'
+	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet'
+	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
 	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity'
 	@echo "cross-engine differential gate passed"
 
@@ -222,10 +224,12 @@ bench-predict:
 # Interpreter-engine step rung (docs/BYTECODE.md): the tree-walking
 # oracle vs the compiled bytecode engine on the per-step microbenchmark
 # pair (BenchmarkBaselineNoDetector{,Bytecode}, plus the detector-attached
-# variants). Findings parity is a test, not a benchmark: make engine-diff.
-# The -json stream lands in BENCH_interp.json.
+# variants), and the verifiers' rung: one Step with a breakpoint attached
+# on full-noise apache (BenchmarkVerifyStepFullNoise). Findings parity is
+# a test, not a benchmark: make engine-diff. The -json stream lands in
+# BENCH_interp.json.
 bench-interp:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkBaselineNoDetector|BenchmarkDetectorOverhead' -benchmem ./internal/race > BENCH_interp.json
+	$(GO) test -json -run '^$$' -bench 'BenchmarkBaselineNoDetector|BenchmarkDetectorOverhead|BenchmarkVerifyStepFullNoise' -benchmem ./internal/race > BENCH_interp.json
 	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_interp.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
 
 # Distill whatever BENCH_*.json test2json streams exist into one

@@ -290,7 +290,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 			}
 			t.Status = StatusBlockedMutex
 			t.WaitAddr = addr
-			m.schedDirty = true
+			m.markSched(t)
 			return // retry when woken
 		}
 		m.lockAcquire(addr, t.ID)
@@ -317,7 +317,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
 					w.Status = StatusRunnable
-					m.schedDirty = true
+					m.markSched(w)
 				}
 			}
 		}
@@ -427,14 +427,14 @@ func (m *Machine) runBytecode() {
 		if m.exited || m.step >= maxSteps {
 			return
 		}
-		if planner != nil && pend < 0 && !m.schedDirty && !m.anySleeping {
+		if planner != nil && pend < 0 && !m.schedDirty {
 			// A planner that declines to plan (k=0) falls through to one
 			// per-step pick, so a run can never spin without progress.
 			if len(m.runnableCached()) > 0 && m.runPlanned(planner, needInstr, maxSteps) > 0 {
 				continue
 			}
-			// Empty runnable with nothing sleeping: the slow path below
-			// concludes the run.
+			// Empty runnable set: the slow path below jumps the clock to
+			// the next wake-up or concludes the run.
 		}
 		var t *Thread
 		if pend >= 0 {
@@ -450,20 +450,7 @@ func (m *Machine) runBytecode() {
 		} else {
 			runnable := m.runnableCached()
 			if len(runnable) == 0 {
-				wake := -1
-				for _, th := range m.threads {
-					if th.Status == StatusSleeping && !th.Suspended {
-						if wake < 0 || th.SleepUntil < wake {
-							wake = th.SleepUntil
-						}
-					}
-				}
-				if wake < 0 || wake > maxSteps {
-					return
-				}
-				m.step = wake
-				runnable = m.runnableIDs()
-				if len(runnable) == 0 {
+				if runnable = m.clockJump(); len(runnable) == 0 {
 					return
 				}
 			}
@@ -512,9 +499,10 @@ func (m *Machine) runBytecode() {
 // runPlanned executes one pre-planned window of scheduler choices.
 // Preconditions (checked by the caller): machine not exited, below the
 // step bound, schedule state clean (no pending status transition, no
-// sleeping thread), runnable set non-empty. The window ends at the
-// first status transition — the next choice must then see the new
-// runnable set, exactly as the per-step protocol would — and the
+// wake-up due), runnable set non-empty. The window is capped at the next
+// wake-up, so the clock alone cannot change the set inside it, and it
+// ends at the first status transition — the next choice must then see
+// the new runnable set, exactly as the per-step protocol would. The
 // consumed prefix is committed to the scheduler via Advance.
 //
 // Dispatch for the frequent ops is inlined here, mirroring the
@@ -526,10 +514,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 		m.planBuf = make([]ThreadID, 128)
 		m.planSize = 8
 	}
-	n := m.planSize
-	if left := maxSteps - m.step; n > left {
-		n = left
-	}
+	n := min(m.planSize, maxSteps-m.step, m.nextWake()-m.step)
 	runnable := m.runnableBuf
 	startStep := m.step
 	k := ps.Plan(runnable, startStep, m.planBuf[:n])
@@ -541,7 +526,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 	var batchT *Thread
 	var batchFr *Frame
 	for consumed < k {
-		if m.exited || m.schedDirty || m.anySleeping {
+		if m.exited || m.schedDirty {
 			break
 		}
 		tid := m.planBuf[consumed]
@@ -550,6 +535,9 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			// Defensive, mirroring Step: the set is still clean, so
 			// runnable[0] is a live runnable thread.
 			t = m.Thread(runnable[0])
+		}
+		if t.Status == StatusSleeping {
+			t.Status = StatusRunnable // a due sleeper, woken by its pick as in Step
 		}
 		consumed++
 		if batchLeft > 0 {
@@ -711,7 +699,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 func (m *Machine) fusedRun(t *Thread, fr *Frame, pc, n int) ThreadID {
 	sched := m.cfg.Sched
 	for k := 1; k <= n; k++ {
-		if m.exited || m.step >= m.cfg.MaxSteps || m.schedDirty || m.anySleeping ||
+		if m.exited || m.step >= m.cfg.MaxSteps || m.schedDirty || m.step >= m.nextWake() ||
 			t.Status != StatusRunnable || t.Suspended || t.Top() != fr || fr.FPC != pc+k {
 			return -1
 		}

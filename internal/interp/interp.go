@@ -14,6 +14,8 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/conanalysis/owl/internal/bytecode"
 	"github.com/conanalysis/owl/internal/callstack"
@@ -171,10 +173,8 @@ type Machine struct {
 	fs   *FS
 	step int
 
-	threads     []*Thread
-	live        []*Thread // threads not yet done/faulted (lazily compacted)
-	trace       []ThreadID
-	runnableBuf []ThreadID
+	threads []*Thread
+	trace   []ThreadID
 
 	globals map[string]int64 // global name -> base address
 	funcIDs map[string]int64 // function name -> func ref value
@@ -235,12 +235,22 @@ type Machine struct {
 	planBuf  []ThreadID
 	planSize int
 
-	// schedDirty/anySleeping let the batched dispatch loop reuse
-	// runnableBuf across steps: every status transition marks the set
-	// dirty, and any sleeping thread forces recomputation because the
-	// mere advance of the clock can wake it.
-	schedDirty  bool
-	anySleeping bool
+	// Scheduling state. runnableBuf is the runnable set handed to the
+	// scheduler, ascending by ThreadID — creation order, so exactly the
+	// order a scan of threads yields. It is maintained incrementally
+	// rather than rebuilt per step: every change of a thread's Status or
+	// Suspended flag goes through markSched, which appends the thread to
+	// schedChanged and sets schedDirty, and runnableCached re-checks just
+	// those threads plus the sleepers the clock has reached. sleepers is
+	// a min-heap of pending wake-ups keyed by SleepUntil, so a step with
+	// no transition and no due wake costs O(1). rescan forces a full scan
+	// instead (New, Restore, exit). The batched loops cut a plan window
+	// at the first schedDirty and cap it at nextWake.
+	runnableBuf  []ThreadID
+	schedChanged []ThreadID
+	sleepers     []sleeper
+	schedDirty   bool
+	rescan       bool
 
 	// stackMemo caches the last materialized event stack per (step,
 	// thread) so several observers of one event share one allocation.
@@ -313,6 +323,7 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		prog:          prog,
 		schedDirty:    true,
+		rescan:        true,
 		cfg:           cfg,
 		mod:           cfg.Module,
 		mem:           NewArena(),
@@ -484,8 +495,7 @@ func (m *Machine) newThread(fn *ir.Func, args []int64, spawn *ir.Instr) *Thread 
 	t := &Thread{ID: ThreadID(len(m.threads)), Status: StatusRunnable,
 		Frames: []*Frame{fr}, top: fr, SpawnInstr: spawn}
 	m.threads = append(m.threads, t)
-	m.live = append(m.live, t)
-	m.schedDirty = true
+	m.markSched(t)
 	if fr.BC == nil {
 		// Entry-block phis read the zeroed register state; compiled frames
 		// start with zeroed slots, so their entry edge needs no moves.
@@ -567,7 +577,7 @@ func (m *Machine) fault(t *Thread, in *ir.Instr, f *Fault) {
 	f.Step = m.step
 	m.faults = append(m.faults, f)
 	t.Status = StatusFaulted
-	m.schedDirty = true
+	m.markSched(t)
 	m.wakeJoiners(t)
 	if m.cfg.HaltOnFault {
 		m.exited = true
@@ -636,40 +646,157 @@ func (m *Machine) intern(s string) int64 {
 	return b.Base
 }
 
-// runnableIDs returns the ids of threads the scheduler may pick, ascending
-// (m.threads is already ID-ordered). The returned slice is a reused buffer
-// valid until the next call.
-func (m *Machine) runnableIDs() []ThreadID {
-	ids := m.runnableBuf[:0]
-	live := m.live[:0]
-	sleeping := false
-	for _, t := range m.live {
-		switch t.Status {
-		case StatusDone, StatusFaulted:
-			continue // drop from the live list
-		case StatusSleeping:
-			sleeping = true
+// sleeper is one pending wake-up in the machine's sleeper heap.
+type sleeper struct {
+	until int
+	tid   ThreadID
+}
+
+// markSched records that t's Status or Suspended flag changed, so the
+// next runnableCached re-checks it. Every transition site calls it.
+// The list stays bounded by the thread count: a longer backlog (callers
+// flipping threads without stepping) degrades to one full scan.
+func (m *Machine) markSched(t *Thread) {
+	m.schedDirty = true
+	if len(m.schedChanged) < len(m.threads) {
+		m.schedChanged = append(m.schedChanged, t.ID)
+	} else {
+		m.rescan = true
+	}
+}
+
+// pushSleeper queues t's wake-up at t.SleepUntil.
+func (m *Machine) pushSleeper(t *Thread) {
+	h := append(m.sleepers, sleeper{until: t.SleepUntil, tid: t.ID})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].until <= h[i].until {
+			break
 		}
-		live = append(live, t)
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	m.sleepers = h
+}
+
+// popSleeper removes the earliest wake-up and returns its thread.
+func (m *Machine) popSleeper() ThreadID {
+	h := m.sleepers
+	tid := h[0].tid
+	last := len(h) - 1
+	h[0] = h[last]
+	m.sleepers = h[:last]
+	siftDown(m.sleepers, 0)
+	return tid
+}
+
+func siftDown(h []sleeper, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].until < h[c].until {
+			c = r
+		}
+		if h[i].until <= h[c].until {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// nextWake returns the earliest pending SleepUntil, or math.MaxInt when
+// no wake-up is pending.
+func (m *Machine) nextWake() int {
+	if len(m.sleepers) == 0 {
+		return math.MaxInt
+	}
+	return m.sleepers[0].until
+}
+
+// runnableIDs rebuilds the scheduling state from a full scan of the
+// threads: the runnable set, ascending (m.threads is ID-ordered), and
+// the heap of sleepers not yet due. The returned slice is a reused
+// buffer valid until the set next changes.
+func (m *Machine) runnableIDs() []ThreadID {
+	// Presize to the thread count, which bounds both lists, so a machine
+	// restored mid-run does not regrow them step by step.
+	n := len(m.threads)
+	if cap(m.sleepers) < n {
+		m.sleepers = make([]sleeper, 0, n)
+	}
+	if cap(m.schedChanged) < n {
+		m.schedChanged = make([]ThreadID, 0, n)
+	}
+	ids := m.runnableBuf[:0]
+	h := m.sleepers[:0]
+	for _, t := range m.threads {
+		if t.Status == StatusSleeping && t.SleepUntil > m.step {
+			h = append(h, sleeper{until: t.SleepUntil, tid: t.ID})
+		}
 		if t.Runnable(m.step) {
 			ids = append(ids, t.ID)
 		}
 	}
-	m.live = live
-	m.runnableBuf = ids
-	m.schedDirty = false
-	m.anySleeping = sleeping
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	m.runnableBuf, m.sleepers = ids, h
+	m.schedChanged = m.schedChanged[:0]
+	m.schedDirty, m.rescan = false, false
 	return ids
 }
 
-// runnableCached returns the runnable set, recomputing only when a
-// status transition happened since the last scan or a sleeping thread
-// could be woken by the clock alone.
+// runnableCached returns the runnable set, re-checking only the threads
+// that transitioned since the last call and the sleepers now due.
 func (m *Machine) runnableCached() []ThreadID {
-	if m.schedDirty || m.anySleeping {
+	if m.rescan {
 		return m.runnableIDs()
 	}
+	for len(m.sleepers) > 0 && m.sleepers[0].until <= m.step {
+		m.recheck(m.popSleeper())
+	}
+	if m.schedDirty {
+		for _, id := range m.schedChanged {
+			m.recheck(id)
+		}
+		m.schedChanged = m.schedChanged[:0]
+		m.schedDirty = false
+	}
 	return m.runnableBuf
+}
+
+// recheck brings one thread's membership of the runnable set up to date.
+func (m *Machine) recheck(id ThreadID) {
+	i, in := slices.BinarySearch(m.runnableBuf, id)
+	switch want := m.threads[id].Runnable(m.step); {
+	case want && !in:
+		m.runnableBuf = slices.Insert(m.runnableBuf, i, id)
+	case !want && in:
+		m.runnableBuf = slices.Delete(m.runnableBuf, i, i+1)
+	}
+}
+
+// clockJump handles an empty runnable set: if live threads are merely
+// sleeping (io_delay), it advances the clock to the earliest wake-up of
+// a thread not suspended and rescans. It returns the new runnable set,
+// empty when the machine can make no progress.
+func (m *Machine) clockJump() []ThreadID {
+	wake := -1
+	for _, t := range m.threads {
+		if t.Status == StatusSleeping && !t.Suspended {
+			if wake < 0 || t.SleepUntil < wake {
+				wake = t.SleepUntil
+			}
+		}
+	}
+	if wake < 0 || wake > m.cfg.MaxSteps {
+		return nil
+	}
+	m.step = wake
+	return m.runnableIDs()
 }
 
 // LastScheduled returns the id of the thread that executed the most recent
@@ -719,24 +846,11 @@ func (m *Machine) Step() bool {
 	if m.exited || m.step >= m.cfg.MaxSteps {
 		return false
 	}
-	runnable := m.runnableIDs()
+	runnable := m.runnableCached()
 	if len(runnable) == 0 {
 		// If every live thread is merely sleeping (io_delay), advance the
 		// clock to the earliest wake-up instead of declaring a stall.
-		wake := -1
-		for _, t := range m.threads {
-			if t.Status == StatusSleeping && !t.Suspended {
-				if wake < 0 || t.SleepUntil < wake {
-					wake = t.SleepUntil
-				}
-			}
-		}
-		if wake < 0 || wake > m.cfg.MaxSteps {
-			return false
-		}
-		m.step = wake
-		runnable = m.runnableIDs()
-		if len(runnable) == 0 {
+		if runnable = m.clockJump(); len(runnable) == 0 {
 			return false
 		}
 	}
@@ -759,6 +873,7 @@ func (m *Machine) Step() bool {
 	if m.cfg.Breakpoint != nil {
 		if m.cfg.Breakpoint(m, t, in) == BPSuspend {
 			t.Suspended = true
+			m.markSched(t)
 			// The suspension consumed the scheduling slot but not the
 			// instruction; undo the trace entry so replays stay aligned
 			// with executed instructions.
@@ -841,7 +956,7 @@ func (m *Machine) RunLoop() {
 func (m *Machine) Result() *Result {
 	schedule := m.trace[:len(m.trace):len(m.trace)]
 	if m.cfg.Breakpoint != nil {
-		schedule = append([]ThreadID(nil), m.trace...)
+		schedule = m.Schedule()
 	}
 	r := &Result{
 		ExitCode:    m.exitCode,
@@ -856,11 +971,17 @@ func (m *Machine) Result() *Result {
 	return r
 }
 
+// Schedule returns a private copy of the thread choices taken so far —
+// what Result().Schedule holds, without building the rest of a Result.
+func (m *Machine) Schedule() []ThreadID {
+	return append([]ThreadID(nil), m.trace...)
+}
+
 // Resume clears the suspension flag of a thread (breakpoint release).
 func (m *Machine) Resume(tid ThreadID) {
 	if t := m.Thread(tid); t != nil {
 		t.Suspended = false
-		m.schedDirty = true
+		m.markSched(t)
 	}
 }
 
@@ -868,7 +989,7 @@ func (m *Machine) Resume(tid ThreadID) {
 func (m *Machine) Suspend(tid ThreadID) {
 	if t := m.Thread(tid); t != nil {
 		t.Suspended = true
-		m.schedDirty = true
+		m.markSched(t)
 	}
 }
 
@@ -1068,7 +1189,7 @@ func (m *Machine) ret(t *Thread, v int64) {
 		t.top = nil
 		t.Status = StatusDone
 		t.Result = v
-		m.schedDirty = true
+		m.markSched(t)
 		m.wakeJoiners(t)
 		return
 	}
@@ -1092,7 +1213,7 @@ func (m *Machine) wakeJoiners(done *Thread) {
 	for _, t := range m.threads {
 		if t.Status == StatusBlockedJoin && t.JoinTarget == done.ID {
 			t.Status = StatusRunnable
-			m.schedDirty = true
+			m.markSched(t)
 		}
 	}
 }

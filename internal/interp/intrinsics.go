@@ -109,7 +109,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		default:
 			t.Status = StatusBlockedJoin
 			t.JoinTarget = target.ID
-			m.schedDirty = true
+			m.markSched(t)
 		}
 
 	case "thread_id":
@@ -127,8 +127,8 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		}
 		t.Status = StatusSleeping
 		t.SleepUntil = m.step + 1 + int(n)
-		m.schedDirty = true
-		m.anySleeping = true
+		m.markSched(t)
+		m.pushSleeper(t)
 		done(0)
 
 	case "mutex_lock":
@@ -141,7 +141,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			}
 			t.Status = StatusBlockedMutex
 			t.WaitAddr = addr
-			m.schedDirty = true
+			m.markSched(t)
 			return // retry when woken
 		}
 		m.lockAcquire(addr, t.ID)
@@ -160,7 +160,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
 					w.Status = StatusRunnable
-					m.schedDirty = true
+					m.markSched(w)
 				}
 			}
 		}
@@ -350,7 +350,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 	case "exit":
 		m.exited = true
 		m.exitCode = int(arg(0))
-		m.schedDirty = true
+		m.schedDirty, m.rescan = true, true
 		for _, th := range m.threads {
 			if th.Status != StatusFaulted {
 				th.Status = StatusDone

@@ -1,0 +1,253 @@
+package interp_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/conanalysis/owl/internal/interp"
+	"github.com/conanalysis/owl/internal/ir"
+	"github.com/conanalysis/owl/internal/sched"
+	"github.com/conanalysis/owl/internal/workloads"
+)
+
+// oracleSched wraps a planning scheduler and checks, at every Next and
+// Plan call, that the runnable set the machine hands over equals a fresh
+// scan of its threads: the IDs of live threads with Runnable(step), in
+// ID order. Advance must receive the set its Plan saw, unchanged by the
+// window it commits. The first mismatch is kept in err.
+type oracleSched struct {
+	inner interp.PlanningScheduler
+	m     *interp.Machine
+	calls int
+	plan  []interp.ThreadID
+	err   error
+}
+
+func (o *oracleSched) check(call string, runnable []interp.ThreadID, step int) {
+	o.calls++
+	if o.err != nil {
+		return
+	}
+	var want []interp.ThreadID
+	for _, t := range o.m.Threads() {
+		if t.Status != interp.StatusDone && t.Status != interp.StatusFaulted && t.Runnable(step) {
+			want = append(want, t.ID)
+		}
+	}
+	if !slices.Equal(runnable, want) {
+		o.err = fmt.Errorf("%s at step %d (call %d): runnable %v, fresh scan %v", call, step, o.calls, runnable, want)
+	}
+}
+
+func (o *oracleSched) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+	o.check("Next", runnable, step)
+	return o.inner.Next(runnable, step)
+}
+
+func (o *oracleSched) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
+	o.check("Plan", runnable, step)
+	o.plan = append(o.plan[:0], runnable...)
+	return o.inner.Plan(runnable, step, buf)
+}
+
+func (o *oracleSched) Advance(runnable []interp.ThreadID, step, k int) {
+	if o.err == nil && !slices.Equal(runnable, o.plan) {
+		o.err = fmt.Errorf("Advance at step %d: runnable %v, but Plan saw %v", step, runnable, o.plan)
+	}
+	o.inner.Advance(runnable, step, k)
+}
+
+// holdingBreakpoint mimics the race verifier's thread-specific
+// breakpoints: it suspends a thread at every 61st memory access while
+// fewer than two are held, and drive releases them again.
+type holdingBreakpoint struct {
+	held     []interp.ThreadID
+	accesses int
+}
+
+func (h *holdingBreakpoint) bp(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
+	if in.Op != ir.OpLoad && in.Op != ir.OpStore {
+		return interp.BPContinue
+	}
+	if h.accesses++; h.accesses%61 != 0 || len(h.held) >= 2 {
+		return interp.BPContinue
+	}
+	h.held = append(h.held, t.ID)
+	return interp.BPSuspend
+}
+
+// drive hand-steps m like the race verifier's loop: it releases the
+// oldest held thread when two are held or every 40 steps, suspends the
+// first runnable thread through Suspend every 500 steps, and releases
+// everything when only suspended threads block progress.
+func (h *holdingBreakpoint) drive(m *interp.Machine) {
+	for i := 1; ; i++ {
+		if len(h.held) > 0 && (len(h.held) == 2 || i%40 == 0) {
+			m.Resume(h.held[0])
+			h.held = h.held[1:]
+		}
+		if i%500 == 0 && len(h.held) < 2 {
+			for _, t := range m.Threads() {
+				if t.Runnable(m.StepCount()) {
+					m.Suspend(t.ID)
+					h.held = append(h.held, t.ID)
+					break
+				}
+			}
+		}
+		if !m.Step() {
+			if m.Stall() != interp.StallSuspended || len(h.held) == 0 {
+				return
+			}
+			for _, id := range h.held {
+				m.Resume(id)
+			}
+			h.held = h.held[:0]
+		}
+	}
+}
+
+// contendedSrc adds what the corpus models lack: contended mutexes
+// taken both directly (the compiled engine's lock words) and through
+// function pointers (the intrinsic path), sleeping while holding a lock,
+// and a thread faulting while main waits to join it.
+const contendedSrc = `
+global @m = 0
+global @x = 0
+global @lk = 0
+global @ul = 0
+
+func @worker(%id) {
+entry:
+  jmp head
+head:
+  %i = phi [entry: 0], [body: %i2]
+  %c = icmp lt %i, 30
+  br %c, body, done
+body:
+  call @mutex_lock(@m)
+  %v = load @x
+  call @io_delay(%id)
+  %v2 = add %v, 1
+  store %v2, @x
+  call @mutex_unlock(@m)
+  %f = load @lk
+  call %f(@m)
+  %w = load @x
+  store %w, @x
+  %g = load @ul
+  call %g(@m)
+  %d = rem %i, 3
+  call @io_delay(%d)
+  %i2 = add %i, 1
+  jmp head
+done:
+  ret %id
+}
+func @crasher() {
+entry:
+  call @mutex_lock(@m)
+  call @io_delay(3)
+  call @mutex_unlock(@m)
+  %z = div 1, 0
+  ret 0
+}
+func @main() {
+entry:
+  %a = func @mutex_lock
+  store %a, @lk
+  %b = func @mutex_unlock
+  store %b, @ul
+  %t1 = call @spawn(@worker, 0)
+  %t2 = call @spawn(@worker, 1)
+  %t3 = call @spawn(@worker, 2)
+  %t4 = call @spawn(@crasher)
+  %r4 = call @join(%t4)
+  %r1 = call @join(%t1)
+  %r2 = call @join(%t2)
+  %r3 = call @join(%t3)
+  ret 0
+}
+`
+
+// TestRunnableSetOracle checks the machine's incrementally maintained
+// runnable set against a fresh scan at every scheduler call, in three
+// modes: the batched RunLoop (planned windows, fused superinstructions,
+// sleepers), Step under a breakpoint that suspends and resumes threads,
+// and a machine restored from a mid-run snapshot. It covers every corpus
+// model and input recipe at both noise levels, plus contendedSrc under
+// both engines, each under scheduler seeds 1-4.
+func TestRunnableSetOracle(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
+			w := workloads.Get(name, lvl)
+			for _, rec := range w.Recipes {
+				tag := fmt.Sprintf("%s noise=%d recipe=%s", name, lvl, rec.Name)
+				checkOracleModes(t, tag, interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps})
+			}
+		}
+	}
+	mod := ir.MustParse("contended.oir", contendedSrc)
+	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineBytecode} {
+		checkOracleModes(t, "contended engine="+string(eng), interp.Config{Module: mod, MaxSteps: 20000, Engine: eng})
+	}
+}
+
+func checkOracleModes(t *testing.T, tag string, cfg interp.Config) {
+	t.Helper()
+	for seed := uint64(1); seed <= 4; seed++ {
+		tag := fmt.Sprintf("%s seed=%d", tag, seed)
+		checkRunLoop(t, tag, cfg, seed)
+		checkBreakpointSteps(t, tag, cfg, seed)
+		checkRestored(t, tag, cfg, seed)
+	}
+}
+
+func newOracleMachine(t *testing.T, cfg interp.Config, seed uint64) (*interp.Machine, *oracleSched) {
+	t.Helper()
+	o := &oracleSched{inner: sched.NewRandom(seed)}
+	cfg.Sched = o
+	m, err := interp.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.m = m
+	return m, o
+}
+
+func checkRunLoop(t *testing.T, tag string, cfg interp.Config, seed uint64) {
+	m, o := newOracleMachine(t, cfg, seed)
+	m.RunLoop()
+	if o.err != nil {
+		t.Fatalf("%s RunLoop: %v", tag, o.err)
+	}
+}
+
+func checkBreakpointSteps(t *testing.T, tag string, cfg interp.Config, seed uint64) {
+	h := &holdingBreakpoint{}
+	cfg.Breakpoint = h.bp
+	m, o := newOracleMachine(t, cfg, seed)
+	h.drive(m)
+	if o.err != nil {
+		t.Fatalf("%s breakpoint Step: %v", tag, o.err)
+	}
+}
+
+func checkRestored(t *testing.T, tag string, cfg interp.Config, seed uint64) {
+	ref, _ := newOracleMachine(t, cfg, seed)
+	ref.RunLoop()
+	m, _ := newOracleMachine(t, cfg, seed)
+	for m.StepCount() < ref.StepCount()/2 && m.Step() {
+	}
+	o := &oracleSched{inner: sched.NewRandom(seed + 100)}
+	r, err := interp.Restore(m.Snapshot(), interp.Config{Sched: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.m = r
+	r.RunLoop()
+	if o.err != nil {
+		t.Fatalf("%s restored at step %d: %v", tag, m.StepCount(), o.err)
+	}
+}

@@ -338,6 +338,7 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 	m := &Machine{
 		prog:           prog,
 		schedDirty:     true,
+		rescan:         true,
 		cfg:            mcfg,
 		mod:            mcfg.Module,
 		mem:            s.mem.restore(),
@@ -387,15 +388,6 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 	m.threads = make([]*Thread, len(s.threads))
 	for i, ti := range s.threads {
 		m.threads[i] = ti.restore(m)
-	}
-	// The live list is the threads not yet done/faulted: the original's
-	// lazily-compacted list may still hold finished threads, but those
-	// are filtered on every scheduling pass, so dropping them here is
-	// behavior-preserving.
-	for _, t := range m.threads {
-		if t.Status != StatusDone && t.Status != StatusFaulted {
-			m.live = append(m.live, t)
-		}
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/sched"
+	"github.com/conanalysis/owl/internal/workloads"
 )
 
 const benchSrc = `
@@ -157,6 +158,36 @@ func BenchmarkDetectorOverheadBytecode(b *testing.B) {
 		benchRunEngine(b, mod, interp.EngineBytecode, d)
 		if len(d.Reports()) == 0 {
 			b.Fatal("expected races")
+		}
+	}
+}
+
+// BenchmarkVerifyStepFullNoise is the step rung the verifiers run on:
+// one Step with a never-suspending breakpoint attached (so the batched
+// loop is off), on full-noise apache with its ~40 threads, sleepers and
+// all. An op is one step; a finished run is rebuilt off the clock.
+func BenchmarkVerifyStepFullNoise(b *testing.B) {
+	w := workloads.Get("apache", workloads.NoiseFull)
+	rec := w.Recipe(w.Attacks[0].InputRecipe)
+	probe := func(*interp.Machine, *interp.Thread, *ir.Instr) interp.BPAction { return interp.BPContinue }
+	newMachine := func() *interp.Machine {
+		m, err := interp.New(interp.Config{
+			Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
+			Sched: sched.NewRandom(1), Breakpoint: probe,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	m := newMachine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.Step() {
+			b.StopTimer()
+			m = newMachine()
+			b.StartTimer()
 		}
 	}
 }

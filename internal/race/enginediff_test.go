@@ -231,3 +231,81 @@ func TestSameEpochDetectorBytecodeStepIsAllocationFree(t *testing.T) {
 		t.Fatalf("same-epoch bytecode step allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// sleeperLoopSrc keeps three threads cycling through io_delay while
+// main spins, so every stretch of steps has sleepers pending and waking.
+const sleeperLoopSrc = `
+global @x = 0
+
+func @sleeper() {
+entry:
+  jmp loop
+loop:
+  %i = phi [entry: 0], [loop: %i2]
+  %v = load @x
+  call @io_delay(3)
+  store %v, @x
+  %i2 = add %i, 1
+  %c = icmp lt %i2, 2000000
+  br %c, loop, done
+done:
+  ret 0
+}
+func @main() {
+entry:
+  %t1 = call @spawn(@sleeper)
+  %t2 = call @spawn(@sleeper)
+  %t3 = call @spawn(@sleeper)
+  jmp loop
+loop:
+  %i = phi [entry: 0], [loop: %i2]
+  %v = load @x
+  store %v, @x
+  %i2 = add %i, 1
+  %c = icmp lt %i2, 2000000
+  br %c, loop, done
+done:
+  ret 0
+}
+`
+
+// TestBreakpointSleepersBytecodeStepIsAllocationFree extends the
+// per-step allocation pin to the verifiers' stepping mode: Step with a
+// breakpoint attached while threads sleep and wake, which exercises the
+// incremental runnable set's transition list and sleeper heap. Once
+// they have grown to the thread count, a step must not touch the heap.
+func TestBreakpointSleepersBytecodeStepIsAllocationFree(t *testing.T) {
+	mod, err := ir.Parse("sleepers.oir", sleeperLoopSrc)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	m, err := interp.New(interp.Config{
+		Module: mod, Sched: sched.NewRandom(1), MaxSteps: 100_000_000,
+		Breakpoint: func(*interp.Machine, *interp.Thread, *ir.Instr) interp.BPAction { return interp.BPContinue },
+	})
+	if err != nil {
+		t.Fatalf("new machine: %v", err)
+	}
+	slept := 0
+	for i := 0; i < 50_000; i++ {
+		if !m.Step() {
+			t.Fatal("program ended during warmup")
+		}
+		for _, th := range m.Threads() {
+			if th.Status == interp.StatusSleeping {
+				slept++
+			}
+		}
+	}
+	if slept == 0 {
+		t.Fatal("no thread slept during warmup")
+	}
+	avg := testing.AllocsPerRun(20_000, func() {
+		if !m.Step() {
+			t.Fatal("program ended during measurement")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("breakpoint step with sleepers allocates %.2f allocs/op, want 0", avg)
+	}
+}

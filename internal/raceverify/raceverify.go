@@ -238,7 +238,7 @@ func (v *Verifier) racingMoment(m *interp.Machine, ta, tb interp.ThreadID, hint 
 	if !rd.IsWrite && rd.Val == 0 && neverWritten(m, pa.Addr) {
 		hint.ReadsUninitialized = true
 	}
-	hint.Schedule = append([]interp.ThreadID(nil), m.Result().Schedule...)
+	hint.Schedule = m.Schedule()
 	// Release both threads so the caller can finish the run if desired.
 	m.Resume(ta)
 	m.Resume(tb)

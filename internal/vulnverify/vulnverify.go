@@ -81,6 +81,14 @@ func New() *Verifier { return &Verifier{Attempts: 8, MaxSteps: 200000} }
 // scheduler and an instruction probe (as an interp.BreakpointFunc that
 // never suspends).
 func (v *Verifier) Verify(mk raceverify.MachineFactory, f *vuln.Finding) (*Outcome, error) {
+	return v.verify(mk, f, runWatched)
+}
+
+// stepLoop runs one verification machine to its end, sampling the
+// hint-branch outcomes into w.
+type stepLoop func(m *interp.Machine, maxSteps int, w *branchWatch) *interp.Result
+
+func (v *Verifier) verify(mk raceverify.MachineFactory, f *vuln.Finding, run stepLoop) (*Outcome, error) {
 	attempts := v.Attempts
 	if attempts <= 0 {
 		attempts = 8
@@ -93,10 +101,13 @@ func (v *Verifier) Verify(mk raceverify.MachineFactory, f *vuln.Finding) (*Outco
 	for i := 0; i < attempts; i++ {
 		out.Attempts = i + 1
 		reached := false
-		branchStats := map[*ir.Instr]*BranchOutcome{}
+		w := &branchWatch{hints: hintBranches, stats: map[*ir.Instr]*BranchOutcome{}}
 		probe := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
 			if in == f.Site {
 				reached = true
+			}
+			if in.Op == ir.OpBr && w.hints[in] {
+				w.pending, w.thread = in, t
 			}
 			return interp.BPContinue
 		}
@@ -104,23 +115,7 @@ func (v *Verifier) Verify(mk raceverify.MachineFactory, f *vuln.Finding) (*Outco
 		if err != nil {
 			return nil, fmt.Errorf("vulnerability verifier: build machine: %w", err)
 		}
-		// Observe branch events for the hint branches.
-		// (Observers cannot be attached post-construction, so the factory
-		// is expected to have installed none of its own that conflict; we
-		// watch via the probe instead for branches.)
-		branchProbe := func(in *ir.Instr, taken bool) {
-			if !hintBranches[in] {
-				return
-			}
-			bo := branchStats[in]
-			if bo == nil {
-				bo = &BranchOutcome{Branch: in}
-				branchStats[in] = bo
-			}
-			bo.Taken = taken
-			bo.Executions++
-		}
-		res := runWithBranchWatch(m, v.maxSteps(), branchProbe)
+		res := run(m, v.maxSteps(), w)
 
 		if reached {
 			out.Reached = true
@@ -128,10 +123,10 @@ func (v *Verifier) Verify(mk raceverify.MachineFactory, f *vuln.Finding) (*Outco
 			out.UID = res.UID
 			out.ExecLog = m.ExecLog()
 			out.Schedule = res.Schedule
-			out.Branches = collect(branchStats, f.Branches)
+			out.Branches = collect(w.stats, f.Branches)
 			return out, nil
 		}
-		out.Branches = collect(branchStats, f.Branches)
+		out.Branches = collect(w.stats, f.Branches)
 	}
 	return out, nil
 }
@@ -143,34 +138,42 @@ func (v *Verifier) maxSteps() int {
 	return 200000
 }
 
-// runWithBranchWatch steps the machine manually, sampling branch outcomes
-// by inspecting the executed branch instruction's condition before each
-// step.
-func runWithBranchWatch(m *interp.Machine, maxSteps int, watch func(*ir.Instr, bool)) *interp.Result {
+// branchWatch samples hint-branch outcomes. The machine's probe sees
+// each instruction just before it executes; when it is a hint branch
+// the probe notes it and its thread as pending.
+type branchWatch struct {
+	hints   map[*ir.Instr]bool
+	stats   map[*ir.Instr]*BranchOutcome
+	pending *ir.Instr
+	thread  *interp.Thread
+}
+
+// record counts one execution of hint branch in by thread t, which has
+// just run it: t's new block tells which arm it took.
+func (w *branchWatch) record(in *ir.Instr, t *interp.Thread) {
+	fr := t.Top()
+	if fr == nil || fr.CurBlock() == nil {
+		return
+	}
+	bo := w.stats[in]
+	if bo == nil {
+		bo = &BranchOutcome{Branch: in}
+		w.stats[in] = bo
+	}
+	bo.Taken = fr.CurBlock().Name == in.Args[1].Name
+	bo.Executions++
+}
+
+// runWatched steps the machine to its end, recording each hint branch
+// the probe saw pending once the step has executed it.
+func runWatched(m *interp.Machine, maxSteps int, w *branchWatch) *interp.Result {
 	for i := 0; i < maxSteps; i++ {
-		// Peek at each thread's next instruction: if a watched branch is
-		// about to execute we cannot know which thread the scheduler will
-		// pick, so sample after the step via schedule tail instead.
-		before := map[interp.ThreadID]*ir.Instr{}
-		for _, t := range m.Threads() {
-			if in := t.Cur(); in != nil && in.Op == ir.OpBr {
-				before[t.ID] = in
-			}
-		}
+		w.pending = nil
 		if !m.Step() {
 			break
 		}
-		last, ok := m.LastScheduled()
-		if !ok {
-			continue
-		}
-		if in, ok := before[last]; ok {
-			// The branch executed; its thread has moved to a successor
-			// block. Determine which arm by the thread's new block.
-			t := m.Thread(last)
-			if fr := t.Top(); fr != nil && fr.CurBlock() != nil {
-				watch(in, fr.CurBlock().Name == in.Args[1].Name)
-			}
+		if w.pending != nil {
+			w.record(w.pending, w.thread)
 		}
 	}
 	return m.Result()
