@@ -1,6 +1,7 @@
 # Tier-1 gate and benchmark targets for the OWL reproduction.
 #
 #   make ci              build + vet + test -race + faults + predict (the tier-1 gate)
+#   make bench-build     vet + test the owlbench module (go build ./... skips it)
 #   make test            plain test run (-shuffle=on; seed echoed into the log)
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
@@ -28,18 +29,24 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci build vet test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
+.PHONY: ci build vet bench-build test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
 	fmt-check golden golden-update profile bench bench-smoke \
 	bench-pipeline bench-detector bench-explore bench-predict bench-interp \
 	bench-summary clean
 
-ci: build vet race serve-gate persist-gate replica-gate faults predict engine-diff golden
+ci: build vet bench-build race serve-gate persist-gate replica-gate faults predict engine-diff golden
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (BENCHMARK.json) lives in its own module, owlbench/, which
+# `go build ./...` stops at; this keeps an API change from breaking it
+# while every other gate stays green.
+bench-build:
+	cd owlbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # -shuffle=on randomizes test and subtest execution order so hidden
 # inter-test coupling surfaces instead of fossilizing; the chosen seed is

@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 
+	"github.com/conanalysis/owl/internal/cliflags"
 	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/report"
 	"github.com/conanalysis/owl/internal/study"
@@ -37,9 +38,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl := workloads.NoiseLight
-	if *noise == "full" {
-		lvl = workloads.NoiseFull
+	lvl, err := workloads.ParseNoise(*noise)
+	if err != nil {
+		return err
 	}
 	if *workers <= 0 {
 		*workers = runtime.NumCPU()
@@ -52,24 +53,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if mc != nil {
-		if *metricsOut == "-" {
-			if err := mc.WriteJSON(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				return fmt.Errorf("metrics: %w", err)
-			}
-			if err := mc.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
+	if err := cliflags.EmitMetrics(mc, *metricsOut); err != nil {
+		return err
 	}
 
 	rows := [][]string{{

@@ -42,7 +42,7 @@ func flags() (*flag.FlagSet, *cliflags.Shared, *ownFlags) {
 		Workers:      0,
 		WorkersUsage: "parallel workload evaluations (0 = NumCPU)",
 		// The tables pipeline fails fast by default: a degraded stage would
-		// silently skew a table row (see eval.Config.AllowDegraded).
+		// silently skew a table row (see eval.Config.Pipeline).
 		FailFast: true,
 	})
 	own := &ownFlags{
@@ -62,37 +62,32 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl := workloads.NoiseFull
-	if shared.Noise == "light" {
-		lvl = workloads.NoiseLight
-	}
-	mode, err := shared.Mode()
+	lvl, err := workloads.ParseNoise(shared.Noise)
 	if err != nil {
 		return err
 	}
-	var mc *metrics.Collector
-	if shared.MetricsOut != "" {
-		mc = metrics.New()
+	cfg := eval.Config{Noise: lvl, MaxSteps: shared.MaxSteps, Pipeline: shared.Pipeline}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-
-	plan, err := shared.Plan()
-	if err != nil {
+	// -workers fans out over workloads here, so it leaves the pipeline
+	// options (after validation): each workload's pipeline is sequential.
+	workers := cfg.Pipeline.Workers
+	cfg.Pipeline.Workers = 0
+	if shared.MetricsOut != "" {
+		cfg.Pipeline.Metrics = metrics.New()
+	}
+	if cfg.Pipeline.Faults, err = shared.Plan(); err != nil {
 		return err
 	}
 
 	fmt.Printf("building tables (noise=%s)...\n\n", shared.Noise)
-	t, err := eval.BuildTablesParallel(eval.Config{
-		Noise: lvl, Metrics: mc, Explore: mode, Budget: shared.Budget,
-		Seed: shared.Seed, MaxSteps: shared.MaxSteps,
-		Predict: shared.Predict, PredictReversal: shared.PredictReversal,
-		StageTimeout: shared.StageTimeout, Retries: shared.Retries, Faults: plan,
-		AllowDegraded: !shared.FailFast,
-	}, shared.Workers)
+	t, err := eval.BuildTablesParallel(cfg, workers)
 	if err != nil {
 		return err
 	}
 	t.Stable = *own.stable
-	if err := emitMetrics(mc, shared.MetricsOut); err != nil {
+	if err := cliflags.EmitMetrics(cfg.Pipeline.Metrics, shared.MetricsOut); err != nil {
 		return err
 	}
 
@@ -123,21 +118,4 @@ func run(args []string) error {
 		fmt.Printf("total evaluation time: %s\n", t.Elapsed.Round(1e8))
 	}
 	return nil
-}
-
-// emitMetrics writes the collector snapshot to path ("-" = stdout); a nil
-// collector (no -metrics flag) is a no-op.
-func emitMetrics(mc *metrics.Collector, path string) error {
-	if mc == nil {
-		return nil
-	}
-	if path == "-" {
-		return mc.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	defer f.Close()
-	return mc.WriteJSON(f)
 }

@@ -49,12 +49,12 @@ func flags() (*flag.FlagSet, *cliflags.Shared, *ownFlags) {
 		Workers:      1,
 		WorkersUsage: "pipeline worker pool size (0 = NumCPU, 1 = sequential)",
 	})
+	fs.IntVar(&shared.Pipeline.DetectRuns, "runs", 8, "seeded detection executions")
 	own := &ownFlags{
 		workload:   fs.String("workload", "", "built-in workload to analyze (see -list)"),
 		recipe:     fs.String("recipe", "", "input recipe (default: first attack recipe)"),
 		file:       fs.String("file", "", ".oir program to analyze instead of a workload"),
 		inputsFlag: fs.String("inputs", "", "comma-separated input words for -file"),
-		detectRuns: fs.Int("runs", 8, "seeded detection executions"),
 		cpuProfile: fs.String("cpuprofile", "", "write a pprof CPU profile of the pipeline to this file"),
 		memProfile: fs.String("memprofile", "", "write a pprof heap profile (after the pipeline) to this file"),
 		list:       fs.Bool("list", false, "list built-in workloads and exit"),
@@ -65,7 +65,6 @@ func flags() (*flag.FlagSet, *cliflags.Shared, *ownFlags) {
 
 type ownFlags struct {
 	workload, recipe, file, inputsFlag *string
-	detectRuns                         *int
 	cpuProfile, memProfile             *string
 	list, verbose                      *bool
 }
@@ -85,41 +84,35 @@ func run(args []string) error {
 		return nil
 	}
 
-	prog, name, err := resolveProgram(*own.workload, *own.recipe, *own.file, *own.inputsFlag, shared.Noise)
+	lvl, err := workloads.ParseNoise(shared.Noise)
+	if err != nil {
+		return err
+	}
+	prog, name, err := resolveProgram(*own.workload, *own.recipe, *own.file, *own.inputsFlag, lvl)
 	if err != nil {
 		return err
 	}
 
-	if shared.MaxSteps > 0 {
+	// owl.Run rejects a negative budget; 0 keeps the program's own.
+	if shared.MaxSteps != 0 {
 		prog.MaxSteps = shared.MaxSteps
 	}
 
-	nWorkers := shared.Workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.NumCPU()
+	opts := shared.Pipeline
+	if opts.Workers == 0 {
+		opts.Workers = runtime.NumCPU()
 	}
 	// The collector always runs (it also backs the truncation warning
 	// below); the JSON snapshot is emitted only when -metrics is set.
-	mc := metrics.New()
-	mode, err := shared.Mode()
-	if err != nil {
-		return err
-	}
-	plan, err := shared.Plan()
-	if err != nil {
+	opts.Metrics = metrics.New()
+	if opts.Faults, err = shared.Plan(); err != nil {
 		return err
 	}
 	stopProfile, err := startCPUProfile(*own.cpuProfile)
 	if err != nil {
 		return err
 	}
-	res, err := owl.Run(prog, owl.Options{
-		DetectRuns: *own.detectRuns, Workers: nWorkers, Metrics: mc,
-		Explore: mode, Budget: shared.Budget, Seed: shared.Seed,
-		Predict: shared.Predict, PredictReversal: shared.PredictReversal,
-		StageTimeout: shared.StageTimeout, Retries: shared.Retries,
-		Faults: plan, FailFast: shared.FailFast,
-	})
+	res, err := owl.Run(prog, opts)
 	stopProfile()
 	if err != nil {
 		return err
@@ -128,11 +121,11 @@ func run(args []string) error {
 		return err
 	}
 	if shared.MetricsOut != "" {
-		if err := emitMetrics(mc, shared.MetricsOut); err != nil {
+		if err := cliflags.EmitMetrics(opts.Metrics, shared.MetricsOut); err != nil {
 			return err
 		}
 	}
-	warnTruncation(mc)
+	warnTruncation(opts.Metrics)
 	for _, d := range res.Degraded {
 		fmt.Fprintf(os.Stderr, "owl: warning: %s\n", d.String())
 	}
@@ -230,23 +223,6 @@ func warnTruncation(mc *metrics.Collector) {
 	}
 }
 
-// emitMetrics writes the collector snapshot to path ("-" = stdout); a nil
-// collector (no -metrics flag) is a no-op.
-func emitMetrics(mc *metrics.Collector, path string) error {
-	if mc == nil {
-		return nil
-	}
-	if path == "-" {
-		return mc.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	defer f.Close()
-	return mc.WriteJSON(f)
-}
-
 func recipeNames(w *workloads.Workload) string {
 	names := make([]string, len(w.Recipes))
 	for i, r := range w.Recipes {
@@ -255,7 +231,7 @@ func recipeNames(w *workloads.Workload) string {
 	return strings.Join(names, ",")
 }
 
-func resolveProgram(workload, recipe, file, inputsFlag, noise string) (owl.Program, string, error) {
+func resolveProgram(workload, recipe, file, inputsFlag string, lvl workloads.NoiseLevel) (owl.Program, string, error) {
 	if file != "" {
 		src, err := os.ReadFile(file)
 		if err != nil {
@@ -269,25 +245,17 @@ func resolveProgram(workload, recipe, file, inputsFlag, noise string) (owl.Progr
 		if err != nil {
 			return owl.Program{}, "", err
 		}
-		return owl.Program{Module: mod, Inputs: inputs, MaxSteps: 500000}, file, nil
+		return owl.Program{Module: mod, Inputs: inputs, MaxSteps: owl.InlineMaxSteps}, file, nil
 	}
 	if workload == "" {
 		return owl.Program{}, "", fmt.Errorf("need -workload or -file (use -list)")
-	}
-	lvl := workloads.NoiseLight
-	if noise == "full" {
-		lvl = workloads.NoiseFull
 	}
 	w := workloads.Get(workload, lvl)
 	if w == nil {
 		return owl.Program{}, "", fmt.Errorf("unknown workload %q (use -list)", workload)
 	}
 	if recipe == "" {
-		if len(w.Attacks) > 0 {
-			recipe = w.Attacks[0].InputRecipe
-		} else if len(w.Recipes) > 0 {
-			recipe = w.Recipes[0].Name
-		}
+		recipe = w.DefaultRecipe()
 	}
 	rec := w.Recipe(recipe)
 	name := fmt.Sprintf("%s/%s", w.Name, rec.Name)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/cliflags"
@@ -28,19 +30,49 @@ func TestOwnDefaults(t *testing.T) {
 	if shared.Noise != "light" {
 		t.Errorf("noise default = %q, want light", shared.Noise)
 	}
-	if shared.Workers != 1 {
-		t.Errorf("workers default = %d, want 1 (sequential)", shared.Workers)
+	if shared.Pipeline.Workers != 1 {
+		t.Errorf("workers default = %d, want 1 (sequential)", shared.Pipeline.Workers)
 	}
-	if shared.FailFast {
+	if shared.Pipeline.FailFast {
 		t.Error("fail-fast must default off for cmd/owl (pipeline degrades)")
 	}
-	if shared.Predict || shared.PredictReversal {
+	if shared.Pipeline.Predict || shared.Pipeline.PredictReversal {
 		t.Error("prediction must default off")
 	}
-	if *own.detectRuns != 8 {
-		t.Errorf("runs default = %d, want 8", *own.detectRuns)
+	if shared.Pipeline.DetectRuns != 8 {
+		t.Errorf("runs default = %d, want 8", shared.Pipeline.DetectRuns)
 	}
 	if *own.cpuProfile != "" || *own.memProfile != "" {
 		t.Error("profiling must default off")
+	}
+}
+
+// TestNoiseRejectsUnknown pins that an unknown -noise is an error; it
+// used to run light noise silently.
+func TestNoiseRejectsUnknown(t *testing.T) {
+	if err := run([]string{"-workload", "libsafe", "-noise", "bogus"}); err == nil {
+		t.Error("-noise bogus accepted")
+	}
+}
+
+// TestRejectsInvalidOptions sends the shared table of invalid option
+// values (testdata/invalid-options.json, also sent to owl-tables and to
+// owl-serve's POST /v1/jobs) through run: every case must be an error.
+func TestRejectsInvalidOptions(t *testing.T) {
+	buf, err := os.ReadFile("../../testdata/invalid-options.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name  string
+		Flags []string
+	}
+	if err := json.Unmarshal(buf, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if err := run(append([]string{"-workload", "libsafe"}, c.Flags...)); err == nil {
+			t.Errorf("%s: %v accepted", c.Name, c.Flags)
+		}
 	}
 }

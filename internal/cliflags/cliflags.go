@@ -10,28 +10,25 @@ import (
 	"flag"
 	"fmt"
 	"net/url"
+	"os"
 	"strings"
-	"time"
 
 	"github.com/conanalysis/owl/internal/faultinject"
+	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
 )
 
-// Shared holds the parsed values of the flags both binaries accept.
+// Shared holds the parsed values of the flags both binaries accept. The
+// pipeline flags bind straight into Pipeline, so owl.Options is the one
+// declaration of each; the other fields hold the values that are not
+// owl.Options fields. Pipeline.Faults and Pipeline.Metrics are left for
+// the binary to fill (see Plan).
 type Shared struct {
-	Noise           string
-	Explore         string
-	Budget          int
-	Seed            uint64
-	Workers         int
-	MetricsOut      string
-	MaxSteps        int
-	StageTimeout    time.Duration
-	Retries         int
-	FaultsPath      string
-	FailFast        bool
-	Predict         bool
-	PredictReversal bool
+	Pipeline   owl.Options
+	Noise      string
+	MetricsOut string
+	MaxSteps   int
+	FaultsPath string
 }
 
 // Defaults carries the few per-binary differences: default values and
@@ -64,29 +61,21 @@ func Register(fs *flag.FlagSet, d Defaults) *Shared {
 	if workersUsage == "" {
 		workersUsage = "worker pool size (0 = NumCPU)"
 	}
+	p := &s.Pipeline
 	fs.StringVar(&s.Noise, "noise", noise, "workload noise level: light or full")
-	fs.StringVar(&s.Explore, "explore", "fixed", "detect-stage schedule exploration: fixed or coverage")
-	fs.IntVar(&s.Budget, "budget", 0, "run budget for -explore=coverage and -predict (0 = detect runs)")
-	fs.Uint64Var(&s.Seed, "seed", 0, "base seed for -explore=coverage and -predict")
-	fs.IntVar(&s.Workers, "workers", d.Workers, workersUsage)
+	fs.StringVar((*string)(&p.Explore), "explore", string(owl.ExploreFixed), "detect-stage schedule exploration: fixed or coverage")
+	fs.IntVar(&p.Budget, "budget", 0, "run budget for -explore=coverage and -predict (0 = detect runs)")
+	fs.Uint64Var(&p.Seed, "seed", 0, "base seed for -explore=coverage and -predict")
+	fs.IntVar(&p.Workers, "workers", d.Workers, workersUsage)
 	fs.StringVar(&s.MetricsOut, "metrics", "", `write per-stage metrics JSON to this file ("-" = stdout)`)
 	fs.IntVar(&s.MaxSteps, "max-steps", 0, "interpreter step budget per run (0 = program default)")
-	fs.DurationVar(&s.StageTimeout, "stage-timeout", 0, "per-stage deadline; an overrunning stage degrades (0 = none)")
-	fs.IntVar(&s.Retries, "retries", 0, "extra attempts a faulted run gets before quarantine")
+	fs.DurationVar(&p.StageTimeout, "stage-timeout", 0, "per-stage deadline; an overrunning stage degrades (0 = none)")
+	fs.IntVar(&p.Retries, "retries", 0, "extra attempts a faulted run gets before quarantine")
 	fs.StringVar(&s.FaultsPath, "faults", "", "deterministic fault-injection plan JSON (see docs/ROBUSTNESS.md)")
-	fs.BoolVar(&s.FailFast, "fail-fast", d.FailFast, "error out on the first faulted stage instead of degrading")
-	fs.BoolVar(&s.Predict, "predict", false, "predictive race detection: predict pairs from seed traces, confirm with steered replays (docs/PREDICTION.md)")
-	fs.BoolVar(&s.PredictReversal, "predict-reversal", false, "with -predict: also predict optimistic sync-reversal pairs (confirmation filters infeasible ones)")
+	fs.BoolVar(&p.FailFast, "fail-fast", d.FailFast, "error out on the first faulted stage instead of degrading")
+	fs.BoolVar(&p.Predict, "predict", false, "predictive race detection: predict pairs from seed traces, confirm with steered replays (docs/PREDICTION.md)")
+	fs.BoolVar(&p.PredictReversal, "predict-reversal", false, "with -predict: also predict optimistic sync-reversal pairs (confirmation filters infeasible ones)")
 	return s
-}
-
-// Mode validates and returns the exploration mode.
-func (s *Shared) Mode() (owl.ExploreMode, error) {
-	mode := owl.ExploreMode(s.Explore)
-	if mode != owl.ExploreFixed && mode != owl.ExploreCoverage {
-		return "", fmt.Errorf("unknown -explore mode %q (want fixed or coverage)", s.Explore)
-	}
-	return mode, nil
 }
 
 // ParsePeers splits and validates a -peers value: a comma-separated
@@ -122,4 +111,24 @@ func (s *Shared) Plan() (*faultinject.Plan, error) {
 		return nil, nil
 	}
 	return faultinject.Load(s.FaultsPath)
+}
+
+// EmitMetrics writes the collector snapshot named by a -metrics flag
+// ("-" = stdout); a nil collector (no -metrics flag) is a no-op.
+func EmitMetrics(mc *metrics.Collector, path string) error {
+	if mc == nil {
+		return nil
+	}
+	if path == "-" {
+		return mc.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if err := mc.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

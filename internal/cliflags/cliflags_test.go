@@ -34,17 +34,17 @@ func TestDefaultsApplied(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Noise != "full" || s.Workers != 3 || !s.FailFast {
+	if s.Noise != "full" || s.Pipeline.Workers != 3 || !s.Pipeline.FailFast {
 		t.Errorf("per-binary defaults not applied: %+v", s)
 	}
 	fs2, s2 := newSet(Defaults{})
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Noise != "light" || s2.Workers != 0 || s2.FailFast {
+	if s2.Noise != "light" || s2.Pipeline.Workers != 0 || s2.Pipeline.FailFast {
 		t.Errorf("zero Defaults should mean light/0/degrade: %+v", s2)
 	}
-	if s2.Predict || s2.PredictReversal {
+	if s2.Pipeline.Predict || s2.Pipeline.PredictReversal {
 		t.Error("prediction must default off")
 	}
 }
@@ -59,18 +59,17 @@ func TestParseSharedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Budget != 32 || s.Seed != 7 || s.MaxSteps != 1000 {
+	if s.Pipeline.Budget != 32 || s.Pipeline.Seed != 7 || s.MaxSteps != 1000 {
 		t.Errorf("numeric flags misparsed: %+v", s)
 	}
-	if s.StageTimeout != 30*time.Second {
-		t.Errorf("StageTimeout = %v", s.StageTimeout)
+	if s.Pipeline.StageTimeout != 30*time.Second {
+		t.Errorf("StageTimeout = %v", s.Pipeline.StageTimeout)
 	}
-	if !s.Predict || !s.PredictReversal || !s.FailFast {
+	if !s.Pipeline.Predict || !s.Pipeline.PredictReversal || !s.Pipeline.FailFast {
 		t.Errorf("bool flags misparsed: %+v", s)
 	}
-	mode, err := s.Mode()
-	if err != nil || mode != owl.ExploreCoverage {
-		t.Errorf("Mode() = %v, %v", mode, err)
+	if err := s.Pipeline.Validate(); err != nil || s.Pipeline.Explore != owl.ExploreCoverage {
+		t.Errorf("Explore = %v, Validate() = %v", s.Pipeline.Explore, err)
 	}
 }
 
@@ -79,8 +78,8 @@ func TestModeRejectsUnknown(t *testing.T) {
 	if err := fs.Parse([]string{"-explore", "bogus"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mode(); err == nil {
-		t.Error("Mode() accepted bogus explore mode")
+	if err := s.Pipeline.Validate(); err == nil {
+		t.Error("Validate() accepted bogus explore mode")
 	}
 }
 

@@ -21,8 +21,8 @@ func TestParallelCancelsInFlightWorkloads(t *testing.T) {
 			return nil, fmt.Errorf("injected failure")
 		}
 		select {
-		case <-cfg.Ctx.Done():
-			return nil, cfg.Ctx.Err()
+		case <-cfg.Pipeline.Ctx.Done():
+			return nil, cfg.Pipeline.Ctx.Err()
 		case <-time.After(30 * time.Second):
 			return nil, fmt.Errorf("worker slot never released")
 		}
@@ -53,8 +53,8 @@ func TestParallelQuarantinesPanickingWorkload(t *testing.T) {
 			panic("corrupt workload model")
 		}
 		select {
-		case <-cfg.Ctx.Done():
-			return nil, cfg.Ctx.Err()
+		case <-cfg.Pipeline.Ctx.Done():
+			return nil, cfg.Pipeline.Ctx.Err()
 		case <-time.After(30 * time.Second):
 			return nil, fmt.Errorf("worker slot never released")
 		}

@@ -6,16 +6,13 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/conanalysis/owl/internal/adhoc"
 	"github.com/conanalysis/owl/internal/attack"
-	"github.com/conanalysis/owl/internal/faultinject"
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
-	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/ski"
@@ -28,69 +25,55 @@ type Config struct {
 	// Noise is the workload noise level (default NoiseLight; the table
 	// binaries use NoiseFull to approximate the paper's report shape).
 	Noise workloads.NoiseLevel
-	// DetectRuns seeds the TSAN-style detection phase (default 8).
-	DetectRuns int
-	// KernelRuns / KernelDecisions bound the SKI-style exploration
-	// (defaults 96 / 10).
-	KernelRuns      int
-	KernelDecisions int
-	// DisableVulnVerify skips the slowest stage (useful in quick tests).
-	DisableVulnVerify bool
-	// Explore selects the detect-stage exploration mode for application
-	// workloads (default owl.ExploreFixed); Budget is the coverage-mode
-	// run budget (0 = DetectRuns). See owl.Options.
-	Explore owl.ExploreMode
-	Budget  int
-	// Seed is the base seed for coverage-mode exploration and for the
-	// predictive detect stage (see owl.Options.Seed).
-	Seed uint64
 	// MaxSteps, when > 0, overrides every workload's interpreter step
-	// budget (see owl.Options; 0 keeps each workload's own budget).
+	// budget (0 keeps each workload's own budget; negative is invalid).
 	MaxSteps int
-	// Predict switches application workloads to the predictive detect
-	// stage (seed traces → predicted pairs → steered confirmation);
-	// PredictReversal additionally enables the optimistic sync-reversal
-	// arm. See owl.Options.
-	Predict         bool
-	PredictReversal bool
-	// PipelineWorkers bounds the owl pipeline's inner worker pool per
-	// workload (seeded detections and the verification loops). Default 1:
-	// BuildTablesParallel already fans out across workloads, so nesting
-	// pools is opt-in.
-	PipelineWorkers int
-	// Metrics, when non-nil, receives per-stage instrumentation from the
-	// evaluation, the pipelines it runs, and the study.
-	Metrics *metrics.Collector
-	// Ctx cancels the build cooperatively (default context.Background());
-	// BuildTablesParallel also derives its pool context from it so the
-	// first failed workload stops the others promptly.
-	Ctx context.Context
-	// StageTimeout / Retries / Faults ride down into every workload's
-	// owl pipeline (see owl.Options). The pipelines run fail-fast by
-	// default: a workload whose stage faults fails the build with an
-	// error naming the workload and stage, rather than silently
-	// degrading a table. AllowDegraded inverts that (owl-tables
-	// -fail-fast=false), letting faulted stages degrade instead.
-	StageTimeout  time.Duration
-	Retries       int
-	Faults        *faultinject.Plan
-	AllowDegraded bool
+	// Pipeline is the owl.Options every application workload's pipeline
+	// runs with. Its Ctx, Metrics and Faults also govern the build
+	// itself: Ctx cancels it cooperatively (BuildTablesParallel derives
+	// its pool context from it so the first failed workload stops the
+	// others promptly), Metrics receives the evaluation's and the
+	// study's instrumentation, and Faults also targets the per-workload
+	// pool. DetectRuns (default 8) also seeds the study. Workers bounds
+	// each pipeline's inner pool; BuildTablesParallel already fans out
+	// across workloads, so nesting pools is opt-in. FailFast makes a
+	// faulted stage fail the build with an error naming the workload and
+	// stage; owl-tables sets it by default, since a degraded stage would
+	// silently skew a table row.
+	Pipeline owl.Options
 }
 
-func (c Config) withDefaults() Config {
+// kernelRuns / kernelDecisions bound the SKI-style exploration of the
+// kernel workloads.
+const (
+	kernelRuns      = 96
+	kernelDecisions = 10
+)
+
+// Validate rejects a negative step budget and whatever
+// owl.Options.Validate rejects in Pipeline.
+func (c Config) Validate() error {
+	if c.MaxSteps < 0 {
+		return fmt.Errorf("eval: negative step budget (%d) is invalid", c.MaxSteps)
+	}
+	if err := c.Pipeline.Validate(); err != nil {
+		return fmt.Errorf("eval: %w", err)
+	}
+	return nil
+}
+
+// prepare validates the configuration and fills in its defaults.
+func (c Config) prepare() (Config, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
 	if c.Noise == 0 {
 		c.Noise = workloads.NoiseLight
 	}
-	if c.DetectRuns <= 0 {
-		c.DetectRuns = 8
+	if c.Pipeline.DetectRuns == 0 {
+		c.Pipeline.DetectRuns = 8
 	}
-	if c.KernelRuns <= 0 {
-		c.KernelRuns = 96
-	}
-	if c.KernelDecisions <= 0 {
-		c.KernelDecisions = 10
-	}
-	return c
+	return c, nil
 }
 
 // MatchedAttack pairs a modelled attack with the pipeline evidence that
@@ -153,7 +136,10 @@ func recipesToRun(w *workloads.Workload) []workloads.Recipe {
 
 // EvalWorkload runs the full pipeline for one workload.
 func EvalWorkload(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
 	if w.Kernel {
 		return evalKernel(w, cfg)
 	}
@@ -169,8 +155,8 @@ func evalApplication(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 	findingKeys := map[string]bool{}
 
 	for _, rec := range recipesToRun(w) {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, cfg.Ctx.Err())
+		if ctx := cfg.Pipeline.Ctx; ctx != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, ctx.Err())
 		}
 		maxSteps := w.MaxSteps
 		if cfg.MaxSteps > 0 {
@@ -178,25 +164,7 @@ func evalApplication(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 		}
 		res, err := owl.Run(owl.Program{
 			Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps,
-		}, owl.Options{
-			DetectRuns:        cfg.DetectRuns,
-			Explore:           cfg.Explore,
-			Budget:            cfg.Budget,
-			Seed:              cfg.Seed,
-			Predict:           cfg.Predict,
-			PredictReversal:   cfg.PredictReversal,
-			DisableVulnVerify: cfg.DisableVulnVerify,
-			Workers:           cfg.PipelineWorkers,
-			Metrics:           cfg.Metrics,
-			Ctx:               cfg.Ctx,
-			StageTimeout:      cfg.StageTimeout,
-			Retries:           cfg.Retries,
-			Faults:            cfg.Faults,
-			// Degrading a table row would silently skew the evaluation, so
-			// the tables pipeline opts out of graceful degradation unless
-			// the operator explicitly allowed it.
-			FailFast: !cfg.AllowDegraded,
-		})
+		}, cfg.Pipeline)
 		if err != nil {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, err)
 		}
@@ -280,15 +248,15 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 	findingKeys := map[string]bool{}
 
 	for _, rec := range recipesToRun(w) {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, cfg.Ctx.Err())
+		if ctx := cfg.Pipeline.Ctx; ctx != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, ctx.Err())
 		}
 		maxSteps := w.MaxSteps
 		if cfg.MaxSteps > 0 {
 			maxSteps = cfg.MaxSteps
 		}
 		base := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps}
-		det := &ski.Detector{MaxRuns: cfg.KernelRuns, MaxDecisions: cfg.KernelDecisions}
+		det := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions}
 		reports, _, err := det.Detect(base)
 		if err != nil {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, err)
@@ -306,7 +274,7 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 		}
 		after := reports
 		if len(syncs) > 0 {
-			det2 := &ski.Detector{MaxRuns: cfg.KernelRuns, MaxDecisions: cfg.KernelDecisions,
+			det2 := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions,
 				Benign: adhoc.Annotate(syncs, nil)}
 			after, _, err = det2.Detect(base)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/conanalysis/owl/internal/owl"
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
@@ -130,7 +131,7 @@ func TestUnknownFigure(t *testing.T) {
 }
 
 func TestTablesShape(t *testing.T) {
-	tb, err := BuildTables(Config{Noise: workloads.NoiseLight, DetectRuns: 6})
+	tb, err := BuildTables(Config{Noise: workloads.NoiseLight, Pipeline: owl.Options{DetectRuns: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestTablesShape(t *testing.T) {
 }
 
 func TestParallelTablesMatchSequential(t *testing.T) {
-	cfg := Config{Noise: workloads.NoiseLight, DetectRuns: 6}
+	cfg := Config{Noise: workloads.NoiseLight, Pipeline: owl.Options{DetectRuns: 6}}
 	seq, err := BuildTables(cfg)
 	if err != nil {
 		t.Fatal(err)

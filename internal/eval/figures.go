@@ -57,7 +57,10 @@ func Figure(id string, cfg Config) (*FigureResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("eval: unknown figure %q", id)
 	}
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
 	w := workloads.Get(spec.workload, cfg.Noise)
 	if w == nil {
 		return nil, fmt.Errorf("eval: unknown workload %q", spec.workload)

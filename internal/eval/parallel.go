@@ -34,11 +34,15 @@ var evalWorkloadFn = EvalWorkload
 // it), so multi-failure runs report deterministically regardless of
 // worker scheduling.
 func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
+	mc := cfg.Pipeline.Metrics
 	// Clock the whole build (workload construction included) so Elapsed is
 	// comparable with BuildTables' Table-3 analysis-cost accounting.
 	start := time.Now()
-	defer cfg.Metrics.Stage("eval.total")()
+	defer mc.Stage("eval.total")()
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -46,7 +50,7 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 	if workers > len(names) {
 		workers = len(names)
 	}
-	cfg.Metrics.Gauge("eval.workers", float64(workers))
+	mc.Gauge("eval.workers", float64(workers))
 
 	type slot struct {
 		pe  *ProgramEval
@@ -63,9 +67,9 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 	// context; the other workloads observe it between interpreter runs
 	// (the owl pipeline is cancelable) and exit instead of finishing.
 	sup := supervise.New(supervise.Config{
-		Ctx:           cfg.Ctx,
-		Faults:        cfg.Faults,
-		Metrics:       cfg.Metrics,
+		Ctx:           cfg.Pipeline.Ctx,
+		Faults:        cfg.Pipeline.Faults,
+		Metrics:       mc,
 		MetricsPrefix: "eval",
 		CancelOnFault: true,
 	})
@@ -79,7 +83,7 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 	studyCh := make(chan studyOut, 1)
 	go func() {
 		st, err := study.Run(study.Config{
-			Noise: cfg.Noise, DetectRuns: cfg.DetectRuns, Metrics: cfg.Metrics,
+			Noise: cfg.Noise, DetectRuns: cfg.Pipeline.DetectRuns, Metrics: mc,
 		})
 		studyCh <- studyOut{st: st, err: err}
 	}()
@@ -94,7 +98,7 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 		// never need to be. The stage context rides down into the owl
 		// pipeline so a sibling's failure stops this workload too.
 		wcfg := cfg
-		wcfg.Ctx = ctx
+		wcfg.Pipeline.Ctx = ctx
 		wl := workloads.Get(names[i], cfg.Noise)
 		pe, err := evalOne(wl, wcfg)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/conanalysis/owl/internal/metrics"
+	"github.com/conanalysis/owl/internal/owl"
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
@@ -41,7 +42,7 @@ func TestParallelFailsFastInRegistryOrder(t *testing.T) {
 // study stages from the overlapped study run all land in one snapshot.
 func TestParallelTablesMetrics(t *testing.T) {
 	mc := metrics.New()
-	cfg := Config{Noise: workloads.NoiseLight, DetectRuns: 4, Metrics: mc}
+	cfg := Config{Noise: workloads.NoiseLight, Pipeline: owl.Options{DetectRuns: 4, Metrics: mc}}
 	tb, err := BuildTablesParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)

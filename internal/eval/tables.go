@@ -26,11 +26,15 @@ type Tables struct {
 
 // BuildTables evaluates every workload and runs the exploit campaigns.
 func BuildTables(cfg Config) (*Tables, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return nil, err
+	}
+	mc := cfg.Pipeline.Metrics
 	start := time.Now()
-	defer cfg.Metrics.Stage("eval.total")()
+	defer mc.Stage("eval.total")()
 	t := &Tables{Cfg: cfg, Exploits: make(map[string][]*attack.Result)}
-	stop := cfg.Metrics.Stage("eval.workloads")
+	stop := mc.Stage("eval.workloads")
 	for _, w := range workloads.All(cfg.Noise) {
 		pe, err := EvalWorkload(w, cfg)
 		if err != nil {
@@ -45,7 +49,7 @@ func BuildTables(cfg Config) (*Tables, error) {
 	}
 	stop()
 	st, err := study.Run(study.Config{
-		Noise: cfg.Noise, DetectRuns: cfg.DetectRuns, Metrics: cfg.Metrics,
+		Noise: cfg.Noise, DetectRuns: cfg.Pipeline.DetectRuns, Metrics: mc,
 	})
 	if err != nil {
 		return nil, err

@@ -52,6 +52,11 @@ type Program struct {
 	MaxSteps int
 }
 
+// InlineMaxSteps is the step budget of a user-supplied program (cmd/owl
+// -file, an inline owl-serve submission), which carries no budget of its
+// own the way a built-in workload does.
+const InlineMaxSteps = 500000
+
 // ExploreMode selects how the detect stage spends its schedule budget.
 type ExploreMode string
 
@@ -97,11 +102,11 @@ type Options struct {
 	// pre-seeded with the state's accumulated coverage and seen-report
 	// set (so a repeat run of an already-explored program saturates and
 	// early-stops after a fraction of the budget). Only consulted when
-	// Explore is ExploreCoverage and Predict is off; the ad-hoc re-run
-	// and atomicity stages always explore fresh (their detector
-	// configuration differs, so mixing their scores into the shared state
-	// would poison resume decisions). The state must have been built for
-	// this exact Module value — coverage keys are instruction identities.
+	// Resumes() holds; the ad-hoc re-run and atomicity stages always
+	// explore fresh (their detector configuration differs, so mixing
+	// their scores into the shared state would poison resume decisions).
+	// The state must have been built for this exact Module value —
+	// coverage keys are instruction identities.
 	ExploreState *sched.ExploreState
 
 	// Predict switches the detect stages to predictive race detection
@@ -131,13 +136,6 @@ type Options struct {
 	// see the vuln package for what turning them off reproduces).
 	DisableCtrlFlow  bool
 	DisableInterProc bool
-
-	// RaceVerifier / VulnVerifier override the default verifiers.
-	RaceVerifier *raceverify.Verifier
-	VulnVerifier *vulnverify.Verifier
-
-	// Sites overrides the vulnerable-site registry.
-	Sites *vuln.Registry
 
 	// EnableAtomicity additionally runs the CTrigger-style
 	// atomicity-violation detector and feeds each violation's read side to
@@ -190,6 +188,42 @@ type Options struct {
 	// compiled engine and snapCacheEntries.
 	engine      interp.Engine
 	snapEntries int
+}
+
+// Validate rejects option values no pipeline can run: an unknown
+// explore mode and negative counts or deadlines. Zero always means the
+// documented default. Run calls it first; front ends call it to reject
+// a bad flag or request before doing any work.
+func (o Options) Validate() error {
+	switch o.Explore {
+	case "", ExploreFixed, ExploreCoverage:
+	default:
+		return fmt.Errorf("unknown explore mode %q (want fixed or coverage)", o.Explore)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"runs", o.DetectRuns},
+		{"budget", o.Budget},
+		{"workers", o.Workers},
+		{"retries", o.Retries},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("negative %s (%d) is invalid", f.name, f.v)
+		}
+	}
+	if o.StageTimeout < 0 {
+		return fmt.Errorf("negative stage timeout (%v) is invalid", o.StageTimeout)
+	}
+	return nil
+}
+
+// Resumes reports whether the options take part in cross-run resume:
+// only plain coverage-guided exploration (no prediction) feeds and
+// consumes ExploreState.
+func (o Options) Resumes() bool {
+	return o.Explore == ExploreCoverage && !o.Predict
 }
 
 // newSnapCache builds the fresh snapshot cache one coverage-guided
@@ -271,10 +305,16 @@ type Result struct {
 // Run executes the pipeline over the program.
 func Run(p Program, opts Options) (*Result, error) {
 	start := time.Now()
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("owl: %w", err)
+	}
 	if p.Module == nil || !p.Module.Frozen() {
 		return nil, fmt.Errorf("owl: program module missing or not frozen")
 	}
-	if p.MaxSteps <= 0 {
+	if p.MaxSteps < 0 {
+		return nil, fmt.Errorf("owl: negative step budget (%d) is invalid", p.MaxSteps)
+	}
+	if p.MaxSteps == 0 {
 		p.MaxSteps = 200000
 	}
 	detectRuns := opts.DetectRuns
@@ -341,7 +381,7 @@ func Run(p Program, opts Options) (*Result, error) {
 			// re-run explores under benign annotations, whose scores must
 			// not contaminate the cross-run map.
 			var resume *sched.ExploreState
-			if benign == nil {
+			if benign == nil && opts.Resumes() {
 				resume = opts.ExploreState
 			}
 			reports, runs := detectCoverage(p, st, budget, workers, benign, resume, opts, mc)
@@ -396,10 +436,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	mk := factory(p, opts.engine)
 	rvLost := 0
 	if !opts.DisableRaceVerify {
-		rv := opts.RaceVerifier
-		if rv == nil {
-			rv = raceverify.New()
-		}
+		rv := raceverify.New()
 		st = sup.Stage("owl.raceverify")
 		hints := make([]*raceverify.Hint, len(working))
 		st.ForEach(0, len(working), workers, func(_ context.Context, i int) error {
@@ -443,9 +480,6 @@ func Run(p Program, opts Options) (*Result, error) {
 	analyzer := vuln.NewAnalyzer(p.Module)
 	analyzer.TrackCtrl = !opts.DisableCtrlFlow
 	analyzer.InterProcedural = !opts.DisableInterProc
-	if opts.Sites != nil {
-		analyzer.Sites = opts.Sites
-	}
 	for j, h := range res.Hints {
 		if !h.Verified {
 			continue
@@ -499,10 +533,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	// so the output is independent of worker count. A quarantined or lost
 	// verification leaves its slot nil — no outcome, no attack.
 	if !opts.DisableVulnVerify {
-		vv := opts.VulnVerifier
-		if vv == nil {
-			vv = vulnverify.New()
-		}
+		vv := vulnverify.New()
 		type vvJob struct {
 			h *raceverify.Hint
 			f *vuln.Finding

@@ -2,8 +2,10 @@ package owl
 
 import (
 	"testing"
+	"time"
 
 	"github.com/conanalysis/owl/internal/ir"
+	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/vuln"
 )
 
@@ -160,6 +162,39 @@ func TestPipelineRejectsBadProgram(t *testing.T) {
 	unfrozen := ir.NewModule("x")
 	if _, err := Run(Program{Module: unfrozen}, Options{}); err == nil {
 		t.Error("want error for unfrozen module")
+	}
+}
+
+// TestPipelineRejectsInvalidOptions pins that Run validates before it
+// runs anything: a misspelled explore mode used to fall through to
+// fixed mode silently, and negative counts meant their defaults.
+func TestPipelineRejectsInvalidOptions(t *testing.T) {
+	mod := ir.MustParse("pipeline.oir", pipelineSrc)
+	for name, tc := range map[string]struct {
+		prog Program
+		opts Options
+	}{
+		"unknown explore":  {Program{Module: mod}, Options{Explore: "coverag"}},
+		"negative runs":    {Program{Module: mod}, Options{DetectRuns: -4}},
+		"negative budget":  {Program{Module: mod}, Options{Explore: ExploreCoverage, Budget: -3}},
+		"negative workers": {Program{Module: mod}, Options{Workers: -1}},
+		"negative retries": {Program{Module: mod}, Options{Retries: -2}},
+		"negative timeout": {Program{Module: mod}, Options{StageTimeout: -time.Second}},
+		"negative steps":   {Program{Module: mod, MaxSteps: -7}, Options{}},
+	} {
+		mc := metrics.New()
+		tc.opts.Metrics = mc
+		if _, err := Run(tc.prog, tc.opts); err == nil {
+			t.Errorf("%s: Run accepted invalid input", name)
+		}
+		if n := len(mc.Snapshot().Counters); n != 0 {
+			t.Errorf("%s: rejected run still recorded %d counters", name, n)
+		}
+	}
+	for _, mode := range []ExploreMode{"", ExploreFixed, ExploreCoverage} {
+		if err := (Options{Explore: mode}).Validate(); err != nil {
+			t.Errorf("Validate(%q) = %v, want nil", mode, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,50 @@ func TestHTTPRejectsRemovedOptions(t *testing.T) {
 		if !strings.Contains(apiErr.Error, `"`+field+`"`) {
 			t.Errorf("options.%s: error %q does not name the field", field, apiErr.Error)
 		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
+	}
+}
+
+// TestHTTPRejectsInvalidOptions sends the shared table of invalid option
+// values (testdata/invalid-options.json, also sent to cmd/owl and
+// cmd/owl-tables) to POST /v1/jobs. A case applies here when it carries
+// a spec; each such case must get a 400 and admit no job.
+func TestHTTPRejectsInvalidOptions(t *testing.T) {
+	buf, err := os.ReadFile("../../testdata/invalid-options.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name string
+		Spec json.RawMessage
+	}
+	if err := json.Unmarshal(buf, &cases); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Shards: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	applied := 0
+	for _, c := range cases {
+		if c.Spec == nil {
+			continue
+		}
+		applied++
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(c.Spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", c.Name, resp.StatusCode)
+		}
+	}
+	if applied == 0 {
+		t.Error("no case applies to owl-serve")
 	}
 	if n := len(s.Jobs()); n != 0 {
 		t.Errorf("%d jobs admitted, want 0", n)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/conanalysis/owl/internal/cliflags"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
@@ -16,10 +15,10 @@ import (
 
 // Spec is one submission: the program to analyze (a built-in workload or
 // an inline .oir source) plus the pipeline options. The options mirror
-// the cmd/owl flag set field for field — the same strings -explore
-// accepts, validated through the same cliflags helpers — so a
-// submission is exactly "a cmd/owl invocation over HTTP" and the parity
-// gate can hold the two to byte-identical output.
+// the cmd/owl flag set field for field — the same values -explore
+// accepts, checked by the same owl.Options.Validate — so a submission is
+// exactly "a cmd/owl invocation over HTTP" and the parity gate can hold
+// the two to byte-identical output.
 type Spec struct {
 	// Tenant attributes the job for quota accounting ("" = "anonymous").
 	Tenant string `json:"tenant,omitempty"`
@@ -39,11 +38,12 @@ type Spec struct {
 	Options SpecOptions `json:"options"`
 }
 
-// SpecOptions mirrors the shared cmd/owl flags (internal/cliflags). The
-// zero value of every field means "the flag's default", with one serve
-// deviation: Explore defaults to "coverage", because resume — the point
-// of an always-on service — only exists there. Submissions wanting the
-// CLI default ask for "fixed" explicitly.
+// SpecOptions is the wire form of the cmd/owl pipeline flags; pipeline
+// maps it onto owl.Options. The zero value of every field means "the
+// flag's default", with one serve deviation: Explore defaults to
+// "coverage", because resume — the point of an always-on service — only
+// exists there. Submissions wanting the CLI default ask for "fixed"
+// explicitly.
 type SpecOptions struct {
 	Explore         string `json:"explore,omitempty"`
 	Budget          int    `json:"budget,omitempty"`
@@ -55,28 +55,25 @@ type SpecOptions struct {
 	PredictReversal bool   `json:"predict_reversal,omitempty"`
 }
 
-// validate normalizes the options through the cliflags validators and
-// returns the resolved explore mode.
-func (o SpecOptions) validate() (owl.ExploreMode, error) {
-	sh := cliflags.Shared{Explore: o.Explore}
-	if sh.Explore == "" {
-		sh.Explore = string(owl.ExploreCoverage)
+// pipeline maps the options onto owl.Options and validates them. MaxSteps
+// is not a pipeline option: it overrides the program's step budget.
+func (o SpecOptions) pipeline() (owl.Options, error) {
+	opts := owl.Options{
+		DetectRuns:      o.Runs,
+		Explore:         owl.ExploreMode(o.Explore),
+		Budget:          o.Budget,
+		Seed:            o.Seed,
+		Workers:         o.Workers,
+		Predict:         o.Predict,
+		PredictReversal: o.PredictReversal,
 	}
-	mode, err := sh.Mode()
-	if err != nil {
-		return "", err
+	if opts.Explore == "" {
+		opts.Explore = owl.ExploreCoverage
 	}
-	if o.Budget < 0 || o.Runs < 0 || o.Workers < 0 || o.MaxSteps < 0 {
-		return "", fmt.Errorf("negative option values are invalid")
+	if o.MaxSteps < 0 {
+		return opts, fmt.Errorf("negative max_steps (%d) is invalid", o.MaxSteps)
 	}
-	return mode, nil
-}
-
-// resumeEligible reports whether a job with these options participates
-// in cross-submission resume: only plain coverage-guided exploration
-// feeds and consumes the persistent ExploreState (owl.Options doc).
-func (o SpecOptions) resumeEligible() bool {
-	return (o.Explore == "" || o.Explore == string(owl.ExploreCoverage)) && !o.Predict
+	return opts, opts.Validate()
 }
 
 // resolve turns a spec into the program identity the store is keyed by:
@@ -90,6 +87,10 @@ func (o SpecOptions) resumeEligible() bool {
 func resolve(spec Spec) (owl.Program, string, string, error) {
 	if (spec.Workload == "") == (spec.Program == "") {
 		return owl.Program{}, "", "", fmt.Errorf("exactly one of workload and program must be set")
+	}
+	lvl, err := workloads.ParseNoise(spec.Noise)
+	if err != nil {
+		return owl.Program{}, "", "", err
 	}
 	h := sha256.New()
 	if spec.Program != "" {
@@ -105,22 +106,11 @@ func resolve(spec Spec) (owl.Program, string, string, error) {
 			binary.LittleEndian.PutUint64(buf[:], uint64(in))
 			h.Write(buf[:])
 		}
-		prog := owl.Program{Module: mod, Inputs: spec.Inputs, MaxSteps: 500000}
+		prog := owl.Program{Module: mod, Inputs: spec.Inputs, MaxSteps: owl.InlineMaxSteps}
 		return prog, "submitted.oir", hex.EncodeToString(h.Sum(nil)), nil
 	}
 	if len(spec.Inputs) > 0 {
 		return owl.Program{}, "", "", fmt.Errorf("inputs are only valid with an inline program (workloads carry recipes)")
-	}
-	noise := spec.Noise
-	if noise == "" {
-		noise = "light"
-	}
-	if noise != "light" && noise != "full" {
-		return owl.Program{}, "", "", fmt.Errorf("unknown noise %q (want light or full)", spec.Noise)
-	}
-	lvl := workloads.NoiseLight
-	if noise == "full" {
-		lvl = workloads.NoiseFull
 	}
 	w := workloads.Get(spec.Workload, lvl)
 	if w == nil {
@@ -128,13 +118,13 @@ func resolve(spec Spec) (owl.Program, string, string, error) {
 	}
 	recipe := spec.Recipe
 	if recipe == "" {
-		if len(w.Attacks) > 0 {
-			recipe = w.Attacks[0].InputRecipe
-		} else if len(w.Recipes) > 0 {
-			recipe = w.Recipes[0].Name
-		}
+		recipe = w.DefaultRecipe()
 	}
 	rec := w.Recipe(recipe)
+	noise := spec.Noise
+	if noise == "" {
+		noise = "light"
+	}
 	fmt.Fprintf(h, "workload\x00%s\x00%s\x00%s", w.Name, noise, rec.Name)
 	prog := owl.Program{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps}
 	return prog, fmt.Sprintf("%s/%s", w.Name, rec.Name), hex.EncodeToString(h.Sum(nil)), nil

@@ -197,7 +197,7 @@ func (e *ErrRejected) Error() string { return "serve: rejected: " + e.Reason }
 // job, or *ErrRejected when the shard queue is full / the tenant is over
 // quota / the server is draining, or a validation error.
 func (s *Server) Submit(spec Spec) (*Job, error) {
-	if _, err := spec.Options.validate(); err != nil {
+	if _, err := spec.Options.pipeline(); err != nil {
 		return nil, err
 	}
 	prog, name, key, err := resolve(spec)
@@ -372,49 +372,32 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 	s.mc.Count("serve.jobs_started", 1)
 
 	spec := j.spec
-	mode, err := spec.Options.validate()
+	opts, err := spec.Options.pipeline()
 	if err != nil { // re-validated defensively; Submit already checked
 		return s.fail(j, err)
 	}
+	if opts.Workers == 0 {
+		opts.Workers = s.cfg.Workers
+	}
+	opts.Metrics = j.mc
 
-	var resume = j.ps.state
-	warm := resume.Warm()
-	if spec.Options.resumeEligible() {
+	warm := j.ps.state.Warm()
+	if opts.Resumes() {
+		opts.ExploreState = j.ps.state
 		if warm {
 			s.mc.Count("serve.resume_hits", 1)
 		} else {
 			s.mc.Count("serve.resume_misses", 1)
 		}
-	} else {
-		resume = nil
 	}
 	j.update(func(st *JobStatus) {
 		st.State = StateRunning
-		st.Resume = resume != nil && warm
+		st.Resume = opts.ExploreState != nil && warm
 	})
 
 	prog := j.ps.prog
 	if spec.Options.MaxSteps > 0 {
 		prog.MaxSteps = spec.Options.MaxSteps
-	}
-	workers := spec.Options.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
-	detectRuns := spec.Options.Runs
-	if detectRuns <= 0 {
-		detectRuns = 8 // cmd/owl's -runs default
-	}
-	opts := owl.Options{
-		DetectRuns:      detectRuns,
-		Explore:         mode,
-		Budget:          spec.Options.Budget,
-		Seed:            spec.Options.Seed,
-		Predict:         spec.Options.Predict,
-		PredictReversal: spec.Options.PredictReversal,
-		Workers:         workers,
-		Metrics:         j.mc,
-		ExploreState:    resume,
 	}
 	res, err := owl.Run(prog, opts)
 	if err != nil {

@@ -88,7 +88,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Workload: "libsafe", Program: "x"},  // both
 		{Workload: "nope"},                   // unknown workload
 		{Workload: "libsafe", Noise: "loud"}, // bad noise
-		{Program: "not oir"},                 // parse error
+		{Program: inlineSpec().Program, Noise: "loud"}, // bad noise, inline program
+		{Program: "not oir"},                           // parse error
 		{Workload: "libsafe", Inputs: []int64{1}},
 		{Workload: "libsafe", Options: SpecOptions{Explore: "psychic"}},
 		{Workload: "libsafe", Options: SpecOptions{Budget: -1}},
@@ -328,10 +329,11 @@ func TestSummaryMatchesCmdOwl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mode, err := spec.Options.validate()
+		mapped, err := spec.Options.pipeline()
 		if err != nil {
 			t.Fatal(err)
 		}
+		mode := mapped.Explore
 		runs := spec.Options.Runs
 		if runs <= 0 {
 			runs = 8

@@ -131,6 +131,18 @@ func (w *Workload) Recipe(name string) Recipe {
 	return Recipe{Name: "default"}
 }
 
+// DefaultRecipe names the recipe a run uses when none is asked for: the
+// first attack's recipe, else the first recipe ("" when there is none).
+func (w *Workload) DefaultRecipe() string {
+	if len(w.Attacks) > 0 {
+		return w.Attacks[0].InputRecipe
+	}
+	if len(w.Recipes) > 0 {
+		return w.Recipes[0].Name
+	}
+	return ""
+}
+
 // registry holds the built-in workloads, constructed lazily because module
 // building is non-trivial.
 var builders = map[string]func(NoiseLevel) *Workload{}
@@ -145,6 +157,18 @@ const (
 	NoiseLight NoiseLevel = iota + 1
 	NoiseFull
 )
+
+// ParseNoise maps a -noise flag value onto its level: "" and "light"
+// are NoiseLight, "full" is NoiseFull, and anything else is an error.
+func ParseNoise(s string) (NoiseLevel, error) {
+	switch s {
+	case "", "light":
+		return NoiseLight, nil
+	case "full":
+		return NoiseFull, nil
+	}
+	return 0, fmt.Errorf("unknown noise %q (want light or full)", s)
+}
 
 func register(name string, b func(NoiseLevel) *Workload) {
 	builders[name] = b

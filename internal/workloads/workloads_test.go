@@ -81,6 +81,35 @@ func TestRecipeLookup(t *testing.T) {
 	}
 }
 
+func TestDefaultRecipe(t *testing.T) {
+	for _, name := range Names() {
+		w := Get(name, NoiseLight)
+		want := w.Recipes[0].Name
+		if len(w.Attacks) > 0 {
+			want = w.Attacks[0].InputRecipe
+		}
+		if got := w.DefaultRecipe(); got != want {
+			t.Errorf("%s: DefaultRecipe() = %q, want %q", name, got, want)
+		}
+	}
+	if got := (&Workload{}).DefaultRecipe(); got != "" {
+		t.Errorf("empty workload: DefaultRecipe() = %q, want \"\"", got)
+	}
+}
+
+func TestParseNoise(t *testing.T) {
+	for in, want := range map[string]NoiseLevel{"": NoiseLight, "light": NoiseLight, "full": NoiseFull} {
+		if got, err := ParseNoise(in); err != nil || got != want {
+			t.Errorf("ParseNoise(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "Full", " light"} {
+		if _, err := ParseNoise(in); err == nil {
+			t.Errorf("ParseNoise(%q) accepted an unknown level", in)
+		}
+	}
+}
+
 func TestAttackSpecsWellFormed(t *testing.T) {
 	total := 0
 	for _, w := range All(NoiseLight) {

@@ -55,7 +55,10 @@ type (
 	// Program is the unit OWL analyzes: a frozen IR module plus workload
 	// configuration.
 	Program = owl.Program
-	// Options tunes the pipeline stages (ablation switches included).
+	// Options tunes the pipeline stages (ablation switches included). It
+	// is the one declaration of every pipeline option: the CLI flags,
+	// EvalConfig.Pipeline and the owl-serve job options all map onto it,
+	// and Options.Validate is the one check they share.
 	Options = owl.Options
 	// Result is the full pipeline output.
 	Result = owl.Result
@@ -227,7 +230,9 @@ type (
 
 // Evaluation harness (internal/eval, internal/study).
 type (
-	// EvalConfig tunes the evaluation harness.
+	// EvalConfig tunes the evaluation harness: the noise level, a step
+	// budget override, and the Options every workload's pipeline runs
+	// with (EvalConfig.Pipeline).
 	EvalConfig = eval.Config
 	// EvalTables bundles the regenerated paper tables.
 	EvalTables = eval.Tables
@@ -253,7 +258,7 @@ func BuildTablesParallel(cfg EvalConfig, workers int) (*EvalTables, error) {
 type (
 	// MetricsCollector accumulates per-stage wall/busy timings, counters,
 	// and worker-utilization gauges; thread one through Options.Metrics,
-	// EvalConfig.Metrics, or StudyConfig.Metrics.
+	// EvalConfig.Pipeline.Metrics, or StudyConfig.Metrics.
 	MetricsCollector = metrics.Collector
 	// MetricsReport is a deterministic point-in-time snapshot.
 	MetricsReport = metrics.Report
