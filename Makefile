@@ -6,10 +6,8 @@
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
 #                        plus the process-level kill-and-restart smoke
-#   make replica-gate    fleet-replication gate: peer state exchange + network-fault
-#                        matrix under -race
-#   make loadtest        in-process serve load harness -> BENCH_serve.json
-#                        (includes the multi-replica warm-start scenario)
+#   make replica-gate    fleet-replication gate: peer state exchange, fleet warm-start
+#                        and network-fault matrix under -race
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
 #   make predict         predictor suites under -race + confirm-differential gate
 #   make engine-diff     cross-engine differential gate (tree oracle vs bytecode)
@@ -17,22 +15,16 @@
 #   make golden          diff `owl-tables -stable` against the committed fixture
 #   make golden-update   refresh the fixture after an intentional output change
 #   make profile         CPU+heap pprof of the pipeline -> cpu.pprof/mem.pprof
-#   make bench           full benchmark suite (tables, figures, ablations)
-#   make bench-smoke     every benchmark once     -> BENCH_smoke.json (CI)
-#   make bench-pipeline  parallel-speedup ablation -> BENCH_pipeline.json
-#   make bench-detector  race-detector ablation    -> BENCH_detector.json
-#   make bench-explore   exploration ablation      -> BENCH_explore.json
-#   make bench-predict   prediction ablation       -> BENCH_predict.json
-#   make bench-interp    step-rung engine pair     -> BENCH_interp.json
-#   make bench-summary   fold BENCH_*.json streams -> BENCH_summary.json
+#   make bench           every go benchmark (tables, figures, micro-benchmarks)
+#   make bench-smoke     every go benchmark once, with its gates (CI)
+#
+# The end-to-end benchmark is owlbench (BENCHMARK.json): bash owlbench/run.sh.
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci build vet bench-build test race serve-gate persist-gate replica-gate loadtest faults predict engine-diff \
-	fmt-check golden golden-update profile bench bench-smoke \
-	bench-pipeline bench-detector bench-explore bench-predict bench-interp \
-	bench-summary clean
+.PHONY: ci build vet bench-build test race serve-gate persist-gate replica-gate faults predict engine-diff \
+	fmt-check golden golden-update profile bench bench-smoke clean
 
 ci: build vet bench-build race serve-gate persist-gate replica-gate faults predict engine-diff golden
 
@@ -85,7 +77,9 @@ persist-gate:
 # Fleet-replication gate (docs/SERVE.md): the peer-client suite under
 # -race (retry/backoff, health cooldown, gzip negotiation, latest-wins
 # offer queue), then the serve-level state-exchange tests — endpoint
-# error paths, fleet warm-start end to end, anti-entropy convergence,
+# error paths, fleet warm-start end to end (three peered replicas run
+# >= 30% fewer schedules than three isolated ones, with summaries
+# byte-identical to one server's), anti-entropy convergence,
 # the network-fault matrix (peer down, slow, truncated, corrupt blob,
 # stale seq — a submission must never fail because of a peer), and
 # concurrent fetch-vs-evict — plus the faultinject suite the network
@@ -96,15 +90,6 @@ replica-gate:
 		-run 'Replica|State|Peer|Fleet|AntiEntropy|StaleSeq|JobsAndMetricsMethods'
 	$(GO) test -race -count=1 ./internal/faultinject/
 	@echo "fleet-replication gate passed"
-
-# In-process load harness (tools/loadgen): ~1000 concurrent submissions
-# through the full HTTP path of the analysis service; p50/p99/mean
-# latency and sustained throughput land in BENCH_serve.json as a
-# test2json stream bench-summary folds in with the other benchmarks.
-# CI runs the short profile: make loadtest LOADGEN_FLAGS="-profile short".
-LOADGEN_FLAGS ?= -profile full
-loadtest:
-	$(GO) run ./tools/loadgen $(LOADGEN_FLAGS) > BENCH_serve.json
 
 # Fault-injection gate (docs/ROBUSTNESS.md): the supervisor/fault suites
 # under -race, then the three canned plans in testdata/faults/ driven
@@ -134,8 +119,10 @@ faults:
 # range guards the predictor leans on), then the pipeline-level predict
 # tests — including the confirm-differential gate asserting every
 # confirmed prediction is also reported by plain exploration at 4x the
-# budget (zero confirmed false positives) and the determinism gate
-# across worker counts with the snapshot cache on and off.
+# budget (zero confirmed false positives), the determinism gate across
+# worker counts with the snapshot cache on and off, and the
+# schedules-saved gate (>= races than plain coverage per workload for
+# fewer executed schedules).
 predict:
 	$(GO) test -race -count=1 ./internal/predict/ ./internal/vclock/
 	$(GO) test -race -count=1 ./internal/owl/ -run 'Predict'
@@ -187,67 +174,12 @@ profile:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Every benchmark in the repo exactly once: a cheap CI smoke proving the
-# harnesses still run; the -json stream lands in BENCH_smoke.json.
+# Every benchmark in the repo exactly once. Some carry gates that cannot
+# be -race unit tests: the full-noise Table 2/3 claims (10/10 attacks,
+# >= 80% report reduction) take minutes under -race, and
+# BenchmarkExplorationSnapshots asserts a >= 1.5x wall-clock speedup.
 bench-smoke:
-	$(GO) test -json -run '^$$' -bench . -benchtime 1x -benchmem ./... > BENCH_smoke.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_smoke.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# One build per variant (-benchtime 1x): the ablation compares sequential
-# vs workers={1,4,NumCPU} wall clock on the full workload registry. The
-# -json stream (newline-delimited test2json) lands in BENCH_pipeline.json.
-bench-pipeline:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkParallelPipeline' -benchtime 1x . > BENCH_pipeline.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_pipeline.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# Detector ablation (DESIGN.md §5 entry 6): epoch shadow words + lazy
-# stack capture (DetectorOverhead) vs full vector clocks + eager stacks
-# (DetectorFullVC) vs epoch words + eager stacks (DetectorEagerStacks),
-# against the no-detector baseline; -benchmem records allocs/op so the
-# zero-allocation hot-path claim is visible in the numbers. The -json
-# stream (newline-delimited test2json) lands in BENCH_detector.json.
-bench-detector:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkDetector|BenchmarkBaselineNoDetector' -benchmem ./internal/race > BENCH_detector.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_detector.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# Exploration ablation (docs/EXPLORATION.md): the fixed-seed detect loop
-# vs the coverage-guided portfolio engine at the same run budget. The
-# benchmark itself asserts the acceptance gate (coverage finds >= races
-# everywhere and strictly more somewhere, or early-stops cheaper). The
-# -json stream (newline-delimited test2json) lands in BENCH_explore.json.
-bench-explore:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkExploration' -benchtime 1x . > BENCH_explore.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_explore.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# Prediction ablation (docs/PREDICTION.md): plain coverage-guided
-# exploration vs predict-then-confirm at the same run budget on the same
-# corpus as bench-explore. The benchmark asserts the acceptance gate
-# (prediction finds >= races per workload while executing measurably
-# fewer schedules). The -json stream lands in BENCH_predict.json.
-bench-predict:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkPrediction' -benchtime 1x . > BENCH_predict.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_predict.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# Interpreter-engine step rung (docs/BYTECODE.md): the tree-walking
-# oracle vs the compiled bytecode engine on the per-step microbenchmark
-# pair (BenchmarkBaselineNoDetector{,Bytecode}, plus the detector-attached
-# variants), and the verifiers' rung: one Step with a breakpoint attached
-# on full-noise apache (BenchmarkVerifyStepFullNoise). Findings parity is
-# a test, not a benchmark: make engine-diff. The -json stream lands in
-# BENCH_interp.json.
-bench-interp:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkBaselineNoDetector|BenchmarkDetectorOverhead|BenchmarkVerifyStepFullNoise' -benchmem ./internal/race > BENCH_interp.json
-	@sed -n 's/.*"Output":"\(.*\)"}$$/\1/p' BENCH_interp.json | tr -d '\n' | xargs -0 printf '%b' | grep -E 'Benchmark.*op' || true
-
-# Distill whatever BENCH_*.json test2json streams exist into one
-# machine-readable BENCH_summary.json: {source, name, ns/op, B/op,
-# allocs/op} rows (internal/benchfmt). CI runs it after the bench
-# targets so the artifact carries the summary alongside the raw streams.
-bench-summary:
-	$(GO) run ./tools/benchsummary
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 clean:
-	rm -f BENCH_pipeline.json BENCH_detector.json BENCH_explore.json \
-		BENCH_predict.json BENCH_interp.json BENCH_smoke.json BENCH_serve.json \
-		BENCH_summary.json BENCH_golden_actual.txt \
-		cpu.pprof mem.pprof
+	rm -f BENCH_golden_actual.txt cpu.pprof mem.pprof

@@ -7,9 +7,10 @@
 //	BenchmarkTable3  — report reduction (the 94.3% headline, full noise)
 //	BenchmarkTable4  — known-attack exploit repetitions
 //	BenchmarkFig1/2/6/7/8 — the per-figure end-to-end case studies
-//	BenchmarkAblation* — design-choice ablations from DESIGN.md §5
 //
-// Run with: go test -bench=. -benchmem .
+// The design-choice ablations of DESIGN.md §5 and the exploration and
+// prediction gates are tests (internal/owl). Run with:
+// go test -bench=. -benchmem .
 package conanalysis
 
 import (
@@ -25,7 +26,6 @@ import (
 	"github.com/conanalysis/owl/internal/eval"
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
-	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/owl"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/sched"
@@ -142,96 +142,15 @@ func BenchmarkFig7(b *testing.B) { benchFigure(b, "fig7") }
 // underflow DoS.
 func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8") }
 
-// runPipeline runs the application pipeline over one workload recipe with
-// the given options; used by the ablations.
-func runPipeline(b *testing.B, name, recipe string, opts owl.Options) *owl.Result {
-	b.Helper()
-	w := workloads.Get(name, workloads.NoiseLight)
-	rec := w.Recipe(recipe)
-	res, err := owl.Run(owl.Program{
-		Module: w.Module, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
-	}, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// strcpyFound reports whether the Libsafe strcpy site is among findings.
-func strcpyFound(res *owl.Result) bool {
-	for _, fs := range res.FindingsByReport {
-		for _, f := range fs {
-			if f.Site.IsCall() && f.Site.Callee().Name == "strcpy" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// BenchmarkAblationControlDep shows that disabling control-flow tracking
-// (the Livshits-style analysis of §9) loses the Libsafe attack while
-// full Algorithm 1 keeps it.
-func BenchmarkAblationControlDep(b *testing.B) {
-	var with, without bool
-	for i := 0; i < b.N; i++ {
-		with = strcpyFound(runPipeline(b, "libsafe", "attack", owl.Options{}))
-		without = strcpyFound(runPipeline(b, "libsafe", "attack", owl.Options{DisableCtrlFlow: true}))
-	}
-	if !with || without {
-		b.Errorf("ctrl-dep ablation wrong: with=%v without=%v (want true/false)", with, without)
-	}
-}
-
-// BenchmarkAblationInterProcedural shows that an intra-procedural analysis
-// (the Conseq/Yamaguchi limitation of §9) loses the cross-function Libsafe
-// site.
-func BenchmarkAblationInterProcedural(b *testing.B) {
-	var with, without bool
-	for i := 0; i < b.N; i++ {
-		with = strcpyFound(runPipeline(b, "libsafe", "attack", owl.Options{}))
-		without = strcpyFound(runPipeline(b, "libsafe", "attack", owl.Options{DisableInterProc: true}))
-	}
-	if !with || without {
-		b.Errorf("inter-proc ablation wrong: with=%v without=%v (want true/false)", with, without)
-	}
-}
-
-// BenchmarkAblationAdhoc measures the §5.1 schedule-reduction stage:
-// disabling it leaves the ad-hoc sync reports in the output.
-func BenchmarkAblationAdhoc(b *testing.B) {
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		with = len(runPipeline(b, "mysql", "flush-attack", owl.Options{}).Annotated)
-		without = len(runPipeline(b, "mysql", "flush-attack", owl.Options{DisableAdhoc: true}).Annotated)
-	}
-	b.ReportMetric(float64(with), "reports-with-adhoc")
-	b.ReportMetric(float64(without), "reports-without")
-	if with >= without {
-		b.Errorf("adhoc annotation did not reduce reports: %d vs %d", with, without)
-	}
-}
-
-// BenchmarkAblationRaceVerify measures the §5.2 verification stage:
-// disabling it keeps the ordered-in-practice false positives.
-func BenchmarkAblationRaceVerify(b *testing.B) {
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		with = runPipeline(b, "memcached", "benign", owl.Options{}).Stats.Remaining
-		without = runPipeline(b, "memcached", "benign", owl.Options{DisableRaceVerify: true}).Stats.Remaining
-	}
-	b.ReportMetric(float64(with), "remaining-with-verify")
-	b.ReportMetric(float64(without), "remaining-without")
-	if with >= without {
-		b.Errorf("race verification did not reduce reports: %d vs %d", with, without)
-	}
-}
-
 // BenchmarkPipelineLibsafe times the end-to-end pipeline on the smallest
 // workload (throughput reference).
 func BenchmarkPipelineLibsafe(b *testing.B) {
+	w := workloads.Get("libsafe", workloads.NoiseLight)
+	p := owl.Program{Module: w.Module, Inputs: w.Recipe("attack").Inputs, MaxSteps: w.MaxSteps}
 	for i := 0; i < b.N; i++ {
-		runPipeline(b, "libsafe", "attack", owl.Options{})
+		if _, err := owl.Run(p, owl.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -259,188 +178,6 @@ func BenchmarkParallelPipeline(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// explorationWorkloads lists the application workloads the exploration
-// ablation compares on (kernel workloads run under the SKI-style
-// detector, which has its own exploration loop).
-func explorationWorkloads() []*workloads.Workload {
-	var out []*workloads.Workload
-	for _, name := range workloads.Names() {
-		w := workloads.Get(name, workloads.NoiseLight)
-		if w.Kernel || len(w.Attacks) == 0 {
-			continue
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
-// BenchmarkExploration is the detect-stage exploration ablation behind
-// `make bench-explore`: the fixed-seed loop versus the coverage-guided
-// portfolio engine at the same run budget, pure detection only (the later
-// stages are disabled so the comparison isolates schedule exploration).
-// Each variant reports the total deduplicated races found across the
-// application workloads and the runs actually spent — coverage mode may
-// spend fewer when the search saturates. The acceptance gate: coverage
-// must find at least as many races as fixed on every workload, and
-// strictly more on at least one (or have stopped early with the same
-// findings). Run with -benchtime=1x.
-func BenchmarkExploration(b *testing.B) {
-	const budget = 24
-	detectOnly := owl.Options{
-		DetectRuns: budget, Budget: budget,
-		DisableAdhoc: true, DisableRaceVerify: true, DisableVulnVerify: true,
-	}
-	races := map[owl.ExploreMode]map[string]int{}
-	runsSpent := map[owl.ExploreMode]int{}
-	earlyStops := 0
-	for _, mode := range []owl.ExploreMode{owl.ExploreFixed, owl.ExploreCoverage} {
-		b.Run(string(mode), func(b *testing.B) {
-			var perWL map[string]int
-			var runs, early int
-			for i := 0; i < b.N; i++ {
-				perWL, runs, early = map[string]int{}, 0, 0
-				for _, w := range explorationWorkloads() {
-					rec := w.Recipe(w.Attacks[0].InputRecipe)
-					mc := metrics.New()
-					opts := detectOnly
-					opts.Explore = mode
-					opts.Metrics = mc
-					res, err := owl.Run(owl.Program{
-						Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
-					}, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					perWL[w.Name] = len(res.Raw)
-					for _, c := range mc.Snapshot().Counters {
-						if c.Name == "owl.detect_runs" {
-							runs += int(c.Value)
-						}
-					}
-					for _, g := range mc.Snapshot().Gauges {
-						if g.Name == "sched.early_stop" && g.Value == 1 {
-							early++
-						}
-					}
-				}
-			}
-			total := 0
-			for _, n := range perWL {
-				total += n
-			}
-			b.ReportMetric(float64(total), "races")
-			b.ReportMetric(float64(runs), "runs")
-			races[mode] = perWL
-			runsSpent[mode] = runs
-			earlyStops = early
-		})
-	}
-	fixed, cov := races[owl.ExploreFixed], races[owl.ExploreCoverage]
-	if fixed == nil || cov == nil {
-		return // sub-benchmark filtered out; nothing to compare
-	}
-	strictlyMore := 0
-	for name, nf := range fixed {
-		nc := cov[name]
-		if nc < nf {
-			b.Errorf("%s: coverage found %d races, fixed found %d at equal budget", name, nc, nf)
-		}
-		if nc > nf {
-			strictlyMore++
-		}
-	}
-	if strictlyMore == 0 && !(earlyStops > 0 && runsSpent[owl.ExploreCoverage] < runsSpent[owl.ExploreFixed]) {
-		b.Errorf("coverage mode showed no win: races %v vs %v, runs %d vs %d",
-			cov, fixed, runsSpent[owl.ExploreCoverage], runsSpent[owl.ExploreFixed])
-	}
-}
-
-// BenchmarkPrediction is the predictive-detection ablation behind
-// `make bench-predict`: plain coverage-guided exploration versus
-// predict-then-confirm at the same run budget on the same application
-// corpus as BenchmarkExploration, pure detection only. Prediction spends
-// roughly half the budget on seed schedules, reads candidate race pairs
-// out of their traces, and spends executions only on steered replays
-// confirming them — so it must find at least as many races per workload
-// while executing measurably fewer schedules in total. Both quantities
-// are asserted here and land in BENCH_predict.json for the perf record.
-// Run with -benchtime=1x.
-func BenchmarkPrediction(b *testing.B) {
-	const budget = 24
-	detectOnly := owl.Options{
-		DetectRuns: budget, Budget: budget,
-		DisableAdhoc: true, DisableRaceVerify: true, DisableVulnVerify: true,
-	}
-	type arm struct {
-		name    string
-		predict bool
-	}
-	races := map[string]map[string]int{}
-	runsSpent := map[string]int{}
-	saved := map[string]int{}
-	for _, a := range []arm{{"coverage", false}, {"predict", true}} {
-		b.Run(a.name, func(b *testing.B) {
-			var perWL map[string]int
-			var runs, sv int
-			for i := 0; i < b.N; i++ {
-				perWL, runs, sv = map[string]int{}, 0, 0
-				for _, w := range explorationWorkloads() {
-					rec := w.Recipe(w.Attacks[0].InputRecipe)
-					mc := metrics.New()
-					opts := detectOnly
-					opts.Metrics = mc
-					if a.predict {
-						opts.Predict, opts.PredictReversal = true, true
-					} else {
-						opts.Explore = owl.ExploreCoverage
-					}
-					res, err := owl.Run(owl.Program{
-						Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
-					}, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					perWL[w.Name] = len(res.Raw)
-					for _, c := range mc.Snapshot().Counters {
-						switch c.Name {
-						case "owl.detect_runs":
-							runs += int(c.Value)
-						case "predict.schedules_saved":
-							sv += int(c.Value)
-						}
-					}
-				}
-			}
-			total := 0
-			for _, n := range perWL {
-				total += n
-			}
-			b.ReportMetric(float64(total), "races")
-			b.ReportMetric(float64(runs), "runs")
-			races[a.name] = perWL
-			runsSpent[a.name] = runs
-			saved[a.name] = sv
-		})
-	}
-	plain, pred := races["coverage"], races["predict"]
-	if plain == nil || pred == nil {
-		return // sub-benchmark filtered out; nothing to compare
-	}
-	for name, np := range plain {
-		if pred[name] < np {
-			b.Errorf("%s: predict-then-confirm found %d races, plain coverage found %d at equal budget",
-				name, pred[name], np)
-		}
-	}
-	if runsSpent["predict"] >= runsSpent["coverage"] {
-		b.Errorf("prediction spent %d schedules, plain coverage spent %d — no execution saving",
-			runsSpent["predict"], runsSpent["coverage"])
-	}
-	if saved["predict"] <= 0 {
-		b.Errorf("predict.schedules_saved = %d, want > 0", saved["predict"])
 	}
 }
 
@@ -658,8 +395,8 @@ func ipbPortfolio(c snapBenchCase, budget int, snap *sched.SnapCache) (int, stri
 	return res.Runs, digest.String(), nil
 }
 
-// BenchmarkExplorationSnapshots is the prefix-sharing ablation behind
-// `make bench-explore`: the IPB portfolio at an equal schedule budget,
+// BenchmarkExplorationSnapshots is the prefix-sharing ablation (run once
+// by `make bench-smoke`): the IPB portfolio at an equal schedule budget,
 // replay-from-root versus copy-on-write snapshot resume. It asserts the
 // two variants explore the same schedule count with identical outcomes
 // (the determinism contract), then gates on the speedup: snapshotting

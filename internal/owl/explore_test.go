@@ -191,3 +191,83 @@ func TestDecisionReplayReproducesCoverageRun(t *testing.T) {
 		t.Fatal("engine scheduled no runs")
 	}
 }
+
+// applicationWorkloads lists the light-noise application workloads the
+// exploration and prediction gates compare on (kernel workloads run
+// under the SKI-style detector, which has its own exploration loop).
+func applicationWorkloads() []*workloads.Workload {
+	var out []*workloads.Workload
+	for _, name := range workloads.Names() {
+		w := workloads.Get(name, workloads.NoiseLight)
+		if w.Kernel || len(w.Attacks) == 0 {
+			continue
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// detectTally is one exploration arm summed over applicationWorkloads.
+type detectTally struct {
+	races      map[string]int // deduplicated raw races per workload
+	runs       int            // owl.detect_runs
+	saved      int            // predict.schedules_saved
+	earlyStops int            // workloads whose engine stopped early
+}
+
+// tallyDetectOnly runs pure detection (the later stages disabled, so the
+// comparison isolates schedule exploration) at budget 24 on every
+// application workload, with arm selecting the exploration mode.
+func tallyDetectOnly(t *testing.T, arm func(*Options)) detectTally {
+	t.Helper()
+	const budget = 24
+	tl := detectTally{races: map[string]int{}}
+	for _, w := range applicationWorkloads() {
+		p, _ := coverageProgram(t, w.Name)
+		mc := metrics.New()
+		opts := Options{
+			DetectRuns: budget, Budget: budget,
+			DisableAdhoc: true, DisableRaceVerify: true, DisableVulnVerify: true,
+			Metrics: mc,
+		}
+		arm(&opts)
+		res, err := Run(p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		tl.races[w.Name] = len(res.Raw)
+		tl.runs += int(counterValue(mc, "owl.detect_runs"))
+		tl.saved += int(counterValue(mc, "predict.schedules_saved"))
+		for _, g := range mc.Snapshot().Gauges {
+			if g.Name == "sched.early_stop" && g.Value == 1 {
+				tl.earlyStops++
+			}
+		}
+	}
+	return tl
+}
+
+// TestCoverageExploreBeatsFixedGate is the exploration acceptance gate
+// (docs/EXPLORATION.md): at equal budget, coverage-guided exploration
+// finds at least as many races as the fixed-seed loop on every
+// application workload, and either strictly more somewhere or the same
+// findings for fewer runs after an early stop.
+func TestCoverageExploreBeatsFixedGate(t *testing.T) {
+	fixed := tallyDetectOnly(t, func(o *Options) { o.Explore = ExploreFixed })
+	cov := tallyDetectOnly(t, func(o *Options) { o.Explore = ExploreCoverage })
+	t.Logf("races: coverage %v, fixed %v; runs %d vs %d", cov.races, fixed.races, cov.runs, fixed.runs)
+	strictlyMore := 0
+	for name, nf := range fixed.races {
+		nc := cov.races[name]
+		if nc < nf {
+			t.Errorf("%s: coverage found %d races, fixed found %d at equal budget", name, nc, nf)
+		}
+		if nc > nf {
+			strictlyMore++
+		}
+	}
+	if strictlyMore == 0 && !(cov.earlyStops > 0 && cov.runs < fixed.runs) {
+		t.Errorf("coverage mode showed no win: races %v vs %v, runs %d vs %d",
+			cov.races, fixed.races, cov.runs, fixed.runs)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/vuln"
+	"github.com/conanalysis/owl/internal/workloads"
 )
 
 // pipelineSrc combines everything the pipeline must handle: an ad-hoc
@@ -267,5 +268,63 @@ func TestStatsReductionRatio(t *testing.T) {
 	}
 	if (Stats{}).ReductionRatio() != 0 {
 		t.Error("zero raw reports should give ratio 0")
+	}
+}
+
+// TestPipelineAblations holds the DESIGN.md §5 design-choice ablations on
+// the light-noise workloads: switching a stage or analysis off must lose
+// what it exists for — the control-dependence and inter-procedural
+// analyses the Libsafe strcpy site (§9's Livshits-style and
+// Conseq/Yamaguchi-style limitations), the §5.1 ad-hoc pruning and the
+// §5.2 race verification their share of the surviving reports.
+func TestPipelineAblations(t *testing.T) {
+	run := func(t *testing.T, name, recipe string, opts Options) *Result {
+		t.Helper()
+		w := workloads.Get(name, workloads.NoiseLight)
+		res, err := Run(Program{
+			Module: w.Module, Entry: w.Entry, Inputs: w.Recipe(recipe).Inputs, MaxSteps: w.MaxSteps,
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	strcpyFound := func(res *Result) int {
+		for _, fs := range res.FindingsByReport {
+			for _, f := range fs {
+				if f.Site.IsCall() && f.Site.Callee().Name == "strcpy" {
+					return 1
+				}
+			}
+		}
+		return 0
+	}
+	annotated := func(res *Result) int { return len(res.Annotated) }
+	remaining := func(res *Result) int { return res.Stats.Remaining }
+	cases := []struct {
+		name, workload, recipe string
+		off                    Options
+		measure                func(*Result) int
+		// fewerWhenOff: switching the choice off must lower the measure
+		// (findings lost); otherwise it must raise it (reports kept).
+		fewerWhenOff bool
+	}{
+		{"ctrl-dep", "libsafe", "attack", Options{DisableCtrlFlow: true}, strcpyFound, true},
+		{"inter-proc", "libsafe", "attack", Options{DisableInterProc: true}, strcpyFound, true},
+		{"adhoc", "mysql", "flush-attack", Options{DisableAdhoc: true}, annotated, false},
+		{"race-verify", "memcached", "benign", Options{DisableRaceVerify: true}, remaining, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			with := tc.measure(run(t, tc.workload, tc.recipe, Options{}))
+			without := tc.measure(run(t, tc.workload, tc.recipe, tc.off))
+			lost := without < with
+			if !tc.fewerWhenOff {
+				lost = with < without
+			}
+			if !lost {
+				t.Errorf("%s on %s/%s: %d with, %d without", tc.name, tc.workload, tc.recipe, with, without)
+			}
+		})
 	}
 }

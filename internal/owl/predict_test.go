@@ -211,3 +211,27 @@ func TestPredictConfirmDifferentialGate(t *testing.T) {
 		})
 	}
 }
+
+// TestPredictSavesSchedulesGate is the prediction acceptance gate
+// (docs/PREDICTION.md): on the same corpus and budget as the exploration
+// gate, predict-then-confirm finds at least as many races per workload
+// as plain coverage-guided exploration while executing fewer schedules.
+func TestPredictSavesSchedulesGate(t *testing.T) {
+	plain := tallyDetectOnly(t, func(o *Options) { o.Explore = ExploreCoverage })
+	pred := tallyDetectOnly(t, func(o *Options) { o.Predict, o.PredictReversal = true, true })
+	t.Logf("races: predict %v, coverage %v; runs %d vs %d; saved %d",
+		pred.races, plain.races, pred.runs, plain.runs, pred.saved)
+	for name, np := range plain.races {
+		if pred.races[name] < np {
+			t.Errorf("%s: predict-then-confirm found %d races, plain coverage found %d at equal budget",
+				name, pred.races[name], np)
+		}
+	}
+	if pred.runs >= plain.runs {
+		t.Errorf("prediction spent %d schedules, plain coverage spent %d — no execution saving",
+			pred.runs, plain.runs)
+	}
+	if pred.saved <= 0 {
+		t.Errorf("predict.schedules_saved = %d, want > 0", pred.saved)
+	}
+}

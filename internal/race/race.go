@@ -16,11 +16,11 @@
 // markup step (§5.1). Annotations must not be mutated while a run is in
 // progress.
 //
-// Two implementations share this contract: Detector (the epoch-based
-// production detector) and ReferenceDetector (the original full
-// vector-clock implementation, kept as the differential-testing oracle
-// and the eager arm of the ablation benchmarks). Both produce identical
-// report streams for identical event streams.
+// Detector is the epoch-based production detector. The package tests
+// hold ReferenceDetector, the original full vector-clock implementation,
+// as the differential-testing oracle and the eager arm of the detector
+// ablation benchmarks; both produce identical report streams for
+// identical event streams.
 package race
 
 import (

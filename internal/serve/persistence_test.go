@@ -105,29 +105,49 @@ func TestRestartResumeParity(t *testing.T) {
 
 // TestKillWithoutDrainRecovers: the first server is abandoned without
 // Shutdown — no drain-time checkpoint — so the reboot must reconstruct
-// the state purely from the initial checkpoint plus WAL replay.
+// every program purely from its initial checkpoint plus WAL replay, and
+// each resubmission must resume.
 func TestKillWithoutDrainRecovers(t *testing.T) {
+	cov := func(workload string) Spec {
+		return Spec{Workload: workload, Options: SpecOptions{Explore: "coverage", Budget: 16, Seed: 7}}
+	}
+	specs := []Spec{cov("libsafe"), cov("apache"), cov("ssdb"), inlineSpec()}
 	dir := t.TempDir()
-	spec := inlineSpec()
 	s1 := mustNew(t, Config{Shards: 1, StateDir: dir})
-	first := waitJob(t, mustSubmit(t, s1, spec)).Result
-	if first.RawReports == 0 {
-		t.Fatal("inline program produced no reports; the round trip tests nothing")
+	first := make([]JobResult, len(specs))
+	for i, spec := range specs {
+		first[i] = *waitJob(t, mustSubmit(t, s1, spec)).Result
+		if first[i].RawReports == 0 {
+			t.Fatalf("%s produced no reports; the round trip tests nothing", specName(spec))
+		}
 	}
 	// Simulated kill -9: s1 is abandoned, its shard goroutines parked.
 
 	s2 := mustNew(t, Config{Shards: 1, StateDir: dir})
 	defer s2.Shutdown(context.Background())
-	if got := counterOf(s2.mc, "serve.persist_replayed"); got != 1 {
-		t.Errorf("serve.persist_replayed = %d, want 1 WAL record", got)
+	if got := counterOf(s2.mc, "serve.persist_replayed"); got != int64(len(specs)) {
+		t.Errorf("serve.persist_replayed = %d, want %d WAL records", got, len(specs))
 	}
-	st := waitJob(t, mustSubmit(t, s2, spec))
-	if !st.Resume {
-		t.Error("resubmission after kill did not resume from the WAL")
+	for i, spec := range specs {
+		st := waitJob(t, mustSubmit(t, s2, spec))
+		if !st.Resume {
+			t.Errorf("%s: resubmission after kill did not resume from the WAL", specName(spec))
+		}
+		if st.Result.Submissions != 2 || st.Result.NewReports != 0 || st.Result.StoreReports != first[i].StoreReports {
+			t.Errorf("%s: post-kill accounting = %+v (first %+v)", specName(spec), st.Result, first[i])
+		}
 	}
-	if st.Result.Submissions != 2 || st.Result.NewReports != 0 || st.Result.StoreReports != first.StoreReports {
-		t.Errorf("post-kill accounting = %+v (first %+v)", st.Result, first)
+	if got := counterOf(s2.mc, "serve.resume_hits"); got != int64(len(specs)) {
+		t.Errorf("serve.resume_hits = %d, want %d", got, len(specs))
 	}
+}
+
+// specName labels a spec in failure messages.
+func specName(spec Spec) string {
+	if spec.Workload != "" {
+		return spec.Workload
+	}
+	return "inline program"
 }
 
 // TestDiskFaultMatrix proves the recovery invariant under every
@@ -356,8 +376,9 @@ func TestDrainWithStreamSubscribers(t *testing.T) {
 
 // TestConcurrentCheckpointWhileAbsorbing hammers checkpoints against
 // live jobs (the scrape/drain/absorb interleaving, run under -race in
-// CI) and then proves the durable state equals the live state by
-// rebooting from it.
+// CI), requires every concurrent submission to complete and every
+// repeat to resume, and then proves the durable state equals the live
+// state by rebooting from it.
 func TestConcurrentCheckpointWhileAbsorbing(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, Config{Shards: 2, StateDir: dir, CheckpointEvery: 2})
@@ -390,6 +411,10 @@ func TestConcurrentCheckpointWhileAbsorbing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// A program's jobs share its shard, so rounds 2 and 3 of each resume.
+	if got, want := counterOf(s.mc, "serve.resume_hits"), int64(2*len(specs)); got != want {
+		t.Errorf("serve.resume_hits = %d, want %d", got, want)
+	}
 
 	live := s.Programs()
 	if err := s.Shutdown(context.Background()); err != nil {

