@@ -66,7 +66,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := eval.Config{Noise: lvl, MaxSteps: shared.MaxSteps, Pipeline: shared.Pipeline}
+	cfg := eval.Config{Noise: lvl, Pipeline: shared.Pipeline}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -93,11 +93,6 @@ func run(args []string) error {
 		return err
 	}
 
-	// owl.Run rejects a negative budget; 0 keeps the program's own.
-	if shared.MaxSteps != 0 {
-		prog.MaxSteps = shared.MaxSteps
-	}
-
 	opts := shared.Pipeline
 	if opts.Workers == 0 {
 		opts.Workers = runtime.NumCPU()

@@ -27,7 +27,6 @@ type Shared struct {
 	Pipeline   owl.Options
 	Noise      string
 	MetricsOut string
-	MaxSteps   int
 	FaultsPath string
 }
 
@@ -68,7 +67,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Shared {
 	fs.Uint64Var(&p.Seed, "seed", 0, "base seed for -explore=coverage and -predict")
 	fs.IntVar(&p.Workers, "workers", d.Workers, workersUsage)
 	fs.StringVar(&s.MetricsOut, "metrics", "", `write per-stage metrics JSON to this file ("-" = stdout)`)
-	fs.IntVar(&s.MaxSteps, "max-steps", 0, "interpreter step budget per run (0 = program default)")
+	fs.IntVar(&p.MaxSteps, "max-steps", 0, "interpreter step budget per run (0 = program default)")
 	fs.DurationVar(&p.StageTimeout, "stage-timeout", 0, "per-stage deadline; an overrunning stage degrades (0 = none)")
 	fs.IntVar(&p.Retries, "retries", 0, "extra attempts a faulted run gets before quarantine")
 	fs.StringVar(&s.FaultsPath, "faults", "", "deterministic fault-injection plan JSON (see docs/ROBUSTNESS.md)")

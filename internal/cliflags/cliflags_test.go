@@ -59,7 +59,7 @@ func TestParseSharedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Pipeline.Budget != 32 || s.Pipeline.Seed != 7 || s.MaxSteps != 1000 {
+	if s.Pipeline.Budget != 32 || s.Pipeline.Seed != 7 || s.Pipeline.MaxSteps != 1000 {
 		t.Errorf("numeric flags misparsed: %+v", s)
 	}
 	if s.Pipeline.StageTimeout != 30*time.Second {

@@ -25,21 +25,19 @@ type Config struct {
 	// Noise is the workload noise level (default NoiseLight; the table
 	// binaries use NoiseFull to approximate the paper's report shape).
 	Noise workloads.NoiseLevel
-	// MaxSteps, when > 0, overrides every workload's interpreter step
-	// budget (0 keeps each workload's own budget; negative is invalid).
-	MaxSteps int
 	// Pipeline is the owl.Options every application workload's pipeline
 	// runs with. Its Ctx, Metrics and Faults also govern the build
 	// itself: Ctx cancels it cooperatively (BuildTablesParallel derives
 	// its pool context from it so the first failed workload stops the
 	// others promptly), Metrics receives the evaluation's and the
 	// study's instrumentation, and Faults also targets the per-workload
-	// pool. DetectRuns (default 8) also seeds the study. Workers bounds
-	// each pipeline's inner pool; BuildTablesParallel already fans out
-	// across workloads, so nesting pools is opt-in. FailFast makes a
-	// faulted stage fail the build with an error naming the workload and
-	// stage; owl-tables sets it by default, since a degraded stage would
-	// silently skew a table row.
+	// pool. DetectRuns (default 8) also seeds the study, and MaxSteps
+	// (when > 0) also overrides the kernel workloads' step budget.
+	// Workers bounds each pipeline's inner pool; BuildTablesParallel
+	// already fans out across workloads, so nesting pools is opt-in.
+	// FailFast makes a faulted stage fail the build with an error naming
+	// the workload and stage; owl-tables sets it by default, since a
+	// degraded stage would silently skew a table row.
 	Pipeline owl.Options
 }
 
@@ -50,12 +48,8 @@ const (
 	kernelDecisions = 10
 )
 
-// Validate rejects a negative step budget and whatever
-// owl.Options.Validate rejects in Pipeline.
+// Validate rejects whatever owl.Options.Validate rejects in Pipeline.
 func (c Config) Validate() error {
-	if c.MaxSteps < 0 {
-		return fmt.Errorf("eval: negative step budget (%d) is invalid", c.MaxSteps)
-	}
 	if err := c.Pipeline.Validate(); err != nil {
 		return fmt.Errorf("eval: %w", err)
 	}
@@ -158,12 +152,8 @@ func evalApplication(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 		if ctx := cfg.Pipeline.Ctx; ctx != nil && ctx.Err() != nil {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, ctx.Err())
 		}
-		maxSteps := w.MaxSteps
-		if cfg.MaxSteps > 0 {
-			maxSteps = cfg.MaxSteps
-		}
 		res, err := owl.Run(owl.Program{
-			Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps,
+			Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps,
 		}, cfg.Pipeline)
 		if err != nil {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, err)
@@ -252,8 +242,8 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, ctx.Err())
 		}
 		maxSteps := w.MaxSteps
-		if cfg.MaxSteps > 0 {
-			maxSteps = cfg.MaxSteps
+		if cfg.Pipeline.MaxSteps > 0 {
+			maxSteps = cfg.Pipeline.MaxSteps
 		}
 		base := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps}
 		det := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions}

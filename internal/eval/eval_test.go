@@ -163,9 +163,12 @@ func TestTablesShape(t *testing.T) {
 	}
 }
 
+// TestParallelTablesMatchSequential checks that the worker pool is
+// invisible in the tables: one worker (what BuildTables runs) and four
+// give the same per-program results in registry order.
 func TestParallelTablesMatchSequential(t *testing.T) {
 	cfg := Config{Noise: workloads.NoiseLight, Pipeline: owl.Options{DetectRuns: 6}}
-	seq, err := BuildTables(cfg)
+	seq, err := BuildTablesParallel(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +186,7 @@ func TestParallelTablesMatchSequential(t *testing.T) {
 		}
 		if s.RawReports != p.RawReports || s.Remaining != p.Remaining ||
 			len(s.AttacksFound) != len(p.AttacksFound) {
-			t.Errorf("%s: parallel results differ: raw %d/%d remain %d/%d attacks %d/%d",
+			t.Errorf("%s: workers=4 results differ from workers=1: raw %d/%d remain %d/%d attacks %d/%d",
 				s.W.Name, s.RawReports, p.RawReports, s.Remaining, p.Remaining,
 				len(s.AttacksFound), len(p.AttacksFound))
 		}

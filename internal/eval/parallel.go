@@ -17,13 +17,13 @@ import (
 // workers run; tests swap it to inject failures into the pool.
 var evalWorkloadFn = EvalWorkload
 
-// BuildTablesParallel is BuildTables with the per-workload evaluations and
-// exploit campaigns fanned out over a bounded worker pool, and the §3
-// study (which is independent of the table evaluations) overlapped with
-// the pool instead of serialized after it. Everything a worker touches is
-// freshly constructed (each workload gets its own module and machines), so
-// the workers share nothing; results are collected in registry order to
-// keep output deterministic.
+// BuildTablesParallel evaluates every workload and runs its exploit
+// campaign, fanned out over a bounded worker pool (workers <= 0 means
+// NumCPU), with the §3 study (which is independent of the table
+// evaluations) overlapped with the pool instead of serialized after it.
+// Everything a worker touches is freshly constructed (each workload gets
+// its own module and machines), so the workers share nothing; results
+// are collected in registry order to keep output deterministic.
 //
 // The pool runs under a supervisor (internal/supervise): a panicking
 // workload evaluation is contained, and the first failure cancels the
@@ -39,8 +39,7 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 		return nil, err
 	}
 	mc := cfg.Pipeline.Metrics
-	// Clock the whole build (workload construction included) so Elapsed is
-	// comparable with BuildTables' Table-3 analysis-cost accounting.
+	// Clock the whole build, workload construction included.
 	start := time.Now()
 	defer mc.Stage("eval.total")()
 	if workers <= 0 {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/conanalysis/owl/internal/attack"
 	"github.com/conanalysis/owl/internal/study"
-	"github.com/conanalysis/owl/internal/workloads"
 )
 
 // Tables bundles the regenerated evaluation tables plus the underlying
@@ -24,40 +23,9 @@ type Tables struct {
 	Stable bool
 }
 
-// BuildTables evaluates every workload and runs the exploit campaigns.
-func BuildTables(cfg Config) (*Tables, error) {
-	cfg, err := cfg.prepare()
-	if err != nil {
-		return nil, err
-	}
-	mc := cfg.Pipeline.Metrics
-	start := time.Now()
-	defer mc.Stage("eval.total")()
-	t := &Tables{Cfg: cfg, Exploits: make(map[string][]*attack.Result)}
-	stop := mc.Stage("eval.workloads")
-	for _, w := range workloads.All(cfg.Noise) {
-		pe, err := EvalWorkload(w, cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Programs = append(t.Programs, pe)
-		ex, err := ExploitCampaign(w, 100)
-		if err != nil {
-			return nil, err
-		}
-		t.Exploits[w.Name] = ex
-	}
-	stop()
-	st, err := study.Run(study.Config{
-		Noise: cfg.Noise, DetectRuns: cfg.Pipeline.DetectRuns, Metrics: mc,
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Study = st
-	t.Elapsed = time.Since(start)
-	return t, nil
-}
+// BuildTables evaluates every workload and runs the exploit campaigns
+// one workload at a time: BuildTablesParallel with a single worker.
+func BuildTables(cfg Config) (*Tables, error) { return BuildTablesParallel(cfg, 1) }
 
 // Table1 regenerates the study-summary table: per program — the studied
 // program's LoC and attack count (paper values, for reference) next to the

@@ -26,6 +26,7 @@ package owl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/conanalysis/owl/internal/adhoc"
@@ -144,6 +145,10 @@ type Options struct {
 	// Result.AtomicityFindings.
 	EnableAtomicity bool
 
+	// MaxSteps, when > 0, overrides the program's interpreter step budget
+	// per run (-max-steps; default 0 keeps Program.MaxSteps).
+	MaxSteps int
+
 	// Workers bounds the worker pool the pipeline fans its inner loops
 	// over: the seeded detection runs, the per-report race verifications,
 	// and the per-finding vulnerability verifications. Every run builds
@@ -206,6 +211,7 @@ func (o Options) Validate() error {
 	}{
 		{"runs", o.DetectRuns},
 		{"budget", o.Budget},
+		{"max-steps", o.MaxSteps},
 		{"workers", o.Workers},
 		{"retries", o.Retries},
 	} {
@@ -317,22 +323,21 @@ func Run(p Program, opts Options) (*Result, error) {
 	if p.MaxSteps == 0 {
 		p.MaxSteps = 200000
 	}
-	detectRuns := opts.DetectRuns
-	if detectRuns <= 0 {
-		detectRuns = 8
+	if opts.MaxSteps > 0 {
+		p.MaxSteps = opts.MaxSteps
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
+	if opts.DetectRuns <= 0 {
+		opts.DetectRuns = 8
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = 1
+	}
+	if opts.Budget <= 0 {
+		opts.Budget = opts.DetectRuns
 	}
 	mc := opts.Metrics
-	mc.Gauge("owl.workers", float64(workers))
+	mc.Gauge("owl.workers", float64(opts.Workers))
 	defer mc.Stage("owl.total")()
-
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = detectRuns
-	}
 
 	sup := supervise.New(supervise.Config{
 		Ctx:          opts.Ctx,
@@ -362,34 +367,28 @@ func Run(p Program, opts Options) (*Result, error) {
 		return nil
 	}
 
-	// runDetect is one detect stage: the fixed-seed loop or the
-	// coverage-guided engine, both merging reports in run order under the
-	// given stage's supervision.
+	// runDetect is one race-detect stage under the given stage's
+	// supervision: predictive detection, or the fixed or coverage-guided
+	// schedules, merging reports in run order.
 	runDetect := func(st *supervise.StageRun, benign *race.Annotations) []*race.Report {
-		if opts.Predict {
-			reports, confirmed, runs := detectPredict(p, st, budget, workers, benign, opts, mc)
-			mc.Count("owl.detect_runs", int64(runs))
-			for _, id := range confirmed {
-				if !containsID(res.PredictedConfirmed, id) {
+		r := newRunner(p, opts, st, attachRace(benign, mc), func(r *race.Report) *int { return &r.Count })
+		switch {
+		case opts.Predict:
+			for _, id := range detectPredict(r, benign) {
+				if !slices.Contains(res.PredictedConfirmed, id) {
 					res.PredictedConfirmed = append(res.PredictedConfirmed, id)
 				}
 			}
-			return reports
-		}
-		if opts.Explore == ExploreCoverage {
+		case benign == nil && opts.Resumes():
 			// Persistent state resumes only the initial detect stage: the
 			// re-run explores under benign annotations, whose scores must
 			// not contaminate the cross-run map.
-			var resume *sched.ExploreState
-			if benign == nil && opts.Resumes() {
-				resume = opts.ExploreState
-			}
-			reports, runs := detectCoverage(p, st, budget, workers, benign, resume, opts, mc)
-			mc.Count("owl.detect_runs", int64(runs))
-			return reports
+			r.explore(opts.ExploreState)
+		default:
+			r.explore(nil)
 		}
-		mc.Count("owl.detect_runs", int64(detectRuns))
-		return detect(p, st, detectRuns, workers, benign, opts.engine, mc)
+		mc.Count("owl.detect_runs", int64(r.runs))
+		return r.set.order
 	}
 
 	// Step 1: detection runs over explored schedules; dedupe across runs.
@@ -439,7 +438,7 @@ func Run(p Program, opts Options) (*Result, error) {
 		rv := raceverify.New()
 		st = sup.Stage("owl.raceverify")
 		hints := make([]*raceverify.Hint, len(working))
-		st.ForEach(0, len(working), workers, func(_ context.Context, i int) error {
+		st.ForEach(0, len(working), opts.Workers, func(_ context.Context, i int) error {
 			if err := st.Inject(i); err != nil {
 				return err
 			}
@@ -509,11 +508,9 @@ func Run(p Program, opts Options) (*Result, error) {
 	// Algorithm 1 (paper §8.3 integration).
 	if opts.EnableAtomicity {
 		st = sup.Stage("owl.atomicity")
-		if opts.Explore == ExploreCoverage {
-			res.AtomicityReports = detectAtomicityCoverage(p, st, budget, workers, opts, mc)
-		} else {
-			res.AtomicityReports = detectAtomicity(p, st, detectRuns, workers, opts.engine, mc)
-		}
+		r := newRunner(p, opts, st, attachAtomicity, func(r *atomicity.Report) *int { return &r.Count })
+		r.explore(nil)
+		res.AtomicityReports = r.set.order
 		for _, ar := range res.AtomicityReports {
 			in, stack, ok := atomicity.ReadSideOf(ar)
 			if !ok {
@@ -549,7 +546,7 @@ func Run(p Program, opts Options) (*Result, error) {
 		}
 		st = sup.Stage("owl.vulnverify")
 		outs := make([]*vulnverify.Outcome, len(vvJobs))
-		st.ForEach(0, len(vvJobs), workers, func(_ context.Context, i int) error {
+		st.ForEach(0, len(vvJobs), opts.Workers, func(_ context.Context, i int) error {
 			if err := st.Inject(i); err != nil {
 				return err
 			}
@@ -586,214 +583,142 @@ func Run(p Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// detectAtomicity runs the atomicity detector across seeded schedules,
-// fanning the runs over the stage's supervised pool and merging
-// violations by ID in seed order (so the output is independent of worker
-// count). A quarantined or lost run contributes no reports.
-func detectAtomicity(p Program, st *supervise.StageRun, runs, workers int, eng interp.Engine, mc *metrics.Collector) []*atomicity.Report {
-	perSeed := make([][]*atomicity.Report, runs)
-	st.ForEach(0, runs, workers, func(_ context.Context, i int) error {
-		if err := st.Inject(i); err != nil {
+// attachFn wires one detector into the configuration of the run with
+// global index idx. The function it returns runs on the same worker once
+// the run is over and collects the run's reports, so the detector's
+// state is dropped with the run rather than held for the whole batch.
+type attachFn[R any] func(cfg *interp.Config, idx int) (collect func() []R)
+
+// runner executes one detect stage's schedules. Each batch fans over
+// the stage's supervised pool, every run on a private machine against
+// the frozen module, so workers share nothing; runs merge into set in
+// job order, so the stage's output is the same for any worker count. A
+// quarantined or lost run merges nothing. Fault-injection and
+// step-budget run indices count globally across batches.
+type runner[R interface{ ID() string }] struct {
+	p      Program
+	opts   Options
+	st     *supervise.StageRun
+	attach attachFn[R]
+	set    reportSet[R]
+	runs   int // runs started so far: the index of the next batch's first run
+}
+
+// newRunner returns a runner whose set adds up repeats' Count via count.
+func newRunner[R interface{ ID() string }](p Program, opts Options, st *supervise.StageRun, attach attachFn[R], count func(R) *int) *runner[R] {
+	return &runner[R]{p: p, opts: opts, st: st, attach: attach, set: reportSet[R]{count: count, byID: map[string]R{}}}
+}
+
+// batch runs one batch of jobs and merges their reports in job order.
+func (r *runner[R]) batch(jobs []*sched.Job) {
+	base, mc := r.runs, r.opts.Metrics
+	perJob := make([][]R, len(jobs))
+	r.st.ForEach(base, len(jobs), r.opts.Workers, func(_ context.Context, idx int) error {
+		if err := r.st.Inject(idx); err != nil {
 			return err
 		}
-		d := atomicity.NewDetector()
-		m, err := interp.New(interp.Config{
-			Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-			MaxSteps: st.StepBudget(i, p.MaxSteps), Sched: sched.NewRandom(uint64(i + 1)),
-			Observers: []interp.Observer{d}, Engine: eng,
-		})
-		if err != nil {
-			return fmt.Errorf("build machine: %w", err)
+		j := jobs[idx-base]
+		cfg := interp.Config{
+			Module: r.p.Module, Entry: r.p.Entry, Args: r.p.Args, Inputs: r.p.Inputs,
+			MaxSteps: r.st.StepBudget(idx, r.p.MaxSteps), Sched: j.Sched, Engine: r.opts.engine,
 		}
-		if m.Run().MaxStepsHit {
+		if j.Cov != nil {
+			cfg.SwitchObservers = []interp.SwitchObserver{j.Cov}
+		}
+		collect := r.attach(&cfg, idx)
+		m, err := j.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("run machine: %w", err)
+		}
+		if m.Result().MaxStepsHit {
 			mc.Count("interp.max_steps_hit", 1)
 		}
 		flushMachineMetrics(m, mc)
-		perSeed[i] = d.Reports()
+		perJob[idx-base] = collect()
 		return nil
 	})
-	merged := map[string]*atomicity.Report{}
-	var order []*atomicity.Report
-	for _, reports := range perSeed {
-		for _, r := range reports {
-			if existing, ok := merged[r.ID()]; ok {
-				existing.Count += r.Count
-				continue
-			}
-			merged[r.ID()] = r
-			order = append(order, r)
-		}
+	for i, reports := range perJob {
+		jobs[i].ReportIDs = r.set.add(reports)
 	}
-	return order
+	r.runs += len(jobs)
 }
 
-// detect runs the race detector across seeded schedules, fanning the runs
-// over the stage's supervised pool. Every run builds a private machine
-// and detector against the frozen module; only the per-seed report
-// slices are shared, each written by exactly one worker. Reports merge by
-// ID in seed order, so the result is identical for any worker count; a
-// quarantined or lost run leaves its slot empty and the survivors merge.
-func detect(p Program, st *supervise.StageRun, runs, workers int, benign *race.Annotations, eng interp.Engine, mc *metrics.Collector) []*race.Report {
-	perSeed := make([][]*race.Report, runs)
-	st.ForEach(0, runs, workers, func(_ context.Context, i int) error {
-		if err := st.Inject(i); err != nil {
-			return err
+// explore runs the stage's schedules. Fixed mode is one batch of random
+// schedules seeded 1..DetectRuns, the sequence the engine's random arm
+// replays at Seed 0. Coverage mode is the guided engine, resuming from
+// resume when it is non-nil.
+func (r *runner[R]) explore(resume *sched.ExploreState) {
+	if r.opts.Explore != ExploreCoverage {
+		jobs := make([]*sched.Job, r.opts.DetectRuns)
+		for i := range jobs {
+			seed := uint64(i + 1)
+			jobs[i] = &sched.Job{Strategy: sched.StrategyRandom, Seed: seed, Sched: sched.NewRandom(seed)}
 		}
+		r.batch(jobs)
+		return
+	}
+	snap := r.opts.newSnapCache()
+	r.engine(sched.EngineConfig{Budget: r.opts.Budget, Seed: r.opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap, Resume: resume})
+	flushSnapMetrics(snap, r.opts.Metrics)
+}
+
+// engine runs a coverage-guided exploration round by round as batches,
+// then folds it into cfg.Resume (when set) and the metrics.
+func (r *runner[R]) engine(cfg sched.EngineConfig) {
+	eng := sched.NewEngine(cfg)
+	// The runner never fails a round: a faulted run is the supervisor's
+	// to record, so ExploreCtx's error is always nil.
+	res, _ := eng.ExploreCtx(r.st.Ctx(), func(jobs []*sched.Job) error {
+		r.batch(jobs)
+		return nil
+	})
+	cfg.Resume.Absorb(eng)
+	flushEngineMetrics(res, r.opts.Metrics)
+}
+
+// reportSet is a detect stage's deduplicated reports: merged by ID in
+// first-seen order, with a repeat adding its dynamic Count to the first.
+type reportSet[R interface{ ID() string }] struct {
+	count func(R) *int
+	byID  map[string]R
+	order []R
+}
+
+// add merges one run's reports and returns their IDs.
+func (s *reportSet[R]) add(reports []R) []string {
+	ids := make([]string, len(reports))
+	for i, r := range reports {
+		ids[i] = r.ID()
+		if first, ok := s.byID[ids[i]]; ok {
+			*s.count(first) += *s.count(r)
+			continue
+		}
+		s.byID[ids[i]] = r
+		s.order = append(s.order, r)
+	}
+	return ids
+}
+
+// attachRace wires a race detector, honoring the benign annotations, into
+// every run; collecting a run's reports flushes its detector counters.
+func attachRace(benign *race.Annotations, mc *metrics.Collector) attachFn[*race.Report] {
+	return func(cfg *interp.Config, _ int) func() []*race.Report {
 		d := race.NewDetector()
 		d.Benign = benign
-		m, err := interp.New(interp.Config{
-			Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-			MaxSteps: st.StepBudget(i, p.MaxSteps), Sched: sched.NewRandom(uint64(i + 1)),
-			Observers: []interp.Observer{d}, Engine: eng,
-		})
-		if err != nil {
-			return fmt.Errorf("build machine: %w", err)
-		}
-		if m.Run().MaxStepsHit {
-			mc.Count("interp.max_steps_hit", 1)
-		}
-		flushMachineMetrics(m, mc)
-		d.FlushMetrics(mc) // Collector.Count is mutex-guarded; safe per worker
-		perSeed[i] = d.Reports()
-		return nil
-	})
-	merged := map[string]*race.Report{}
-	var order []*race.Report
-	for _, reports := range perSeed {
-		for _, r := range reports {
-			if existing, ok := merged[r.ID()]; ok {
-				existing.Count += r.Count
-				continue
-			}
-			merged[r.ID()] = r
-			order = append(order, r)
+		cfg.Observers = append(cfg.Observers, d)
+		return func() []*race.Report {
+			d.FlushMetrics(mc) // Collector.Count is mutex-guarded; safe per worker
+			return d.Reports()
 		}
 	}
-	return order
 }
 
-// detectCoverage runs the race detector under the coverage-guided
-// exploration engine: a portfolio of schedule strategies spends the run
-// budget in rounds, scored by new interleaving coverage and new deduped
-// reports, with early stop on saturation. Rounds fan out over the stage's
-// supervised pool exactly like the fixed-seed loop; reports merge by ID
-// in the engine's job order (strategy/seed order within each round), so
-// the result is byte-identical for any worker count. Fault-injection run
-// indices count globally across rounds. It returns the merged reports
-// and the number of runs actually spent.
-func detectCoverage(p Program, st *supervise.StageRun, budget, workers int, benign *race.Annotations, resume *sched.ExploreState, opts Options, mc *metrics.Collector) ([]*race.Report, int) {
-	snap := opts.newSnapCache()
-	eng := sched.NewEngine(sched.EngineConfig{Budget: budget, Seed: opts.Seed, PCTSteps: p.MaxSteps, Snap: snap, Resume: resume})
-	merged := map[string]*race.Report{}
-	var order []*race.Report
-	base := 0
-	res, _ := eng.ExploreCtx(st.Ctx(), func(jobs []*sched.Job) error {
-		perJob := make([][]*race.Report, len(jobs))
-		st.ForEach(base, len(jobs), workers, func(_ context.Context, idx int) error {
-			if err := st.Inject(idx); err != nil {
-				return err
-			}
-			i := idx - base
-			j := jobs[i]
-			d := race.NewDetector()
-			d.Benign = benign
-			m, err := j.Run(interp.Config{
-				Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: j.Sched,
-				Observers:       []interp.Observer{d},
-				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.engine,
-			})
-			if err != nil {
-				return fmt.Errorf("run machine: %w", err)
-			}
-			if m.Result().MaxStepsHit {
-				mc.Count("interp.max_steps_hit", 1)
-			}
-			flushMachineMetrics(m, mc)
-			d.FlushMetrics(mc)
-			perJob[i] = d.Reports()
-			return nil
-		})
-		base += len(jobs)
-		for i, reports := range perJob {
-			ids := make([]string, len(reports))
-			for k, r := range reports {
-				ids[k] = r.ID()
-			}
-			jobs[i].ReportIDs = ids
-			for _, r := range reports {
-				if existing, ok := merged[r.ID()]; ok {
-					existing.Count += r.Count
-					continue
-				}
-				merged[r.ID()] = r
-				order = append(order, r)
-			}
-		}
-		return nil
-	})
-	resume.Absorb(eng)
-	flushEngineMetrics(res, mc)
-	flushSnapMetrics(snap, mc)
-	return order, res.Runs
-}
-
-// detectAtomicityCoverage is detectCoverage for the CTrigger-style
-// atomicity detector.
-func detectAtomicityCoverage(p Program, st *supervise.StageRun, budget, workers int, opts Options, mc *metrics.Collector) []*atomicity.Report {
-	snap := opts.newSnapCache()
-	eng := sched.NewEngine(sched.EngineConfig{Budget: budget, Seed: opts.Seed, PCTSteps: p.MaxSteps, Snap: snap})
-	merged := map[string]*atomicity.Report{}
-	var order []*atomicity.Report
-	base := 0
-	res, _ := eng.ExploreCtx(st.Ctx(), func(jobs []*sched.Job) error {
-		perJob := make([][]*atomicity.Report, len(jobs))
-		st.ForEach(base, len(jobs), workers, func(_ context.Context, idx int) error {
-			if err := st.Inject(idx); err != nil {
-				return err
-			}
-			i := idx - base
-			j := jobs[i]
-			d := atomicity.NewDetector()
-			m, err := j.Run(interp.Config{
-				Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: j.Sched,
-				Observers:       []interp.Observer{d},
-				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.engine,
-			})
-			if err != nil {
-				return fmt.Errorf("run machine: %w", err)
-			}
-			if m.Result().MaxStepsHit {
-				mc.Count("interp.max_steps_hit", 1)
-			}
-			flushMachineMetrics(m, mc)
-			perJob[i] = d.Reports()
-			return nil
-		})
-		base += len(jobs)
-		for i, reports := range perJob {
-			ids := make([]string, len(reports))
-			for k, r := range reports {
-				ids[k] = r.ID()
-			}
-			jobs[i].ReportIDs = ids
-			for _, r := range reports {
-				if existing, ok := merged[r.ID()]; ok {
-					existing.Count += r.Count
-					continue
-				}
-				merged[r.ID()] = r
-				order = append(order, r)
-			}
-		}
-		return nil
-	})
-	flushEngineMetrics(res, mc)
-	flushSnapMetrics(snap, mc)
-	return order
+// attachAtomicity wires the CTrigger-style atomicity detector into every
+// run.
+func attachAtomicity(cfg *interp.Config, _ int) func() []*atomicity.Report {
+	d := atomicity.NewDetector()
+	cfg.Observers = append(cfg.Observers, d)
+	return d.Reports
 }
 
 // flushEngineMetrics threads one exploration's accounting into the
@@ -843,15 +768,6 @@ func flushSnapMetrics(snap *sched.SnapCache, mc *metrics.Collector) {
 	mc.Count("sched.snap_evictions", st.Evictions)
 	mc.Count("sched.snap_resume_steps_saved", st.StepsSaved)
 	mc.Count("interp.cow_pages_copied", st.CowPages)
-}
-
-func containsID(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // factory builds verification machines for the program.

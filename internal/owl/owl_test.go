@@ -175,13 +175,14 @@ func TestPipelineRejectsInvalidOptions(t *testing.T) {
 		prog Program
 		opts Options
 	}{
-		"unknown explore":  {Program{Module: mod}, Options{Explore: "coverag"}},
-		"negative runs":    {Program{Module: mod}, Options{DetectRuns: -4}},
-		"negative budget":  {Program{Module: mod}, Options{Explore: ExploreCoverage, Budget: -3}},
-		"negative workers": {Program{Module: mod}, Options{Workers: -1}},
-		"negative retries": {Program{Module: mod}, Options{Retries: -2}},
-		"negative timeout": {Program{Module: mod}, Options{StageTimeout: -time.Second}},
-		"negative steps":   {Program{Module: mod, MaxSteps: -7}, Options{}},
+		"unknown explore":    {Program{Module: mod}, Options{Explore: "coverag"}},
+		"negative runs":      {Program{Module: mod}, Options{DetectRuns: -4}},
+		"negative budget":    {Program{Module: mod}, Options{Explore: ExploreCoverage, Budget: -3}},
+		"negative workers":   {Program{Module: mod}, Options{Workers: -1}},
+		"negative retries":   {Program{Module: mod}, Options{Retries: -2}},
+		"negative timeout":   {Program{Module: mod}, Options{StageTimeout: -time.Second}},
+		"negative steps":     {Program{Module: mod, MaxSteps: -7}, Options{}},
+		"negative max-steps": {Program{Module: mod}, Options{MaxSteps: -7}},
 	} {
 		mc := metrics.New()
 		tc.opts.Metrics = mc
@@ -195,6 +196,33 @@ func TestPipelineRejectsInvalidOptions(t *testing.T) {
 	for _, mode := range []ExploreMode{"", ExploreFixed, ExploreCoverage} {
 		if err := (Options{Explore: mode}).Validate(); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", mode, err)
+		}
+	}
+}
+
+// TestOptionsMaxStepsOverridesProgram pins the one step-budget
+// override every front end maps -max-steps / max_steps onto: a positive
+// Options.MaxSteps replaces Program.MaxSteps, and 0 keeps it.
+func TestOptionsMaxStepsOverridesProgram(t *testing.T) {
+	mod := ir.MustParse("pipeline.oir", pipelineSrc)
+	for _, tc := range []struct {
+		opts      Options
+		truncated bool
+	}{
+		{Options{}, false},
+		{Options{MaxSteps: 5}, true},
+	} {
+		mc := metrics.New()
+		tc.opts.Metrics = mc
+		if _, err := Run(Program{Module: mod, MaxSteps: 100000}, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		hit := false
+		for _, c := range mc.Snapshot().Counters {
+			hit = hit || (c.Name == "interp.max_steps_hit" && c.Value > 0)
+		}
+		if hit != tc.truncated {
+			t.Errorf("MaxSteps=%d: truncated=%v, want %v", tc.opts.MaxSteps, hit, tc.truncated)
 		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"github.com/conanalysis/owl/internal/interp"
-	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/predict"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/sched"
-	"github.com/conanalysis/owl/internal/supervise"
 )
 
 // detectPredict is the predictive detect stage: spend roughly half the
@@ -20,103 +18,62 @@ import (
 // prefix shared with the predicting run, so a confirm run is typically
 // a fraction of a full schedule.
 //
-// Determinism: the seed phase is the engine's (deterministic for a
-// fixed seed/budget/fault plan, worker-count independent); predictions
-// are a pure function of the seed traces, candidates are confirmed as
-// an order-stable job list with per-slot results, and everything merges
-// in candidate order. Reports and predict.* counters are therefore
-// byte-identical across worker counts and with the snapshot cache on or
-// off.
+// Determinism: the seed phase is r's coverage-guided exploration
+// (deterministic for a fixed seed/budget/fault plan, worker-count
+// independent); predictions are a pure function of the seed traces,
+// candidates are confirmed as an order-stable job list with per-slot
+// results, and everything merges in candidate order. Reports and
+// predict.* counters are therefore byte-identical across worker counts
+// and with the snapshot cache on or off.
 //
-// It returns the merged reports (seed races plus every race the confirm
-// replays observed — confirmed predictions among them, which is how
-// predicted pairs reach raceverify), the confirmed predicted-pair IDs,
-// and the executions spent.
-func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benign *race.Annotations, opts Options, mc *metrics.Collector) ([]*race.Report, []string, int) {
+// Seed races and every race the confirm replays observed (confirmed
+// predictions among them, which is how predicted pairs reach
+// raceverify) merge into r.set; r.runs counts the executions spent. It
+// returns the confirmed predicted-pair IDs.
+func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
+	opts, mc := r.opts, r.opts.Metrics
 	snap := opts.newSnapCache()
-	seedBudget := budget / 2
+	seedBudget := opts.Budget / 2
 	if seedBudget < 2 {
-		seedBudget = budget
+		seedBudget = opts.Budget
 	}
-	eng := sched.NewEngine(sched.EngineConfig{Budget: seedBudget, Seed: opts.Seed, PCTSteps: p.MaxSteps, Snap: snap})
 
 	// seedRun is what prediction needs from one executed schedule: its
-	// synchronization trace and its decided schedule prefix.
+	// synchronization trace and its decided schedule prefix. Seeds land
+	// by run index; a quarantined or lost run leaves an empty trace.
 	type seedRun struct {
 		events    []predict.Ev
 		decisions []sched.Decision
 	}
-	merged := map[string]*race.Report{}
-	var order []*race.Report
-	var seeds []seedRun
-	base := 0
-	res, _ := eng.ExploreCtx(st.Ctx(), func(jobs []*sched.Job) error {
-		perJob := make([][]*race.Report, len(jobs))
-		perSeed := make([]seedRun, len(jobs))
-		st.ForEach(base, len(jobs), workers, func(_ context.Context, idx int) error {
-			if err := st.Inject(idx); err != nil {
-				return err
-			}
-			i := idx - base
-			j := jobs[i]
-			d := race.NewDetector()
-			d.Benign = benign
-			rec := predict.NewRecorder()
-			// DFS jobs keep their DecisionSched bare — wrapping it would
-			// defeat both snapshot-cache resumption and frontier expansion —
-			// and its trace doubles as the decided prefix. Random/PCT jobs
-			// get a TraceSched so their schedules are replayable too.
-			runSched := j.Sched
-			ds, isDS := j.Sched.(*sched.DecisionSched)
-			var wrap *sched.TraceSched
-			if !isDS {
-				wrap = &sched.TraceSched{Inner: j.Sched}
-				runSched = wrap
-			}
-			m, err := j.Run(interp.Config{
-				Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-				MaxSteps: st.StepBudget(idx, p.MaxSteps), Sched: runSched,
-				Observers:       []interp.Observer{d, rec},
-				SwitchObservers: []interp.SwitchObserver{j.Cov},
-				Engine:          opts.engine,
-			})
-			if err != nil {
-				return fmt.Errorf("run machine: %w", err)
-			}
-			if m.Result().MaxStepsHit {
-				mc.Count("interp.max_steps_hit", 1)
-			}
-			flushMachineMetrics(m, mc)
-			d.FlushMetrics(mc)
-			perJob[i] = d.Reports()
-			if isDS {
-				perSeed[i] = seedRun{events: rec.Events(), decisions: ds.Trace}
-			} else {
-				perSeed[i] = seedRun{events: rec.Events(), decisions: wrap.Trace}
-			}
-			return nil
-		})
-		base += len(jobs)
-		for i, reports := range perJob {
-			ids := make([]string, len(reports))
-			for k, r := range reports {
-				ids[k] = r.ID()
-			}
-			jobs[i].ReportIDs = ids
-			for _, r := range reports {
-				if existing, ok := merged[r.ID()]; ok {
-					existing.Count += r.Count
-					continue
-				}
-				merged[r.ID()] = r
-				order = append(order, r)
-			}
+	seeds := make([]seedRun, seedBudget)
+	// Every seed run also records its trace: wrap the race attach step.
+	detect := r.attach
+	r.attach = func(cfg *interp.Config, idx int) func() []*race.Report {
+		collect := detect(cfg, idx)
+		rec := predict.NewRecorder()
+		cfg.Observers = append(cfg.Observers, rec)
+		// DFS jobs keep their DecisionSched bare — wrapping it would
+		// defeat both snapshot-cache resumption and frontier expansion —
+		// and its trace doubles as the decided prefix. Random/PCT jobs
+		// get a TraceSched so their schedules are replayable too.
+		ds, isDS := cfg.Sched.(*sched.DecisionSched)
+		var wrap *sched.TraceSched
+		if !isDS {
+			wrap = &sched.TraceSched{Inner: cfg.Sched}
+			cfg.Sched = wrap
 		}
-		seeds = append(seeds, perSeed...)
-		return nil
-	})
-	flushEngineMetrics(res, mc)
-	runs := res.Runs
+		return func() []*race.Report {
+			seeds[idx] = seedRun{events: rec.Events()}
+			if isDS {
+				seeds[idx].decisions = ds.Trace
+			} else {
+				seeds[idx].decisions = wrap.Trace
+			}
+			return collect()
+		}
+	}
+	r.engine(sched.EngineConfig{Budget: seedBudget, Seed: opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap})
+	seeds = seeds[:r.runs]
 
 	// Predict over every seed trace. Pairs the seeds already observed as
 	// races need no confirmation run; the rest become candidates in
@@ -132,7 +89,7 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 				continue
 			}
 			predicted[id] = true
-			if _, ok := merged[id]; ok {
+			if _, ok := r.set.byID[id]; ok {
 				observed++
 				continue
 			}
@@ -144,7 +101,7 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 	mc.Count("predict.pairs_predicted", int64(len(predicted)))
 	mc.Count("predict.pairs_observed", observed)
 
-	confirmBudget := budget - runs
+	confirmBudget := opts.Budget - r.runs
 	if confirmBudget < 0 {
 		confirmBudget = 0
 	}
@@ -162,14 +119,15 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 		hit     bool
 	}
 	outs := make([]confirmOut, len(cands))
-	st.ForEach(base, len(cands), workers, func(_ context.Context, idx int) error {
+	st, base := r.st, r.runs
+	st.ForEach(base, len(cands), opts.Workers, func(_ context.Context, idx int) error {
 		if err := st.Inject(idx); err != nil {
 			return err
 		}
 		i := idx - base
 		reports, hit, err := cf.Confirm(interp.Config{
-			Module: p.Module, Entry: p.Entry, Args: p.Args, Inputs: p.Inputs,
-			MaxSteps: st.StepBudget(idx, p.MaxSteps), Engine: opts.engine,
+			Module: r.p.Module, Entry: r.p.Entry, Args: r.p.Args, Inputs: r.p.Inputs,
+			MaxSteps: st.StepBudget(idx, r.p.MaxSteps), Engine: opts.engine,
 		}, benign, cands[i])
 		if err != nil {
 			return fmt.Errorf("confirm %s: %w", cands[i].Pair.ID(), err)
@@ -177,7 +135,7 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 		outs[i] = confirmOut{reports: reports, hit: hit}
 		return nil
 	})
-	runs += len(cands)
+	r.runs += len(cands)
 
 	var confirmed []string
 	var refuted int64
@@ -187,21 +145,14 @@ func detectPredict(p Program, st *supervise.StageRun, budget, workers int, benig
 		} else {
 			refuted++
 		}
-		for _, r := range out.reports {
-			if existing, ok := merged[r.ID()]; ok {
-				existing.Count += r.Count
-				continue
-			}
-			merged[r.ID()] = r
-			order = append(order, r)
-		}
+		r.set.add(out.reports)
 	}
 	mc.Count("predict.confirm_runs", int64(len(cands)))
 	mc.Count("predict.pairs_confirmed", int64(len(confirmed)))
 	mc.Count("predict.pairs_refuted", refuted)
-	if saved := int64(budget - runs); saved > 0 {
+	if saved := int64(opts.Budget - r.runs); saved > 0 {
 		mc.Count("predict.schedules_saved", saved)
 	}
 	flushSnapMetrics(snap, mc)
-	return order, confirmed, runs
+	return confirmed
 }

@@ -211,40 +211,6 @@ func (e *Explorer) Explore(mkRun func(s interp.Scheduler) error) (ExploreResult,
 	return res, nil
 }
 
-// ExploreIPB explores the same bounded tree as Explore, but in iterative
-// preemption-bounding order (CHESS): every reachable 0-preemption
-// schedule runs before any 1-preemption schedule, which runs before any
-// 2-preemption schedule, and so on. Most concurrency bugs trigger with
-// very few preemptions, so under a tight run budget this ordering spends
-// it where the payoff density is highest. The preemption count of a
-// schedule is the number of decided points that switched away from a
-// still-runnable thread; decision points past the decided prefix take the
-// non-preemptive default, so the executed preemption count equals the
-// prefix count and the run order genuinely ascends by preemptions.
-// Exploration order is deterministic.
-func (e *Explorer) ExploreIPB(mkRun func(s interp.Scheduler) error) (ExploreResult, error) {
-	maxRuns := e.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 256
-	}
-	f := newIPBFrontier(e.MaxDecisions)
-	res := ExploreResult{}
-	for f.size > 0 {
-		if res.Runs >= maxRuns {
-			return res, nil
-		}
-		node, _ := f.pop()
-		s := &DecisionSched{Decisions: node.vec}
-		if err := mkRun(s); err != nil {
-			return res, fmt.Errorf("exploration run %d: %w", res.Runs, err)
-		}
-		res.Runs++
-		f.expand(node, s.Trace)
-	}
-	res.Exhausted = true
-	return res, nil
-}
-
 // ipbNode is one pending schedule of a preemption-ordered exploration:
 // the decision prefix and the number of preemptions that prefix performs.
 type ipbNode struct {
@@ -255,8 +221,8 @@ type ipbNode struct {
 // ipbFrontier is a deterministic bucket priority queue over pending
 // decision vectors, keyed by preemption count. Within a bucket, vectors
 // pop in LIFO order, preserving the depth-first character of Explore. It
-// is shared between ExploreIPB and the Engine's DFS strategy (which pops
-// nodes round by round instead of in one loop).
+// is shared between ExploreIPBRun and the Engine's DFS strategy (which
+// pops nodes round by round instead of in one loop).
 type ipbFrontier struct {
 	maxDec  int
 	buckets map[int][]ipbNode

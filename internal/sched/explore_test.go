@@ -2,9 +2,11 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
+	"github.com/conanalysis/owl/internal/ir"
 )
 
 func TestDecisionSchedCountsPreemptions(t *testing.T) {
@@ -46,21 +48,113 @@ func driveTree(s interp.Scheduler, runnable []interp.ThreadID, depth int) string
 	return path
 }
 
-func TestExploreIPBCoversSameTreeAsExplore(t *testing.T) {
-	collect := func(explore func(*Explorer, func(interp.Scheduler) error) (ExploreResult, error)) (map[string]int, ExploreResult) {
-		seen := map[string]int{}
-		ex := &Explorer{MaxRuns: 256, MaxDecisions: 8}
-		res, err := explore(ex, func(s interp.Scheduler) error {
-			seen[driveTree(s, ids(0, 1, 2), 3)]++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seen, res
+// tinyPrograms are IR programs with a known, small schedule tree.
+var tinyPrograms = map[string]string{
+	// One thread: never a decision point.
+	"no-choice": `
+global @a = 0
+func @main() {
+entry:
+  store 1, @a
+  %x = load @a
+  ret %x
+}
+`,
+	// The worker either runs its one instruction before main joins or
+	// after main blocks in the join: exactly one binary decision.
+	"one-binary-choice": `
+func @w() {
+entry:
+  ret 0
+}
+func @main() {
+entry:
+  %t = call @spawn(@w)
+  %j = call @join(%t)
+  ret 0
+}
+`,
+	// Main blocks joining four workers, so the order the workers run in
+	// is a forced choice at every step: 4! schedules, none preempting.
+	"forced-fan-out": `
+func @w() {
+entry:
+  ret 0
+}
+func @main() {
+entry:
+  %t1 = call @spawn(@w)
+  %t2 = call @spawn(@w)
+  %t3 = call @spawn(@w)
+  %t4 = call @spawn(@w)
+  %j1 = call @join(%t1)
+  %j2 = call @join(%t2)
+  %j3 = call @join(%t3)
+  %j4 = call @join(%t4)
+  ret 0
+}
+`,
+}
+
+func tinyModule(t *testing.T, name string) *ir.Module {
+	t.Helper()
+	mod, err := ir.Parse(name+".oir", tinyPrograms[name])
+	if err != nil {
+		t.Fatal(err)
 	}
-	dfsSeen, dfsRes := collect((*Explorer).Explore)
-	ipbSeen, ipbRes := collect((*Explorer).ExploreIPB)
+	return mod
+}
+
+// traceKey renders an executed decision trace.
+func traceKey(ds *DecisionSched) string {
+	var b strings.Builder
+	for _, d := range ds.Trace {
+		fmt.Fprintf(&b, "%d/%d;", d.Chosen, d.Choices)
+	}
+	return b.String()
+}
+
+// ipbRuns explores mod with ExploreIPBRun (no snapshot cache) and
+// returns every run's executed trace and preemption count, in run order.
+func ipbRuns(t *testing.T, ex *Explorer, mod *ir.Module) ([]string, []int, ExploreResult) {
+	t.Helper()
+	var traces []string
+	var pres []int
+	res, err := ex.ExploreIPBRun(
+		func() interp.Config { return interp.Config{Module: mod, MaxSteps: 4096} },
+		func(m *interp.Machine, ds *DecisionSched) error {
+			traces = append(traces, traceKey(ds))
+			pres = append(pres, ds.Preemptions)
+			return nil
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces, pres, res
+}
+
+func TestExploreIPBCoversSameTreeAsExplore(t *testing.T) {
+	mod := snapCacheModule(t)
+	dfsSeen := map[string]int{}
+	dfs := &Explorer{MaxRuns: 256, MaxDecisions: 6}
+	dfsRes, err := dfs.Explore(func(s interp.Scheduler) error {
+		m, err := interp.New(interp.Config{Module: mod, MaxSteps: 4096, Sched: s})
+		if err != nil {
+			return err
+		}
+		m.Run()
+		dfsSeen[traceKey(s.(*DecisionSched))]++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, _, ipbRes := ipbRuns(t, &Explorer{MaxRuns: 256, MaxDecisions: 6}, mod)
+	ipbSeen := map[string]int{}
+	for _, tr := range traces {
+		ipbSeen[tr]++
+	}
 	if !dfsRes.Exhausted || !ipbRes.Exhausted {
 		t.Fatalf("exhausted: dfs=%v ipb=%v", dfsRes.Exhausted, ipbRes.Exhausted)
 	}
@@ -78,101 +172,62 @@ func TestExploreIPBCoversSameTreeAsExplore(t *testing.T) {
 }
 
 func TestExploreIPBRunsZeroPreemptionSchedulesFirst(t *testing.T) {
-	// Two always-runnable threads, three decision points. A schedule's
-	// preemptions = switches away from the previously chosen (and still
-	// runnable) thread; the first decision is never a preemption. The
-	// 0-preemption schedules are exactly 000 and 111.
-	var order []string
-	var pres []int
-	ex := &Explorer{MaxRuns: 64, MaxDecisions: 8}
-	res, err := ex.ExploreIPB(func(s interp.Scheduler) error {
-		order = append(order, driveTree(s, ids(0, 1), 3))
-		pres = append(pres, s.(*DecisionSched).Preemptions)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	traces, pres, res := ipbRuns(t, &Explorer{MaxRuns: 256, MaxDecisions: 6}, snapCacheModule(t))
+	if !res.Exhausted || res.Runs < 4 {
+		t.Fatalf("res = %+v, want an exhausted tree of several runs", res)
 	}
-	if !res.Exhausted || res.Runs != 8 {
-		t.Fatalf("res = %+v, want 8 exhausted runs", res)
-	}
-	zeroPre := map[string]bool{"000": true, "111": true}
-	for i, p := range order[:2] {
-		if !zeroPre[p] {
-			t.Errorf("run %d = %q (%d preemptions); 0-preemption schedules must run first (order %v)",
-				i, p, pres[i], order)
-		}
+	if pres[0] != 0 {
+		t.Errorf("first run %q has %d preemptions; 0-preemption schedules must run first", traces[0], pres[0])
 	}
 	// The executed preemption counts must be non-decreasing: the frontier
-	// orders by decided-prefix preemptions and every decision point here
-	// is decided within the depth bound.
+	// orders by decided-prefix preemptions, and points past the prefix
+	// take the non-preemptive default.
 	for i := 1; i < len(pres); i++ {
 		if pres[i] < pres[i-1] {
 			t.Errorf("preemption order violated at run %d: %v", i, pres)
 		}
 	}
+	if pres[len(pres)-1] == 0 {
+		t.Error("no run preempted; the order check is vacuous")
+	}
 }
 
-// Satellite regression: a MaxRuns budget smaller than the 0-preemption
-// frontier must stop exactly at the budget without claiming exhaustion.
+// A MaxRuns budget smaller than the 0-preemption frontier must stop
+// exactly at the budget without claiming exhaustion.
 func TestExploreIPBMaxRunsBelowZeroPreemptionFrontier(t *testing.T) {
-	// A single 5-way decision point with no prior running thread: all 5
-	// schedules carry 0 preemptions.
-	runs := 0
-	ex := &Explorer{MaxRuns: 3, MaxDecisions: 8}
-	res, err := ex.ExploreIPB(func(s interp.Scheduler) error {
-		runs++
-		s.Next(ids(0, 1, 2, 3, 4), 0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs != 3 || runs != 3 {
-		t.Errorf("runs = %d/%d, want 3", res.Runs, runs)
+	traces, pres, res := ipbRuns(t, &Explorer{MaxRuns: 3, MaxDecisions: 8}, tinyModule(t, "forced-fan-out"))
+	if res.Runs != 3 || len(traces) != 3 {
+		t.Errorf("runs = %d/%d, want 3", res.Runs, len(traces))
 	}
 	if res.Exhausted {
 		t.Error("truncated exploration reported exhausted")
 	}
+	for i, p := range pres {
+		if p != 0 {
+			t.Errorf("run %d %q has %d preemptions, want 0", i, traces[i], p)
+		}
+	}
 }
 
-// Satellite regression: tiny programs with no (or trivially few)
-// scheduling choices must exhaust, and report having done so, in the
-// minimum number of runs.
+// Tiny programs with no (or trivially few) scheduling choices must
+// exhaust, and report having done so, in the minimum number of runs.
 func TestExploreIPBExhaustedOnTinyPrograms(t *testing.T) {
-	t.Run("no-choice", func(t *testing.T) {
-		ex := &Explorer{MaxRuns: 64}
-		res, err := ex.ExploreIPB(func(s interp.Scheduler) error {
-			for i := 0; i < 4; i++ {
-				s.Next(ids(7), i) // single-threaded: never a decision point
+	for name, runs := range map[string]int{"no-choice": 1, "one-binary-choice": 2} {
+		t.Run(name, func(t *testing.T) {
+			_, _, res := ipbRuns(t, &Explorer{MaxRuns: 64}, tinyModule(t, name))
+			if !res.Exhausted || res.Runs != runs {
+				t.Errorf("res = %+v, want %d exhausted run(s)", res, runs)
 			}
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Exhausted || res.Runs != 1 {
-			t.Errorf("res = %+v, want 1 exhausted run", res)
-		}
-	})
-	t.Run("one-binary-choice", func(t *testing.T) {
-		ex := &Explorer{MaxRuns: 64}
-		res, err := ex.ExploreIPB(func(s interp.Scheduler) error {
-			s.Next(ids(0, 1), 0)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Exhausted || res.Runs != 2 {
-			t.Errorf("res = %+v, want 2 exhausted runs", res)
-		}
-	})
+	}
 }
 
 func TestExploreIPBPropagatesError(t *testing.T) {
 	ex := &Explorer{MaxRuns: 10}
-	_, err := ex.ExploreIPB(func(s interp.Scheduler) error { return errTest })
+	_, err := ex.ExploreIPBRun(
+		func() interp.Config { return interp.Config{Module: tinyModule(t, "no-choice")} },
+		func(*interp.Machine, *DecisionSched) error { return errTest },
+	)
 	if err == nil {
 		t.Error("want error")
 	}

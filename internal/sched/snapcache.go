@@ -399,13 +399,24 @@ func (c *SnapCache) storeBoundary(ds *DecisionSched, m *interp.Machine, fks []St
 	return true
 }
 
-// ExploreIPBRun is ExploreIPB for callers that let the explorer drive
-// the machines: mkCfg returns the run configuration for one schedule
-// (its Sched field is overwritten with the decision scheduler), and
-// onRun observes each completed machine together with the scheduler
-// that drove it. When e.Snap is set, runs resume from cached ancestor
-// prefixes; the schedules explored and their outcomes are identical
-// either way.
+// ExploreIPBRun explores the same bounded tree as Explore, but in
+// iterative preemption-bounding order (CHESS): every reachable
+// 0-preemption schedule runs before any 1-preemption schedule, which
+// runs before any 2-preemption schedule, and so on. Most concurrency
+// bugs trigger with very few preemptions, so under a tight run budget
+// this ordering spends it where the payoff density is highest. The
+// preemption count of a schedule is the number of decided points that
+// switched away from a still-runnable thread; decision points past the
+// decided prefix take the non-preemptive default, so the executed
+// preemption count equals the prefix count and the run order genuinely
+// ascends by preemptions. Exploration order is deterministic.
+//
+// The explorer drives the machines: mkCfg returns the run configuration
+// for one schedule (its Sched field is overwritten with the decision
+// scheduler), and onRun observes each completed machine together with
+// the scheduler that drove it. When e.Snap is set, runs resume from
+// cached ancestor prefixes; the schedules explored and their outcomes
+// are identical either way.
 func (e *Explorer) ExploreIPBRun(mkCfg func() interp.Config, onRun func(m *interp.Machine, ds *DecisionSched) error) (ExploreResult, error) {
 	maxRuns := e.MaxRuns
 	if maxRuns <= 0 {

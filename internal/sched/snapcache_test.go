@@ -159,51 +159,6 @@ func TestExploreIPBRunSnapshotsPreserveResults(t *testing.T) {
 	t.Logf("snap stats: %+v", st)
 }
 
-// TestExploreIPBRunMatchesExploreIPB checks the driver refactor itself:
-// the cache-aware entry point must pop and expand exactly the schedules
-// ExploreIPB does.
-func TestExploreIPBRunMatchesExploreIPB(t *testing.T) {
-	mod := snapCacheModule(t)
-	var ipbTraces []string
-	ex := &Explorer{MaxRuns: 64, MaxDecisions: 6}
-	ipbRes, err := ex.ExploreIPB(func(s interp.Scheduler) error {
-		m, err := interp.New(interp.Config{Module: mod, MaxSteps: 4096, Sched: s})
-		if err != nil {
-			return err
-		}
-		m.Run()
-		ds := s.(*DecisionSched)
-		ipbTraces = append(ipbTraces, fmt.Sprintf("%v->%d", ds.Decisions, len(ds.Trace)))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runTraces []string
-	ex2 := &Explorer{MaxRuns: 64, MaxDecisions: 6, Snap: NewSnapCache(64)}
-	runRes, err := ex2.ExploreIPBRun(
-		func() interp.Config { return interp.Config{Module: mod, MaxSteps: 4096} },
-		func(m *interp.Machine, ds *DecisionSched) error {
-			runTraces = append(runTraces, fmt.Sprintf("%v->%d", ds.Decisions, len(ds.Trace)))
-			return nil
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ipbRes != runRes {
-		t.Errorf("results differ: ipb=%+v run=%+v", ipbRes, runRes)
-	}
-	if len(ipbTraces) != len(runTraces) {
-		t.Fatalf("run counts differ: %d vs %d", len(ipbTraces), len(runTraces))
-	}
-	for i := range ipbTraces {
-		if ipbTraces[i] != runTraces[i] {
-			t.Errorf("run %d: ipb %s, cache-aware %s", i, ipbTraces[i], runTraces[i])
-		}
-	}
-}
-
 // TestSnapCacheEvictsLRUWithinBudget pins the entry-budget semantics: the entry count never exceeds the budget, overflow evicts,
 // and a tiny cache still preserves results (it just shares less).
 func TestSnapCacheEvictsLRUWithinBudget(t *testing.T) {

@@ -55,8 +55,7 @@ type SpecOptions struct {
 	PredictReversal bool   `json:"predict_reversal,omitempty"`
 }
 
-// pipeline maps the options onto owl.Options and validates them. MaxSteps
-// is not a pipeline option: it overrides the program's step budget.
+// pipeline maps the options onto owl.Options and validates them.
 func (o SpecOptions) pipeline() (owl.Options, error) {
 	opts := owl.Options{
 		DetectRuns:      o.Runs,
@@ -64,14 +63,12 @@ func (o SpecOptions) pipeline() (owl.Options, error) {
 		Budget:          o.Budget,
 		Seed:            o.Seed,
 		Workers:         o.Workers,
+		MaxSteps:        o.MaxSteps,
 		Predict:         o.Predict,
 		PredictReversal: o.PredictReversal,
 	}
 	if opts.Explore == "" {
 		opts.Explore = owl.ExploreCoverage
-	}
-	if o.MaxSteps < 0 {
-		return opts, fmt.Errorf("negative max_steps (%d) is invalid", o.MaxSteps)
 	}
 	return opts, opts.Validate()
 }

@@ -396,11 +396,7 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 		st.Resume = opts.ExploreState != nil && warm
 	})
 
-	prog := j.ps.prog
-	if spec.Options.MaxSteps > 0 {
-		prog.MaxSteps = spec.Options.MaxSteps
-	}
-	res, err := owl.Run(prog, opts)
+	res, err := owl.Run(j.ps.prog, opts)
 	if err != nil {
 		return s.fail(j, err)
 	}

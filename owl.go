@@ -242,7 +242,8 @@ type (
 	StudyConfig = study.Config
 )
 
-// BuildTables regenerates the paper's Tables 1-4 from the models.
+// BuildTables regenerates the paper's Tables 1-4 from the models, one
+// workload at a time (BuildTablesParallel with a single worker).
 func BuildTables(cfg EvalConfig) (*EvalTables, error) { return eval.BuildTables(cfg) }
 
 // RunStudy reproduces the §3 quantitative study.
