@@ -135,14 +135,19 @@ predict:
 # engine and the tree-walking oracle), the zero-allocation compiled-step
 # pins, the cross-engine snapshot interchange, the runnable-set oracle
 # (the incrementally maintained set against a fresh thread scan at every
-# scheduler call), the verifier outcome pins, and the pipeline-level
-# oracle parity test.
+# scheduler call), the verifier suite with its doomed-hold oracle (every
+# corpus report verified with and without the proof, identical hints),
+# the verifier outcome pins, and the pipeline-level oracle parity test.
+# The doomed-hold oracle is built without -race (minutes under it), so
+# the verifier suite runs once with -race and once without.
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
 	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet'
 	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
-	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity'
+	$(GO) test -race -count=1 ./internal/raceverify/
+	$(GO) test -count=1 ./internal/raceverify/
+	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned|DoomedHold'
 	@echo "cross-engine differential gate passed"
 
 fmt-check:

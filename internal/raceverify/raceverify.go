@@ -8,10 +8,13 @@
 // follow — that feed the static vulnerability analyzer.
 //
 // The paper builds this on LLDB; here the interpreter's deterministic
-// thread suspension provides the same semantics. Livelocks (the program
-// spinning without the second thread arriving, or all remaining threads
-// blocked on a suspended one) are resolved the way the paper describes:
-// by temporarily releasing one of the triggered breakpoints.
+// thread suspension provides the same semantics. §5.2 names two kinds of
+// livelock. When all remaining threads block on a suspended one, the
+// verifier does what the paper describes: it temporarily releases one
+// of the triggered breakpoints. When the others spin without the second
+// thread arriving, the attempt ends as soon as a proof shows that no
+// thread can ever reach the partner instruction (see holdProof), and at
+// the latest when HoldBudget runs out.
 package raceverify
 
 import (
@@ -80,10 +83,16 @@ type Verifier struct {
 	MaxSteps int
 	// HoldBudget bounds how many steps the verifier waits, after one
 	// racing instruction is captured, for the partner thread to arrive
-	// (default 15000). A pair that cannot co-arrive within the budget is
-	// released and the attempt continues hunting; "catching the race in
-	// the racing moment" is inherently a co-arrival property.
+	// (default 15000). If the pair does not co-arrive within the budget,
+	// the attempt gives up and the next seed is tried; "catching the race
+	// in the racing moment" is inherently a co-arrival property. A hold
+	// proven doomed gives up before the budget runs out.
 	HoldBudget int
+
+	// keepDoomed turns the doomed-hold proof off, so every hold waits
+	// for its partner, a stall or HoldBudget: the reference the proof's
+	// oracle test compares against.
+	keepDoomed bool
 }
 
 // New returns a verifier with default budgets.
@@ -129,7 +138,15 @@ func (v *Verifier) tryOnce(mk MachineFactory, rep *race.Report, instrA, instrB *
 	if holdBudget <= 0 {
 		holdBudget = 15000
 	}
+	var proof *holdProof
+	if !v.keepDoomed {
+		proof = newHoldProof(instrA, instrB)
+	}
+	doomed := false
 	bp := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
+		if proof != nil && proof.observe(m, t, in, heldA, heldB) {
+			doomed = true
+		}
 		if in != instrA && in != instrB {
 			return interp.BPContinue
 		}
@@ -180,6 +197,11 @@ func (v *Verifier) tryOnce(mk MachineFactory, rep *race.Report, instrA, instrB *
 			}
 		default:
 			heldSince = -1
+		}
+		if doomed {
+			// No thread can ever reach the partner instruction (see
+			// holdProof): the hold could only time out.
+			return false, nil
 		}
 		if !machine.Step() {
 			switch machine.Stall() {

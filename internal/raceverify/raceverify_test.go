@@ -1,6 +1,8 @@
 package raceverify
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -203,7 +205,9 @@ func TestLivelockRelease(t *testing.T) {
 	// deadlock the run unless the verifier releases the breakpoint. The
 	// worker's store is the only write, so after release the verifier
 	// cannot catch the moment and must report not-verified without
-	// hanging.
+	// hanging. With every other thread blocked nothing cycles, so the
+	// doomed-hold proof must not fire: each attempt is released and runs
+	// to the end.
 	src := `
 global @x = 0
 
@@ -237,18 +241,215 @@ entry:
 		Cur:      race.Access{TID: 0, Instr: loadIn},
 		AddrName: "@x",
 	}
-	mk := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
-		return interp.New(interp.Config{Module: mod, Sched: s, Breakpoint: bp, MaxSteps: 20000})
-	}
-	v := New()
-	v.Attempts = 2
-	h, err := v.Verify(mk, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, machines, _ := verifyBoth(t, mod, rep)
 	// join(t) orders the accesses, so the moment must never be caught —
 	// but the run must terminate (livelock release works).
 	if h.Verified {
 		t.Errorf("join-ordered accesses wrongly verified")
+	}
+	for i, m := range machines {
+		for _, th := range m.Threads() {
+			if th.Status != interp.StatusDone {
+				t.Errorf("attempt %d: thread %d ended %s, want the released run to finish", i+1, th.ID, th.Status)
+			}
+		}
+	}
+}
+
+// access returns fn's first load or store of the global name.
+func access(t *testing.T, mod *ir.Module, fn, name string) *ir.Instr {
+	t.Helper()
+	for _, in := range mod.Func(fn).Instrs() {
+		if in.Op == ir.OpLoad && in.Args[0].Kind == ir.OperandGlobal && in.Args[0].Name == name ||
+			in.Op == ir.OpStore && in.Args[1].Kind == ir.OperandGlobal && in.Args[1].Name == name {
+			return in
+		}
+	}
+	t.Fatalf("no access to @%s in @%s", name, fn)
+	return nil
+}
+
+// waiterPair parses src and returns the report pairing main's store to
+// @x with @waiter's load of @x.
+func waiterPair(t *testing.T, src string) (*ir.Module, *race.Report) {
+	t.Helper()
+	mod := ir.MustParse("rv_test.oir", src)
+	return mod, &race.Report{
+		Prev:     race.Access{TID: 0, IsWrite: true, Instr: access(t, mod, "main", "x")},
+		Cur:      race.Access{TID: 1, Instr: access(t, mod, "waiter", "x")},
+		AddrName: "@x",
+	}
+}
+
+// verifyCounting verifies rep and returns the hint plus the machines of
+// its attempts.
+func verifyCounting(t *testing.T, v *Verifier, mod *ir.Module, rep *race.Report) (*Hint, []*interp.Machine) {
+	t.Helper()
+	var machines []*interp.Machine
+	mk := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
+		m, err := interp.New(interp.Config{Module: mod, Sched: s, Breakpoint: bp, MaxSteps: 100000})
+		if err == nil {
+			machines = append(machines, m)
+		}
+		return m, err
+	}
+	h, err := v.Verify(mk, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, machines
+}
+
+// verifyBoth verifies rep with and without the doomed-hold proof and
+// requires identical hints.
+func verifyBoth(t *testing.T, mod *ir.Module, rep *race.Report) (h *Hint, machines, refMachines []*interp.Machine) {
+	t.Helper()
+	h, machines = verifyCounting(t, New(), mod, rep)
+	ref, refMachines := verifyCounting(t, &Verifier{keepDoomed: true}, mod, rep)
+	if !reflect.DeepEqual(h, ref) {
+		t.Fatalf("hint with the cut %+v, without %+v", h, ref)
+	}
+	return h, machines, refMachines
+}
+
+// checkCut verifies src with and without the doomed-hold proof. Every
+// attempt of the reference must run its hold to the time-out, and each
+// attempt with the proof must stop well short of it (cut) or run at
+// least as far (not cut), as wantCut says.
+func checkCut(t *testing.T, src string, wantCut bool) *Hint {
+	t.Helper()
+	mod, rep := waiterPair(t, src)
+	h, machines, refMachines := verifyBoth(t, mod, rep)
+	budget := New().HoldBudget
+	for i, m := range refMachines {
+		if m.StepCount() <= budget {
+			t.Fatalf("reference attempt %d ran %d steps: the hold did not time out", i+1, m.StepCount())
+		}
+	}
+	for i, m := range machines {
+		if cut := m.StepCount() < budget/10; cut != wantCut {
+			t.Errorf("attempt %d ran %d steps (hold budget %d), want cut=%v", i+1, m.StepCount(), budget, wantCut)
+		}
+	}
+	return h
+}
+
+// gatedSrc is the gated noise unit's shape: @waiter spins on a gate only
+// main opens, after its racing store. With main held at the store, the
+// hold is doomed; %BODY% is spliced into the spin loop.
+const gatedSrc = `
+global @x = 0
+global @gate = 0
+
+func @waiter() {
+entry:
+  jmp wait
+wait:
+%BODY%
+  call @io_delay(7)
+  %g = load @gate
+  %c = icmp ne %g, 0
+  br %c, go, wait
+go:
+  %v = load @x
+  ret %v
+}
+func @main() {
+entry:
+  %t = call @spawn(@waiter)
+  store 5, @x
+  store 1, @gate
+  %r = call @join(%t)
+  ret 0
+}
+`
+
+func TestSpinGatedHoldIsCut(t *testing.T) {
+	h := checkCut(t, strings.Replace(gatedSrc, "%BODY%", "", 1), true)
+	if h.Verified || h.Attempts != New().Attempts {
+		t.Errorf("gated pair: %s after %d attempts, want not verified after all", h, h.Attempts)
+	}
+}
+
+func TestRandSpinnerNotCut(t *testing.T) {
+	checkCut(t, strings.Replace(gatedSrc, "%BODY%", "  %r = call @rand(10)", 1), false)
+}
+
+func TestCountingSpinnerNotCut(t *testing.T) {
+	checkCut(t, strings.Replace(gatedSrc, "%BODY%", "  %i = phi [entry: 0], [wait: %i2]\n  %i2 = add %i, 1", 1), false)
+}
+
+// TestPassingThreadVoidsWindow holds one @waiter at the racing load
+// while a second one keeps passing it on every turn of the spin: the
+// pass voids the window, so the hold is never cut. A thread released
+// from a hold passes its racing instruction (passOnce) through the same
+// rule.
+func TestPassingThreadVoidsWindow(t *testing.T) {
+	src := `
+global @x = 0
+
+func @waiter() {
+entry:
+  jmp wait
+wait:
+  call @io_delay(7)
+  %v = load @x
+  jmp wait
+}
+func @main() {
+entry:
+  %a = call @spawn(@waiter)
+  %b = call @spawn(@waiter)
+  %r = call @join(%a)
+  store 1, @x
+  ret 0
+}
+`
+	checkCut(t, src, false)
+}
+
+// TestStoringSpinnerNotCut: @setter's loop repeats its state on every
+// turn, but each turn stores the flag @waiter polls, which lets @waiter
+// reach the racing load. The stores void the window, so the hold lasts
+// until the partner arrives and the race is verified; a proof that
+// ignored stores would cut it while @waiter sleeps.
+func TestStoringSpinnerNotCut(t *testing.T) {
+	src := `
+global @x = 0
+global @flag = 0
+
+func @waiter() {
+entry:
+  jmp wait
+wait:
+  call @io_delay(500)
+  %f = load @flag
+  %c = icmp ne %f, 0
+  br %c, go, wait
+go:
+  %v = load @x
+  ret %v
+}
+func @setter() {
+entry:
+  call @io_delay(1500)
+  jmp loop
+loop:
+  store 1, @flag
+  jmp loop
+}
+func @main() {
+entry:
+  %w = call @spawn(@waiter)
+  %s = call @spawn(@setter)
+  store 5, @x
+  %r = call @join(%w)
+  ret 0
+}
+`
+	mod, rep := waiterPair(t, src)
+	h, _, _ := verifyBoth(t, mod, rep)
+	if !h.Verified || h.Attempts != 1 {
+		t.Errorf("store-released partner: %s after %d attempts, want verified on the first", h, h.Attempts)
 	}
 }

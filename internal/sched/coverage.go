@@ -60,21 +60,6 @@ func (c *Coverage) Merge(rc *RunCoverage) int {
 	return fresh
 }
 
-// MergeCoverage folds another global map's pairs into c and returns how
-// many of them were new — the map-to-map analogue of Merge, used when an
-// exploration seeds from (or folds back into) a persistent ExploreState.
-func (c *Coverage) MergeCoverage(o *Coverage) int {
-	fresh := 0
-	for k := range o.pairs {
-		if _, ok := c.pairs[k]; ok {
-			continue
-		}
-		c.pairs[k] = struct{}{}
-		fresh++
-	}
-	return fresh
-}
-
 // RunCoverage records the context-switch pairs of a single execution. It
 // implements interp.SwitchObserver; each machine run gets its own
 // recorder, so workers share nothing and the Engine can merge results

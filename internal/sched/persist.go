@@ -27,8 +27,12 @@ import "sync"
 // program. All methods are safe for concurrent use; the zero value is
 // not usable — construct with NewExploreState.
 type ExploreState struct {
-	mu           sync.Mutex
-	cov          *Coverage
+	mu sync.Mutex
+	// pairs is the coverage, each pair once, in an exactly sized slice:
+	// a server keeps one state per program it has seen, and the slice
+	// costs a fraction of a hash set of the same pairs. Only Absorb,
+	// Merge and ApplyDelta need set lookups, and they build one.
+	pairs        []covKey
 	seen         map[string]bool
 	explorations int
 	// journal, when non-nil, accumulates what each Absorb newly learned
@@ -39,10 +43,7 @@ type ExploreState struct {
 
 // NewExploreState returns an empty state.
 func NewExploreState() *ExploreState {
-	return &ExploreState{
-		cov:  NewCoverage(),
-		seen: make(map[string]bool),
-	}
+	return &ExploreState{seen: make(map[string]bool)}
 }
 
 // Warm reports whether at least one exploration has been absorbed — the
@@ -73,7 +74,7 @@ func (s *ExploreState) Pairs() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cov.Pairs()
+	return len(s.pairs)
 }
 
 // SeenReports returns the number of distinct report IDs absorbed.
@@ -92,7 +93,9 @@ func (s *ExploreState) SeenReports() int {
 func (s *ExploreState) seed(e *Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.cov.MergeCoverage(s.cov)
+	for _, k := range s.pairs {
+		e.cov.pairs[k] = struct{}{}
+	}
 	for id := range s.seen {
 		e.seen[id] = true
 	}
@@ -106,17 +109,17 @@ func (s *ExploreState) Absorb(e *Engine) {
 	if s == nil || e == nil {
 		return
 	}
+	keys := make([]covKey, 0, len(e.cov.pairs))
+	for k := range e.cov.pairs {
+		keys = append(keys, k)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range e.cov.pairs {
-		if _, ok := s.cov.pairs[k]; ok {
-			continue
-		}
-		s.cov.pairs[k] = struct{}{}
+	s.union(keys, func(i int) {
 		if s.journal != nil {
-			s.journal.Pairs = append(s.journal.Pairs, stablePairOf(k))
+			s.journal.Pairs = append(s.journal.Pairs, stablePairOf(keys[i]))
 		}
-	}
+	})
 	for id := range e.seen {
 		if s.seen[id] {
 			continue
@@ -130,4 +133,30 @@ func (s *ExploreState) Absorb(e *Engine) {
 	if s.journal != nil {
 		s.journal.Explorations = s.explorations
 	}
+}
+
+// union adds the keys the state does not have yet, calling added with
+// the index in keys of each one, and reports whether any was added. The
+// grown slice is allocated at its exact size.
+func (s *ExploreState) union(keys []covKey, added func(i int)) bool {
+	have := make(map[covKey]struct{}, len(s.pairs)+len(keys))
+	for _, k := range s.pairs {
+		have[k] = struct{}{}
+	}
+	var fresh []covKey
+	for i, k := range keys {
+		if _, ok := have[k]; ok {
+			continue
+		}
+		have[k] = struct{}{}
+		fresh = append(fresh, k)
+		if added != nil {
+			added(i)
+		}
+	}
+	if len(fresh) == 0 {
+		return false
+	}
+	s.pairs = append(append(make([]covKey, 0, len(s.pairs)+len(fresh)), s.pairs...), fresh...)
+	return true
 }

@@ -106,26 +106,6 @@ func TestExploreStateResumeIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoverageMergeCoverage pins the map-to-map merge used by seeding
-// and absorbing.
-func TestCoverageMergeCoverage(t *testing.T) {
-	pt := newPairTable()
-	a, b := NewCoverage(), NewCoverage()
-	a.pairs[pt.key("x")] = struct{}{}
-	a.pairs[pt.key("y")] = struct{}{}
-	b.pairs[pt.key("y")] = struct{}{}
-	b.pairs[pt.key("z")] = struct{}{}
-	if fresh := a.MergeCoverage(b); fresh != 1 {
-		t.Errorf("fresh = %d, want 1 (only z is new)", fresh)
-	}
-	if a.Pairs() != 3 {
-		t.Errorf("pairs = %d, want 3", a.Pairs())
-	}
-	if fresh := a.MergeCoverage(b); fresh != 0 {
-		t.Errorf("re-merge fresh = %d, want 0", fresh)
-	}
-}
-
 // TestExploreStateNilSafety: a nil state is inert everywhere it can
 // appear.
 func TestExploreStateNilSafety(t *testing.T) {

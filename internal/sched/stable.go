@@ -109,7 +109,7 @@ func (s *ExploreState) Export() StateSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := StateSnapshot{Explorations: s.explorations}
-	for k := range s.cov.pairs {
+	for _, k := range s.pairs {
 		snap.Pairs = append(snap.Pairs, stablePairOf(k))
 	}
 	sortPairs(snap.Pairs)
@@ -147,12 +147,10 @@ func (s *ExploreState) Import(m *ir.Module, snap StateSnapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.explorations > 0 || len(s.cov.pairs) > 0 || len(s.seen) > 0 {
+	if s.explorations > 0 || len(s.pairs) > 0 || len(s.seen) > 0 {
 		return fmt.Errorf("sched: import into warm ExploreState")
 	}
-	for _, k := range resolved {
-		s.cov.pairs[k] = struct{}{}
-	}
+	s.union(resolved, nil)
 	for _, id := range snap.Seen {
 		s.seen[id] = true
 	}
@@ -228,17 +226,11 @@ func (s *ExploreState) Merge(m *ir.Module, snap StateSnapshot) (bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := false
-	for i, k := range resolved {
-		if _, ok := s.cov.pairs[k]; ok {
-			continue
-		}
-		s.cov.pairs[k] = struct{}{}
-		changed = true
+	changed := s.union(resolved, func(i int) {
 		if s.journal != nil {
 			s.journal.Pairs = append(s.journal.Pairs, snap.Pairs[i])
 		}
-	}
+	})
 	for _, id := range snap.Seen {
 		if s.seen[id] {
 			continue
@@ -286,9 +278,7 @@ func (s *ExploreState) ApplyDelta(m *ir.Module, d *StateDelta) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, k := range resolved {
-		s.cov.pairs[k] = struct{}{}
-	}
+	s.union(resolved, nil)
 	for _, id := range d.Seen {
 		s.seen[id] = true
 	}

@@ -45,9 +45,10 @@ func warmState(t *testing.T, m *ir.Module) *ExploreState {
 	s := NewExploreState()
 	w, mn := m.Func("worker"), m.Func("main")
 	s.mu.Lock()
-	s.cov.pairs[covKey{from: w.InstrAt(0), to: mn.InstrAt(1)}] = struct{}{}
-	s.cov.pairs[covKey{from: mn.InstrAt(0), to: w.InstrAt(2)}] = struct{}{}
-	s.cov.pairs[covKey{from: w.InstrAt(3), to: w.InstrAt(0)}] = struct{}{}
+	s.pairs = append(s.pairs,
+		covKey{from: w.InstrAt(0), to: mn.InstrAt(1)},
+		covKey{from: mn.InstrAt(0), to: w.InstrAt(2)},
+		covKey{from: w.InstrAt(3), to: w.InstrAt(0)})
 	s.seen["race-b"] = true
 	s.seen["race-a"] = true
 	s.explorations = 2

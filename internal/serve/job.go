@@ -188,9 +188,9 @@ type Job struct {
 	subs   map[chan JobStatus]struct{}
 	done   chan struct{}
 
-	// mc is the job-local collector; it feeds the stream's progress
-	// events while the pipeline runs and is merged into the server
-	// collector when the job finishes.
+	// mc is the job-local collector the pipeline records into; it is
+	// merged into the server collector, and dropped, when the job
+	// finishes.
 	mc *metrics.Collector
 }
 

@@ -432,7 +432,7 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 		Submissions:       subs,
 		ElapsedMS:         float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	s.mc.Merge(j.mc)
+	s.mergeMetrics(j)
 	s.mc.Count("serve.jobs_completed", 1)
 	return func(st *JobStatus) {
 		st.State = StateDone
@@ -441,12 +441,20 @@ func (s *Server) run(j *Job) func(*JobStatus) {
 }
 
 func (s *Server) fail(j *Job, err error) func(*JobStatus) {
-	s.mc.Merge(j.mc)
+	s.mergeMetrics(j)
 	s.mc.Count("serve.jobs_failed", 1)
 	return func(st *JobStatus) {
 		st.State = StateFailed
 		st.Error = err.Error()
 	}
+}
+
+// mergeMetrics folds a finished job's collector into the server's and
+// drops it: the server keeps every job for status queries, and a kept
+// collector would grow the heap with every job served.
+func (s *Server) mergeMetrics(j *Job) {
+	s.mc.Merge(j.mc)
+	j.mc = nil
 }
 
 // queueGauges refreshes the scrape-time gauges on the live collector.
