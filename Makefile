@@ -6,6 +6,7 @@
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
 #                        plus the process-level kill-and-restart smoke
+#   make fuzz            fuzz the checkpoint decoder and WAL recovery, 10 s per target
 #   make replica-gate    fleet-replication gate: peer state exchange, fleet warm-start
 #                        and network-fault matrix under -race
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
@@ -23,7 +24,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci build vet bench-build test race serve-gate persist-gate replica-gate faults predict engine-diff \
+.PHONY: ci build vet bench-build test race serve-gate persist-gate fuzz replica-gate faults predict engine-diff \
 	fmt-check golden golden-update profile bench bench-smoke clean
 
 ci: build vet bench-build race serve-gate persist-gate replica-gate faults predict engine-diff golden
@@ -73,6 +74,15 @@ persist-gate:
 		-run 'Persist|Restart|Kill|DiskFault|Eviction|Drain|Checkpoint|Fsck'
 	$(GO) test -count=1 ./cmd/owl-serve/
 	@echo "durable-store gate passed"
+
+# Native fuzzing of the two decoders every durable byte passes through:
+# DecodeCheckpoint (a CHECKPOINT file at boot and a peer's blob on the
+# wire) and WAL recovery. Seeds live in internal/serve/persist/testdata/fuzz/
+# and also run as plain tests; go test fuzzes one target per invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/serve/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverWAL$$' -fuzztime 10s ./internal/serve/persist/
+	@echo "fuzz passed"
 
 # Fleet-replication gate (docs/SERVE.md): the peer-client suite under
 # -race (retry/backoff, health cooldown, gzip negotiation, latest-wins

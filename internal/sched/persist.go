@@ -30,15 +30,15 @@ type ExploreState struct {
 	mu sync.Mutex
 	// pairs is the coverage, each pair once, in an exactly sized slice:
 	// a server keeps one state per program it has seen, and the slice
-	// costs a fraction of a hash set of the same pairs. Only Absorb,
-	// Merge and ApplyDelta need set lookups, and they build one.
+	// costs a fraction of a hash set of the same pairs. Only fold needs
+	// set lookups, and it builds one.
 	pairs        []covKey
 	seen         map[string]bool
 	explorations int
-	// journal, when non-nil, accumulates what each Absorb newly learned
-	// in stable form until TakeDelta drains it (see stable.go). Nil by
-	// default: journaling is opt-in via SetJournal.
-	journal *StateDelta
+	// journal, when non-nil, accumulates what each Absorb or Merge newly
+	// learned in stable form until TakeDelta drains it (see stable.go).
+	// Nil by default: journaling is opt-in via SetJournal.
+	journal *StateSnapshot
 }
 
 // NewExploreState returns an empty state.
@@ -113,32 +113,25 @@ func (s *ExploreState) Absorb(e *Engine) {
 	for k := range e.cov.pairs {
 		keys = append(keys, k)
 	}
+	ids := make([]string, 0, len(e.seen))
+	for id := range e.seen {
+		ids = append(ids, id)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.union(keys, func(i int) {
-		if s.journal != nil {
-			s.journal.Pairs = append(s.journal.Pairs, stablePairOf(keys[i]))
-		}
-	})
-	for id := range e.seen {
-		if s.seen[id] {
-			continue
-		}
-		s.seen[id] = true
-		if s.journal != nil {
-			s.journal.Seen = append(s.journal.Seen, id)
-		}
-	}
+	s.fold(keys, func(i int) StablePair { return stablePairOf(keys[i]) }, ids)
 	s.explorations++
 	if s.journal != nil {
 		s.journal.Explorations = s.explorations
 	}
 }
 
-// union adds the keys the state does not have yet, calling added with
-// the index in keys of each one, and reports whether any was added. The
-// grown slice is allocated at its exact size.
-func (s *ExploreState) union(keys []covKey, added func(i int)) bool {
+// fold is the one step every Absorb and Merge takes under s.mu: add the
+// keys and report IDs the state does not have yet, journaling each new
+// one when the journal is on (stable renders keys[i] for it), and
+// report whether anything was new. The grown pair slice is allocated at
+// its exact size.
+func (s *ExploreState) fold(keys []covKey, stable func(i int) StablePair, seen []string) bool {
 	have := make(map[covKey]struct{}, len(s.pairs)+len(keys))
 	for _, k := range s.pairs {
 		have[k] = struct{}{}
@@ -150,13 +143,23 @@ func (s *ExploreState) union(keys []covKey, added func(i int)) bool {
 		}
 		have[k] = struct{}{}
 		fresh = append(fresh, k)
-		if added != nil {
-			added(i)
+		if s.journal != nil {
+			s.journal.Pairs = append(s.journal.Pairs, stable(i))
 		}
 	}
-	if len(fresh) == 0 {
-		return false
+	if len(fresh) > 0 {
+		s.pairs = append(append(make([]covKey, 0, len(s.pairs)+len(fresh)), s.pairs...), fresh...)
 	}
-	s.pairs = append(append(make([]covKey, 0, len(s.pairs)+len(fresh)), s.pairs...), fresh...)
-	return true
+	changed := len(fresh) > 0
+	for _, id := range seen {
+		if s.seen[id] {
+			continue
+		}
+		s.seen[id] = true
+		changed = true
+		if s.journal != nil {
+			s.journal.Seen = append(s.journal.Seen, id)
+		}
+	}
+	return changed
 }

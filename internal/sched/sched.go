@@ -305,24 +305,3 @@ func (s *Replay) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	}
 	return s.Fallback.Next(runnable, step)
 }
-
-// Fixed always prefers the lowest-id runnable thread in Order; useful in
-// tests to force specific interleavings, and used by the verifiers to
-// steer the racing instructions into a requested order.
-type Fixed struct {
-	// Order is the preference list; threads not listed come after listed
-	// ones, lowest id first.
-	Order []interp.ThreadID
-}
-
-// Next implements interp.Scheduler.
-func (s *Fixed) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
-	for _, want := range s.Order {
-		for _, id := range runnable {
-			if id == want {
-				return id
-			}
-		}
-	}
-	return runnable[0]
-}

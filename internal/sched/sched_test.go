@@ -127,19 +127,6 @@ func TestReplayFollowsTraceAndFallsBack(t *testing.T) {
 	_ = r.Next(ids(0, 2), 3)
 }
 
-func TestFixedPrefersListedOrder(t *testing.T) {
-	s := &Fixed{Order: ids(3, 1)}
-	if got := s.Next(ids(0, 1, 3), 0); got != 3 {
-		t.Errorf("got %d, want 3", got)
-	}
-	if got := s.Next(ids(0, 1), 1); got != 1 {
-		t.Errorf("got %d, want 1", got)
-	}
-	if got := s.Next(ids(0, 2), 2); got != 0 {
-		t.Errorf("got %d, want first runnable", got)
-	}
-}
-
 func TestDecisionSchedRecordsTrace(t *testing.T) {
 	s := &DecisionSched{Decisions: []int{1, 0}}
 	if got := s.Next(ids(5), 0); got != 5 {

@@ -300,38 +300,14 @@ func (c *SnapCache) RunMachine(cfg interp.Config) (*interp.Machine, error) {
 		return m, nil
 	}
 
-	bound := cfg.MaxSteps
-	if bound <= 0 {
-		bound = interp.DefaultMaxSteps
-	}
 	c.mu.Lock()
 	maxDepth := c.maxDepth
 	c.mu.Unlock()
 	ss := &snapSched{ds: ds, c: c, fks: fks, maxDepth: maxDepth}
 	cfg.Sched = ss
-	var m *interp.Machine
-	if e := c.lookup(ds.Decisions, bound); e != nil {
-		if len(e.obs) != len(fks) {
-			return nil, ErrSnapObserverMismatch
-		}
-		for i, f := range fks {
-			if !f.RestoreState(e.obs[i]) {
-				// A partial restore would poison the run; surface it.
-				return nil, ErrSnapObserverMismatch
-			}
-		}
-		var err error
-		m, err = interp.Restore(e.machine, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ds.SetState(e.sched)
-	} else {
-		var err error
-		m, err = interp.New(cfg)
-		if err != nil {
-			return nil, err
-		}
+	m, err := c.resume(cfg, ds, fks)
+	if err != nil {
+		return nil, err
 	}
 	ss.m = m
 	m.RunLoop()
@@ -354,6 +330,13 @@ func (c *SnapCache) Restore(cfg interp.Config, ds *DecisionSched) (*interp.Machi
 	if c == nil || !forkable || cfg.Breakpoint != nil {
 		return interp.New(cfg)
 	}
+	return c.resume(cfg, ds, fks)
+}
+
+// resume builds a machine for cfg at the deepest cached ancestor of
+// ds.Decisions, with the observers (fks) and ds restored to that
+// boundary, or a fresh machine at step 0 when no ancestor is cached.
+func (c *SnapCache) resume(cfg interp.Config, ds *DecisionSched, fks []StateForker) (*interp.Machine, error) {
 	bound := cfg.MaxSteps
 	if bound <= 0 {
 		bound = interp.DefaultMaxSteps
@@ -367,6 +350,7 @@ func (c *SnapCache) Restore(cfg interp.Config, ds *DecisionSched) (*interp.Machi
 	}
 	for i, f := range fks {
 		if !f.RestoreState(e.obs[i]) {
+			// A partial restore would poison the run; surface it.
 			return nil, ErrSnapObserverMismatch
 		}
 	}

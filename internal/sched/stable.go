@@ -2,7 +2,7 @@
 // coverage by *ir.Instr identity, which is meaningless across process
 // boundaries; Export re-keys every pair by ir.InstrPos (function name +
 // flat instruction index — deterministic products of Module.Freeze) and
-// Import re-binds them against a re-resolved module, refusing to guess
+// Merge re-binds them against a re-resolved module, refusing to guess
 // when a position no longer resolves. The serve persistence layer
 // (internal/serve/persist) stores Export's snapshot in checkpoints and
 // the per-job journal deltas in its WAL.
@@ -71,33 +71,19 @@ func sortPairs(ps []StablePair) {
 	})
 }
 
-// StateSnapshot is the full serializable form of an ExploreState:
-// coverage pairs and seen-report IDs in sorted order (so identical
-// states marshal to identical bytes) plus the absorbed-exploration
-// count. The snapshot cache is deliberately absent — machine snapshots
-// are in-memory page images and are rebuilt from scratch after a
-// restart.
+// StateSnapshot is the serializable form of an ExploreState: coverage
+// pairs and seen-report IDs in sorted order (so identical states
+// marshal to identical bytes) plus the exploration count. Export
+// produces the full state; TakeDelta produces the growth since the last
+// drain, whose count is still absolute, not an increment, so that
+// folding any suffix of deltas on top of any checkpoint converges to
+// the same counters. The snapshot cache is deliberately absent —
+// machine snapshots are in-memory page images and are rebuilt from
+// scratch after a restart.
 type StateSnapshot struct {
 	Pairs        []StablePair `json:"pairs,omitempty"`
 	Seen         []string     `json:"seen,omitempty"`
 	Explorations int          `json:"explorations"`
-}
-
-// StateDelta is the journaled growth of an ExploreState since the last
-// TakeDelta: the newly covered pairs and newly seen report IDs (sorted,
-// set semantics — replaying a delta twice is harmless) plus the
-// absolute exploration count after the delta. Absolute, not an
-// increment, so that replaying any suffix of deltas on top of any
-// checkpoint converges to the same counters.
-type StateDelta struct {
-	Pairs        []StablePair `json:"pairs,omitempty"`
-	Seen         []string     `json:"seen,omitempty"`
-	Explorations int          `json:"explorations"`
-}
-
-// Empty reports whether the delta carries nothing.
-func (d *StateDelta) Empty() bool {
-	return d == nil || (len(d.Pairs) == 0 && len(d.Seen) == 0 && d.Explorations == 0)
 }
 
 // Export snapshots the state in stable form. Safe to call concurrently
@@ -121,45 +107,8 @@ func (s *ExploreState) Export() StateSnapshot {
 	return snap
 }
 
-// Import re-binds a snapshot against the given frozen module and loads
-// it into the state. It refuses to guess: any pair that does not
-// resolve fails the whole import (the state was taken from a different
-// program — callers discard it and count the loss rather than serve
-// silently-wrong coverage). Import is only valid on a cold state; a
-// warm one already carries live pairs the load would silently merge
-// with. Imported data never lands in the journal — it is already
-// durable wherever it came from.
-func (s *ExploreState) Import(m *ir.Module, snap StateSnapshot) error {
-	if s == nil {
-		return fmt.Errorf("sched: import into nil ExploreState")
-	}
-	if m == nil || !m.Frozen() {
-		return fmt.Errorf("sched: import needs a frozen module")
-	}
-	resolved := make([]covKey, len(snap.Pairs))
-	for i, p := range snap.Pairs {
-		k, ok := p.resolve(m)
-		if !ok {
-			return fmt.Errorf("sched: import: pair %d (@%s#%d -> @%s#%d) does not resolve in module %s",
-				i, p.FromFn, p.FromIx, p.ToFn, p.ToIx, m.Name)
-		}
-		resolved[i] = k
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.explorations > 0 || len(s.pairs) > 0 || len(s.seen) > 0 {
-		return fmt.Errorf("sched: import into warm ExploreState")
-	}
-	s.union(resolved, nil)
-	for _, id := range snap.Seen {
-		s.seen[id] = true
-	}
-	s.explorations = snap.Explorations
-	return nil
-}
-
-// SetJournal switches per-absorb delta journaling on or off. With the
-// journal on, every Absorb records which pairs and report IDs were new;
+// SetJournal switches delta journaling on or off. With the journal on,
+// every Absorb and Merge records which pairs and report IDs were new;
 // TakeDelta drains them. Off (the default) keeps Absorb allocation-free
 // for callers that never persist.
 func (s *ExploreState) SetJournal(on bool) {
@@ -169,17 +118,17 @@ func (s *ExploreState) SetJournal(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if on && s.journal == nil {
-		s.journal = &StateDelta{}
+		s.journal = &StateSnapshot{}
 	} else if !on {
 		s.journal = nil
 	}
 }
 
-// TakeDelta drains the journal: everything absorbed since the previous
+// TakeDelta drains the journal: everything folded in since the previous
 // TakeDelta (or SetJournal), in sorted order, with the absolute
 // exploration count stamped in. Returns nil when journaling is off or
 // nothing accumulated.
-func (s *ExploreState) TakeDelta() *StateDelta {
+func (s *ExploreState) TakeDelta() *StateSnapshot {
 	if s == nil {
 		return nil
 	}
@@ -189,22 +138,23 @@ func (s *ExploreState) TakeDelta() *StateDelta {
 		return nil
 	}
 	d := s.journal
-	s.journal = &StateDelta{}
+	s.journal = &StateSnapshot{}
 	sortPairs(d.Pairs)
 	sort.Strings(d.Seen)
 	d.Explorations = s.explorations
 	return d
 }
 
-// Merge folds a full snapshot from another replica into the state —
-// the warm-state counterpart of Import. Pairs and seen IDs union in
-// (set semantics), Explorations takes the max (both sides count real
+// Merge folds a snapshot into the state: a checkpoint or WAL delta at
+// recovery, or a peer's checkpoint. It re-binds every pair against the
+// frozen module m and refuses to guess: any pair that does not resolve
+// (the snapshot was taken from a different program) fails the whole
+// merge with the state untouched. Pairs and seen IDs union in (set
+// semantics), Explorations takes the max (both sides count real
 // absorbed explorations; max keeps the counter monotonic without
-// double-counting shared history). The same refuse-to-guess contract
-// as Import applies: any unresolvable pair fails the whole merge with
-// the state untouched. Unlike Import, merged knowledge DOES land in
-// the journal when journaling is on — it is durable on the peer it
-// came from, not here, and the next WAL record must carry it.
+// double-counting shared history), so folding the same snapshot twice
+// changes nothing. With journaling on, what was new lands in the
+// journal, for the next WAL record to carry.
 //
 // The returned bool reports whether anything new landed; false means
 // the snapshot was stale (already a subset of this state).
@@ -226,21 +176,7 @@ func (s *ExploreState) Merge(m *ir.Module, snap StateSnapshot) (bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := s.union(resolved, func(i int) {
-		if s.journal != nil {
-			s.journal.Pairs = append(s.journal.Pairs, snap.Pairs[i])
-		}
-	})
-	for _, id := range snap.Seen {
-		if s.seen[id] {
-			continue
-		}
-		s.seen[id] = true
-		changed = true
-		if s.journal != nil {
-			s.journal.Seen = append(s.journal.Seen, id)
-		}
-	}
+	changed := s.fold(resolved, func(i int) StablePair { return snap.Pairs[i] }, snap.Seen)
 	if snap.Explorations > s.explorations {
 		s.explorations = snap.Explorations
 		changed = true
@@ -249,41 +185,4 @@ func (s *ExploreState) Merge(m *ir.Module, snap StateSnapshot) (bool, error) {
 		}
 	}
 	return changed, nil
-}
-
-// ApplyDelta folds a journaled delta into the state (WAL replay during
-// recovery), re-binding its pairs against m under the same
-// refuse-to-guess contract as Import. Set semantics plus the absolute
-// exploration counter make replay idempotent: applying the same delta
-// twice, or a delta already folded into an imported snapshot, changes
-// nothing.
-func (s *ExploreState) ApplyDelta(m *ir.Module, d *StateDelta) error {
-	if d.Empty() {
-		return nil
-	}
-	if s == nil {
-		return fmt.Errorf("sched: apply delta to nil ExploreState")
-	}
-	if m == nil || !m.Frozen() {
-		return fmt.Errorf("sched: apply delta needs a frozen module")
-	}
-	resolved := make([]covKey, len(d.Pairs))
-	for i, p := range d.Pairs {
-		k, ok := p.resolve(m)
-		if !ok {
-			return fmt.Errorf("sched: delta pair %d (@%s#%d -> @%s#%d) does not resolve in module %s",
-				i, p.FromFn, p.FromIx, p.ToFn, p.ToIx, m.Name)
-		}
-		resolved[i] = k
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.union(resolved, nil)
-	for _, id := range d.Seen {
-		s.seen[id] = true
-	}
-	if d.Explorations > s.explorations {
-		s.explorations = d.Explorations
-	}
-	return nil
 }

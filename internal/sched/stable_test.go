@@ -57,7 +57,7 @@ func warmState(t *testing.T, m *ir.Module) *ExploreState {
 }
 
 // TestExportImportRoundTrip: Export against one parse of a module,
-// Import against an independent re-parse — the restart path — must
+// Merge into a fresh state against an independent re-parse — the restart path — must
 // reproduce pair count, seen set, exploration count, and an identical
 // re-export.
 func TestExportImportRoundTrip(t *testing.T) {
@@ -74,8 +74,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	m2 := stableTestModule(t)
 	s2 := NewExploreState()
-	if err := s2.Import(m2, snap); err != nil {
-		t.Fatalf("import: %v", err)
+	if _, err := s2.Merge(m2, snap); err != nil {
+		t.Fatalf("merge: %v", err)
 	}
 	if s2.Pairs() != 3 || s2.SeenReports() != 2 || s2.Explorations() != 2 {
 		t.Fatalf("imported state: pairs=%d seen=%d expl=%d", s2.Pairs(), s2.SeenReports(), s2.Explorations())
@@ -101,22 +101,32 @@ func TestExportDeterministicBytes(t *testing.T) {
 }
 
 // TestImportRefusesToGuess: positions that do not resolve against the
-// module fail the whole import; importing into a warm state fails too.
+// module fail the whole merge and leave a warm state untouched; a
+// module that is not frozen is refused too.
 func TestImportRefusesToGuess(t *testing.T) {
 	m := stableTestModule(t)
 	bad := StateSnapshot{Pairs: []StablePair{{FromFn: "worker", FromIx: 0, ToFn: "gone", ToIx: 1}}}
-	if err := NewExploreState().Import(m, bad); err == nil {
+	if _, err := NewExploreState().Merge(m, bad); err == nil {
 		t.Error("unresolvable pair imported silently")
 	}
 	outOfRange := StateSnapshot{Pairs: []StablePair{{FromFn: "worker", FromIx: 99, ToFn: "main", ToIx: 0}}}
-	if err := NewExploreState().Import(m, outOfRange); err == nil {
+	if _, err := NewExploreState().Merge(m, outOfRange); err == nil {
 		t.Error("out-of-range pair imported silently")
 	}
 	warm := warmState(t, m)
-	if err := warm.Import(m, StateSnapshot{Explorations: 1}); err == nil {
-		t.Error("import into warm state succeeded")
+	before := warm.Export()
+	partlyBad := StateSnapshot{
+		Pairs:        []StablePair{{FromFn: "main", FromIx: 1, ToFn: "main", ToIx: 2}, bad.Pairs[0]},
+		Seen:         []string{"race-new"},
+		Explorations: 9,
 	}
-	if err := NewExploreState().Import(ir.NewModule("cold"), StateSnapshot{}); err == nil {
+	if _, err := warm.Merge(m, partlyBad); err == nil {
+		t.Error("merge with an unresolvable pair succeeded")
+	}
+	if got := warm.Export(); !reflect.DeepEqual(got, before) {
+		t.Errorf("refused merge changed the state:\n got %+v\nwant %+v", got, before)
+	}
+	if _, err := NewExploreState().Merge(ir.NewModule("cold"), StateSnapshot{}); err == nil {
 		t.Error("import against unfrozen module succeeded")
 	}
 }
@@ -159,35 +169,44 @@ func TestJournalCapturesAbsorbDelta(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaIdempotent: replaying a delta that is already folded in
-// (checkpoint-then-crash-before-WAL-reset) changes nothing, and
-// replaying on a cold state converges to the same counters.
-func TestApplyDeltaIdempotent(t *testing.T) {
+// TestMergeDeltaIdempotent: replaying a delta that is already folded in
+// (checkpoint-then-crash-before-WAL-reset) changes nothing, replaying
+// on a cold state converges to the same counters, and with the journal
+// on only what was new is journaled.
+func TestMergeDeltaIdempotent(t *testing.T) {
 	m := stableTestModule(t)
-	d := &StateDelta{
+	d := StateSnapshot{
 		Pairs:        []StablePair{{FromFn: "worker", FromIx: 0, ToFn: "worker", ToIx: 1}},
 		Seen:         []string{"r1"},
 		Explorations: 3,
 	}
 	s := NewExploreState()
 	for i := 0; i < 3; i++ {
-		if err := s.ApplyDelta(m, d); err != nil {
-			t.Fatalf("apply %d: %v", i, err)
+		changed, err := s.Merge(m, d)
+		if err != nil {
+			t.Fatalf("merge %d: %v", i, err)
+		}
+		if changed != (i == 0) {
+			t.Errorf("merge %d reported changed=%v", i, changed)
 		}
 	}
 	if s.Pairs() != 1 || s.SeenReports() != 1 || s.Explorations() != 3 {
 		t.Fatalf("after 3 replays: pairs=%d seen=%d expl=%d", s.Pairs(), s.SeenReports(), s.Explorations())
 	}
 	// A stale delta (lower absolute count) never regresses the counter.
-	stale := &StateDelta{Explorations: 1, Seen: []string{"r0"}}
-	if err := s.ApplyDelta(m, stale); err != nil {
+	s.SetJournal(true)
+	stale := StateSnapshot{Explorations: 1, Seen: []string{"r0", "r1"}}
+	if _, err := s.Merge(m, stale); err != nil {
 		t.Fatal(err)
 	}
 	if s.Explorations() != 3 || s.SeenReports() != 2 {
 		t.Fatalf("stale replay regressed state: expl=%d seen=%d", s.Explorations(), s.SeenReports())
 	}
-	bad := &StateDelta{Pairs: []StablePair{{FromFn: "gone", FromIx: 0, ToFn: "worker", ToIx: 0}}}
-	if err := s.ApplyDelta(m, bad); err == nil {
+	if j := s.TakeDelta(); j == nil || len(j.Pairs) != 0 || !reflect.DeepEqual(j.Seen, []string{"r0"}) || j.Explorations != 3 {
+		t.Errorf("journal after stale merge = %+v, want only r0", j)
+	}
+	bad := StateSnapshot{Pairs: []StablePair{{FromFn: "gone", FromIx: 0, ToFn: "worker", ToIx: 0}}}
+	if _, err := s.Merge(m, bad); err == nil {
 		t.Error("unresolvable delta applied silently")
 	}
 }
@@ -221,14 +240,14 @@ func TestImportedStateResumes(t *testing.T) {
 	orig.Absorb(first)
 
 	imported := NewExploreState()
-	if err := imported.Import(stableTestModule(t), orig.Export()); err != nil {
+	if _, err := imported.Merge(stableTestModule(t), orig.Export()); err != nil {
 		t.Fatal(err)
 	}
 	// The imported state was bound against a re-parse; resume the engine
 	// against the ORIGINAL module's instructions (the serve layer always
 	// re-resolves module and state together, so bind against m here).
 	imported2 := NewExploreState()
-	if err := imported2.Import(m, orig.Export()); err != nil {
+	if _, err := imported2.Merge(m, orig.Export()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -199,16 +198,4 @@ func (s *Store) writeFileAtomic(key, op, path string, magic string, content []by
 		return err
 	}
 	return s.syncDir(key, filepath.Dir(path))
-}
-
-// readMagicFile reads a whole blob and strips its magic header.
-func readMagicFile(path, magic string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < magicLen || string(data[:magicLen]) != magic {
-		return nil, fmt.Errorf("persist: %s: bad magic", path)
-	}
-	return data[magicLen:], nil
 }

@@ -1,19 +1,16 @@
-// Offline validation and repair of a state directory. Fsck applies the
-// same trust rules as boot recovery — a program is only as good as its
-// checksummed checkpoint plus the valid prefix of its WAL — but instead
-// of rehydrating it reports and repairs: corrupt checkpoints are
-// quarantined, torn WAL tails truncated, leftover temp files removed.
-// Running fsck before a server start is never required (boot recovery
-// does all of this implicitly) but gives an operator a dry accounting
-// of what a crash cost.
+// Offline validation and repair of a state directory. Fsck IS boot
+// recovery — a program is only as good as its checksummed checkpoint
+// plus the valid prefix of its WAL — run without a server and reported
+// instead of rehydrated: corrupt checkpoints are quarantined, torn WAL
+// tails truncated, leftover temp files removed. Running fsck before a
+// server start is never required (boot recovery does all of this
+// anyway) but gives an operator an accounting of what a crash cost.
 package persist
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // FsckProgram is one program's verdict.
@@ -24,9 +21,10 @@ type FsckProgram struct {
 	// Err describes why a program was quarantined.
 	Err string `json:"err,omitempty"`
 	// Records is the count of valid WAL records beyond the checkpoint —
-	// what boot recovery would replay.
+	// what recovery replayed.
 	Records int `json:"records"`
-	// TruncatedBytes is how much torn/corrupt WAL tail was cut off.
+	// TruncatedBytes is how much torn/corrupt WAL tail was cut off (the
+	// whole file when even its header was unreadable).
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// Submissions/Pairs/Seen summarize the durable state for reporting.
 	Submissions int `json:"submissions"`
@@ -43,86 +41,37 @@ type FsckReport struct {
 	RemovedTemp int           `json:"removed_temp"`
 }
 
-// Fsck validates and repairs a state directory in place. It returns an
-// error only when the directory itself is unusable; per-program damage
-// is repaired (quarantine/truncate) and reported, exactly as boot
-// recovery would handle it.
+// Fsck validates and repairs a state directory in place by running boot
+// recovery over it, and reports what that recovery did. It returns an
+// error only when the directory itself is unusable.
 func Fsck(dir string) (*FsckReport, error) {
 	rep := &FsckReport{Dir: dir}
-	progRoot := filepath.Join(dir, "programs")
-	entries, err := os.ReadDir(progRoot)
+	s := &Store{dir: dir} // no faults, no metrics
+	err := s.recoverAll(func(key string, rec *Recovered, rp repair, err error) {
+		rep.RemovedTemp += rp.removedTemp
+		fp := FsckProgram{Key: key}
+		if err != nil {
+			fp.Err = err.Error()
+			rep.Quarantined++
+			rep.Programs = append(rep.Programs, fp)
+			return
+		}
+		rec.Log.Close()
+		ck := rec.Checkpoint
+		fp.OK, fp.Records, fp.TruncatedBytes = true, len(rec.Deltas), rp.truncated
+		fp.Submissions, fp.Pairs, fp.Seen = ck.Submissions, len(ck.State.Pairs), len(ck.State.Seen)
+		for _, d := range rec.Deltas {
+			fp.Submissions = max(fp.Submissions, d.SubmissionsAfter)
+		}
+		rep.OK++
+		rep.Programs = append(rep.Programs, fp)
+	})
 	if os.IsNotExist(err) {
 		return rep, nil // nothing persisted yet: trivially clean
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fsck: %w", err)
 	}
-	s := &Store{dir: dir} // repair helper; no faults, no metrics
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		key := e.Name()
-		pdir := filepath.Join(progRoot, key)
-		fp := FsckProgram{Key: key}
-		for _, tmp := range []string{"CHECKPOINT.tmp", "WAL.tmp"} {
-			if os.Remove(filepath.Join(pdir, tmp)) == nil {
-				rep.RemovedTemp++
-			}
-		}
-		ck, err := readCheckpointFile(filepath.Join(pdir, "CHECKPOINT"), key)
-		if err != nil {
-			fp.Err = err.Error()
-			if qerr := s.Quarantine(key); qerr != nil {
-				os.RemoveAll(pdir)
-			}
-			rep.Quarantined++
-			rep.Programs = append(rep.Programs, fp)
-			continue
-		}
-		fp.OK = true
-		fp.Submissions = ck.Submissions
-		fp.Pairs = len(ck.State.Pairs)
-		fp.Seen = len(ck.State.Seen)
-
-		walPath := filepath.Join(pdir, "WAL")
-		data, err := os.ReadFile(walPath)
-		if err != nil && !os.IsNotExist(err) {
-			// Boot recovery treats an unreadable WAL as an untrustworthy
-			// program and quarantines it; fsck applies the same rule
-			// rather than report the program ok with a buried error.
-			fp.OK = false
-			fp.Err = err.Error()
-			if qerr := s.Quarantine(key); qerr != nil {
-				os.RemoveAll(pdir)
-			}
-			rep.Quarantined++
-			rep.Programs = append(rep.Programs, fp)
-			continue
-		}
-		deltas, goodOff, _ := scanWAL(data, ck.Seq)
-		fp.Records = len(deltas)
-		if goodOff == 0 {
-			if len(data) > 0 {
-				fp.TruncatedBytes = int64(len(data)) - magicLen
-				if fp.TruncatedBytes < 0 {
-					fp.TruncatedBytes = int64(len(data))
-				}
-			}
-			os.WriteFile(walPath, []byte(walMagic), 0o644)
-		} else if goodOff < len(data) {
-			fp.TruncatedBytes = int64(len(data) - goodOff)
-			os.Truncate(walPath, int64(goodOff))
-		}
-		for _, d := range deltas {
-			if d.SubmissionsAfter > fp.Submissions {
-				fp.Submissions = d.SubmissionsAfter
-			}
-		}
-		rep.OK++
-		rep.Programs = append(rep.Programs, fp)
-	}
-	sort.Slice(rep.Programs, func(i, j int) bool { return rep.Programs[i].Key < rep.Programs[j].Key })
 	return rep, nil
 }
 

@@ -10,8 +10,8 @@
 // the rest.
 //
 // The package stores bytes and recovers structure; it does not know
-// what an ExploreState is. Checkpoints carry a sched.StateSnapshot and
-// WAL records a sched.StateDelta as opaque-but-versioned JSON; the
+// what an ExploreState is. Checkpoints carry a full sched.StateSnapshot
+// and WAL records a journaled one as opaque-but-versioned JSON; the
 // serve layer re-binds them against a re-resolved module (guarded by
 // the module fingerprint) and discards wholesale anything that no
 // longer resolves — persist's job is only to guarantee that what comes
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"github.com/conanalysis/owl/internal/faultinject"
@@ -71,14 +70,14 @@ type Checkpoint struct {
 }
 
 // Delta is one job's durable contribution: the absolute submission
-// count after the job (absolute, like StateDelta.Explorations, so
+// count after the job (absolute, like the journaled Explorations, so
 // replaying an already-folded record cannot double-count), the report
-// IDs the job newly added in append order, and the journaled state
-// delta.
+// IDs the job newly added in append order, and the state journal the
+// job drained (sched.ExploreState.TakeDelta).
 type Delta struct {
-	SubmissionsAfter int               `json:"submissions"`
-	Reports          []string          `json:"reports,omitempty"`
-	State            *sched.StateDelta `json:"state,omitempty"`
+	SubmissionsAfter int                  `json:"submissions"`
+	Reports          []string             `json:"reports,omitempty"`
+	State            *sched.StateSnapshot `json:"state,omitempty"`
 }
 
 // walRecord is the framed WAL payload: a delta stamped with its
@@ -154,49 +153,75 @@ func Open(dir string, opts Options) (*Store, []*Recovered, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "programs"), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "programs"))
+	var recovered []*Recovered
+	err := s.recoverAll(func(_ string, rec *Recovered, _ repair, err error) {
+		if err == nil {
+			recovered = append(recovered, rec)
+		}
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
-	var recovered []*Recovered
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		key := e.Name()
-		rec, err := s.recoverProgram(key)
-		if err != nil {
-			s.count("serve.persist_quarantined", 1)
-			if qerr := s.Quarantine(key); qerr != nil {
-				// The blob is bad and cannot be moved aside; removing it
-				// is the only way to keep the next boot from tripping on
-				// it again.
-				os.RemoveAll(s.programDir(key))
-			}
-			continue
-		}
-		s.count("serve.persist_recovered", 1)
-		s.count("serve.persist_replayed", int64(len(rec.Deltas)))
-		recovered = append(recovered, rec)
-	}
-	sort.Slice(recovered, func(i, j int) bool {
-		return recovered[i].Checkpoint.Key < recovered[j].Checkpoint.Key
-	})
 	return s, recovered, nil
+}
+
+// repair is what recovering one program changed on disk.
+type repair struct {
+	removedTemp int   // leftover temp files deleted
+	truncated   int64 // WAL bytes cut off past the valid prefix
+}
+
+// recoverAll runs recoverOrQuarantine on every program directory, in
+// key order (os.ReadDir sorts by name), handing each outcome to visit.
+func (s *Store) recoverAll(visit func(key string, rec *Recovered, rp repair, err error)) error {
+	entries, err := os.ReadDir(filepath.Join(s.dir, "programs"))
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			rec, rp, err := s.recoverOrQuarantine(e.Name())
+			visit(e.Name(), rec, rp, err)
+		}
+	}
+	return nil
+}
+
+// recoverOrQuarantine is the one boot-recovery step, shared by Open,
+// Reopen and Fsck: rehydrate the program, or, when its checkpoint or
+// WAL cannot be trusted, move it to quarantine and return why.
+func (s *Store) recoverOrQuarantine(key string) (*Recovered, repair, error) {
+	rec, rp, err := s.recoverProgram(key)
+	if err != nil {
+		s.count("serve.persist_quarantined", 1)
+		if qerr := s.Quarantine(key); qerr != nil {
+			// The blob is bad and cannot be moved aside; removing it
+			// is the only way to keep the next boot from tripping on
+			// it again.
+			os.RemoveAll(s.programDir(key))
+		}
+		return nil, rp, err
+	}
+	s.count("serve.persist_recovered", 1)
+	s.count("serve.persist_replayed", int64(len(rec.Deltas)))
+	return rec, rp, nil
 }
 
 // recoverProgram rehydrates one program directory. An error means the
 // checkpoint itself cannot be trusted (quarantine the directory); WAL
 // damage is handled here by truncating to the valid prefix.
-func (s *Store) recoverProgram(key string) (*Recovered, error) {
+func (s *Store) recoverProgram(key string) (*Recovered, repair, error) {
 	dir := s.programDir(key)
-	ck, err := readCheckpointFile(filepath.Join(dir, "CHECKPOINT"), key)
-	if err != nil {
-		return nil, err
-	}
+	var rp repair
 	// Leftover temp files are un-renamed partial writes: harmless, remove.
 	for _, tmp := range []string{"CHECKPOINT.tmp", "WAL.tmp"} {
-		os.Remove(filepath.Join(dir, tmp))
+		if os.Remove(filepath.Join(dir, tmp)) == nil {
+			rp.removedTemp++
+		}
+	}
+	_, ck, err := s.CheckpointBlob(key)
+	if err != nil {
+		return nil, rp, err
 	}
 
 	l := &Log{store: s, key: key, dir: dir, nextSeq: ck.Seq + 1}
@@ -208,7 +233,7 @@ func (s *Store) recoverProgram(key string) (*Recovered, error) {
 		// checkpoint alone is the durable state.
 		data = nil
 	case err != nil:
-		return nil, err
+		return nil, rp, err
 	}
 
 	deltas, goodOff, maxSeq := scanWAL(data, ck.Seq)
@@ -218,30 +243,31 @@ func (s *Store) recoverProgram(key string) (*Recovered, error) {
 	}
 	if goodOff < len(data) {
 		s.count("serve.persist_truncated_tails", 1)
+		rp.truncated = int64(len(data) - goodOff)
 	}
 
 	// Rewrite or truncate the WAL to exactly its valid prefix, then open
 	// the append handle at that point.
 	if goodOff == 0 {
 		if err := os.WriteFile(walPath, []byte(walMagic), 0o644); err != nil {
-			return nil, err
+			return nil, rp, err
 		}
 		goodOff = magicLen
 	} else if goodOff < len(data) {
 		if err := os.Truncate(walPath, int64(goodOff)); err != nil {
-			return nil, err
+			return nil, rp, err
 		}
 	}
 	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, rp, err
 	}
 	if err := wal.Sync(); err != nil {
 		wal.Close()
-		return nil, err
+		return nil, rp, err
 	}
 	l.wal, l.walOff = wal, int64(goodOff)
-	return &Recovered{Checkpoint: ck, Deltas: deltas, Log: l}, nil
+	return &Recovered{Checkpoint: ck, Deltas: deltas, Log: l}, rp, nil
 }
 
 // scanWAL walks WAL bytes and returns the deltas of valid records with
@@ -276,30 +302,6 @@ func scanWAL(data []byte, afterSeq uint64) (deltas []Delta, goodOff int, maxSeq 
 		goodOff = off
 	}
 	return deltas, goodOff, maxSeq
-}
-
-// readCheckpointFile reads and validates one checkpoint blob: magic,
-// exactly one well-checksummed frame, matching version and key.
-func readCheckpointFile(path, key string) (Checkpoint, error) {
-	var ck Checkpoint
-	body, err := readMagicFile(path, ckptMagic)
-	if err != nil {
-		return ck, err
-	}
-	payload, next, ok := readFrame(body, 0)
-	if !ok || next != len(body) {
-		return ck, fmt.Errorf("persist: %s: corrupt frame", path)
-	}
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return ck, fmt.Errorf("persist: %s: %w", path, err)
-	}
-	if ck.Version != Version {
-		return ck, fmt.Errorf("persist: %s: version %d, want %d", path, ck.Version, Version)
-	}
-	if key != "" && ck.Key != key {
-		return ck, fmt.Errorf("persist: %s: checkpoint key %s under directory %s", path, ck.Key, key)
-	}
-	return ck, nil
 }
 
 // EncodeCheckpoint renders ck as a standalone checkpoint blob — the
@@ -344,8 +346,8 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 }
 
 // CheckpointBlob reads a program's durable CHECKPOINT file verbatim and
-// validates it — the bytes a replica serves for a program it has
-// evicted from memory. The WAL tail is deliberately not folded in: the
+// validates it — what boot recovery starts from, and the bytes a
+// replica serves for a program it has evicted from memory. The WAL tail is deliberately not folded in: the
 // blob is whatever the last checkpoint covered (ck.Seq says how much),
 // and a peer that wants fresher state will hear about it through the
 // next anti-entropy push.
@@ -393,17 +395,8 @@ func (s *Store) Reopen(key string) (*Recovered, error) {
 	if _, err := os.Stat(s.programDir(key)); err != nil {
 		return nil, nil
 	}
-	rec, err := s.recoverProgram(key)
-	if err != nil {
-		s.count("serve.persist_quarantined", 1)
-		if qerr := s.Quarantine(key); qerr != nil {
-			os.RemoveAll(s.programDir(key))
-		}
-		return nil, err
-	}
-	s.count("serve.persist_recovered", 1)
-	s.count("serve.persist_replayed", int64(len(rec.Deltas)))
-	return rec, nil
+	rec, _, err := s.recoverOrQuarantine(key)
+	return rec, err
 }
 
 // Quarantine moves a program directory aside under quarantine/ so boot

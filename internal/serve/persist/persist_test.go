@@ -30,7 +30,7 @@ func testDelta(i int) Delta {
 	return Delta{
 		SubmissionsAfter: i,
 		Reports:          []string{"r" + strings.Repeat("x", i)},
-		State: &sched.StateDelta{
+		State: &sched.StateSnapshot{
 			Pairs:        []sched.StablePair{{FromFn: "f", FromIx: i, ToFn: "g", ToIx: 0}},
 			Seen:         []string{"r" + strings.Repeat("x", i)},
 			Explorations: i,

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"github.com/conanalysis/owl/internal/owl"
-	"github.com/conanalysis/owl/internal/sched"
 	"github.com/conanalysis/owl/internal/serve/persist"
 )
 
@@ -46,53 +45,21 @@ func specFromSource(src persist.ProgramSource) Spec {
 	}
 }
 
-// buildProgramState turns one recovered checkpoint+WAL into a live
-// programState bound to prog's module. The caller has already verified
-// the content key; this verifies the module fingerprint and replays the
-// state under the refuse-to-guess contract.
-func buildProgramState(rec *persist.Recovered, name string, prog owl.Program) (*programState, error) {
-	ck := rec.Checkpoint
-	fp := prog.Module.Fingerprint()
-	if ck.ModuleFP != fp {
-		return nil, fmt.Errorf("module fingerprint %.12s does not match persisted %.12s", fp, ck.ModuleFP)
+// resolveCheckpoint is the identity check every recovered or offered
+// checkpoint passes before it may touch the store: its preserved source
+// must re-resolve to its key, and the resolved module must have its
+// fingerprint.
+func resolveCheckpoint(ck *persist.Checkpoint) (owl.Program, string, error) {
+	prog, name, key, err := resolve(specFromSource(ck.Source))
+	switch {
+	case err != nil:
+		return prog, name, fmt.Errorf("source does not resolve: %w", err)
+	case key != ck.Key:
+		return prog, name, fmt.Errorf("source re-resolves to key %.12s, not %.12s", key, ck.Key)
+	case prog.Module.Fingerprint() != ck.ModuleFP:
+		return prog, name, fmt.Errorf("module fingerprint %.12s does not match %.12s", prog.Module.Fingerprint(), ck.ModuleFP)
 	}
-	state := sched.NewExploreState()
-	if err := state.Import(prog.Module, ck.State); err != nil {
-		return nil, err
-	}
-	ps := &programState{
-		key:         ck.Key,
-		name:        name,
-		prog:        prog,
-		state:       state,
-		reports:     make(map[string]bool, len(ck.Reports)),
-		submissions: ck.Submissions,
-		source:      ck.Source,
-		fp:          fp,
-		log:         rec.Log,
-	}
-	for _, id := range ck.Reports {
-		if !ps.reports[id] {
-			ps.reports[id] = true
-			ps.order = append(ps.order, id)
-		}
-	}
-	for _, d := range rec.Deltas {
-		if err := state.ApplyDelta(prog.Module, d.State); err != nil {
-			return nil, err
-		}
-		for _, id := range d.Reports {
-			if !ps.reports[id] {
-				ps.reports[id] = true
-				ps.order = append(ps.order, id)
-			}
-		}
-		if d.SubmissionsAfter > ps.submissions {
-			ps.submissions = d.SubmissionsAfter
-		}
-	}
-	state.SetJournal(true)
-	return ps, nil
+	return prog, name, nil
 }
 
 // rehydrateAll loads every program Open recovered into the store —
@@ -100,22 +67,11 @@ func buildProgramState(rec *persist.Recovered, name string, prog owl.Program) (*
 // program (quarantine + serve.persist_discarded) and never fail boot.
 func (s *Server) rehydrateAll(recovered []*persist.Recovered) {
 	for _, rec := range recovered {
-		key := rec.Checkpoint.Key
-		prog, name, rkey, err := resolve(specFromSource(rec.Checkpoint.Source))
-		if err == nil && rkey != key {
-			err = fmt.Errorf("persisted source re-resolves to key %.12s, not %.12s", rkey, key)
+		prog, name, err := resolveCheckpoint(&rec.Checkpoint)
+		if ps := s.store.rehydrate(rec, name, prog, err); ps != nil {
+			s.store.insert(ps)
+			s.mc.Count("serve.store_programs", 1)
 		}
-		var ps *programState
-		if err == nil {
-			ps, err = buildProgramState(rec, name, prog)
-		}
-		if err != nil {
-			rec.Log.Close()
-			s.store.discard(key)
-			continue
-		}
-		s.store.insert(ps)
-		s.mc.Count("serve.store_programs", 1)
 	}
 }
 

@@ -165,7 +165,8 @@ func (s *Server) handleStateOffer(w http.ResponseWriter, r *http.Request) {
 }
 
 // readStateBody reads an offer body, transparently gunzipping and
-// enforcing the blob size bound.
+// enforcing the blob size bound on both the wire bytes and the inflated
+// ones — a small gzip body can otherwise inflate to any size.
 func readStateBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	reader := io.Reader(http.MaxBytesReader(w, r.Body, replicate.MaxBlobBytes))
 	if r.Header.Get("Content-Encoding") == "gzip" {
@@ -174,7 +175,7 @@ func readStateBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 			return nil, err
 		}
 		defer gz.Close()
-		reader = gz
+		reader = http.MaxBytesReader(w, gz, replicate.MaxBlobBytes)
 	}
 	return io.ReadAll(reader)
 }
@@ -184,23 +185,14 @@ func readStateBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // re-resolve to its claimed key, or whose module fingerprint disagrees
 // with the locally resolved program, must not materialize anything.
 func (s *Server) importOffer(ck *persist.Checkpoint) (int, error) {
-	spec := specFromSource(ck.Source)
-	prog, name, rkey, err := resolve(spec)
+	prog, name, err := resolveCheckpoint(ck)
 	if err != nil {
 		s.mc.Count("serve.replica_discarded", 1)
-		return http.StatusUnprocessableEntity, fmt.Errorf("blob source does not resolve: %w", err)
-	}
-	if rkey != ck.Key {
-		s.mc.Count("serve.replica_discarded", 1)
-		return http.StatusUnprocessableEntity, fmt.Errorf("blob source re-resolves to key %.12s, not %.12s", rkey, ck.Key)
-	}
-	if fp := prog.Module.Fingerprint(); fp != ck.ModuleFP {
-		s.mc.Count("serve.replica_discarded", 1)
-		return http.StatusUnprocessableEntity, fmt.Errorf("module fingerprint %.12s does not match blob %.12s", fp, ck.ModuleFP)
+		return http.StatusUnprocessableEntity, fmt.Errorf("blob %w", err)
 	}
 	// allowPeer=false: accepting a push must not trigger a fetch back at
 	// the pusher.
-	ps, outcome := s.store.acquireSeeded(ck.Key, name, prog, sourceOf(spec), ck, false)
+	ps, outcome := s.store.acquireSeeded(ck.Key, name, prog, ck.Source, ck, false)
 	defer s.store.release(ps)
 	switch outcome {
 	case acqImported:
@@ -240,15 +232,8 @@ func (ps *programState) mergeSnapshot(ck *persist.Checkpoint) (bool, error) {
 		return false, err
 	}
 	ps.mu.Lock()
-	for _, id := range ck.Reports {
-		if !ps.reports[id] {
-			ps.reports[id] = true
-			ps.order = append(ps.order, id)
-			changed = true
-		}
-	}
-	ps.mu.Unlock()
-	return changed, nil
+	defer ps.mu.Unlock()
+	return len(ps.addReports(ck.Reports)) > 0 || changed, nil
 }
 
 // offerState enqueues ps's current state for anti-entropy push. Cheap

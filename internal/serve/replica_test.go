@@ -266,6 +266,7 @@ func TestStateOfferPaths(t *testing.T) {
 	if !st.Resume {
 		t.Fatal("submission after import did not resume warm")
 	}
+	bomb := gzipZeros(t, 4*replicate.MaxBlobBytes>>20)
 
 	for name, tc := range map[string]struct {
 		path string
@@ -273,12 +274,13 @@ func TestStateOfferPaths(t *testing.T) {
 		body []byte
 		want int
 	}{
-		"garbage":       {path, nil, []byte("OWLCKPT1 not a frame"), http.StatusBadRequest},
-		"truncated":     {path, nil, blob[:len(blob)/2], http.StatusBadRequest},
-		"malformed key": {"/v1/programs/oops/state", nil, blob, http.StatusBadRequest},
-		"wrong key":     {"/v1/programs/" + strings.Repeat("ee", 32) + "/state", nil, blob, http.StatusBadRequest},
-		"oversized":     {path, nil, make([]byte, replicate.MaxBlobBytes+2), http.StatusRequestEntityTooLarge},
-		"bad gzip":      {path, map[string]string{"Content-Encoding": "gzip"}, blob, http.StatusBadRequest},
+		"garbage":                 {path, nil, []byte("OWLCKPT1 not a frame"), http.StatusBadRequest},
+		"truncated":               {path, nil, blob[:len(blob)/2], http.StatusBadRequest},
+		"malformed key":           {"/v1/programs/oops/state", nil, blob, http.StatusBadRequest},
+		"wrong key":               {"/v1/programs/" + strings.Repeat("ee", 32) + "/state", nil, blob, http.StatusBadRequest},
+		"oversized":               {path, nil, make([]byte, replicate.MaxBlobBytes+2), http.StatusRequestEntityTooLarge},
+		"bad gzip":                {path, map[string]string{"Content-Encoding": "gzip"}, blob, http.StatusBadRequest},
+		"inflates past the bound": {path, map[string]string{"Content-Encoding": "gzip"}, bomb, http.StatusRequestEntityTooLarge},
 	} {
 		if rec := doReq(h, http.MethodPut, tc.path, tc.hdr, tc.body); rec.Code != tc.want {
 			t.Errorf("%s PUT = %d, want %d", name, rec.Code, tc.want)
@@ -302,6 +304,21 @@ func TestStateOfferPaths(t *testing.T) {
 	if n := counterOf(mc, "serve.replica_discarded"); n != discardedBefore+1 {
 		t.Fatalf("replica_discarded = %d, want %d", n, discardedBefore+1)
 	}
+}
+
+// gzipZeros returns a gzip stream that inflates to n MiB of zeros: n
+// concatenated one-MiB members, which gzip.Reader reads as one stream.
+func gzipZeros(t *testing.T, n int) []byte {
+	t.Helper()
+	var member bytes.Buffer
+	gz := gzip.NewWriter(&member)
+	if _, err := gz.Write(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Repeat(member.Bytes(), n)
 }
 
 // fleetMix is the repeat-heavy program set TestFleetWarmStart routes

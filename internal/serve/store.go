@@ -59,24 +59,78 @@ type programState struct {
 	submissions int
 }
 
+// newProgramState binds a checkpoint, plus the WAL deltas recorded
+// after it, to the resolved program prog. It is the one way a
+// programState is built: ck may come from this replica's disk, from a
+// peer, or be the empty checkpoint of a first-seen program. It refuses
+// to guess: the module fingerprint must match and every stable coverage
+// position must resolve. The state comes back unjournaled and without a
+// log; attach binds the log.
+func newProgramState(ck *persist.Checkpoint, deltas []persist.Delta, name string, prog owl.Program) (*programState, error) {
+	fp := prog.Module.Fingerprint()
+	if ck.ModuleFP != fp {
+		return nil, fmt.Errorf("module fingerprint %.12s does not match checkpoint %.12s", fp, ck.ModuleFP)
+	}
+	ps := &programState{
+		key:         ck.Key,
+		name:        name,
+		prog:        prog,
+		state:       sched.NewExploreState(),
+		source:      ck.Source,
+		fp:          fp,
+		reports:     make(map[string]bool, len(ck.Reports)),
+		submissions: ck.Submissions,
+	}
+	if _, err := ps.state.Merge(prog.Module, ck.State); err != nil {
+		return nil, err
+	}
+	ps.addReports(ck.Reports)
+	for _, d := range deltas {
+		if d.State != nil {
+			if _, err := ps.state.Merge(prog.Module, *d.State); err != nil {
+				return nil, err
+			}
+		}
+		ps.addReports(d.Reports)
+		ps.submissions = max(ps.submissions, d.SubmissionsAfter)
+	}
+	return ps, nil
+}
+
+// attach binds ps to its durability handle and turns journaling on, so
+// everything folded in from now on reaches the next WAL record.
+func (ps *programState) attach(log *persist.Log) {
+	ps.log = log
+	ps.state.SetJournal(true)
+}
+
+// addReports unions ids into the report dedup set, keeping first-seen
+// order, and returns the IDs that were new. The caller holds ps.mu or
+// has not shared ps yet.
+func (ps *programState) addReports(ids []string) (fresh []string) {
+	for _, id := range ids {
+		if !ps.reports[id] {
+			ps.reports[id] = true
+			ps.order = append(ps.order, id)
+			fresh = append(fresh, id)
+		}
+	}
+	return fresh
+}
+
 // absorbRun records a completed run: its raw report IDs (returning the
 // IDs that were new to the store, in first-seen order) and the
 // submission count.
 func (ps *programState) absorbRun(res *owl.Result) (freshIDs []string, known, total, submissions int) {
+	ids := make([]string, len(res.Raw))
+	for i, r := range res.Raw {
+		ids[i] = r.ID()
+	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	for _, r := range res.Raw {
-		id := r.ID()
-		if ps.reports[id] {
-			known++
-			continue
-		}
-		ps.reports[id] = true
-		ps.order = append(ps.order, id)
-		freshIDs = append(freshIDs, id)
-	}
+	freshIDs = ps.addReports(ids)
 	ps.submissions++
-	return freshIDs, known, len(ps.reports), ps.submissions
+	return freshIDs, len(ids) - len(freshIDs), len(ps.reports), ps.submissions
 }
 
 // store maps content-hash keys to accumulated program state. With a
@@ -204,12 +258,14 @@ func (s *store) pin(key string) *programState {
 
 // materialize builds the in-memory state for a key that is not in the
 // store, in warmth order: rehydrate from this replica's own disk, else
-// import the seed checkpoint (offer path) or a peer-fetched blob (cold
-// miss with replication on), else create fresh. A blob that fails
-// identity or state validation is discarded and the cold path proceeds
-// — a bad peer can cost warmth, never a job. Runs outside the store
-// mutex; the caller holds key's pending slot, so exactly one goroutine
-// materializes a given key at a time.
+// bind the seed checkpoint (offer path) or a peer-fetched blob (cold
+// miss with replication on), else bind the empty checkpoint of a
+// first-seen program. A blob that fails identity or state validation
+// is discarded and the cold path proceeds — a bad peer can cost warmth,
+// never a job. With persistence on, a new program's first checkpoint is
+// laid down right away, so warmth bought from a peer survives a restart
+// too. Runs outside the store mutex; the caller holds key's pending
+// slot, so exactly one goroutine materializes a given key at a time.
 func (s *store) materialize(key, name string, prog owl.Program, src persist.ProgramSource, seed *persist.Checkpoint, allowPeer bool) (*programState, acquireOutcome) {
 	if ps := s.reopen(key, name, prog); ps != nil {
 		return ps, acqReopened
@@ -219,94 +275,41 @@ func (s *store) materialize(key, name string, prog owl.Program, src persist.Prog
 		ck = s.rep.Fetch(context.Background(), key)
 		fetched = ck != nil
 	}
+	var ps *programState
+	outcome := acqImported
 	if ck != nil {
-		if ps, err := s.importCheckpoint(ck, name, prog); err == nil {
-			if fetched {
-				s.mc.Count("serve.replica_fetch_hits", 1)
-			}
-			return ps, acqImported
+		var err error
+		if ps, err = newProgramState(ck, nil, name, prog); err != nil {
+			s.mc.Count("serve.replica_discarded", 1)
+		} else if fetched {
+			s.mc.Count("serve.replica_fetch_hits", 1)
 		}
-		s.mc.Count("serve.replica_discarded", 1)
 	}
-	ps := &programState{
-		key:     key,
-		name:    name,
-		prog:    prog,
-		state:   sched.NewExploreState(),
-		reports: make(map[string]bool),
-		source:  src,
+	if ps == nil {
 		// The fingerprint is always computed (it is cached on the
 		// module, one hash per program first-sight): the state endpoint
 		// serves blobs whether or not persistence is on, and a blob
-		// without a fingerprint could never be trusted by a peer.
-		fp: prog.Module.Fingerprint(),
+		// without a fingerprint could never be trusted by a peer. The
+		// bind cannot fail: the checkpoint is empty and carries the
+		// module's own fingerprint.
+		ck = &persist.Checkpoint{Key: key, Source: src, ModuleFP: prog.Module.Fingerprint()}
+		ps, _ = newProgramState(ck, nil, name, prog)
+		outcome = acqFresh
 	}
 	if s.pstore != nil {
-		log, err := s.pstore.Create(persist.Checkpoint{
-			Key:      key,
-			Name:     name,
-			Source:   src,
-			ModuleFP: ps.fp,
-			State:    ps.state.Export(),
-		})
-		if err != nil {
+		first := *ck
+		first.Name = name
+		if log, err := s.pstore.Create(first); err != nil {
 			s.mc.Count("serve.persist_errors", 1)
 		} else {
-			ps.log = log
-			ps.state.SetJournal(true)
+			ps.attach(log)
 		}
 	}
-	return ps, acqFresh
+	return ps, outcome
 }
 
-// importCheckpoint builds a live programState from a peer's blob under
-// the same refuse-to-guess contract as disk rehydration: the module
-// fingerprint must match the locally resolved program and every stable
-// coverage position must resolve, or the blob is rejected. On success
-// with persistence on, the imported state is laid down durably right
-// away — warmth bought from a peer should survive a restart too.
-func (s *store) importCheckpoint(ck *persist.Checkpoint, name string, prog owl.Program) (*programState, error) {
-	fp := prog.Module.Fingerprint()
-	if ck.ModuleFP != fp {
-		return nil, fmt.Errorf("module fingerprint %.12s does not match blob %.12s", fp, ck.ModuleFP)
-	}
-	state := sched.NewExploreState()
-	if err := state.Import(prog.Module, ck.State); err != nil {
-		return nil, err
-	}
-	ps := &programState{
-		key:         ck.Key,
-		name:        name,
-		prog:        prog,
-		state:       state,
-		reports:     make(map[string]bool, len(ck.Reports)),
-		submissions: ck.Submissions,
-		source:      ck.Source,
-		fp:          fp,
-	}
-	for _, id := range ck.Reports {
-		if !ps.reports[id] {
-			ps.reports[id] = true
-			ps.order = append(ps.order, id)
-		}
-	}
-	if s.pstore != nil {
-		dck := *ck
-		dck.Name = name
-		log, err := s.pstore.Create(dck)
-		if err != nil {
-			s.mc.Count("serve.persist_errors", 1)
-		} else {
-			ps.log = log
-			ps.state.SetJournal(true)
-		}
-	}
-	return ps, nil
-}
-
-// reopen lazily rehydrates an evicted program's durable state. Damaged
-// or mismatched state is discarded (quarantined + counted) and nil is
-// returned so the caller starts fresh.
+// reopen lazily rehydrates an evicted program's durable state, or
+// returns nil so the caller starts fresh.
 func (s *store) reopen(key, name string, prog owl.Program) *programState {
 	if s.pstore == nil {
 		return nil
@@ -315,12 +318,24 @@ func (s *store) reopen(key, name string, prog owl.Program) *programState {
 	if err != nil || rec == nil {
 		return nil
 	}
-	ps, err := buildProgramState(rec, name, prog)
+	return s.rehydrate(rec, name, prog, nil)
+}
+
+// rehydrate binds a recovered program to its resolved module and its
+// log. When resolving the program failed (err) or the bind does, the
+// program's durable state is discarded — quarantined and counted — and
+// nil is returned.
+func (s *store) rehydrate(rec *persist.Recovered, name string, prog owl.Program, err error) *programState {
+	var ps *programState
+	if err == nil {
+		ps, err = newProgramState(&rec.Checkpoint, rec.Deltas, name, prog)
+	}
 	if err != nil {
 		rec.Log.Close()
-		s.discard(key)
+		s.discard(rec.Checkpoint.Key)
 		return nil
 	}
+	ps.attach(rec.Log)
 	return ps
 }
 
