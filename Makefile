@@ -145,11 +145,15 @@ predict:
 # engine and the tree-walking oracle), the zero-allocation compiled-step
 # pins, the cross-engine snapshot interchange, the runnable-set oracle
 # (the incrementally maintained set against a fresh thread scan at every
-# scheduler call), the verifier suite with its doomed-hold oracle (every
-# corpus report verified with and without the proof, identical hints),
-# the verifier outcome pins, and the pipeline-level oracle parity test.
-# The doomed-hold oracle is built without -race (minutes under it), so
-# the verifier suite runs once with -race and once without.
+# scheduler call), the verifier suite with its two oracles — the
+# doomed-hold oracle (every corpus report verified with and without the
+# proof) and the shared-prefix oracle (every corpus report verified from
+# each seed's shared prefix at workers 1 and 3 and from step 0), each
+# requiring identical hints — the verifier outcome pins, and the
+# pipeline-level oracle parity test. The oracles are built without -race
+# (minutes under it), so the verifier suite runs once with -race, where
+# a workers=3 batch resumes one snapshot concurrently, and once without,
+# which adds both oracles.
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
@@ -157,7 +161,7 @@ engine-diff:
 	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
 	$(GO) test -race -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/raceverify/
-	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned|DoomedHold'
+	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned'
 	@echo "cross-engine differential gate passed"
 
 fmt-check:

@@ -1,7 +1,9 @@
 package callstack
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -102,4 +104,29 @@ func TestPrefixProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestNodeMaterializeConcurrently: machines restored from one snapshot
+// share call-chain nodes and may run on different goroutines, so the
+// lazily built prefix must be safe to build from several at once (the
+// race detector checks it) and give every caller the same chain.
+func TestNodeMaterializeConcurrently(t *testing.T) {
+	var n *Node
+	want := stack("main", "worker", "helper")
+	for _, e := range want {
+		n = PushNode(n, e)
+	}
+	top := Entry{Fn: "leaf"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := n.Materialize(top)
+			if !slices.Equal(got[:len(want)], want) || got[len(want)] != top {
+				t.Errorf("materialized %v, want %v then %v", got, want, top)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,5 +1,7 @@
 package callstack
 
+import "sync/atomic"
+
 // Node is one link of an immutable call chain: the Entry for a caller
 // frame plus the chain of its own callers. The interpreter threads a
 // node through every activation record, so "capture the call stack" on
@@ -7,9 +9,10 @@ package callstack
 // Stack — the outer frames of a stack are fixed the moment the call
 // executes, only the innermost position keeps moving.
 //
-// Nodes are built once per call and never mutated afterwards; a machine
-// runs on a single goroutine, so the lazily built prefix cache needs no
-// synchronization.
+// Nodes are built once per call and never mutated afterwards, except
+// for the lazily built prefix cache. Snapshots share nodes between the
+// machines restored from them, which may run on different goroutines,
+// so the cache is an atomic pointer.
 type Node struct {
 	entry  Entry
 	parent *Node
@@ -18,7 +21,8 @@ type Node struct {
 	// prefix caches the materialized chain (outermost first). It is
 	// built on first use and shared by every retainer, so repeated
 	// materializations of the same chain cost one copy, not a walk.
-	prefix Stack
+	// Goroutines racing to build it build equal stacks.
+	prefix atomic.Pointer[Stack]
 }
 
 // PushNode extends parent with one caller entry, returning the new
@@ -45,14 +49,15 @@ func (n *Node) Prefix() Stack {
 	if n == nil {
 		return nil
 	}
-	if n.prefix == nil {
-		p := make(Stack, n.depth)
-		for c := n; c != nil; c = c.parent {
-			p[c.depth-1] = c.entry
-		}
-		n.prefix = p
+	if p := n.prefix.Load(); p != nil {
+		return *p
 	}
-	return n.prefix
+	p := make(Stack, n.depth)
+	for c := n; c != nil; c = c.parent {
+		p[c.depth-1] = c.entry
+	}
+	n.prefix.Store(&p)
+	return p
 }
 
 // Materialize builds a fresh Stack of the chain plus one innermost

@@ -14,6 +14,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -174,7 +175,12 @@ type Machine struct {
 	step int
 
 	threads []*Thread
-	trace   []ThreadID
+	// The schedule trace is tracePrefix followed by trace. tracePrefix
+	// is the read-only trace of the snapshot a restored machine started
+	// from, shared with every other restore of it; trace holds the
+	// choices taken since, so a restore never copies the prefix.
+	tracePrefix []ThreadID
+	trace       []ThreadID
 
 	globals map[string]int64 // global name -> base address
 	funcIDs map[string]int64 // function name -> func ref value
@@ -186,6 +192,10 @@ type Machine struct {
 	// path (no hashing, no tombstones; release swaps with the last entry).
 	locks          []lockEntry
 	intrinsicByRef map[int64]string // synthetic func-ref id -> intrinsic name
+	// namesShared marks funcIDs, interns and intrinsicByRef as shared
+	// with a snapshot: the machine copies them before its first write
+	// (they grow only when a run first names an intrinsic or a string).
+	namesShared bool
 
 	inputPos  int
 	uid       int64
@@ -613,6 +623,7 @@ func (m *Machine) eval(t *Thread, o ir.Operand) (int64, *Fault) {
 		// Intrinsic reference: give it a synthetic id above all module
 		// functions so indirect calls to intrinsics also work.
 		if isIntrinsic(o.Name) {
+			m.ownNames()
 			id := funcRefBase + int64(len(m.funcs))
 			m.funcs = append(m.funcs, nil) // placeholder
 			m.funcIDs[o.Name] = id
@@ -634,11 +645,23 @@ func (m *Machine) intrinsicRefs(id int64, name string) {
 	m.intrinsicByRef[id] = name
 }
 
+// ownNames gives the machine its own copies of the name tables it
+// shares with a snapshot, before it writes one.
+func (m *Machine) ownNames() {
+	if !m.namesShared {
+		return
+	}
+	m.funcIDs, m.interns = maps.Clone(m.funcIDs), maps.Clone(m.interns)
+	m.intrinsicByRef = maps.Clone(m.intrinsicByRef)
+	m.namesShared = false
+}
+
 // intern returns the address of a global block holding the string.
 func (m *Machine) intern(s string) int64 {
 	if a, ok := m.interns[s]; ok {
 		return a
 	}
+	m.ownNames()
 	words := ir.StringToWords(s)
 	b := m.mem.Alloc(int64(len(words)), BlockGlobal, fmt.Sprintf("str%q", s), nil)
 	copy(b.Words, words)
@@ -802,10 +825,13 @@ func (m *Machine) clockJump() []ThreadID {
 // LastScheduled returns the id of the thread that executed the most recent
 // step, if any.
 func (m *Machine) LastScheduled() (ThreadID, bool) {
-	if len(m.trace) == 0 {
-		return 0, false
+	if n := len(m.trace); n > 0 {
+		return m.trace[n-1], true
 	}
-	return m.trace[len(m.trace)-1], true
+	if n := len(m.tracePrefix); n > 0 {
+		return m.tracePrefix[n-1], true
+	}
+	return 0, false
 }
 
 // Stall reports the current stall state without executing anything.
@@ -876,7 +902,8 @@ func (m *Machine) Step() bool {
 			m.markSched(t)
 			// The suspension consumed the scheduling slot but not the
 			// instruction; undo the trace entry so replays stay aligned
-			// with executed instructions.
+			// with executed instructions. The entry was appended above,
+			// so the undo only ever trims the machine's own suffix.
 			m.trace = m.trace[:len(m.trace)-1]
 			return true
 		}
@@ -923,6 +950,22 @@ func (m *Machine) traceAppend(id ThreadID) {
 	m.trace = append(m.trace, id)
 }
 
+// flatTrace returns the whole schedule trace as one read-only slice.
+// A restored machine that has stepped since its restore joins its
+// prefix and suffix into one buffer of its own first, so later views
+// and snapshots of it share that buffer instead of joining again.
+func (m *Machine) flatTrace() []ThreadID {
+	if len(m.trace) == 0 && m.tracePrefix != nil {
+		return m.tracePrefix
+	}
+	if len(m.tracePrefix) > 0 {
+		joined := make([]ThreadID, 0, 2*(len(m.tracePrefix)+len(m.trace))+64)
+		m.trace = append(append(joined, m.tracePrefix...), m.trace...)
+		m.tracePrefix = nil
+	}
+	return m.trace[:len(m.trace):len(m.trace)]
+}
+
 // Run steps the machine until completion, deadlock, fault-halt, or the
 // step bound, and returns the result.
 func (m *Machine) Run() *Result {
@@ -954,9 +997,11 @@ func (m *Machine) RunLoop() {
 // rewrite trace history is the breakpoint suspension undo, so machines
 // with a breakpoint get a defensive schedule copy instead.
 func (m *Machine) Result() *Result {
-	schedule := m.trace[:len(m.trace):len(m.trace)]
+	var schedule []ThreadID
 	if m.cfg.Breakpoint != nil {
 		schedule = m.Schedule()
+	} else {
+		schedule = m.flatTrace()
 	}
 	r := &Result{
 		ExitCode:    m.exitCode,
@@ -974,7 +1019,11 @@ func (m *Machine) Result() *Result {
 // Schedule returns a private copy of the thread choices taken so far —
 // what Result().Schedule holds, without building the rest of a Result.
 func (m *Machine) Schedule() []ThreadID {
-	return append([]ThreadID(nil), m.trace...)
+	n := len(m.tracePrefix) + len(m.trace)
+	if n == 0 {
+		return nil
+	}
+	return append(append(make([]ThreadID, 0, n), m.tracePrefix...), m.trace...)
 }
 
 // Resume clears the suspension flag of a thread (breakpoint release).

@@ -2,8 +2,10 @@ package interp
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
+	"github.com/conanalysis/owl/internal/bytecode"
 	"github.com/conanalysis/owl/internal/callstack"
 	"github.com/conanalysis/owl/internal/ir"
 )
@@ -65,10 +67,27 @@ type frameImage struct {
 	block     *ir.Block
 	pc        int
 	prevBlock string
+	// A tree frame's registers are regs; a compiled frame's are slots,
+	// named by bc.SlotNames.
 	regs      map[string]int64
+	bc        *bytecode.FuncCode
+	slots     []int64
 	callInstr *ir.Instr
 	allocas   []int // arena block IDs; remapped on restore
 	chain     *callstack.Node
+}
+
+// eachReg calls fn with every register the frame image holds.
+func (fi *frameImage) eachReg(fn func(name string, v int64)) {
+	if fi.bc != nil {
+		for s, name := range fi.bc.SlotNames {
+			fn(name, fi.slots[s])
+		}
+		return
+	}
+	for k, v := range fi.regs {
+		fn(k, v)
+	}
 }
 
 type fileImage struct {
@@ -159,9 +178,11 @@ func snapshotThread(t *Thread) threadImage {
 			// last edge taken (a restored frame that has taken no edge yet
 			// keeps the PrevBlock its image carried). pc: the word's
 			// position within its block (phis included); sentinel words
-			// map to end-of-block. regs: the named slot values — extra
-			// zero-valued names a tree frame wouldn't carry are harmless,
-			// a missing map entry reads 0 either way.
+			// map to end-of-block. The slots are kept as they are, named
+			// by the function's slot names: a tree frame restored from
+			// them gets every name, and extra zero-valued names a tree
+			// frame wouldn't carry are harmless, a missing map entry
+			// reads 0 either way.
 			fi.block = fr.BC.BlockOfPC[fr.FPC]
 			if fr.prevEdge >= 0 {
 				fi.prevBlock = fr.BC.Edges[fr.prevEdge].Src.Name
@@ -171,10 +192,7 @@ func snapshotThread(t *Thread) threadImage {
 			} else {
 				fi.pc = len(fi.block.Instrs)
 			}
-			fi.regs = make(map[string]int64, len(fr.Slots))
-			for s, name := range fr.BC.SlotNames {
-				fi.regs[name] = fr.Slots[s]
-			}
+			fi.bc, fi.slots = fr.BC, slices.Clone(fr.Slots)
 		} else {
 			fi.regs = make(map[string]int64, len(fr.Regs))
 			for k, v := range fr.Regs {
@@ -205,9 +223,10 @@ func (ti threadImage) restore(m *Machine) *Thread {
 		if m.prog != nil {
 			// Rebuild a compiled frame from the canonical image: the
 			// block-relative pc maps back to a word pc (end-of-block maps
-			// to the sentinel), named registers map to slots. Names
-			// without a slot can only be ones the function never reads;
-			// dropping them is value-preserving.
+			// to the sentinel), named registers map to slots (an image of
+			// the same compiled function copies its slots). Names without
+			// a slot can only be ones the function never reads; dropping
+			// them is value-preserving.
 			fc := m.prog.Funcs[fi.fn]
 			fr = &Frame{
 				Fn: fi.fn, Block: fi.block, PrevBlock: fi.prevBlock,
@@ -220,20 +239,22 @@ func (ti threadImage) restore(m *Machine) *Thread {
 			} else {
 				fr.FPC = fc.PCofInstr[fi.block.Instrs[fi.pc].Index]
 			}
-			for k, v := range fi.regs {
-				if s, ok := fc.SlotOf[k]; ok {
-					fr.Slots[s] = v
-				}
+			if fi.bc == fc {
+				copy(fr.Slots, fi.slots)
+			} else {
+				fi.eachReg(func(k string, v int64) {
+					if s, ok := fc.SlotOf[k]; ok {
+						fr.Slots[s] = v
+					}
+				})
 			}
 		} else {
 			fr = &Frame{
 				Fn: fi.fn, Block: fi.block, PC: fi.pc, PrevBlock: fi.prevBlock,
 				CallInstr: fi.callInstr, chain: fi.chain,
-				Regs: make(map[string]int64, len(fi.regs)),
+				Regs: make(map[string]int64, len(fi.regs)+len(fi.slots)),
 			}
-			for k, v := range fi.regs {
-				fr.Regs[k] = v
-			}
+			fi.eachReg(func(k string, v int64) { fr.Regs[k] = v })
 		}
 		if len(fi.allocas) > 0 {
 			fr.Allocas = make([]*MemBlock, len(fi.allocas))
@@ -260,15 +281,15 @@ func (m *Machine) Snapshot() *Snapshot {
 		step:      m.step,
 		threads:   make([]threadImage, len(m.threads)),
 		globals:   m.globals,
-		funcIDs:   copyMap(m.funcIDs),
+		funcIDs:   m.funcIDs,
 		funcs:     m.funcs[:len(m.funcs):len(m.funcs)],
-		interns:   copyMap(m.interns),
+		interns:   m.interns,
 		inputPos:  m.inputPos,
 		uid:       m.uid,
 		output:    m.output[:len(m.output):len(m.output)],
 		faults:    m.faults[:len(m.faults):len(m.faults)],
 		execLog:   m.execLog[:len(m.execLog):len(m.execLog)],
-		trace:     m.trace[:len(m.trace):len(m.trace)],
+		trace:     m.flatTrace(),
 		forkCount: m.forkCount,
 		exited:    m.exited,
 		exitCode:  m.exitCode,
@@ -284,24 +305,14 @@ func (m *Machine) Snapshot() *Snapshot {
 	s.cfg.Breakpoint = nil
 	s.locks = append([]lockEntry(nil), m.locks...)
 	sort.Slice(s.locks, func(i, j int) bool { return s.locks[i].addr < s.locks[j].addr })
-	if m.intrinsicByRef != nil {
-		s.intrinsicByRef = make(map[int64]string, len(m.intrinsicByRef))
-		for k, v := range m.intrinsicByRef {
-			s.intrinsicByRef[k] = v
-		}
-	}
+	// The name tables are shared, not copied: whichever side writes
+	// first copies them (see ownNames).
+	s.intrinsicByRef = m.intrinsicByRef
+	m.namesShared = true
 	for i, t := range m.threads {
 		s.threads[i] = snapshotThread(t)
 	}
 	return s
-}
-
-func copyMap(src map[string]int64) map[string]int64 {
-	dst := make(map[string]int64, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 // Restore builds a new machine continuing from the snapshot. cfg
@@ -345,15 +356,17 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		fs:             s.fs.restore(),
 		step:           s.step,
 		globals:        s.globals,
-		funcIDs:        copyMap(s.funcIDs),
+		funcIDs:        s.funcIDs,
 		funcs:          s.funcs,
-		interns:        copyMap(s.interns),
+		interns:        s.interns,
+		intrinsicByRef: s.intrinsicByRef,
+		namesShared:    true,
 		inputPos:       s.inputPos,
 		uid:            s.uid,
 		output:         s.output,
 		faults:         s.faults,
 		execLog:        s.execLog,
-		trace:          s.trace,
+		tracePrefix:    s.trace,
 		forkCount:      s.forkCount,
 		exited:         s.exited,
 		exitCode:       s.exitCode,
@@ -363,13 +376,6 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		hasObs:         len(mcfg.Observers) > 0,
 		hasSwitch:      len(mcfg.SwitchObservers) > 0,
 		stackMemoStep:  -1,
-		intrinsicByRef: nil,
-	}
-	if s.intrinsicByRef != nil {
-		m.intrinsicByRef = make(map[int64]string, len(s.intrinsicByRef))
-		for k, v := range s.intrinsicByRef {
-			m.intrinsicByRef[k] = v
-		}
 	}
 	m.locks = append([]lockEntry(nil), s.locks...)
 	for _, o := range mcfg.Observers {

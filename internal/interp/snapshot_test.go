@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -410,5 +411,126 @@ entry:
 	}
 	if a, b := m2.Mem().Peek(m2.GlobalAddr("a")), m2.Mem().Peek(m2.GlobalAddr("b")); a != 20 || b != 2 {
 		t.Fatalf("s2 sees @a=%d @b=%d, want 20 2", a, b)
+	}
+}
+
+// suspendCall returns a breakpoint that suspends the thread presented at
+// its n-th call (counting from 1) and lets every other call continue.
+func suspendCall(n int) BreakpointFunc {
+	calls := 0
+	return func(*Machine, *Thread, *ir.Instr) BPAction {
+		if calls++; calls == n {
+			return BPSuspend
+		}
+		return BPContinue
+	}
+}
+
+// sameTrace fails unless got reports the same schedule as want through
+// Schedule, Result().Schedule and LastScheduled.
+func sameTrace(t *testing.T, what string, want, got *Machine) {
+	t.Helper()
+	if w, g := want.Schedule(), got.Schedule(); !slices.Equal(w, g) {
+		t.Fatalf("%s: Schedule() = %v, want %v", what, g, w)
+	}
+	if w, g := want.Result().Schedule, got.Result().Schedule; !slices.Equal(w, g) {
+		t.Fatalf("%s: Result().Schedule = %v, want %v", what, g, w)
+	}
+	wl, wok := want.LastScheduled()
+	gl, gok := got.LastScheduled()
+	if wl != gl || wok != gok {
+		t.Fatalf("%s: LastScheduled() = %d %v, want %d %v", what, gl, gok, wl, wok)
+	}
+}
+
+// lockstep steps want and got together to the end, releasing every
+// suspended thread after each step, and requires the same schedule
+// trace after every step.
+func lockstep(t *testing.T, what string, want, got *Machine) {
+	t.Helper()
+	for i := 0; ; i++ {
+		sameTrace(t, fmt.Sprintf("%s, step %d", what, i), want, got)
+		okW, okG := want.Step(), got.Step()
+		if okW != okG {
+			t.Fatalf("%s, step %d: Step() = %v, want %v", what, i, okG, okW)
+		}
+		if !okW {
+			return
+		}
+		for _, m := range []*Machine{want, got} {
+			for _, th := range m.Threads() {
+				if th.Suspended {
+					m.Resume(th.ID)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotTraceAcrossRestores pins the restored machine's schedule
+// trace, kept as the snapshot's read-only prefix plus a suffix of its
+// own: Schedule, Result().Schedule and LastScheduled must equal a
+// from-scratch run's on a fresh restore (empty suffix), across a
+// restore of a restore, and when a breakpoint suspends the thread of
+// the first step after a restore (the undo trims only the suffix).
+func TestSnapshotTraceAcrossRestores(t *testing.T) {
+	for progSeed := int64(1); progSeed <= 6; progSeed++ {
+		src, inputs := genSnapProgram(rand.New(rand.NewSource(progSeed)))
+		mod, err := ir.Parse("snap_trace_test.oir", src)
+		if err != nil {
+			t.Fatalf("prog %d: generated program does not parse: %v\n%s", progSeed, err, src)
+		}
+		base := Config{Module: mod, Inputs: inputs, MaxSteps: 20000}
+		// fresh returns a from-scratch machine stepped k times, and its
+		// scheduler.
+		fresh := func(k int, bp BreakpointFunc) (*Machine, *snapRand) {
+			cfg := base
+			s := &snapRand{state: uint64(progSeed)}
+			cfg.Sched, cfg.Breakpoint = s, bp
+			m := mustMachine(t, cfg)
+			for i := 0; i < k; i++ {
+				if !m.Step() {
+					t.Fatalf("prog %d: run ended at step %d of %d", progSeed, i, k)
+				}
+			}
+			return m, s
+		}
+		restore := func(m *Machine, s *snapRand, bp BreakpointFunc) (*Machine, *snapRand) {
+			c := *s
+			r, err := Restore(m.Snapshot(), Config{Sched: &c, Breakpoint: bp})
+			if err != nil {
+				t.Fatalf("prog %d: restore: %v", progSeed, err)
+			}
+			return r, &c
+		}
+		ref, _ := fresh(0, nil)
+		n := len(ref.Run().Schedule)
+		if n < 6 {
+			continue
+		}
+		k1, k2 := n/3, n/3
+		tag := fmt.Sprintf("prog %d", progSeed)
+
+		// A restore of a restore, both fresh, then run to the end.
+		m0, s0 := fresh(k1, nil)
+		m1, s1 := restore(m0, s0, nil)
+		want, _ := fresh(k1, nil)
+		sameTrace(t, tag+": fresh restore", want, m1)
+		for i := 0; i < k2; i++ {
+			m1.Step()
+		}
+		m2, _ := restore(m1, s1, nil)
+		want, _ = fresh(k1+k2, nil)
+		lockstep(t, tag+": restore of a restore", want, m2)
+		// The intermediate machine joined its trace for the snapshot and
+		// keeps stepping on it.
+		want, _ = fresh(k1+k2, nil)
+		lockstep(t, tag+": restored machine after its own snapshot", want, m1)
+
+		// A breakpoint suspending the first step after the restore.
+		m0, s0 = fresh(k1, suspendCall(k1+1))
+		m1, _ = restore(m0, s0, suspendCall(1))
+		want, _ = fresh(k1, suspendCall(k1+1))
+		lockstep(t, tag+": suspension on the first step after a restore", want, m1)
 	}
 }

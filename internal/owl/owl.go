@@ -427,22 +427,30 @@ func Run(p Program, opts Options) (*Result, error) {
 	mc.Count("owl.adhoc_syncs", int64(res.Stats.AdhocSyncs))
 	mc.Count("owl.after_annotation", int64(res.Stats.AfterAnnotation))
 
-	// Step 3: dynamic race verification with security hints. Each report
-	// is verified on its own freshly built machines, so the per-report
-	// loop fans out; hints are collected in report order. A quarantined
-	// verification drops its report from every later stage (neither
-	// verified nor eliminated — lost).
+	// Step 3: dynamic race verification with security hints. The
+	// verifier runs all reports at once, seed by seed, resuming each
+	// report's attempt from the seed's shared prefix; the per-report loop
+	// then delivers the outcomes in report order under the supervisor.
+	// A report's first try takes the batch's outcome, a retry verifies
+	// the report alone. A quarantined verification drops its report
+	// from every later stage (neither verified nor eliminated — lost).
 	mk := factory(p, opts.engine)
 	rvLost := 0
 	if !opts.DisableRaceVerify {
 		rv := raceverify.New()
 		st = sup.Stage("owl.raceverify")
+		batch := rv.VerifyAll(st.Ctx(), mk, working, opts.Workers)
 		hints := make([]*raceverify.Hint, len(working))
+		tried := make([]bool, len(working))
 		st.ForEach(0, len(working), opts.Workers, func(_ context.Context, i int) error {
 			if err := st.Inject(i); err != nil {
 				return err
 			}
-			h, err := rv.Verify(mk, working[i])
+			h, err := batch.Hints[i], batch.Errs[i]
+			if tried[i] {
+				h, err = rv.Verify(mk, working[i])
+			}
+			tried[i] = true
 			if err != nil {
 				return fmt.Errorf("race verification of %s: %w", working[i].ID(), err)
 			}

@@ -2,12 +2,14 @@ package owl
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/conanalysis/owl/internal/faultinject"
 	"github.com/conanalysis/owl/internal/metrics"
+	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/supervise"
 	"github.com/conanalysis/owl/internal/workloads"
 )
@@ -219,6 +221,56 @@ func TestTransientFaultRetriesMatchCleanRun(t *testing.T) {
 	}
 	if retries != 2 {
 		t.Fatalf("owl.retries = %d, want 2", retries)
+	}
+}
+
+// hintLines renders each hint as one line, keyed by its report.
+func hintLines(hints []*raceverify.Hint) map[string]string {
+	out := make(map[string]string, len(hints))
+	for _, h := range hints {
+		out[h.Report.ID()] = fmt.Sprintf("verified=%v attempts=%d read=%d write=%d var=%q null=%v uninit=%v sched=%v",
+			h.Verified, h.Attempts, h.ReadVal, h.WriteVal, h.VarName, h.WritesNull, h.ReadsUninitialized, h.Schedule)
+	}
+	return out
+}
+
+// TestRaceVerifyFaultQuarantinesOneReport: the race verifier runs all
+// reports as one batch, yet an unbounded error or panic on one report
+// index quarantines exactly that report, at any worker count, and every
+// other report keeps the clean run's hint.
+func TestRaceVerifyFaultQuarantinesOneReport(t *testing.T) {
+	prog := libsafeProgram(t)
+	clean, err := Run(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 1
+	if len(clean.Annotated) <= victim {
+		t.Fatalf("libsafe has %d reports, want more than %d", len(clean.Annotated), victim)
+	}
+	victimID := clean.Annotated[victim].ID()
+	want := hintLines(clean.Hints)
+	delete(want, victimID)
+	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
+		for _, workers := range []int{1, 3} {
+			plan := &faultinject.Plan{Seed: 5, Rules: []faultinject.Rule{
+				{Stage: "owl.raceverify", Run: victim, Kind: kind, Msg: "verifier fault"},
+			}}
+			res, err := Run(prog, Options{Workers: workers, Faults: plan})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", kind, workers, err)
+			}
+			if len(res.Quarantined) != 1 || res.Quarantined[0].Stage != "owl.raceverify" || res.Quarantined[0].Run != victim {
+				t.Fatalf("%s workers=%d: quarantined %+v, want only raceverify run %d", kind, workers, res.Quarantined, victim)
+			}
+			got := hintLines(res.Hints)
+			if _, ok := got[victimID]; ok {
+				t.Errorf("%s workers=%d: the quarantined report %s still has a hint", kind, workers, victimID)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: surviving hints differ from the clean run's:\n got %v\nwant %v", kind, workers, got, want)
+			}
+		}
 	}
 }
 

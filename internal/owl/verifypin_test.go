@@ -1,9 +1,9 @@
 package owl
 
 import (
+	"context"
 	"testing"
 
-	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/workloads"
 )
@@ -11,11 +11,12 @@ import (
 // TestFullNoiseVerifierCountsPinned pins the dynamic race verifier on
 // the full-noise models, which the light-noise golden never exercises:
 // the reports reaching the verifier, how many it verifies, the attempts
-// it spends and the interpreter steps those attempts execute must stay
+// it spends and the interpreter steps the verifier executes must stay
 // exactly what they are. An interpreter change that alters a single
 // scheduling decision under thread-specific breakpoints (suspend,
 // resume, sleeping threads, windows) moves at least the step total, and
-// so does a change in where the verifier cuts a hold proven doomed.
+// so does a change in where the verifier cuts a hold proven doomed or
+// where it resumes an attempt from a seed's shared prefix.
 func TestFullNoiseVerifierCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-noise verification runs take seconds")
@@ -25,9 +26,9 @@ func TestFullNoiseVerifierCountsPinned(t *testing.T) {
 		reports, verified, attempts int
 		steps                       int64
 	}{
-		{"apache", 66, 11, 451, 4_046_941},
-		{"memcached", 56, 6, 406, 2_933_032},
-		{"ssdb", 8, 4, 36, 3_891},
+		{"apache", 66, 11, 451, 392_516},
+		{"memcached", 56, 6, 406, 271_040},
+		{"ssdb", 8, 4, 36, 2_046},
 	}
 	for _, w := range want {
 		wl := workloads.Get(w.name, workloads.NoiseFull)
@@ -47,33 +48,22 @@ func TestFullNoiseVerifierCountsPinned(t *testing.T) {
 				verified++
 			}
 		}
-		// Re-verify every report on counting machines: the pipeline's
-		// hints must reproduce, and the machines' steps add up.
-		var steps int64
-		var machines []*interp.Machine
-		base := factory(p, "")
-		counting := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
-			m, err := base(s, bp)
-			if err == nil {
-				machines = append(machines, m)
-			}
-			return m, err
-		}
-		rv := raceverify.New()
+		// Re-verify every report as the pipeline does: the hints must
+		// reproduce, and the batch counts the steps it executes — both
+		// base walks per seed plus each resumed attempt's steps after its
+		// snapshot.
+		b := raceverify.New().VerifyAll(context.Background(), factory(p, ""), res.Annotated, 1)
 		for i, rep := range res.Annotated {
-			h, err := rv.Verify(counting, rep)
-			if err != nil {
-				t.Fatalf("%s: re-verify %s: %v", w.name, rep.ID(), err)
+			h := b.Hints[i]
+			if b.Errs[i] != nil {
+				t.Fatalf("%s: re-verify %s: %v", w.name, rep.ID(), b.Errs[i])
 			}
 			if h.Verified != res.Hints[i].Verified || h.Attempts != res.Hints[i].Attempts {
 				t.Fatalf("%s: re-verifying %s gives verified=%v attempts=%d, the pipeline %v/%d",
 					w.name, rep.ID(), h.Verified, h.Attempts, res.Hints[i].Verified, res.Hints[i].Attempts)
 			}
-			for _, m := range machines {
-				steps += int64(m.StepCount())
-			}
-			machines = machines[:0]
 		}
+		steps := b.Steps
 		if len(res.Annotated) != w.reports || verified != w.verified || attempts != w.attempts || steps != w.steps {
 			t.Errorf("%s: reports=%d verified=%d attempts=%d steps=%d, want %d/%d/%d/%d",
 				w.name, len(res.Annotated), verified, attempts, steps,

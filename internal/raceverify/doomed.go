@@ -2,6 +2,7 @@ package raceverify
 
 import (
 	"slices"
+	"sync"
 
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
@@ -72,9 +73,23 @@ type sample struct {
 	prev           int32
 }
 
+// proofs recycles proofs, and with them the buffers their windows grew.
+var proofs = sync.Pool{New: func() any { return new(holdProof) }}
+
+// newHoldProof returns a proof for the pair, to hand back with release.
 func newHoldProof(instrA, instrB *ir.Instr) *holdProof {
-	return &holdProof{instrA: instrA, instrB: instrB, heldA: -1, heldB: -1, epoch: 1, blocker: -1}
+	p := proofs.Get().(*holdProof)
+	clear(p.index)
+	*p = holdProof{
+		instrA: instrA, instrB: instrB, heldA: -1, heldB: -1, epoch: 1, blocker: -1,
+		last: p.last[:0], cycling: p.cycling[:0], index: p.index,
+		samples: p.samples[:0], words: p.words[:0], fns: p.fns[:0],
+	}
+	return p
 }
+
+// release hands the proof back for reuse; p must not be used after.
+func (p *holdProof) release() { proofs.Put(p) }
 
 // observe sees thread t about to execute in, with heldA and heldB the
 // current held set, and reports whether the hold is doomed.

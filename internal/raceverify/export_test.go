@@ -6,3 +6,11 @@ func KeepDoomedHolds(v *Verifier) *Verifier {
 	c.keepDoomed = true
 	return &c
 }
+
+// FromStepZero returns a copy of v that runs every attempt from step 0
+// on its own machine instead of resuming it from a shared prefix.
+func FromStepZero(v *Verifier) *Verifier {
+	c := *v
+	c.fromStart = true
+	return &c
+}

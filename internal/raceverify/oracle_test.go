@@ -3,28 +3,23 @@
 package raceverify_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/owl"
+	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
-// TestDoomedHoldOracle verifies every annotated report of every built-in
-// workload, at both noise levels and with every input recipe, once with
-// the doomed-hold proof and once without, and requires identical hints
-// (Schedule included): cutting a hold the proof calls doomed must never
-// change an outcome. The file is left out of -race builds, under which
-// verifying the corpus twice takes minutes; `make engine-diff` runs it.
-func TestDoomedHoldOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("verifies the whole corpus twice")
-	}
-	cut := raceverify.New()
-	full := raceverify.KeepDoomedHolds(raceverify.New())
+// corpus calls fn once per workload, noise level and input recipe of
+// the built-in corpus, with the recipe's annotated reports (detection
+// and ad-hoc pruning at default options) and a factory for its
+// verification machines. Workloads run as parallel subtests.
+func corpus(t *testing.T, fn func(t *testing.T, tag string, mk raceverify.MachineFactory, reps []*race.Report)) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -43,21 +38,63 @@ func TestDoomedHoldOracle(t *testing.T) {
 							MaxSteps: p.MaxSteps, Sched: s, Breakpoint: bp,
 						})
 					}
-					for _, rep := range res.Annotated {
-						got, err := cut.Verify(mk, rep)
-						if err != nil {
-							t.Fatalf("%s: %s: %v", tag, rep.ID(), err)
-						}
-						want, err := full.Verify(mk, rep)
-						if err != nil {
-							t.Fatalf("%s: %s: %v", tag, rep.ID(), err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s: %s: with the cut %+v, without %+v", tag, rep.ID(), got, want)
-						}
-					}
+					fn(t, tag, mk, res.Annotated)
 				}
 			}
 		})
 	}
+}
+
+// TestSharedPrefixOracle verifies every annotated report of every
+// built-in workload, at both noise levels and with every input recipe,
+// as one batch sharing each seed's prefix at workers 1 and 3, and once
+// more with every attempt run from step 0 on its own machine. All three
+// must give identical hints (Schedule included): resuming an attempt
+// from the snapshot before its first capture must never change an
+// outcome.
+func TestSharedPrefixOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("verifies the whole corpus three times")
+	}
+	shared := raceverify.New()
+	ref := raceverify.FromStepZero(raceverify.New())
+	corpus(t, func(t *testing.T, tag string, mk raceverify.MachineFactory, reps []*race.Report) {
+		want := ref.VerifyAll(context.Background(), mk, reps, 1)
+		for _, workers := range []int{1, 3} {
+			got := shared.VerifyAll(context.Background(), mk, reps, workers)
+			sameHints(t, fmt.Sprintf("%s workers=%d, from the shared prefix", tag, workers), reps, got, want)
+		}
+	})
+}
+
+// sameHints fails unless got verified every report as want did.
+func sameHints(t *testing.T, tag string, reps []*race.Report, got, want *raceverify.Batch) {
+	t.Helper()
+	for i, rep := range reps {
+		if got.Errs[i] != nil || want.Errs[i] != nil {
+			t.Fatalf("%s: %s: error %v, reference error %v", tag, rep.ID(), got.Errs[i], want.Errs[i])
+		}
+		if !reflect.DeepEqual(got.Hints[i], want.Hints[i]) {
+			t.Errorf("%s: %s: %+v, reference %+v", tag, rep.ID(), got.Hints[i], want.Hints[i])
+		}
+	}
+}
+
+// TestDoomedHoldOracle verifies every annotated report of every built-in
+// workload, at both noise levels and with every input recipe, once with
+// the doomed-hold proof and once without, and requires identical hints
+// (Schedule included): cutting a hold the proof calls doomed must never
+// change an outcome. The file is left out of -race builds, under which
+// verifying the corpus twice takes minutes; `make engine-diff` runs it.
+func TestDoomedHoldOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("verifies the whole corpus twice")
+	}
+	cut := raceverify.New()
+	full := raceverify.KeepDoomedHolds(raceverify.New())
+	corpus(t, func(t *testing.T, tag string, mk raceverify.MachineFactory, reps []*race.Report) {
+		got := cut.VerifyAll(context.Background(), mk, reps, 1)
+		want := full.VerifyAll(context.Background(), mk, reps, 1)
+		sameHints(t, tag+", with the cut", reps, got, want)
+	})
 }

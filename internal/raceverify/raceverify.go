@@ -15,10 +15,20 @@
 // thread arriving, the attempt ends as soon as a proof shows that no
 // thread can ever reach the partner instruction (see holdProof), and at
 // the latest when HoldBudget runs out.
+//
+// The paper re-runs the program from the start for every report and
+// attempt. Here a stage's reports are verified together, seed by seed:
+// each seed's schedule runs once, and every report's attempt resumes
+// from a snapshot taken where its first racing instruction first fires
+// (see VerifyAll).
 package raceverify
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
@@ -93,148 +103,418 @@ type Verifier struct {
 	// for its partner, a stall or HoldBudget: the reference the proof's
 	// oracle test compares against.
 	keepDoomed bool
+	// fromStart runs every attempt from step 0 on its own machine
+	// instead of resuming it from the seed's shared prefix: the
+	// reference the shared prefix's oracle test compares against.
+	fromStart bool
 }
 
 // New returns a verifier with default budgets.
 func New() *Verifier { return &Verifier{Attempts: 8, MaxSteps: 200000, HoldBudget: 15000} }
 
-// Verify attempts to catch the report's race in the racing moment.
+// Batch is the outcome of VerifyAll, in report order.
+type Batch struct {
+	// Hints holds each report's hint, nil where the report failed.
+	Hints []*Hint
+	// Errs holds each report's failure: an error or panic in its
+	// verification, or the context's error for a report it cut short.
+	Errs []error
+	// Steps counts the interpreter steps the batch executed: the base
+	// walk of every seed plus the steps each resumed attempt took after
+	// its snapshot.
+	Steps int64
+}
+
+// Verify attempts to catch the report's race in the racing moment: a
+// batch of one.
 func (v *Verifier) Verify(mk MachineFactory, rep *race.Report) (*Hint, error) {
+	b := v.VerifyAll(context.Background(), mk, []*race.Report{rep}, 1)
+	return b.Hints[0], b.Errs[0]
+}
+
+// VerifyAll verifies every report, seed-major. Attempt i of every report
+// runs sched.NewRandom(i+1), and until either of a report's racing
+// instructions first reaches the breakpoint, nothing is held and the
+// run is the same for every report. So per seed, the reports still
+// unverified share one prefix, walked once by a base machine (see
+// shareSeed): each report's attempt resumes from a snapshot of the base
+// at the loop iteration k at which its earlier racing instruction first
+// fires, with its own breakpoint and a copy of the scheduler. A report
+// neither of whose instructions fires fails the attempt without
+// running: from step 0 it could only stall or exhaust the step budget.
+// Only one snapshot is live at a time; up to workers resumes of one
+// snapshot run at once.
+//
+// The hints are those Verify gives each report alone. An error or panic
+// quarantines only its report, which takes no later seed; the context
+// is checked between seeds.
+func (v *Verifier) VerifyAll(ctx context.Context, mk MachineFactory, reps []*race.Report, workers int) *Batch {
+	b := &Batch{Hints: make([]*Hint, len(reps)), Errs: make([]error, len(reps))}
+	var pending []int
+	for i, rep := range reps {
+		b.Hints[i] = &Hint{Report: rep}
+		if rep.Prev.Instr != nil && rep.Cur.Instr != nil {
+			pending = append(pending, i)
+		}
+	}
 	attempts := v.Attempts
 	if attempts <= 0 {
 		attempts = 8
 	}
-	hint := &Hint{Report: rep}
-	instrA := rep.Prev.Instr
-	instrB := rep.Cur.Instr
-	if instrA == nil || instrB == nil {
-		return hint, nil
+	var steps atomic.Int64
+	deferred := make([]schedule, len(reps))
+	for seed := 1; seed <= attempts && len(pending) > 0; seed++ {
+		if err := ctx.Err(); err != nil {
+			for _, i := range pending {
+				b.Errs[i] = err
+			}
+			break
+		}
+		for _, i := range pending {
+			b.Hints[i].Attempts = seed
+		}
+		if v.fromStart {
+			each(pending, workers, b.Errs, func(i int) error {
+				caught, n, err := v.tryOnce(mk, uint64(seed), b.Hints[i])
+				steps.Add(n)
+				b.Hints[i].Verified = caught
+				return err
+			})
+		} else {
+			v.shareSeed(mk, b, deferred, pending, uint64(seed), workers, &steps)
+		}
+		pending = slices.DeleteFunc(pending, func(i int) bool {
+			return b.Hints[i].Verified || b.Errs[i] != nil
+		})
 	}
-	for i := 0; i < attempts; i++ {
-		hint.Attempts = i + 1
-		caught, err := v.tryOnce(mk, rep, instrA, instrB, uint64(i+1), hint)
+	for i, err := range b.Errs {
 		if err != nil {
-			return nil, err
-		}
-		if caught {
-			hint.Verified = true
-			return hint, nil
+			b.Hints[i] = nil
+		} else if d := deferred[i]; d.base != nil {
+			b.Hints[i].Schedule = d.join()
 		}
 	}
-	return hint, nil
+	b.Steps = steps.Load()
+	return b
 }
 
-// tryOnce performs one verification run; returns whether the racing moment
-// was caught.
-func (v *Verifier) tryOnce(mk MachineFactory, rep *race.Report, instrA, instrB *ir.Instr, seed uint64, hint *Hint) (bool, error) {
-	var (
-		machine   *interp.Machine
-		heldA     = interp.ThreadID(-1)
-		heldB     = interp.ThreadID(-1)
-		passOnce  = map[interp.ThreadID]int{}
-		heldSince = -1
-	)
-	holdBudget := v.HoldBudget
-	if holdBudget <= 0 {
-		holdBudget = 15000
+// schedule is a caught attempt's schedule, kept in two parts until the
+// batch ends: the first n entries of the base walk's trace, shared by
+// every report its seed verified, and the attempt's own steps. Reports
+// are mostly verified on the first seeds, so assembling each schedule
+// at once would hold all of them through every later seed.
+type schedule struct {
+	base *[]interp.ThreadID
+	n    int
+	own  []interp.ThreadID
+}
+
+func (d schedule) join() []interp.ThreadID {
+	if d.n+len(d.own) == 0 {
+		return nil
 	}
-	var proof *holdProof
+	return append(append(make([]interp.ThreadID, 0, d.n+len(d.own)), (*d.base)[:d.n]...), d.own...)
+}
+
+// shareSeed runs one seed's attempt of every pending report from the
+// seed's shared prefix, in one walk of a base machine. When a pending
+// report's earlier racing instruction first reaches the breakpoint, at
+// loop iteration k, the breakpoint suspends the presenting thread; the
+// walk takes back the suspension and the scheduler's draw, which leaves
+// the base at the step boundary before iteration k, snapshots it,
+// resumes every report first firing there, and runs iteration k again.
+// A caught attempt's schedule goes to deferred (see schedule): the base
+// trace at the snapshot has k entries, as every base iteration before
+// k appended one.
+func (v *Verifier) shareSeed(mk MachineFactory, b *Batch, deferred []schedule, pending []int, seed uint64, workers int, steps *atomic.Int64) {
+	// users maps each racing instruction that has not yet reached the
+	// breakpoint to the pending reports it belongs to; started marks the
+	// reports whose attempt has begun.
+	users := make(map[*ir.Instr][]int, 2*len(pending))
+	for _, i := range pending {
+		rep := b.Hints[i].Report
+		users[rep.Prev.Instr] = append(users[rep.Prev.Instr], i)
+		if rep.Cur.Instr != rep.Prev.Instr {
+			users[rep.Cur.Instr] = append(users[rep.Cur.Instr], i)
+		}
+	}
+	started := make([]bool, len(b.Hints))
+	var group []int
+	held := interp.ThreadID(-1)
+	record := func(_ *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
+		rs, ok := users[in]
+		if !ok {
+			return interp.BPContinue
+		}
+		delete(users, in)
+		for _, i := range rs {
+			if !started[i] {
+				started[i] = true
+				group = append(group, i)
+			}
+		}
+		if len(group) == 0 {
+			return interp.BPContinue
+		}
+		held = t.ID
+		return interp.BPSuspend
+	}
+	// A failure of the base walk fails every report whose attempt had
+	// not run yet.
+	fail := func(err error) {
+		for _, i := range pending {
+			if !started[i] || slices.Contains(group, i) {
+				b.Errs[i] = err
+			}
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			fail(fmt.Errorf("race verifier: panic: %v", r))
+		}
+	}()
+
+	base := new([]interp.ThreadID)
+	s := &rewinder{cur: sched.NewRandom(seed), prev: sched.NewRandom(seed)}
+	m, err := mk(s, record)
+	if err != nil {
+		fail(fmt.Errorf("race verifier: build machine: %w", err))
+		return
+	}
+	left := len(pending)
+	for k := 0; k < v.maxSteps() && left > 0; k++ {
+		if !m.Step() {
+			break
+		}
+		if len(group) == 0 {
+			continue
+		}
+		m.Resume(held)
+		s.rewind()
+		snap, from, at := m.Snapshot(), m.StepCount(), k
+		each(group, workers, b.Errs, func(i int) error {
+			a := v.newAttempt(b.Hints[i])
+			rm, err := interp.Restore(snap, interp.Config{Sched: s.cur.Clone(), Breakpoint: a.breakpoint})
+			if err != nil {
+				return fmt.Errorf("race verifier: resume at iteration %d: %w", at, err)
+			}
+			b.Hints[i].Verified = a.run(rm, at)
+			steps.Add(int64(rm.StepCount() - from))
+			return nil
+		})
+		// One copy of the base trace serves the seed: later snapshots
+		// only extend it.
+		for _, i := range group {
+			if full := b.Hints[i].Schedule; full != nil {
+				*base = full[:at]
+				deferred[i] = schedule{base: base, n: at, own: slices.Clone(full[at:])}
+				b.Hints[i].Schedule = nil
+			}
+		}
+		left -= len(group)
+		group = group[:0]
+		k-- // run iteration k again, past the breakpoint this time
+	}
+	steps.Add(int64(m.StepCount()))
+}
+
+// rewinder is the base walk's scheduler: a seeded sched.Random that can
+// take back its latest draw. prev trails cur by that draw; it catches
+// up by drawing from a set of the same size, which is all a draw
+// depends on.
+type rewinder struct {
+	cur, prev *sched.Random
+	last      []interp.ThreadID // the set of the latest draw; nil after a rewind
+}
+
+// Next implements interp.Scheduler.
+func (s *rewinder) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+	if s.last != nil {
+		s.prev.Next(s.last, step)
+	}
+	s.last = runnable
+	return s.cur.Next(runnable, step)
+}
+
+// rewind takes back the latest draw.
+func (s *rewinder) rewind() {
+	s.cur, s.last = s.prev.Clone(), nil
+}
+
+// each runs fn(i) for every i in idx on up to workers goroutines,
+// recording a failure (an error or a panic) in errs[i].
+func each(idx []int, workers int, errs []error, fn func(i int) error) {
+	one := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("race verifier: panic: %v", r)
+			}
+		}()
+		if err := fn(i); err != nil {
+			errs[i] = err
+		}
+	}
+	workers = min(workers, len(idx))
+	if workers <= 1 {
+		for _, i := range idx {
+			one(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j < len(idx); j = int(next.Add(1)) - 1 {
+				one(idx[j])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// tryOnce performs one verification run from step 0 and reports whether
+// the racing moment was caught, and the steps the run took.
+func (v *Verifier) tryOnce(mk MachineFactory, seed uint64, hint *Hint) (bool, int64, error) {
+	a := v.newAttempt(hint)
+	m, err := mk(sched.NewRandom(seed), a.breakpoint)
+	if err != nil {
+		return false, 0, fmt.Errorf("race verifier: build machine: %w", err)
+	}
+	caught := a.run(m, 0)
+	return caught, int64(m.StepCount()), nil
+}
+
+func (v *Verifier) maxSteps() int {
+	if v.MaxSteps <= 0 {
+		return 200000
+	}
+	return v.MaxSteps
+}
+
+// attempt is one verification run of one report: the thread-specific
+// breakpoints' state and the loop that steps the machine.
+type attempt struct {
+	instrA, instrB *ir.Instr
+	hint           *Hint
+	maxSteps       int
+	holdBudget     int
+
+	heldA, heldB interp.ThreadID
+	passOnce     map[interp.ThreadID]int
+	proof        *holdProof
+	doomed       bool
+}
+
+func (v *Verifier) newAttempt(hint *Hint) *attempt {
+	a := &attempt{
+		instrA: hint.Report.Prev.Instr, instrB: hint.Report.Cur.Instr, hint: hint,
+		maxSteps: v.maxSteps(), holdBudget: v.HoldBudget,
+		heldA: -1, heldB: -1, passOnce: map[interp.ThreadID]int{},
+	}
+	if a.holdBudget <= 0 {
+		a.holdBudget = 15000
+	}
 	if !v.keepDoomed {
-		proof = newHoldProof(instrA, instrB)
+		a.proof = newHoldProof(a.instrA, a.instrB)
 	}
-	doomed := false
-	bp := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
-		if proof != nil && proof.observe(m, t, in, heldA, heldB) {
-			doomed = true
-		}
-		if in != instrA && in != instrB {
-			return interp.BPContinue
-		}
-		if passOnce[t.ID] > 0 {
-			passOnce[t.ID]--
-			return interp.BPContinue
-		}
-		if in == instrA && heldA < 0 && t.ID != heldB {
-			heldA = t.ID
-			return interp.BPSuspend
-		}
-		if in == instrB && heldB < 0 && t.ID != heldA {
-			heldB = t.ID
-			return interp.BPSuspend
-		}
+	return a
+}
+
+// breakpoint suspends the first thread to reach each racing instruction
+// (two different threads), except threads owed a pass after a release.
+func (a *attempt) breakpoint(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
+	if a.proof != nil && a.proof.observe(m, t, in, a.heldA, a.heldB) {
+		a.doomed = true
+	}
+	if in != a.instrA && in != a.instrB {
 		return interp.BPContinue
 	}
-	m, err := mk(sched.NewRandom(seed), bp)
-	if err != nil {
-		return false, fmt.Errorf("race verifier: build machine: %w", err)
+	if a.passOnce[t.ID] > 0 {
+		a.passOnce[t.ID]--
+		return interp.BPContinue
 	}
-	machine = m
+	if in == a.instrA && a.heldA < 0 && t.ID != a.heldB {
+		a.heldA = t.ID
+		return interp.BPSuspend
+	}
+	if in == a.instrB && a.heldB < 0 && t.ID != a.heldA {
+		a.heldB = t.ID
+		return interp.BPSuspend
+	}
+	return interp.BPContinue
+}
 
-	steps := v.MaxSteps
-	if steps <= 0 {
-		steps = 200000
+// release lets a held thread run on past its breakpoint once.
+func (a *attempt) release(m *interp.Machine, held *interp.ThreadID) {
+	m.Resume(*held)
+	a.passOnce[*held]++
+	*held = -1
+}
+
+// run steps machine m, whose breakpoint is a.breakpoint, from loop
+// iteration from and reports whether the racing moment was caught.
+// MaxSteps and HoldBudget count loop iterations, not machine steps (a
+// suspension takes an iteration but no step), and a resumed attempt
+// starts at the iteration its snapshot was taken before, so its bounds
+// fall where a run from step 0 puts them.
+func (a *attempt) run(machine *interp.Machine, from int) bool {
+	if a.proof != nil {
+		defer a.proof.release()
 	}
-	for i := 0; i < steps; i++ {
-		if heldA >= 0 && heldB >= 0 {
-			if v.racingMoment(machine, heldA, heldB, hint) {
-				return true, nil
+	heldSince := -1
+	for i := from; i < a.maxSteps; i++ {
+		if a.heldA >= 0 && a.heldB >= 0 {
+			if racingMoment(machine, a.heldA, a.heldB, a.hint) {
+				return true
 			}
 			// Suspended at the pair but not on the same address (e.g. two
 			// different array elements): release the earlier capture and
 			// keep hunting.
-			machine.Resume(heldA)
-			passOnce[heldA]++
-			heldA = -1
+			a.release(machine, &a.heldA)
 		}
 		switch {
-		case heldA >= 0 || heldB >= 0:
+		case a.heldA >= 0 || a.heldB >= 0:
 			if heldSince < 0 {
 				heldSince = i
-			} else if i-heldSince > holdBudget {
+			} else if i-heldSince > a.holdBudget {
 				// The partner is not coming: give up this attempt rather
 				// than spin the rest of the step budget away.
-				return false, nil
+				return false
 			}
 		default:
 			heldSince = -1
 		}
-		if doomed {
+		if a.doomed {
 			// No thread can ever reach the partner instruction (see
 			// holdProof): the hold could only time out.
-			return false, nil
+			return false
 		}
 		if !machine.Step() {
-			switch machine.Stall() {
-			case interp.StallSuspended:
-				// Livelock: the program cannot make progress while a
-				// breakpoint holds a thread others wait on. Temporarily
-				// release one triggered breakpoint (§5.2).
-				released := false
-				if heldA >= 0 {
-					machine.Resume(heldA)
-					passOnce[heldA]++
-					heldA = -1
-					released = true
-				} else if heldB >= 0 {
-					machine.Resume(heldB)
-					passOnce[heldB]++
-					heldB = -1
-					released = true
-				}
-				if !released {
-					return false, nil
-				}
+			if machine.Stall() != interp.StallSuspended {
+				return false
+			}
+			// Livelock: the program cannot make progress while a
+			// breakpoint holds a thread others wait on. Temporarily
+			// release one triggered breakpoint (§5.2).
+			switch {
+			case a.heldA >= 0:
+				a.release(machine, &a.heldA)
+			case a.heldB >= 0:
+				a.release(machine, &a.heldB)
 			default:
-				return false, nil
+				return false
 			}
 		}
 	}
-	return false, nil
+	return false
 }
 
 // racingMoment checks that the two suspended threads' pending accesses
 // conflict, and if so extracts the security hints.
-func (v *Verifier) racingMoment(m *interp.Machine, ta, tb interp.ThreadID, hint *Hint) bool {
+func racingMoment(m *interp.Machine, ta, tb interp.ThreadID, hint *Hint) bool {
 	pa, okA := m.Pending(ta)
 	pb, okB := m.Pending(tb)
 	if !okA || !okB {

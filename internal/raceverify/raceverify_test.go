@@ -1,8 +1,11 @@
 package raceverify
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -281,10 +284,11 @@ func waiterPair(t *testing.T, src string) (*ir.Module, *race.Report) {
 	}
 }
 
-// verifyCounting verifies rep and returns the hint plus the machines of
-// its attempts.
+// verifyCounting verifies rep, every attempt from step 0 on a machine
+// of its own, and returns the hint plus the machines of its attempts.
 func verifyCounting(t *testing.T, v *Verifier, mod *ir.Module, rep *race.Report) (*Hint, []*interp.Machine) {
 	t.Helper()
+	v = FromStepZero(v)
 	var machines []*interp.Machine
 	mk := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
 		m, err := interp.New(interp.Config{Module: mod, Sched: s, Breakpoint: bp, MaxSteps: 100000})
@@ -301,13 +305,23 @@ func verifyCounting(t *testing.T, v *Verifier, mod *ir.Module, rep *race.Report)
 }
 
 // verifyBoth verifies rep with and without the doomed-hold proof and
-// requires identical hints.
+// requires identical hints, also from the shared prefix.
 func verifyBoth(t *testing.T, mod *ir.Module, rep *race.Report) (h *Hint, machines, refMachines []*interp.Machine) {
 	t.Helper()
 	h, machines = verifyCounting(t, New(), mod, rep)
 	ref, refMachines := verifyCounting(t, &Verifier{keepDoomed: true}, mod, rep)
 	if !reflect.DeepEqual(h, ref) {
 		t.Fatalf("hint with the cut %+v, without %+v", h, ref)
+	}
+	mk := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
+		return interp.New(interp.Config{Module: mod, Sched: s, Breakpoint: bp, MaxSteps: 100000})
+	}
+	shared, err := New().Verify(mk, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, h) {
+		t.Fatalf("hint from the shared prefix %+v, from step 0 %+v", shared, h)
 	}
 	return h, machines, refMachines
 }
@@ -451,5 +465,112 @@ entry:
 	h, _, _ := verifyBoth(t, mod, rep)
 	if !h.Verified || h.Attempts != 1 {
 		t.Errorf("store-released partner: %s after %d attempts, want verified on the first", h, h.Attempts)
+	}
+}
+
+// TestVerifyAllWorkersShareSnapshot verifies a batch whose reports come
+// in copies, so each seed's snapshots are resumed by several workers at
+// once (the -race suite runs it), and requires the hints of one worker
+// and of verifying every attempt from step 0.
+func TestVerifyAllWorkersShareSnapshot(t *testing.T) {
+	for _, src := range []string{racySrc, nullWriteSrc} {
+		reports, mk := harness(t, src)
+		if len(reports) == 0 {
+			t.Fatal("no race reports")
+		}
+		var reps []*race.Report
+		for i := 0; i < 3; i++ {
+			reps = append(reps, reports...)
+		}
+		want := FromStepZero(New()).VerifyAll(context.Background(), mk, reps, 1)
+		for _, workers := range []int{1, 3} {
+			got := New().VerifyAll(context.Background(), mk, reps, workers)
+			for i, rep := range reps {
+				if got.Errs[i] != nil || want.Errs[i] != nil {
+					t.Fatalf("workers=%d: %s: error %v, from step 0 %v", workers, rep.ID(), got.Errs[i], want.Errs[i])
+				}
+				if !reflect.DeepEqual(got.Hints[i], want.Hints[i]) {
+					t.Errorf("workers=%d: %s: %+v, from step 0 %+v", workers, rep.ID(), got.Hints[i], want.Hints[i])
+				}
+			}
+		}
+	}
+}
+
+// TestEachIsolatesFailures: an error or a panic in one report's job
+// is recorded for that report alone, and every other job still runs.
+func TestEachIsolatesFailures(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		errs := make([]error, 6)
+		var ran atomic.Int64
+		each([]int{0, 1, 2, 3, 4, 5}, workers, errs, func(i int) error {
+			ran.Add(1)
+			switch i {
+			case 2:
+				panic("boom")
+			case 4:
+				return errors.New("bad")
+			}
+			return nil
+		})
+		if ran.Load() != 6 {
+			t.Errorf("workers=%d: %d jobs ran, want 6", workers, ran.Load())
+		}
+		for i, err := range errs {
+			if (err != nil) != (i == 2 || i == 4) {
+				t.Errorf("workers=%d: job %d error %v", workers, i, err)
+			}
+		}
+		if errs[2] == nil || !strings.Contains(errs[2].Error(), "panic: boom") {
+			t.Errorf("workers=%d: panicking job recorded %v", workers, errs[2])
+		}
+	}
+}
+
+// TestResumedAttemptKeepsIterationBudget: a resumed attempt counts its
+// loop iterations from the iteration its snapshot was taken before, so
+// MaxSteps cuts it exactly where it cuts a run from step 0. The budget
+// is set to the last iteration that still catches the race, and to one
+// less.
+func TestResumedAttemptKeepsIterationBudget(t *testing.T) {
+	reports, mk := harness(t, racySrc)
+	if len(reports) == 0 {
+		t.Fatal("no race reports")
+	}
+	rep := reports[0]
+	verifier := func(maxSteps int) *Verifier {
+		return &Verifier{Attempts: 1, MaxSteps: maxSteps, HoldBudget: 15000}
+	}
+	caughtWithin := func(maxSteps int) bool {
+		h, err := FromStepZero(verifier(maxSteps)).Verify(mk, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Verified
+	}
+	hi := 100000
+	if !caughtWithin(hi) {
+		t.Fatal("the reference does not catch the race on the first seed")
+	}
+	lo := 1 // caughtWithin(lo) is false: the race needs two suspensions
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; caughtWithin(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	for _, maxSteps := range []int{lo, hi} {
+		want, err := FromStepZero(verifier(maxSteps)).Verify(mk, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := verifier(maxSteps).Verify(mk, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("MaxSteps=%d: from the shared prefix %+v, from step 0 %+v", maxSteps, got, want)
+		}
 	}
 }

@@ -193,6 +193,13 @@ type Random struct{ r *rng }
 // NewRandom returns a seeded random scheduler.
 func NewRandom(seed uint64) *Random { return &Random{r: newRNG(seed)} }
 
+// Clone returns a scheduler whose generator continues from s's current
+// state; the two draw independently from then on.
+func (s *Random) Clone() *Random {
+	r := *s.r
+	return &Random{r: &r}
+}
+
 // Next implements interp.Scheduler.
 func (s *Random) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return runnable[s.r.intn(len(runnable))]

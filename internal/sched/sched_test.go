@@ -76,6 +76,32 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestRandomCloneContinuesIndependently: a clone draws exactly what the
+// original would have drawn from the clone point, and drawing from one
+// never moves the other.
+func TestRandomCloneContinuesIndependently(t *testing.T) {
+	runnable := ids(0, 1, 2, 3)
+	ref, s := NewRandom(5), NewRandom(5)
+	for i := 0; i < 10; i++ {
+		ref.Next(runnable, i)
+		s.Next(runnable, i)
+	}
+	c := s.Clone()
+	var fromClone []interp.ThreadID
+	for i := 10; i < 60; i++ {
+		fromClone = append(fromClone, c.Next(runnable, i))
+	}
+	for i := 10; i < 60; i++ {
+		want := ref.Next(runnable, i)
+		if got := s.Next(runnable, i); got != want {
+			t.Fatalf("step %d: original drew %d after cloning, want %d", i, got, want)
+		}
+		if fromClone[i-10] != want {
+			t.Fatalf("step %d: clone drew %d, want %d", i, fromClone[i-10], want)
+		}
+	}
+}
+
 func TestRandomCoversAllThreads(t *testing.T) {
 	s := NewRandom(3)
 	runnable := ids(0, 1, 2)
