@@ -6,7 +6,8 @@
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
 #                        plus the process-level kill-and-restart smoke
-#   make fuzz            fuzz the checkpoint decoder and WAL recovery, 10 s per target
+#   make fuzz            fuzz the checkpoint decoder, WAL recovery and the .oir
+#                        parser, 10 s per target
 #   make replica-gate    fleet-replication gate: peer state exchange, fleet warm-start
 #                        and network-fault matrix under -race
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
@@ -75,13 +76,15 @@ persist-gate:
 	$(GO) test -count=1 ./cmd/owl-serve/
 	@echo "durable-store gate passed"
 
-# Native fuzzing of the two decoders every durable byte passes through:
+# Native fuzzing of the two decoders every durable byte passes through —
 # DecodeCheckpoint (a CHECKPOINT file at boot and a peer's blob on the
-# wire) and WAL recovery. Seeds live in internal/serve/persist/testdata/fuzz/
+# wire) and WAL recovery — and of the .oir parser, where untrusted inline
+# programs enter owl-serve. Seeds live in the packages' testdata/fuzz/
 # and also run as plain tests; go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/serve/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverWAL$$' -fuzztime 10s ./internal/serve/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ir/
 	@echo "fuzz passed"
 
 # Fleet-replication gate (docs/SERVE.md): the peer-client suite under
@@ -153,7 +156,10 @@ predict:
 # pipeline-level oracle parity test. The oracles are built without -race
 # (minutes under it), so the verifier suite runs once with -race, where
 # a workers=3 batch resumes one snapshot concurrently, and once without,
-# which adds both oracles.
+# which adds both oracles. Last come the scheduler planning contract
+# (Plan + Advance(k) against k Next calls, PCT included) and the DFS
+# trace-bound oracle (bounded decision traces against full ones over the
+# corpus, also built without -race).
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
@@ -162,6 +168,7 @@ engine-diff:
 	$(GO) test -race -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned'
+	$(GO) test -count=1 ./internal/sched/ -run 'PlanAdvanceMatchesNext|TraceBoundOracle'
 	@echo "cross-engine differential gate passed"
 
 fmt-check:

@@ -118,21 +118,15 @@ func (p *parser) parseGlobal(rest string) (*Global, error) {
 	}
 	rest = rest[1:]
 	// Forms: "name", "name = 42", "name [64]", `name = "str"`.
-	if i := strings.IndexAny(rest, " \t=["); i < 0 {
-		return &Global{Name: rest, Size: 1}, nil
+	i := strings.IndexAny(rest, " \t=[")
+	if i < 0 {
+		i = len(rest)
 	}
-	var name string
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ' ' || rest[i] == '\t' || rest[i] == '=' || rest[i] == '[' {
-			name = rest[:i]
-			rest = strings.TrimSpace(rest[i:])
-			break
-		}
+	if i == 0 {
+		return nil, p.errf("global name is empty: %q", "@"+rest)
 	}
-	if name == "" {
-		name = rest
-		rest = ""
-	}
+	name := rest[:i]
+	rest = strings.TrimSpace(rest[i:])
 	g := &Global{Name: name, Size: 1}
 	switch {
 	case rest == "":

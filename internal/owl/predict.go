@@ -72,7 +72,7 @@ func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
 			return collect()
 		}
 	}
-	r.engine(sched.EngineConfig{Budget: seedBudget, Seed: opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap})
+	r.engine(sched.EngineConfig{Budget: seedBudget, Seed: opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap, FullTraces: true})
 	seeds = seeds[:r.runs]
 
 	// Predict over every seed trace. Pairs the seeds already observed as

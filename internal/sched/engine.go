@@ -114,6 +114,13 @@ type EngineConfig struct {
 	// the program has nothing new to show. The engine never writes
 	// the state — callers fold results back with ExploreState.Absorb.
 	Resume *ExploreState
+	// FullTraces makes DFS jobs record their whole decision trace. By
+	// default a DFS job records only the decisions the engine reads back:
+	// the first MaxDecisions for frontier expansion, and those below the
+	// snapshot cache's depth for boundary keys. Set it when the runner
+	// reads a job's trace past that depth (predictive detection cuts
+	// replay prefixes from its seed runs' traces).
+	FullTraces bool
 }
 
 func (c EngineConfig) withDefaults() EngineConfig {
@@ -331,6 +338,10 @@ func (e *Engine) buildJobs(alloc [numStrategies]int) []*Job {
 			Sched: NewPCT(seed, e.cfg.PCTDepth, e.cfg.PCTSteps), Cov: e.cov.NewRun(),
 		})
 	}
+	limit := 0
+	if !e.cfg.FullTraces {
+		limit = max(e.cfg.MaxDecisions, e.cfg.Snap.depth())
+	}
 	for i := 0; i < alloc[StrategyDFS]; i++ {
 		node, ok := e.frontier.pop()
 		if !ok {
@@ -338,7 +349,7 @@ func (e *Engine) buildJobs(alloc [numStrategies]int) []*Job {
 		}
 		jobs = append(jobs, &Job{
 			Strategy: StrategyDFS,
-			Sched:    &DecisionSched{Decisions: node.vec},
+			Sched:    &DecisionSched{Decisions: node.vec, limit: limit},
 			Cov:      e.cov.NewRun(),
 			node:     node,
 			snap:     e.cfg.Snap,

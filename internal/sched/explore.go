@@ -42,9 +42,16 @@ func newDecision(choices, chosen, sameIdx, step int) Decision {
 // Preemptions equals the preemptions of its decided prefix, because the
 // default completion never adds any. It is the building block of
 // systematic exploration.
+//
+// The zero value records every decision point in Trace. The exploration
+// Engine bounds its DFS jobs' traces to the depth its frontier and
+// snapshot cache read (limit): past it, Next still advances the
+// decision position, Preemptions and the last-thread state, but stops
+// recording.
 type DecisionSched struct {
 	Decisions []int
 	pos       int
+	limit     int // record at most limit decisions; 0 records all
 	Trace     []Decision
 	// Preemptions counts decisions that switched away from a thread that
 	// was still runnable (the bounding quantity of CHESS-style iterative
@@ -67,7 +74,9 @@ type DecisionState struct {
 }
 
 // State captures the scheduler's position. The Trace slice is clipped,
-// so later appends by either side don't alias.
+// so later appends by either side don't alias. A bounded scheduler's
+// state is only captured below its bound, where Trace holds every
+// decision consumed.
 func (s *DecisionSched) State() DecisionState {
 	return DecisionState{
 		Trace:       s.Trace[:len(s.Trace):len(s.Trace)],
@@ -123,7 +132,9 @@ func (s *DecisionSched) Next(runnable []interp.ThreadID, step int) interp.Thread
 	if sameIdx >= 0 && choice != sameIdx {
 		s.Preemptions++
 	}
-	s.Trace = append(s.Trace, newDecision(len(runnable), choice, sameIdx, step))
+	if s.limit == 0 || len(s.Trace) < s.limit {
+		s.Trace = append(s.Trace, newDecision(len(runnable), choice, sameIdx, step))
+	}
 	s.lastTID, s.hasLast = runnable[choice], true
 	return runnable[choice]
 }

@@ -7,6 +7,8 @@
 package sched
 
 import (
+	"slices"
+
 	"github.com/conanalysis/owl/internal/interp"
 )
 
@@ -229,54 +231,96 @@ func (s *Random) Advance(runnable []interp.ThreadID, step, k int) {
 // random priorities; the highest-priority runnable thread runs, and at d-1
 // random step indices the running thread's priority is demoted below all
 // others. Small d finds most races with high probability.
+//
+// State is dense: prio is indexed by ThreadID, with 0 meaning "not drawn
+// yet" (drawn priorities are >= 1<<20, demoted ones <= -1), and demoteAt
+// holds the d-1 demotion steps, deduplicated. Priorities are drawn lazily
+// by Next, in runnable order, so the generator's draw order is a pure
+// function of the schedule.
 type PCT struct {
 	r          *rng
-	prio       map[interp.ThreadID]int
-	nextPrio   int
-	demoteAt   map[int]bool
+	prio       []int
+	demoteAt   []int
 	demoteBase int
 }
 
 // NewPCT returns a PCT scheduler with depth d over maxSteps steps.
 func NewPCT(seed uint64, d, maxSteps int) *PCT {
-	p := &PCT{
-		r:        newRNG(seed),
-		prio:     make(map[interp.ThreadID]int),
-		demoteAt: make(map[int]bool),
-		nextPrio: 1 << 20,
-	}
+	p := &PCT{r: newRNG(seed)}
 	for i := 0; i < d-1; i++ {
 		if maxSteps > 0 {
-			p.demoteAt[p.r.intn(maxSteps)] = true
+			if at := p.r.intn(maxSteps); !slices.Contains(p.demoteAt, at) {
+				p.demoteAt = append(p.demoteAt, at)
+			}
 		}
 	}
 	return p
 }
 
-// Next implements interp.Scheduler.
-func (s *PCT) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+// draw gives id its random initial priority, in the high band, on
+// first sight.
+func (s *PCT) draw(id interp.ThreadID) {
+	if int(id) >= len(s.prio) {
+		s.prio = append(s.prio, make([]int, int(id)+1-len(s.prio))...)
+	}
+	if s.prio[id] == 0 {
+		s.prio[id] = (1 << 20) + s.r.intn(1<<20)
+	}
+}
+
+// top returns the highest-priority runnable thread, ties going to the
+// first in runnable order. Every runnable priority must be drawn.
+func (s *PCT) top(runnable []interp.ThreadID) interp.ThreadID {
 	best := runnable[0]
-	for _, id := range runnable {
-		if _, ok := s.prio[id]; !ok {
-			// Random initial priority, high band.
-			s.prio[id] = (1 << 20) + s.r.intn(1<<20)
-		}
+	for _, id := range runnable[1:] {
 		if s.prio[id] > s.prio[best] {
 			best = id
 		}
 	}
-	if s.demoteAt[step] {
+	return best
+}
+
+// Next implements interp.Scheduler.
+func (s *PCT) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+	for _, id := range runnable {
+		s.draw(id)
+	}
+	best := s.top(runnable)
+	if slices.Contains(s.demoteAt, step) {
 		s.demoteBase--
 		s.prio[best] = s.demoteBase
-		// Re-pick after demotion.
-		for _, id := range runnable {
-			if s.prio[id] > s.prio[best] {
-				best = id
-			}
-		}
+		best = s.top(runnable) // re-pick after demotion
 	}
 	return best
 }
+
+// Plan implements interp.PlanningScheduler. Between draws and demotions
+// Next is stateless and keeps picking the top-priority thread, so the
+// window is that thread, cut before the first demotion step inside it.
+// Plan declines (returns 0) when a runnable thread has no priority yet
+// or step itself demotes: both change state, which Next must do.
+func (s *PCT) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
+	for _, id := range runnable {
+		if int(id) >= len(s.prio) || s.prio[id] == 0 {
+			return 0
+		}
+	}
+	n := len(buf)
+	for _, at := range s.demoteAt {
+		if at >= step && at-step < n {
+			n = at - step
+		}
+	}
+	best := s.top(runnable)
+	for i := range buf[:n] {
+		buf[i] = best
+	}
+	return n
+}
+
+// Advance implements interp.PlanningScheduler. A planned window holds no
+// draw and no demotion, so its picks change no state.
+func (s *PCT) Advance(runnable []interp.ThreadID, step, k int) {}
 
 // Replay replays a recorded schedule exactly; once the recording is
 // exhausted (or the recorded thread is not runnable — which can happen

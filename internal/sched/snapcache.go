@@ -110,6 +110,16 @@ func (c *SnapCache) EnsureDepth(maxDec int) {
 	c.mu.Unlock()
 }
 
+// depth returns the snapshot depth bound (0 for a nil cache).
+func (c *SnapCache) depth() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.maxDepth
+}
+
 // Stats returns a copy of the counters.
 func (c *SnapCache) Stats() SnapStats {
 	if c == nil {
@@ -268,8 +278,10 @@ const storeRunBudget = 2
 func (s *snapSched) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	if len(runnable) > 1 && s.stores < storeRunBudget {
 		// Children of the frontier branch at decision depths < maxDepth,
-		// so deeper boundaries would never be looked up.
-		if d := len(s.ds.Trace); d < s.maxDepth {
+		// so deeper boundaries would never be looked up. The depth is
+		// the decision position, not len(Trace): an engine DFS job stops
+		// recording past its bound, which is never below maxDepth.
+		if d := s.ds.pos; d < s.maxDepth {
 			if s.c.storeBoundary(s.ds, s.m, s.fks, d) {
 				s.stores++
 			}
@@ -300,10 +312,7 @@ func (c *SnapCache) RunMachine(cfg interp.Config) (*interp.Machine, error) {
 		return m, nil
 	}
 
-	c.mu.Lock()
-	maxDepth := c.maxDepth
-	c.mu.Unlock()
-	ss := &snapSched{ds: ds, c: c, fks: fks, maxDepth: maxDepth}
+	ss := &snapSched{ds: ds, c: c, fks: fks, maxDepth: c.depth()}
 	cfg.Sched = ss
 	m, err := c.resume(cfg, ds, fks)
 	if err != nil {
