@@ -6,8 +6,9 @@
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
 #                        plus the process-level kill-and-restart smoke
-#   make fuzz            fuzz the checkpoint decoder, WAL recovery and the .oir
-#                        parser, 10 s per target
+#   make fuzz            fuzz the checkpoint decoder, WAL recovery, the .oir
+#                        parser, the minic compiler and fault-plan parsing,
+#                        10 s per target
 #   make replica-gate    fleet-replication gate: peer state exchange, fleet warm-start
 #                        and network-fault matrix under -race
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
@@ -78,13 +79,17 @@ persist-gate:
 
 # Native fuzzing of the two decoders every durable byte passes through —
 # DecodeCheckpoint (a CHECKPOINT file at boot and a peer's blob on the
-# wire) and WAL recovery — and of the .oir parser, where untrusted inline
-# programs enter owl-serve. Seeds live in the packages' testdata/fuzz/
-# and also run as plain tests; go test fuzzes one target per invocation.
+# wire) and WAL recovery — of the .oir parser, where untrusted inline
+# programs enter owl-serve, of the minic compiler (its output must
+# reparse as IR) and of fault-plan parsing (-faults files). Seeds live
+# in the packages' testdata/fuzz/ and also run as plain tests; go test
+# fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/serve/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverWAL$$' -fuzztime 10s ./internal/serve/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ir/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/minic/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/faultinject/
 	@echo "fuzz passed"
 
 # Fleet-replication gate (docs/SERVE.md): the peer-client suite under
@@ -146,10 +151,14 @@ predict:
 # built-in corpus at both noise levels (byte-identical events, faults,
 # output, schedule, arena fingerprint, and stacks between the compiled
 # engine and the tree-walking oracle), the zero-allocation compiled-step
-# pins, the cross-engine snapshot interchange, the runnable-set oracle
-# (the incrementally maintained set against a fresh thread scan at every
-# scheduler call), the verifier suite with its two oracles — the
-# doomed-hold oracle (every corpus report verified with and without the
+# pins, the pooled shadow-table differential (a detector reusing a
+# table another program's run left dirty reports what a fresh one does,
+# at workers 1 and 3), the cross-engine snapshot interchange, the
+# runnable-set oracle (the incrementally maintained set against a fresh
+# thread scan at every scheduler call), the schedule-less machine
+# differential (NoSchedule runs equal traced ones, cold, across
+# Snapshot/Restore and under breakpoints), the verifier suite with its
+# two oracles — the doomed-hold oracle (every corpus report verified with and without the
 # proof) and the shared-prefix oracle (every corpus report verified from
 # each seed's shared prefix at workers 1 and 3 and from step 0), each
 # requiring identical hints — the verifier outcome pins, and the
@@ -163,7 +172,7 @@ predict:
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
-	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet'
+	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet|NoSchedule'
 	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
 	$(GO) test -race -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/raceverify/

@@ -104,7 +104,7 @@ func run(args []string) error {
 		observers = append(observers, det)
 	}
 	if *traceEv {
-		observers = append(observers, interp.ObserverFunc(func(m *interp.Machine, e interp.Event) {
+		observers = append(observers, interp.ObserverFunc(func(m *interp.Machine, e *interp.Event) {
 			fmt.Println(e)
 		}))
 	}

@@ -64,7 +64,7 @@ func run(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight jobs on shutdown")
 	stateDir := fs.String("state-dir", "", "state directory for crash-safe persistence (empty = in-memory only)")
 	checkpointEvery := fs.Int("checkpoint-every", 8, "fold a program's WAL into a checkpoint after this many records")
-	maxPrograms := fs.Int("max-programs", 0, "max in-memory program states; LRU-evict beyond this (0 = unlimited)")
+	maxPrograms := fs.Int("max-programs", 0, "max in-memory program states; LRU-evict beyond this (0 = 64 with -state-dir, else unlimited; <0 = unlimited)")
 	peers := fs.String("peers", "", "comma-separated base URLs of the other fleet replicas (fleet warm-start; empty = off)")
 	peerTimeout := fs.Duration("peer-timeout", 2*time.Second, "per-request timeout against a fleet peer")
 	fsck := fs.Bool("fsck", false, "validate and repair -state-dir, print a report, and exit")

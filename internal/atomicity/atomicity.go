@@ -155,7 +155,7 @@ func NewDetector() *Detector {
 func (d *Detector) Reports() []*Report { return d.order }
 
 // OnEvent implements interp.Observer.
-func (d *Detector) OnEvent(m *interp.Machine, e interp.Event) {
+func (d *Detector) OnEvent(m *interp.Machine, e *interp.Event) {
 	if e.Kind != interp.EvRead && e.Kind != interp.EvWrite {
 		return
 	}

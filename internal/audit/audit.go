@@ -114,7 +114,7 @@ func NewMonitor(scope *Scope) *Monitor {
 }
 
 // OnEvent implements interp.Observer.
-func (m *Monitor) OnEvent(_ *interp.Machine, e interp.Event) {
+func (m *Monitor) OnEvent(_ *interp.Machine, e *interp.Event) {
 	switch e.Kind {
 	case interp.EvRead, interp.EvWrite, interp.EvBranch, interp.EvCall, interp.EvFree:
 	default:

@@ -131,7 +131,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 			if f == nil {
 				fr.Slots[dst] = v
 				if m.hasObs {
-					m.emit(Event{Kind: EvRead, TID: t.ID, Addr: addr, Val: v, Instr: in})
+					m.emit(EvRead, t.ID, addr, v, 0, in)
 				}
 				fr.FPC++
 				return
@@ -147,7 +147,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 		v := gb.Words[0]
 		fr.Slots[dst] = v
 		if m.hasObs {
-			m.emit(Event{Kind: EvRead, TID: t.ID, Addr: gb.Base, Val: v, Instr: in})
+			m.emit(EvRead, t.ID, gb.Base, v, 0, in)
 		}
 		fr.FPC++
 
@@ -159,7 +159,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 			if f == nil {
 				if f = m.mem.Store(addr, val); f == nil {
 					if m.hasObs {
-						m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: addr, Val: val, Instr: in})
+						m.emit(EvWrite, t.ID, addr, val, 0, in)
 					}
 					fr.FPC++
 					return
@@ -179,7 +179,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 		// Through wordsForWrite so copy-on-write snapshots stay correct.
 		m.mem.wordsForWrite(gb)[0] = val
 		if m.hasObs {
-			m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: gb.Base, Val: val, Instr: in})
+			m.emit(EvWrite, t.ID, gb.Base, val, 0, in)
 		}
 		fr.FPC++
 
@@ -216,7 +216,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 		c, _ := m.evalRef(t, fr, a)
 		taken := c != 0
 		if m.hasObs {
-			m.emit(Event{Kind: EvBranch, TID: t.ID, Val: boolToInt(taken), Instr: in})
+			m.emit(EvBranch, t.ID, 0, boolToInt(taken), 0, in)
 		}
 		if taken {
 			m.takeEdge(t, fr, &bc.Edges[dst])
@@ -243,7 +243,7 @@ func (m *Machine) execWord(t *Thread, fr *Frame, in *ir.Instr, w uint64) {
 		fr.Allocas = append(fr.Allocas, blk)
 		fr.Slots[dst] = blk.Base
 		if m.hasObs {
-			m.emit(Event{Kind: EvAlloc, TID: t.ID, Addr: blk.Base, Aux: n, Instr: in})
+			m.emit(EvAlloc, t.ID, blk.Base, 0, n, in)
 		}
 		fr.FPC++
 
@@ -295,7 +295,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 		}
 		m.lockAcquire(addr, t.ID)
 		if m.hasObs {
-			m.emit(Event{Kind: EvAcquire, TID: t.ID, Addr: addr, Instr: in})
+			m.emit(EvAcquire, t.ID, addr, 0, 0, in)
 		}
 		if cs.DstSlot >= 0 {
 			fr.Slots[cs.DstSlot] = 0
@@ -312,7 +312,7 @@ func (m *Machine) execCallSite(t *Thread, fr *Frame, in *ir.Instr, cs *bytecode.
 		if owner, held := m.lockOwner(addr); held && owner == t.ID {
 			m.lockRelease(addr)
 			if m.hasObs {
-				m.emit(Event{Kind: EvRelease, TID: t.ID, Addr: addr, Instr: in})
+				m.emit(EvRelease, t.ID, addr, 0, 0, in)
 			}
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
@@ -372,7 +372,7 @@ func (m *Machine) callFuncCompiled(t *Thread, fr *Frame, in *ir.Instr, cs *bytec
 		args = append(args, v)
 	}
 	if m.hasObs {
-		m.emit(Event{Kind: EvCall, TID: t.ID, Instr: in})
+		m.emit(EvCall, t.ID, 0, 0, 0, in)
 	}
 	fc := m.prog.Funcs[fn]
 	nf := &Frame{
@@ -579,7 +579,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			v := gb.Words[0]
 			fr.Slots[w>>bytecode.DstShift&bytecode.DstMask] = v
 			if m.hasObs {
-				m.emit(Event{Kind: EvRead, TID: t.ID, Addr: gb.Base, Val: v, Instr: in})
+				m.emit(EvRead, t.ID, gb.Base, v, 0, in)
 			}
 			fr.FPC++
 		case bytecode.OpStoreG:
@@ -594,7 +594,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			gb := m.globalBlock[uint16(w>>bytecode.BShift)]
 			m.mem.wordsForWrite(gb)[0] = val
 			if m.hasObs {
-				m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: gb.Base, Val: val, Instr: in})
+				m.emit(EvWrite, t.ID, gb.Base, val, 0, in)
 			}
 			fr.FPC++
 		case bytecode.OpBin:
@@ -640,7 +640,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			}
 			taken := c != 0
 			if m.hasObs {
-				m.emit(Event{Kind: EvBranch, TID: t.ID, Val: boolToInt(taken), Instr: in})
+				m.emit(EvBranch, t.ID, 0, boolToInt(taken), 0, in)
 			}
 			e := &bc.Edges[uint16(w>>bytecode.BShift)]
 			if taken {

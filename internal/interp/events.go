@@ -118,9 +118,12 @@ func (e Event) String() string {
 }
 
 // Observer consumes runtime events. Observers run synchronously inside the
-// interpreter step, so they see a totally ordered event stream.
+// interpreter step, so they see a totally ordered event stream. The
+// event points at the machine's scratch event, which the next emission
+// overwrites: an observer reads it during the call, and must neither
+// modify it nor keep the pointer (copy the fields it needs).
 type Observer interface {
-	OnEvent(m *Machine, e Event)
+	OnEvent(m *Machine, e *Event)
 }
 
 // StackPolicy is an optional refinement of Observer: implementations
@@ -148,7 +151,7 @@ type SwitchObserver interface {
 }
 
 // ObserverFunc adapts a function to Observer.
-type ObserverFunc func(m *Machine, e Event)
+type ObserverFunc func(m *Machine, e *Event)
 
 // OnEvent implements Observer.
-func (f ObserverFunc) OnEvent(m *Machine, e Event) { f(m, e) }
+func (f ObserverFunc) OnEvent(m *Machine, e *Event) { f(m, e) }

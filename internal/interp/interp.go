@@ -107,6 +107,12 @@ type Config struct {
 	HaltOnFault bool
 	// Engine selects the execution engine ("" means EngineBytecode).
 	Engine Engine
+	// NoSchedule turns the schedule trace off for runs whose schedule
+	// nobody reads (detection runs): the machine records no thread
+	// choices, so Result().Schedule and Schedule() are nil,
+	// LastScheduled reports nothing, and snapshots carry no trace.
+	// Replay, verification and recording keep the default.
+	NoSchedule bool
 }
 
 // StallReason says why Step could make no progress.
@@ -262,6 +268,10 @@ type Machine struct {
 	schedDirty   bool
 	rescan       bool
 
+	// ev is the scratch event emit fills and hands to every observer
+	// by pointer.
+	ev Event
+
 	// stackMemo caches the last materialized event stack per (step,
 	// thread) so several observers of one event share one allocation.
 	stackMemoStep int
@@ -347,7 +357,9 @@ func New(cfg Config) (*Machine, error) {
 		uid:           1000, // unprivileged by default; setuid(0) is the attack
 		rngState:      0x9e3779b97f4a7c15,
 		stackMemoStep: -1,
-		trace:         make([]ThreadID, 0, traceCap(cfg.MaxSteps)),
+	}
+	if !cfg.NoSchedule {
+		m.trace = make([]ThreadID, 0, traceCap(cfg.MaxSteps))
 	}
 	for _, o := range cfg.Observers {
 		sp, declared := o.(StackPolicy)
@@ -550,13 +562,18 @@ func (m *Machine) enterBlock(t *Thread, blk *ir.Block, from string) {
 	m.phiBuf = updates[:0]
 }
 
-func (m *Machine) emit(e Event) {
-	e.Step = m.step
-	if m.needStack[e.Kind] {
+// emit delivers one event to the observers through the machine's
+// scratch event, so no Event is copied or escapes per emission.
+func (m *Machine) emit(kind EventKind, tid ThreadID, addr, val, aux int64, in *ir.Instr) {
+	e := &m.ev
+	e.Kind, e.TID, e.Addr, e.Val, e.Aux, e.Instr, e.Step = kind, tid, addr, val, aux, in, m.step
+	if m.needStack[kind] {
 		// Capture is a handle copy, not a snapshot: the caller chain is
 		// immutable and the innermost position is the emitting
 		// instruction (every emit site runs before the PC advances).
-		e.sref = m.threads[e.TID].stackRef()
+		e.sref = m.threads[tid].stackRef()
+	} else {
+		e.sref = StackRef{}
 	}
 	for _, o := range m.cfg.Observers {
 		o.OnEvent(m, e)
@@ -568,7 +585,7 @@ func (m *Machine) emit(e Event) {
 // It returns nil when no observer declared a need for stacks of the
 // event's kind (see StackPolicy). The result must be treated as
 // read-only.
-func (m *Machine) EventStack(e Event) callstack.Stack {
+func (m *Machine) EventStack(e *Event) callstack.Stack {
 	if e.sref.IsZero() {
 		return nil
 	}
@@ -904,7 +921,9 @@ func (m *Machine) Step() bool {
 			// instruction; undo the trace entry so replays stay aligned
 			// with executed instructions. The entry was appended above,
 			// so the undo only ever trims the machine's own suffix.
-			m.trace = m.trace[:len(m.trace)-1]
+			if !m.cfg.NoSchedule {
+				m.trace = m.trace[:len(m.trace)-1]
+			}
 			return true
 		}
 	}
@@ -936,12 +955,17 @@ func traceCap(maxSteps int) int {
 	return presize
 }
 
-// traceAppend grows the schedule trace by doubling. The runtime's
-// append tapers its growth factor for large slices, which is the right
-// call for long-lived data but re-copies the (per-step, run-long) trace
-// so often that its cumulative allocation dominates a no-observer run;
-// doubling caps the cumulative cost at ~2x the final size.
+// traceAppend records one thread choice in the schedule trace, unless
+// the run records no schedule. The trace grows by doubling: the
+// runtime's append tapers its growth factor for large slices, which is
+// the right call for long-lived data but re-copies the (per-step,
+// run-long) trace so often that its cumulative allocation dominates a
+// no-observer run; doubling caps the cumulative cost at ~2x the final
+// size.
 func (m *Machine) traceAppend(id ThreadID) {
+	if m.cfg.NoSchedule {
+		return
+	}
 	if len(m.trace) == cap(m.trace) {
 		grown := make([]ThreadID, len(m.trace), 2*cap(m.trace)+64)
 		copy(grown, m.trace)
@@ -1100,7 +1124,7 @@ func (m *Machine) exec(t *Thread, in *ir.Instr) {
 			if f == nil {
 				fr.Regs[in.Dst] = v
 				if m.hasObs {
-					m.emit(Event{Kind: EvRead, TID: t.ID, Addr: addr, Val: v, Instr: in})
+					m.emit(EvRead, t.ID, addr, v, 0, in)
 				}
 				advance()
 				return
@@ -1117,7 +1141,7 @@ func (m *Machine) exec(t *Thread, in *ir.Instr) {
 			if f == nil {
 				if f = m.mem.Store(addr, val); f == nil {
 					if m.hasObs {
-						m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: addr, Val: val, Instr: in})
+						m.emit(EvWrite, t.ID, addr, val, 0, in)
 					}
 					advance()
 					return
@@ -1160,7 +1184,7 @@ func (m *Machine) exec(t *Thread, in *ir.Instr) {
 		c, _ := m.eval(t, in.Args[0])
 		taken := c != 0
 		if m.hasObs {
-			m.emit(Event{Kind: EvBranch, TID: t.ID, Val: boolToInt(taken), Instr: in})
+			m.emit(EvBranch, t.ID, 0, boolToInt(taken), 0, in)
 		}
 		target := in.Args[2].Name
 		if taken {
@@ -1189,7 +1213,7 @@ func (m *Machine) exec(t *Thread, in *ir.Instr) {
 		fr.Allocas = append(fr.Allocas, b)
 		fr.Regs[in.Dst] = b.Base
 		if m.hasObs {
-			m.emit(Event{Kind: EvAlloc, TID: t.ID, Addr: b.Base, Aux: n, Instr: in})
+			m.emit(EvAlloc, t.ID, b.Base, 0, n, in)
 		}
 		advance()
 
@@ -1310,7 +1334,7 @@ func (m *Machine) callFunc(t *Thread, in *ir.Instr, fn *ir.Func) {
 		args = append(args, v)
 	}
 	if m.hasObs {
-		m.emit(Event{Kind: EvCall, TID: t.ID, Instr: in})
+		m.emit(EvCall, t.ID, 0, 0, 0, in)
 	}
 	caller := t.Top()
 	fr := &Frame{

@@ -506,7 +506,7 @@ b:
 }
 `
 	var kinds []EventKind
-	obs := ObserverFunc(func(m *Machine, e Event) { kinds = append(kinds, e.Kind) })
+	obs := ObserverFunc(func(m *Machine, e *Event) { kinds = append(kinds, e.Kind) })
 	mod := ir.MustParse("test.oir", src)
 	m, err := New(Config{Module: mod, Sched: firstSched{}, Observers: []Observer{obs}})
 	if err != nil {

@@ -89,7 +89,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		}
 		child := m.newThread(fn, args[1:], in)
 		if m.hasObs {
-			m.emit(Event{Kind: EvSpawn, TID: t.ID, Aux: int64(child.ID), Instr: in})
+			m.emit(EvSpawn, t.ID, 0, 0, int64(child.ID), in)
 		}
 		done(int64(child.ID))
 
@@ -103,7 +103,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		switch target.Status {
 		case StatusDone, StatusFaulted:
 			if m.hasObs {
-				m.emit(Event{Kind: EvJoin, TID: t.ID, Aux: int64(target.ID), Instr: in})
+				m.emit(EvJoin, t.ID, 0, 0, int64(target.ID), in)
 			}
 			done(target.Result)
 		default:
@@ -146,7 +146,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		}
 		m.lockAcquire(addr, t.ID)
 		if m.hasObs {
-			m.emit(Event{Kind: EvAcquire, TID: t.ID, Addr: addr, Instr: in})
+			m.emit(EvAcquire, t.ID, addr, 0, 0, in)
 		}
 		done(0)
 
@@ -155,7 +155,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		if owner, held := m.lockOwner(addr); held && owner == t.ID {
 			m.lockRelease(addr)
 			if m.hasObs {
-				m.emit(Event{Kind: EvRelease, TID: t.ID, Addr: addr, Instr: in})
+				m.emit(EvRelease, t.ID, addr, 0, 0, in)
 			}
 			for _, w := range m.threads {
 				if w.Status == StatusBlockedMutex && w.WaitAddr == addr {
@@ -170,7 +170,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 		b := m.mem.Alloc(arg(0), BlockHeap,
 			fmt.Sprintf("malloc@%s:%d", fr.Fn.Name, in.Pos.Line), t.Stack())
 		if m.hasObs {
-			m.emit(Event{Kind: EvAlloc, TID: t.ID, Addr: b.Base, Aux: arg(0), Instr: in})
+			m.emit(EvAlloc, t.ID, b.Base, 0, arg(0), in)
 		}
 		done(b.Base)
 
@@ -181,7 +181,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			return
 		}
 		if m.hasObs {
-			m.emit(Event{Kind: EvFree, TID: t.ID, Addr: arg(0), Instr: in})
+			m.emit(EvFree, t.ID, arg(0), 0, 0, in)
 		}
 		done(0)
 
@@ -195,7 +195,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 				return
 			}
 			if m.hasObs {
-				m.emit(Event{Kind: EvRead, TID: t.ID, Addr: src + i, Val: v, Instr: in})
+				m.emit(EvRead, t.ID, src+i, v, 0, in)
 			}
 			if f := m.mem.Store(dst+i, v); f != nil {
 				f.Addr = dst + i
@@ -203,7 +203,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 				return
 			}
 			if m.hasObs {
-				m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: dst + i, Val: v, Instr: in})
+				m.emit(EvWrite, t.ID, dst+i, v, 0, in)
 			}
 		}
 		done(dst)
@@ -217,7 +217,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 				return
 			}
 			if m.hasObs {
-				m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: p + i, Val: v, Instr: in})
+				m.emit(EvWrite, t.ID, p+i, v, 0, in)
 			}
 		}
 		done(p)
@@ -237,7 +237,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 				return
 			}
 			if m.hasObs {
-				m.emit(Event{Kind: EvWrite, TID: t.ID, Addr: dst + i, Val: v, Instr: in})
+				m.emit(EvWrite, t.ID, dst+i, v, 0, in)
 			}
 			if v == 0 {
 				break

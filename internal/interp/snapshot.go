@@ -317,9 +317,10 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // Restore builds a new machine continuing from the snapshot. cfg
 // supplies the run-specific parts — Sched (required), Observers,
-// SwitchObservers, Breakpoint, and optionally MaxSteps (0 keeps the
-// snapshot's bound; the bound stays absolute, counted from step 0, so a
-// restored run truncates exactly where a from-scratch run would).
+// SwitchObservers, Breakpoint, NoSchedule, and optionally MaxSteps (0
+// keeps the snapshot's bound; the bound stays absolute, counted from
+// step 0, so a restored run truncates exactly where a from-scratch run
+// would).
 // Module, Entry, Args, Inputs, and HaltOnFault come from the snapshot:
 // they are part of the captured execution, not of the resuming run.
 func Restore(s *Snapshot, cfg Config) (*Machine, error) {
@@ -334,6 +335,9 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 	mcfg.Observers = cfg.Observers
 	mcfg.SwitchObservers = cfg.SwitchObservers
 	mcfg.Breakpoint = cfg.Breakpoint
+	// A snapshot taken without a schedule cannot supply the trace
+	// prefix, so its restores record none either.
+	mcfg.NoSchedule = cfg.NoSchedule || s.cfg.NoSchedule
 	if cfg.MaxSteps > 0 {
 		mcfg.MaxSteps = cfg.MaxSteps
 	}
@@ -366,7 +370,6 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		output:         s.output,
 		faults:         s.faults,
 		execLog:        s.execLog,
-		tracePrefix:    s.trace,
 		forkCount:      s.forkCount,
 		exited:         s.exited,
 		exitCode:       s.exitCode,
@@ -376,6 +379,9 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		hasObs:         len(mcfg.Observers) > 0,
 		hasSwitch:      len(mcfg.SwitchObservers) > 0,
 		stackMemoStep:  -1,
+	}
+	if !mcfg.NoSchedule {
+		m.tracePrefix = s.trace
 	}
 	m.locks = append([]lockEntry(nil), s.locks...)
 	for _, o := range mcfg.Observers {

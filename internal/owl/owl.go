@@ -626,9 +626,12 @@ func (r *runner[R]) batch(jobs []*sched.Job) {
 			return err
 		}
 		j := jobs[idx-base]
+		// Detection reads reports, never the run's schedule: a job's
+		// decisions live in its scheduler.
 		cfg := interp.Config{
 			Module: r.p.Module, Entry: r.p.Entry, Args: r.p.Args, Inputs: r.p.Inputs,
 			MaxSteps: r.st.StepBudget(idx, r.p.MaxSteps), Sched: j.Sched, Engine: r.opts.engine,
+			NoSchedule: true,
 		}
 		if j.Cov != nil {
 			cfg.SwitchObservers = []interp.SwitchObserver{j.Cov}
@@ -708,7 +711,8 @@ func (s *reportSet[R]) add(reports []R) []string {
 }
 
 // attachRace wires a race detector, honoring the benign annotations, into
-// every run; collecting a run's reports flushes its detector counters.
+// every run; collecting a run's reports flushes its detector counters
+// and returns its shadow table to the pool for the next run.
 func attachRace(benign *race.Annotations, mc *metrics.Collector) attachFn[*race.Report] {
 	return func(cfg *interp.Config, _ int) func() []*race.Report {
 		d := race.NewDetector()
@@ -716,6 +720,7 @@ func attachRace(benign *race.Annotations, mc *metrics.Collector) attachFn[*race.
 		cfg.Observers = append(cfg.Observers, d)
 		return func() []*race.Report {
 			d.FlushMetrics(mc) // Collector.Count is mutex-guarded; safe per worker
+			d.Release()
 			return d.Reports()
 		}
 	}

@@ -127,7 +127,7 @@ func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
 		i := idx - base
 		reports, hit, err := cf.Confirm(interp.Config{
 			Module: r.p.Module, Entry: r.p.Entry, Args: r.p.Args, Inputs: r.p.Inputs,
-			MaxSteps: st.StepBudget(idx, r.p.MaxSteps), Engine: opts.engine,
+			MaxSteps: st.StepBudget(idx, r.p.MaxSteps), Engine: opts.engine, NoSchedule: true,
 		}, benign, cands[i])
 		if err != nil {
 			return fmt.Errorf("confirm %s: %w", cands[i].Pair.ID(), err)

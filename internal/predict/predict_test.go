@@ -222,7 +222,7 @@ func TestRecorderForksExactly(t *testing.T) {
 	// restored recorder must not alias the diverged suffix.
 	half := &Recorder{events: full[: len(full)/2 : len(full)/2]}
 	snap := half.SnapshotState()
-	half.OnEvent(nil, interp.Event{Kind: interp.EvAcquire, TID: 9, Addr: 0xdead})
+	half.OnEvent(nil, &interp.Event{Kind: interp.EvAcquire, TID: 9, Addr: 0xdead})
 	fresh := NewRecorder()
 	if !fresh.RestoreState(snap) {
 		t.Fatal("RestoreState rejected its own snapshot")
@@ -230,7 +230,7 @@ func TestRecorderForksExactly(t *testing.T) {
 	if len(fresh.Events()) != len(full)/2 {
 		t.Fatalf("restored %d events, want %d", len(fresh.Events()), len(full)/2)
 	}
-	fresh.OnEvent(nil, interp.Event{Kind: interp.EvRelease, TID: 7, Addr: 0xbeef})
+	fresh.OnEvent(nil, &interp.Event{Kind: interp.EvRelease, TID: 7, Addr: 0xbeef})
 	if half.Events()[len(full)/2].Addr != 0xdead {
 		t.Error("restore aliased the diverged writer's suffix")
 	}

@@ -50,7 +50,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Events() []Ev { return r.events }
 
 // OnEvent implements interp.Observer.
-func (r *Recorder) OnEvent(m *interp.Machine, e interp.Event) {
+func (r *Recorder) OnEvent(m *interp.Machine, e *interp.Event) {
 	switch e.Kind {
 	case interp.EvRead, interp.EvWrite, interp.EvAcquire, interp.EvRelease,
 		interp.EvSpawn, interp.EvJoin:

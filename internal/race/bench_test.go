@@ -102,7 +102,7 @@ func BenchmarkDetectorFullVC(b *testing.B) {
 // refs for every event kind — together the pre-PR emit-site behavior.
 type eagerStackObserver struct{ d *Detector }
 
-func (o eagerStackObserver) OnEvent(m *interp.Machine, e interp.Event) {
+func (o eagerStackObserver) OnEvent(m *interp.Machine, e *interp.Event) {
 	if e.Kind == interp.EvRead || e.Kind == interp.EvWrite {
 		_ = e.StackRef().Materialize()
 	}

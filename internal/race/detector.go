@@ -1,6 +1,8 @@
 package race
 
 import (
+	"sync"
+
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/metrics"
@@ -135,10 +137,44 @@ func (d *Detector) setVC(tid interp.ThreadID, v *vclock.VC) {
 	d.vcs[tid] = v
 }
 
+// tablePool recycles shadow tables across detectors. A table is most of
+// a detection run's allocation, and its size follows the program's
+// arena, so the next run, of any program, can reuse it. Release hands a
+// table back dirty; the detector that takes it clears it.
+var tablePool sync.Pool // of *[]shadowSlot
+
+// takeTable returns a cleared pooled table of length 0, or nil when the
+// pool is empty. Only the first len entries of a released table were
+// ever written (slot grows len to every index it touches), so clearing
+// those leaves the whole capacity zero.
+func takeTable() []shadowSlot {
+	p, _ := tablePool.Get().(*[]shadowSlot)
+	if p == nil {
+		return nil
+	}
+	t := *p
+	clear(t)
+	return t[:0]
+}
+
+// Release hands the detector's shadow table to the pool for a later
+// detector to reuse. Call it once the run is over and its reports are
+// collected: reports copy what they keep, so none points into the
+// table. The detector must observe no further events.
+func (d *Detector) Release() {
+	if cap(d.slots) == 0 {
+		return
+	}
+	t := d.slots
+	d.slots = nil
+	tablePool.Put(&t)
+}
+
 // slot returns the shadow word for addr. Arena addresses are dense above
 // interp.ArenaBase, so the table is flat and the lookup one subtraction;
 // addresses below the base (never produced by the arena, but observers
-// must not crash on hostile events) fall back to a map.
+// must not crash on hostile events) fall back to a map. A detector's
+// first table comes from the pool when it holds one.
 func (d *Detector) slot(addr int64) *shadowSlot {
 	i := addr - interp.ArenaBase
 	if i < 0 {
@@ -153,6 +189,9 @@ func (d *Detector) slot(addr int64) *shadowSlot {
 		return s
 	}
 	if int64(len(d.slots)) <= i {
+		if d.slots == nil {
+			d.slots = takeTable()
+		}
 		if int64(cap(d.slots)) > i {
 			d.slots = d.slots[:i+1]
 		} else {
@@ -171,12 +210,18 @@ func (d *Detector) slot(addr int64) *shadowSlot {
 	return &d.slots[i]
 }
 
-func metaOf(e interp.Event) accessMeta {
+func metaOf(e *interp.Event) accessMeta {
 	return accessMeta{tid: e.TID, val: e.Val, step: e.Step, instr: e.Instr, sref: e.StackRef()}
 }
 
+// set overwrites a with e's metadata field by field: the per-access
+// hot path then copies no whole accessMeta through a temporary.
+func (a *accessMeta) set(e *interp.Event) {
+	a.tid, a.val, a.step, a.instr, a.sref = e.TID, e.Val, e.Step, e.Instr, e.StackRef()
+}
+
 // OnEvent implements interp.Observer.
-func (d *Detector) OnEvent(m *interp.Machine, e interp.Event) {
+func (d *Detector) OnEvent(m *interp.Machine, e *interp.Event) {
 	d.stats.Events++
 	switch e.Kind {
 	case interp.EvAcquire:
@@ -216,7 +261,7 @@ func (d *Detector) vcOf(tid interp.ThreadID) *vclock.VC {
 	return nil
 }
 
-func (d *Detector) onRead(m *interp.Machine, e interp.Event) {
+func (d *Detector) onRead(m *interp.Machine, e *interp.Event) {
 	me := d.vc(e.TID)
 	s := d.slot(e.Addr)
 	// Unlike classic FastTrack, a same-epoch read cannot skip the write
@@ -233,12 +278,12 @@ func (d *Detector) onRead(m *interp.Machine, e interp.Event) {
 			// read at an address wins, and is what a later racing write
 			// reports against).
 			d.stats.FastpathHits++
-			s.rMeta = metaOf(e)
+			s.rMeta.set(e)
 			return
 		}
 		if s.read.IsZero() || s.read.TID() == int(e.TID) {
 			s.read = cur
-			s.rMeta = metaOf(e)
+			s.rMeta.set(e)
 			return
 		}
 		// Second distinct reading thread: promote to read-shared. Any
@@ -274,7 +319,7 @@ func (s *shadowSlot) insertShared(re readEntry) {
 	s.shared[i] = re
 }
 
-func (d *Detector) onWrite(m *interp.Machine, e interp.Event) {
+func (d *Detector) onWrite(m *interp.Machine, e *interp.Event) {
 	me := d.vc(e.TID)
 	s := d.slot(e.Addr)
 	cur := me.EpochOf(int(e.TID))
@@ -283,7 +328,7 @@ func (d *Detector) onWrite(m *interp.Machine, e interp.Event) {
 		// ours at this very epoch, so there is nothing to race with and
 		// nothing to prune; only the last-write metadata moves.
 		d.stats.FastpathHits++
-		s.wMeta = metaOf(e)
+		s.wMeta.set(e)
 		return
 	}
 	if !s.write.IsZero() && s.write.TID() != int(e.TID) && !me.Observes(s.write) {
@@ -314,7 +359,7 @@ func (d *Detector) onWrite(m *interp.Machine, e interp.Event) {
 		}
 	}
 	s.write = cur
-	s.wMeta = metaOf(e)
+	s.wMeta.set(e)
 }
 
 // mkAccess turns retained access metadata into a report-side Access,

@@ -20,7 +20,7 @@ type eventRecorder struct {
 	events []string
 }
 
-func (r *eventRecorder) OnEvent(m *interp.Machine, e interp.Event) {
+func (r *eventRecorder) OnEvent(m *interp.Machine, e *interp.Event) {
 	loc := "?"
 	if e.Instr != nil {
 		loc = fmt.Sprintf("%s#%d@%s", e.Instr.Fn.Name, e.Instr.Index, e.Instr.Loc())
@@ -40,7 +40,7 @@ func (r *stackRecorder) NeedsStack(k interp.EventKind) bool {
 	return k == interp.EvRead || k == interp.EvWrite
 }
 
-func (r *stackRecorder) OnEvent(m *interp.Machine, e interp.Event) {
+func (r *stackRecorder) OnEvent(m *interp.Machine, e *interp.Event) {
 	r.eventRecorder.OnEvent(m, e)
 	if e.IsAccess() {
 		r.events = append(r.events, "stack:\n"+m.EventStack(e).String())

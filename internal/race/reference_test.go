@@ -82,7 +82,7 @@ func (d *ReferenceDetector) state(addr int64) *varState {
 }
 
 // OnEvent implements interp.Observer.
-func (d *ReferenceDetector) OnEvent(m *interp.Machine, e interp.Event) {
+func (d *ReferenceDetector) OnEvent(m *interp.Machine, e *interp.Event) {
 	switch e.Kind {
 	case interp.EvAcquire:
 		if l := d.locks[e.Addr]; l != nil {
@@ -111,14 +111,14 @@ func (d *ReferenceDetector) OnEvent(m *interp.Machine, e interp.Event) {
 
 // access builds a report-side Access, eagerly materializing the stack —
 // the cost the epoch detector's lazy StackRef path avoids.
-func (d *ReferenceDetector) access(e interp.Event, isWrite bool) Access {
+func (d *ReferenceDetector) access(e *interp.Event, isWrite bool) Access {
 	return Access{
 		TID: e.TID, IsWrite: isWrite, Addr: e.Addr, Val: e.Val,
 		Instr: e.Instr, Stack: e.StackRef().Materialize(), Step: e.Step,
 	}
 }
 
-func (d *ReferenceDetector) onRead(m *interp.Machine, e interp.Event) {
+func (d *ReferenceDetector) onRead(m *interp.Machine, e *interp.Event) {
 	me := d.vc(e.TID)
 	s := d.state(e.Addr)
 	if s.write.valid && s.write.tid != e.TID &&
@@ -130,7 +130,7 @@ func (d *ReferenceDetector) onRead(m *interp.Machine, e interp.Event) {
 	}
 }
 
-func (d *ReferenceDetector) onWrite(m *interp.Machine, e interp.Event) {
+func (d *ReferenceDetector) onWrite(m *interp.Machine, e *interp.Event) {
 	me := d.vc(e.TID)
 	s := d.state(e.Addr)
 	if s.write.valid && s.write.tid != e.TID &&

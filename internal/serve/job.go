@@ -179,6 +179,8 @@ type JobResult struct {
 
 // Job is one accepted submission moving through a shard queue.
 type Job struct {
+	// spec and ps are the job's input and program; both are dropped
+	// when the job finishes (see Server.finish).
 	spec  Spec
 	ps    *programState
 	shard int

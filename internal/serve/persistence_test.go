@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -311,6 +312,60 @@ func TestEvictionSparesInFlightProgram(t *testing.T) {
 	}
 	if st.Result.Submissions != 2 {
 		t.Errorf("resubmission sees %d submissions, want 2", st.Result.Submissions)
+	}
+}
+
+// TestEvictedProgramIsCollected: once a program is evicted, nothing the
+// server keeps may reach its state. Finished jobs stay listed for status
+// queries, so a job holding its spec or program state would pin every
+// evicted module, bytecode and ExploreState for the server's lifetime.
+func TestEvictedProgramIsCollected(t *testing.T) {
+	s := mustNew(t, Config{Shards: 1, MaxPrograms: 1, StateDir: t.TempDir()})
+	defer s.Shutdown(context.Background())
+	key := waitJob(t, mustSubmit(t, s, inlineSpec())).Key
+	s.store.mu.Lock()
+	ps := s.store.programs[key]
+	s.store.mu.Unlock()
+	if ps == nil {
+		t.Fatalf("program %s not in the store after its job", key)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(ps, func(*programState) { close(collected) })
+	ps = nil
+	waitJob(t, mustSubmit(t, s, libsafeSpec("evict"))) // evicts the inline program
+	if got := counterOf(s.mc, "serve.programs_evicted"); got != 1 {
+		t.Fatalf("serve.programs_evicted = %d, want 1", got)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("evicted program state is still reachable after GC")
+}
+
+// TestMaxProgramsDefault: with a state dir, where eviction is lossless,
+// an unset bound defaults to DefaultMaxPrograms; without one it stays
+// unlimited, since eviction there forgets state. A negative bound is
+// unlimited either way.
+func TestMaxProgramsDefault(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{}, 0},
+		{Config{StateDir: "d"}, DefaultMaxPrograms},
+		{Config{StateDir: "d", MaxPrograms: 3}, 3},
+		{Config{StateDir: "d", MaxPrograms: -1}, 0},
+		{Config{MaxPrograms: -1}, 0},
+	} {
+		if got := c.cfg.withDefaults().MaxPrograms; got != c.want {
+			t.Errorf("MaxPrograms %d with state dir %q defaults to %d, want %d",
+				c.cfg.MaxPrograms, c.cfg.StateDir, got, c.want)
+		}
 	}
 }
 

@@ -61,7 +61,9 @@ type Config struct {
 	// MaxPrograms bounds the in-memory program states; exceeding it
 	// evicts the least-recently-used program with no jobs in flight
 	// (rehydrated lazily from StateDir on the next touch, or forgotten
-	// when persistence is off). 0 = unlimited.
+	// when persistence is off). 0 means DefaultMaxPrograms with a
+	// StateDir, where eviction loses nothing, and unlimited without
+	// one; a negative value means unlimited.
 	MaxPrograms int
 	// Faults injects deterministic disk faults into the persistence
 	// layer and network faults into the replica client
@@ -105,11 +107,22 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 8
 	}
-	if c.MaxPrograms < 0 {
-		c.MaxPrograms = 0
+	switch {
+	case c.MaxPrograms < 0:
+		c.MaxPrograms = 0 // the store's "unlimited"
+	case c.MaxPrograms == 0 && c.StateDir != "":
+		c.MaxPrograms = DefaultMaxPrograms
 	}
 	return c
 }
+
+// DefaultMaxPrograms is the in-memory program bound of a server with a
+// state directory and no explicit MaxPrograms. Eviction is lossless
+// there (an evicted program rehydrates from disk on its next
+// submission), so the bound only caps the heap: a resident program
+// costs on the order of 100-200 KiB (module, bytecode, exploration
+// state, report IDs).
+const DefaultMaxPrograms = 64
 
 // Server is the analysis service. Create with New, serve its Handler,
 // stop with Shutdown.
@@ -345,7 +358,11 @@ func (s *Server) runShard(ch chan *Job) {
 	}
 }
 
-// finish releases a job's admission accounting and its eviction pin.
+// finish releases a job's admission accounting and its eviction pin,
+// then drops the job's references to its spec and program state: the
+// server keeps every job for status queries, and a kept reference
+// would hold an evicted program's module and exploration state
+// forever. The terminal status is built before finish runs.
 func (s *Server) finish(j *Job) {
 	s.mu.Lock()
 	s.tenants[j.spec.Tenant]--
@@ -355,6 +372,7 @@ func (s *Server) finish(j *Job) {
 	s.queued[j.shard]--
 	s.mu.Unlock()
 	s.store.release(j.ps)
+	j.ps, j.spec = nil, Spec{}
 }
 
 // execute runs one job's pipeline on its shard goroutine. The admission

@@ -90,7 +90,7 @@ func (w *watcher) NeedsStack(k interp.EventKind) bool {
 }
 
 // OnEvent feeds the race detector first, then applies the watch policy.
-func (w *watcher) OnEvent(m *interp.Machine, e interp.Event) {
+func (w *watcher) OnEvent(m *interp.Machine, e *interp.Event) {
 	w.det.OnEvent(m, e)
 	// Newly detected races put their address on the watch list.
 	reports := w.det.Reports()
