@@ -6,9 +6,9 @@
 #   make serve-gate      analysis-service gate under -race (drain, backpressure, resume)
 #   make persist-gate    durable-store gate: persistence + disk faults under -race,
 #                        plus the process-level kill-and-restart smoke
-#   make fuzz            fuzz the checkpoint decoder, WAL recovery, the .oir
-#                        parser, the minic compiler and fault-plan parsing,
-#                        10 s per target
+#   make fuzz            fuzz the checkpoint decoder, WAL recovery, the state
+#                        offer, the .oir parser, the minic compiler and
+#                        fault-plan parsing, 10 s per target
 #   make replica-gate    fleet-replication gate: peer state exchange, fleet warm-start
 #                        and network-fault matrix under -race
 #   make faults          fault-injection suite under -race + canned-plan CLI runs
@@ -79,7 +79,9 @@ persist-gate:
 
 # Native fuzzing of the two decoders every durable byte passes through —
 # DecodeCheckpoint (a CHECKPOINT file at boot and a peer's blob on the
-# wire) and WAL recovery — of the .oir parser, where untrusted inline
+# wire) and WAL recovery — of the state fold a peer's PUT offer runs
+# (decode, then newProgramState or mergeSnapshot; accepted offers must
+# re-export to the same state), of the .oir parser, where untrusted inline
 # programs enter owl-serve, of the minic compiler (its output must
 # reparse as IR) and of fault-plan parsing (-faults files). Seeds live
 # in the packages' testdata/fuzz/ and also run as plain tests; go test
@@ -87,6 +89,7 @@ persist-gate:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 10s ./internal/serve/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverWAL$$' -fuzztime 10s ./internal/serve/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzStateOffer$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ir/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/minic/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/faultinject/
@@ -168,7 +171,11 @@ predict:
 # which adds both oracles. Last come the scheduler planning contract
 # (Plan + Advance(k) against k Next calls, PCT included) and the DFS
 # trace-bound oracle (bounded decision traces against full ones over the
-# corpus, also built without -race).
+# corpus, also built without -race). The ad-hoc filter oracle closes it:
+# on every application workload, noise level and detect mode at workers 1
+# and 3, and on the kernel recipes, the ad-hoc stage's report filter must
+# keep exactly the reports a re-run under the mined annotations returns
+# (built without -race too).
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
@@ -178,6 +185,7 @@ engine-diff:
 	$(GO) test -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned'
 	$(GO) test -count=1 ./internal/sched/ -run 'PlanAdvanceMatchesNext|TraceBoundOracle'
+	$(GO) test -count=1 ./internal/owl/ ./internal/eval/ -run 'AdhocFilterOracle'
 	@echo "cross-engine differential gate passed"
 
 fmt-check:

@@ -9,9 +9,12 @@
 //     reaches a branch that can break out of the loop, and
 //  3. the report's write side stores a constant.
 //
-// Matching reports are tagged "adhoc sync"; the variable is annotated
-// (race.Annotations) so the detector suppresses it on re-run — the paper's
-// automatic TSAN-markup step. Unlike SyncFinder's purely static matching,
+// Matching reports are tagged "adhoc sync", and each sync's racing pair
+// is annotated (race.Annotations) — the paper's automatic TSAN-markup
+// step. The paper then re-runs the detector; here an annotation only
+// suppresses a pair's report, so the pipeline drops the annotated pairs
+// from the reports it already has (Annotations.Suppresses), which is
+// what the re-run would return. Unlike SyncFinder's purely static matching,
 // the inputs here are real runtime reports, which is what makes the check
 // simple and precise (paper §5.1, last paragraph).
 package adhoc
@@ -215,8 +218,9 @@ func varName(r *race.Report) string {
 }
 
 // Annotate installs the syncs into an annotation set (creating one when
-// ann is nil) and returns it; pass the result to the race detector's
-// Benign field for the §5.1 re-run. Annotation is per racing-instruction
+// ann is nil) and returns it; the pipeline filters the raw reports with
+// its Suppresses (a race detector's Benign field takes it too, for a
+// re-run). Annotation is per racing-instruction
 // pair (like TSAN markups on the sync accesses), NOT per variable:
 // another racy access to the same memory — the SSDB db pointer read
 // inside del_range, say — must keep being reported.

@@ -7,6 +7,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/conanalysis/owl/internal/adhoc"
@@ -246,30 +247,15 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 			maxSteps = cfg.Pipeline.MaxSteps
 		}
 		base := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: maxSteps}
-		det := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions}
-		reports, _, err := det.Detect(base)
+		raw, syncs, after, err := kernelReports(base, false)
 		if err != nil {
 			return nil, fmt.Errorf("eval %s/%s: %w", w.Name, rec.Name, err)
 		}
-		var races []*race.Report
-		for _, r := range reports {
-			races = append(races, r.Race)
+		for _, r := range raw {
 			rawIDs[r.Race.ID()] = true
 		}
-
-		// §5.1 on kernel reports, then re-explore with annotations.
-		syncs := adhoc.NewDetector().Analyze(races)
 		for _, s := range syncs {
 			adhocVars[s.Var] = true
-		}
-		after := reports
-		if len(syncs) > 0 {
-			det2 := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions,
-				Benign: adhoc.Annotate(syncs, nil)}
-			after, _, err = det2.Detect(base)
-			if err != nil {
-				return nil, fmt.Errorf("eval %s/%s re-run: %w", w.Name, rec.Name, err)
-			}
 		}
 		for _, r := range after {
 			annIDs[r.Race.ID()] = true
@@ -315,6 +301,36 @@ func evalKernel(w *workloads.Workload, cfg Config) (*ProgramEval, error) {
 	pe.Remaining = pe.AfterAnnotation
 	pe.Findings = len(findingKeys)
 	return pe, nil
+}
+
+// kernelReports runs the SKI-style detector over one kernel recipe and
+// then §5.1: it mines the ad-hoc syncs from the raw reports and keeps
+// the reports whose racing pair no sync annotates. rerun selects the
+// reference instead of the filter, a second exploration with the
+// annotations installed.
+func kernelReports(base interp.Config, rerun bool) (raw []*ski.Report, syncs []*adhoc.Sync, after []*ski.Report, err error) {
+	det := &ski.Detector{MaxRuns: kernelRuns, MaxDecisions: kernelDecisions}
+	if raw, _, err = det.Detect(base); err != nil {
+		return nil, nil, nil, err
+	}
+	races := make([]*race.Report, len(raw))
+	for i, r := range raw {
+		races[i] = r.Race
+	}
+	syncs = adhoc.NewDetector().Analyze(races)
+	if len(syncs) == 0 {
+		return raw, nil, raw, nil
+	}
+	ann := adhoc.Annotate(syncs, nil)
+	if !rerun {
+		after = slices.DeleteFunc(slices.Clone(raw), func(r *ski.Report) bool { return ann.Suppresses(r.Race) })
+		return raw, syncs, after, nil
+	}
+	det.Benign = ann
+	if after, _, err = det.Detect(base); err != nil {
+		return nil, nil, nil, fmt.Errorf("re-run: %w", err)
+	}
+	return raw, syncs, after, nil
 }
 
 // ExploitCampaign runs the attack drivers for Table 4.

@@ -3,7 +3,6 @@ package owl
 import (
 	"testing"
 
-	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/sched"
 	"github.com/conanalysis/owl/internal/supervise"
 	"github.com/conanalysis/owl/internal/workloads"
@@ -19,7 +18,7 @@ func BenchmarkDetectRun(b *testing.B) {
 	p := Program{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps}
 	st := supervise.New(supervise.Config{}).Stage("owl.detect")
 	defer st.Close()
-	r := newRunner(p, Options{Workers: 1}, st, attachRace(nil, nil), func(r *race.Report) *int { return &r.Count })
+	r := newRunner(p, Options{Workers: 1}, st, attachRace(nil, nil), raceKind)
 	cov := sched.NewCoverage()
 	b.ReportAllocs()
 	b.ResetTimer()

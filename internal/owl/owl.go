@@ -1,8 +1,11 @@
 // Package owl wires OWL's five components into the Figure-3 pipeline:
 //
 //  1. a concurrency error detector runs on the program's inputs;
-//  2. the static ad-hoc synchronization detector mines the reports,
-//     annotates the program, and the detector re-runs (schedule reduction);
+//  2. the static ad-hoc synchronization detector mines the reports and
+//     annotates the syncs it finds; the reports those annotations
+//     suppress are dropped. An annotation only suppresses a racing
+//     pair's report, so this is what re-running the detector under the
+//     annotations would return, without the second detection;
 //  3. the dynamic race verifier confirms the remaining reports and emits
 //     security hints;
 //  4. the static vulnerability analyzer (Algorithm 1) computes vulnerable
@@ -100,14 +103,18 @@ type Options struct {
 	// ExploreState, when non-nil, makes the *initial* coverage-guided
 	// detect stage resume from — and fold back into — persistent
 	// cross-run exploration state (sched.ExploreState): the engine starts
-	// pre-seeded with the state's accumulated coverage and seen-report
-	// set (so a repeat run of an already-explored program saturates and
-	// early-stops after a fraction of the budget). Only consulted when
-	// Resumes() holds; the ad-hoc re-run and atomicity stages always
-	// explore fresh (their detector configuration differs, so mixing
-	// their scores into the shared state would poison resume decisions).
-	// The state must have been built for this exact Module value —
-	// coverage keys are instruction identities.
+	// pre-seeded with the state's accumulated coverage and its stored
+	// reports' IDs as the seen set (so a repeat run of an
+	// already-explored program saturates and early-stops after a
+	// fraction of the budget). Only consulted when
+	// Resumes() holds, and only by the initial detect stage: it starts
+	// from the state's stored reports, so a short resumed exploration
+	// still returns the program's whole report set, and it folds its
+	// coverage and new reports back in. The atomicity stage always
+	// explores fresh (its detector differs, so mixing its scores into
+	// the shared state would poison resume decisions). The state must
+	// have been built for this exact Module value — coverage keys and
+	// stored reports name instructions.
 	ExploreState *sched.ExploreState
 
 	// Predict switches the detect stages to predictive race detection
@@ -193,6 +200,10 @@ type Options struct {
 	// compiled engine and snapCacheEntries.
 	engine      interp.Engine
 	snapEntries int
+	// rerunAdhoc makes the ad-hoc stage re-run detection under the mined
+	// annotations instead of filtering the raw reports: the reference
+	// the filter is tested against (export_test.go).
+	rerunAdhoc bool
 }
 
 // Validate rejects option values no pipeline can run: an unknown
@@ -249,7 +260,7 @@ func (o Options) newSnapCache() *sched.SnapCache {
 type Stats struct {
 	RawReports         int           // R.R.
 	AdhocSyncs         int           // A.S.
-	AfterAnnotation    int           // reports surviving the §5.1 re-run
+	AfterAnnotation    int           // raw reports no §5.1 annotation suppresses
 	VerifierEliminated int           // R.V.E.
 	Remaining          int           // R.
 	Findings           int           // OWL vulnerability reports
@@ -295,9 +306,9 @@ type Result struct {
 	AtomicityReports  []*atomicity.Report
 	AtomicityFindings []*vuln.Finding
 	// PredictedConfirmed lists the predicted race IDs that steered
-	// replays dynamically confirmed (Options.Predict), across the detect
-	// and ad-hoc re-run stages, in confirmation order without duplicates.
-	// Every entry also appears in Raw (or Annotated for the re-run).
+	// replays of the detect stage dynamically confirmed
+	// (Options.Predict), in confirmation order without duplicates. Every
+	// entry also appears in Raw.
 	PredictedConfirmed []string
 	// Quarantined lists the runs the supervisor isolated (panic or
 	// error after retries), in stage-then-run order; Degraded lists the
@@ -369,31 +380,44 @@ func Run(p Program, opts Options) (*Result, error) {
 
 	// runDetect is one race-detect stage under the given stage's
 	// supervision: predictive detection, or the fixed or coverage-guided
-	// schedules, merging reports in run order.
-	runDetect := func(st *supervise.StageRun, benign *race.Annotations) []*race.Report {
-		r := newRunner(p, opts, st, attachRace(benign, mc), func(r *race.Report) *int { return &r.Count })
-		switch {
-		case opts.Predict:
-			for _, id := range detectPredict(r, benign) {
+	// schedules, merging reports in run order. resume, when non-nil, is
+	// the program's exploration state: the stage starts from its stored
+	// reports and coverage and folds what it found back in. benign is
+	// set only by the ad-hoc stage's reference re-run.
+	runDetect := func(st *supervise.StageRun, benign *race.Annotations, resume *sched.ExploreState) []*race.Report {
+		r := newRunner(p, opts, st, attachRace(benign, mc), raceKind)
+		if opts.Predict {
+			for _, id := range detectPredict(r) {
 				if !slices.Contains(res.PredictedConfirmed, id) {
 					res.PredictedConfirmed = append(res.PredictedConfirmed, id)
 				}
 			}
-		case benign == nil && opts.Resumes():
-			// Persistent state resumes only the initial detect stage: the
-			// re-run explores under benign annotations, whose scores must
-			// not contaminate the cross-run map.
-			r.explore(opts.ExploreState)
-		default:
-			r.explore(nil)
+		} else {
+			for _, sr := range resume.Reports() {
+				r.set.insert(bindReport(p.Module, sr), sr.ID)
+			}
+			n := len(r.set.order)
+			eng := r.explore(resume)
+			if resume != nil {
+				resume.Absorb(eng, stableReports(r.set.order[n:], r.set.ids[n:]))
+			}
 		}
 		mc.Count("owl.detect_runs", int64(r.runs))
+		if benign != nil && opts.Predict {
+			// The reference's confirm replays run unannotated detectors.
+			return slices.DeleteFunc(r.set.order, benign.Suppresses)
+		}
 		return r.set.order
 	}
 
 	// Step 1: detection runs over explored schedules; dedupe across runs.
+	// Only this stage resumes from, and feeds, the exploration state.
 	st := sup.Stage("owl.detect")
-	res.Raw = runDetect(st, nil)
+	var resume *sched.ExploreState
+	if opts.Resumes() {
+		resume = opts.ExploreState
+	}
+	res.Raw = runDetect(st, nil, resume)
 	if err := endStage(st); err != nil {
 		finish()
 		return nil, fmt.Errorf("owl: %w", err)
@@ -401,10 +425,13 @@ func Run(p Program, opts Options) (*Result, error) {
 	res.Stats.RawReports = len(res.Raw)
 	mc.Count("owl.raw_reports", int64(res.Stats.RawReports))
 
-	// Step 2: mine ad-hoc synchronizations, annotate, re-run. Mining is
-	// guarded (a panic over partial reports degrades to the unannotated
-	// set); the re-run's executions are stage "owl.adhoc" for fault keys,
-	// so plans targeting "owl.detect" hit only the initial runs.
+	// Step 2: mine ad-hoc synchronizations and drop the raw reports they
+	// annotate. An annotation only suppresses a racing pair's report and
+	// never touches happens-before state, so re-running the detector
+	// over the same schedules would report exactly the raw set minus
+	// those pairs (DESIGN.md §5); the re-run survives as the test-only
+	// reference (rerunAdhoc). Mining is guarded: a panic over partial
+	// reports degrades to the unannotated set.
 	working := res.Raw
 	if !opts.DisableAdhoc {
 		st = sup.Stage("owl.adhoc")
@@ -415,7 +442,11 @@ func Run(p Program, opts Options) (*Result, error) {
 		})
 		if mined && len(res.Syncs) > 0 {
 			ann := adhoc.Annotate(res.Syncs, nil)
-			working = runDetect(st, ann)
+			if opts.rerunAdhoc {
+				working = runDetect(st, ann, nil)
+			} else {
+				working = slices.DeleteFunc(slices.Clone(res.Raw), ann.Suppresses)
+			}
 		}
 		if err := endStage(st); err != nil {
 			finish()
@@ -516,7 +547,7 @@ func Run(p Program, opts Options) (*Result, error) {
 	// Algorithm 1 (paper §8.3 integration).
 	if opts.EnableAtomicity {
 		st = sup.Stage("owl.atomicity")
-		r := newRunner(p, opts, st, attachAtomicity, func(r *atomicity.Report) *int { return &r.Count })
+		r := newRunner(p, opts, st, attachAtomicity, atomicityKind)
 		r.explore(nil)
 		res.AtomicityReports = r.set.order
 		for _, ar := range res.AtomicityReports {
@@ -603,22 +634,22 @@ type attachFn[R any] func(cfg *interp.Config, idx int) (collect func() []R)
 // job order, so the stage's output is the same for any worker count. A
 // quarantined or lost run merges nothing. Fault-injection and
 // step-budget run indices count globally across batches.
-type runner[R interface{ ID() string }] struct {
+type runner[R report, K comparable] struct {
 	p      Program
 	opts   Options
 	st     *supervise.StageRun
 	attach attachFn[R]
-	set    reportSet[R]
+	set    reportSet[R, K]
 	runs   int // runs started so far: the index of the next batch's first run
 }
 
-// newRunner returns a runner whose set adds up repeats' Count via count.
-func newRunner[R interface{ ID() string }](p Program, opts Options, st *supervise.StageRun, attach attachFn[R], count func(R) *int) *runner[R] {
-	return &runner[R]{p: p, opts: opts, st: st, attach: attach, set: reportSet[R]{count: count, byID: map[string]R{}}}
+// newRunner returns a runner whose set dedups reports as kind says.
+func newRunner[R report, K comparable](p Program, opts Options, st *supervise.StageRun, attach attachFn[R], kind reportKind[R, K]) *runner[R, K] {
+	return &runner[R, K]{p: p, opts: opts, st: st, attach: attach, set: reportSet[R, K]{kind: kind, index: map[K]int{}}}
 }
 
 // batch runs one batch of jobs and merges their reports in job order.
-func (r *runner[R]) batch(jobs []*sched.Job) {
+func (r *runner[R, K]) batch(jobs []*sched.Job) {
 	base, mc := r.runs, r.opts.Metrics
 	perJob := make([][]R, len(jobs))
 	r.st.ForEach(base, len(jobs), r.opts.Workers, func(_ context.Context, idx int) error {
@@ -656,9 +687,9 @@ func (r *runner[R]) batch(jobs []*sched.Job) {
 
 // explore runs the stage's schedules. Fixed mode is one batch of random
 // schedules seeded 1..DetectRuns, the sequence the engine's random arm
-// replays at Seed 0. Coverage mode is the guided engine, resuming from
-// resume when it is non-nil.
-func (r *runner[R]) explore(resume *sched.ExploreState) {
+// replays at Seed 0, and returns nil. Coverage mode is the guided
+// engine, resuming from resume when it is non-nil, and returns it.
+func (r *runner[R, K]) explore(resume *sched.ExploreState) *sched.Engine {
 	if r.opts.Explore != ExploreCoverage {
 		jobs := make([]*sched.Job, r.opts.DetectRuns)
 		for i := range jobs {
@@ -666,16 +697,18 @@ func (r *runner[R]) explore(resume *sched.ExploreState) {
 			jobs[i] = &sched.Job{Strategy: sched.StrategyRandom, Seed: seed, Sched: sched.NewRandom(seed)}
 		}
 		r.batch(jobs)
-		return
+		return nil
 	}
 	snap := r.opts.newSnapCache()
-	r.engine(sched.EngineConfig{Budget: r.opts.Budget, Seed: r.opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap, Resume: resume})
+	eng := r.engine(sched.EngineConfig{Budget: r.opts.Budget, Seed: r.opts.Seed, PCTSteps: r.p.MaxSteps, Snap: snap, Resume: resume})
 	flushSnapMetrics(snap, r.opts.Metrics)
+	return eng
 }
 
 // engine runs a coverage-guided exploration round by round as batches,
-// then folds it into cfg.Resume (when set) and the metrics.
-func (r *runner[R]) engine(cfg sched.EngineConfig) {
+// folds its accounting into the metrics, and returns the quiescent
+// engine for the caller to absorb.
+func (r *runner[R, K]) engine(cfg sched.EngineConfig) *sched.Engine {
 	eng := sched.NewEngine(cfg)
 	// The runner never fails a round: a faulted run is the supervisor's
 	// to record, so ExploreCtx's error is always nil.
@@ -683,31 +716,128 @@ func (r *runner[R]) engine(cfg sched.EngineConfig) {
 		r.batch(jobs)
 		return nil
 	})
-	cfg.Resume.Absorb(eng)
 	flushEngineMetrics(res, r.opts.Metrics)
+	return eng
 }
 
-// reportSet is a detect stage's deduplicated reports: merged by ID in
-// first-seen order, with a repeat adding its dynamic Count to the first.
-type reportSet[R interface{ ID() string }] struct {
+// report is what a detect stage merges: a report with an ID string.
+type report interface{ ID() string }
+
+// reportKind is how a detect stage dedups one kind of report: by a
+// comparable key built without formatting, a repeat adding its dynamic
+// Count to the first.
+type reportKind[R report, K comparable] struct {
+	key   func(R) K
 	count func(R) *int
-	byID  map[string]R
-	order []R
 }
 
-// add merges one run's reports and returns their IDs.
-func (s *reportSet[R]) add(reports []R) []string {
+// raceKind keys race reports by their unordered instruction pair, the
+// identity race.Report.ID spells out.
+var raceKind = reportKind[*race.Report, [2]*ir.Instr]{
+	key:   func(r *race.Report) [2]*ir.Instr { return pairKey(r.Prev.Instr, r.Cur.Instr) },
+	count: func(r *race.Report) *int { return &r.Count },
+}
+
+// raceRunner is a race-detect stage's runner.
+type raceRunner = runner[*race.Report, [2]*ir.Instr]
+
+// atomKey is an atomicity report's identity, as its ID spells it out.
+type atomKey struct {
+	first, remote, second *ir.Instr
+	kind                  atomicity.Kind
+}
+
+var atomicityKind = reportKind[*atomicity.Report, atomKey]{
+	key: func(r *atomicity.Report) atomKey {
+		return atomKey{r.First.Instr, r.Remote.Instr, r.Second.Instr, r.Kind}
+	},
+	count: func(r *atomicity.Report) *int { return &r.Count },
+}
+
+// pairKey orders an unordered instruction pair by stable position, so
+// both orders of one racing pair share a key.
+func pairKey(a, b *ir.Instr) [2]*ir.Instr {
+	pa, _ := ir.PosOf(a)
+	pb, _ := ir.PosOf(b)
+	if pb.Func < pa.Func || (pb.Func == pa.Func && pb.Index < pa.Index) {
+		a, b = b, a
+	}
+	return [2]*ir.Instr{a, b}
+}
+
+// reportSet is a detect stage's deduplicated reports, in first-seen
+// order; ids[i] is order[i]'s ID, built once.
+type reportSet[R report, K comparable] struct {
+	kind  reportKind[R, K]
+	index map[K]int // key -> position in order
+	order []R
+	ids   []string
+}
+
+// add merges one run's reports and returns their IDs. A repeat reuses
+// the first report's ID string.
+func (s *reportSet[R, K]) add(reports []R) []string {
 	ids := make([]string, len(reports))
 	for i, r := range reports {
-		ids[i] = r.ID()
-		if first, ok := s.byID[ids[i]]; ok {
-			*s.count(first) += *s.count(r)
+		k := s.kind.key(r)
+		if at, ok := s.index[k]; ok {
+			*s.kind.count(s.order[at]) += *s.kind.count(r)
+			ids[i] = s.ids[at]
 			continue
 		}
-		s.byID[ids[i]] = r
-		s.order = append(s.order, r)
+		ids[i] = r.ID()
+		s.insert(r, ids[i])
 	}
 	return ids
+}
+
+// insert merges a report whose ID is already known, such as a stored
+// report a resumed stage starts from. A repeat is dropped.
+func (s *reportSet[R, K]) insert(r R, id string) {
+	k := s.kind.key(r)
+	if s.has(k) {
+		return
+	}
+	s.index[k] = len(s.order)
+	s.order = append(s.order, r)
+	s.ids = append(s.ids, id)
+}
+
+// has reports whether a report with key k has been merged.
+func (s *reportSet[R, K]) has(k K) bool {
+	_, ok := s.index[k]
+	return ok
+}
+
+// stableReports renders race reports, whose IDs are ids, for the
+// exploration state.
+func stableReports(reports []*race.Report, ids []string) []sched.StableReport {
+	out := make([]sched.StableReport, len(reports))
+	for i, r := range reports {
+		out[i] = sched.StableReport{ID: ids[i], Prev: stableAccess(r.Prev), Cur: stableAccess(r.Cur), AddrName: r.AddrName, Count: r.Count}
+	}
+	return out
+}
+
+func stableAccess(a race.Access) sched.StableAccess {
+	pos, _ := ir.PosOf(a.Instr)
+	return sched.StableAccess{
+		TID: int(a.TID), IsWrite: a.IsWrite, Addr: a.Addr, Val: a.Val,
+		Instr: pos, Stack: a.Stack.Clone(), Step: a.Step,
+	}
+}
+
+// bindReport rebuilds a stored report against m, the module the
+// exploration state was built for.
+func bindReport(m *ir.Module, sr sched.StableReport) *race.Report {
+	return &race.Report{Prev: bindAccess(m, sr.Prev), Cur: bindAccess(m, sr.Cur), AddrName: sr.AddrName, Count: sr.Count}
+}
+
+func bindAccess(m *ir.Module, a sched.StableAccess) race.Access {
+	return race.Access{
+		TID: interp.ThreadID(a.TID), IsWrite: a.IsWrite, Addr: a.Addr, Val: a.Val,
+		Instr: m.InstrAtPos(a.Instr), Stack: a.Stack.Clone(), Step: a.Step,
+	}
 }
 
 // attachRace wires a race detector, honoring the benign annotations, into
@@ -737,9 +867,9 @@ func attachAtomicity(cfg *interp.Config, _ int) func() []*atomicity.Report {
 // flushEngineMetrics threads one exploration's accounting into the
 // collector: the coverage-map size, round/early-stop facts, and
 // per-strategy run/hit counters (hits = deduped reports the strategy
-// observed first). Counters accumulate across the initial detect, the
-// ad-hoc re-run, and the atomicity stage; the early-stop flag is a gauge,
-// so the last exploration of the run wins.
+// observed first). Counters accumulate across the detect and atomicity
+// stages; the early-stop flag is a gauge, so the last exploration of the
+// run wins.
 func flushEngineMetrics(res *sched.EngineResult, mc *metrics.Collector) {
 	mc.Count("sched.rounds", int64(res.Rounds))
 	mc.Count("sched.coverage_pairs", int64(res.CoveragePairs))

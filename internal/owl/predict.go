@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/conanalysis/owl/internal/interp"
+	"github.com/conanalysis/owl/internal/ir"
 	"github.com/conanalysis/owl/internal/predict"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/sched"
@@ -30,7 +31,7 @@ import (
 // predictions among them, which is how predicted pairs reach
 // raceverify) merge into r.set; r.runs counts the executions spent. It
 // returns the confirmed predicted-pair IDs.
-func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
+func detectPredict(r *raceRunner) []string {
 	opts, mc := r.opts, r.opts.Metrics
 	snap := opts.newSnapCache()
 	seedBudget := opts.Budget / 2
@@ -79,17 +80,17 @@ func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
 	// races need no confirmation run; the rest become candidates in
 	// first-predicted order, deduplicated by race identity across seeds.
 	var cands []predict.Candidate
-	predicted := map[string]bool{}
+	predicted := map[[2]*ir.Instr]bool{}
 	var nEvents, observed int64
 	for _, s := range seeds {
 		nEvents += int64(len(s.events))
 		for _, pr := range predict.Pairs(s.events, opts.PredictReversal) {
-			id := pr.ID()
-			if predicted[id] {
+			k := pairKey(pr.A.Instr, pr.B.Instr)
+			if predicted[k] {
 				continue
 			}
-			predicted[id] = true
-			if _, ok := r.set.byID[id]; ok {
+			predicted[k] = true
+			if r.set.has(k) {
 				observed++
 				continue
 			}
@@ -128,7 +129,7 @@ func detectPredict(r *runner[*race.Report], benign *race.Annotations) []string {
 		reports, hit, err := cf.Confirm(interp.Config{
 			Module: r.p.Module, Entry: r.p.Entry, Args: r.p.Args, Inputs: r.p.Inputs,
 			MaxSteps: st.StepBudget(idx, r.p.MaxSteps), Engine: opts.engine, NoSchedule: true,
-		}, benign, cands[i])
+		}, cands[i])
 		if err != nil {
 			return fmt.Errorf("confirm %s: %w", cands[i].Pair.ID(), err)
 		}

@@ -2,6 +2,7 @@ package owl
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/metrics"
@@ -129,5 +130,44 @@ func TestExploreStateIgnoredOutsideCoverage(t *testing.T) {
 	}
 	if st.Warm() {
 		t.Error("predict-mode run absorbed into the explore state")
+	}
+}
+
+// TestExploreStateResumeKeepsReports: a resumed detect stage runs only a
+// few schedules, so it must start from the state's stored reports. On
+// ssdb at budget 16 the resumed runs alone miss reports the cold run
+// found; the resumed Result must still list the cold run's reports in
+// the cold run's order, with the same witnesses, and confirm the same
+// attacks.
+func TestExploreStateResumeKeepsReports(t *testing.T) {
+	p, _ := coverageProgram(t, "ssdb")
+	st := sched.NewExploreState()
+	run := func() (*Result, int64) {
+		mc := metrics.New()
+		res, err := Run(p, Options{Explore: ExploreCoverage, Budget: 16, Metrics: mc, ExploreState: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, detectRunsOf(t, mc)
+	}
+	cold, coldRuns := run()
+	for i := 2; i <= 3; i++ {
+		res, runs := run()
+		if len(res.Raw) != len(cold.Raw) {
+			t.Fatalf("run %d: %d raw reports, cold run had %d", i, len(res.Raw), len(cold.Raw))
+		}
+		for j, r := range res.Raw {
+			c := cold.Raw[j]
+			if r.ID() != c.ID() || !reflect.DeepEqual(r.Prev, c.Prev) || !reflect.DeepEqual(r.Cur, c.Cur) {
+				t.Errorf("run %d: raw report %d is %s, cold run's is %s", i, j, r.ID(), c.ID())
+			}
+		}
+		if i == 3 && runs >= coldRuns {
+			t.Errorf("run 3 executed %d schedules, cold %d: nothing was resumed", runs, coldRuns)
+		}
+		if res.Stats.VerifiedAttacks != cold.Stats.VerifiedAttacks {
+			t.Errorf("run %d: results diverged from the cold run:\n%s\nvs\n%s",
+				i, resultFingerprint(res), resultFingerprint(cold))
+		}
 	}
 }

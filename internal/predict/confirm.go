@@ -63,9 +63,8 @@ type Confirmer struct {
 // — detector, recorder, coverage — deliberately matches the seed
 // exploration's, so snapshot-cache entries restore cleanly across the
 // two phases.
-func (c *Confirmer) Confirm(cfg interp.Config, benign *race.Annotations, cand Candidate) ([]*race.Report, bool, error) {
+func (c *Confirmer) Confirm(cfg interp.Config, cand Candidate) ([]*race.Report, bool, error) {
 	d := race.NewDetector()
-	d.Benign = benign
 	rec := NewRecorder()
 	cov := sched.NewCoverage().NewRun()
 	ds := &sched.DecisionSched{Decisions: cand.Prefix}

@@ -271,7 +271,7 @@ func confirmOn(t *testing.T, src string, reversal bool, snap *sched.SnapCache) b
 	}
 	cand := Candidate{Pair: pairs[0], Prefix: PrefixFor(ds.Trace, pairs[0])}
 	cf := &Confirmer{Snap: snap}
-	reports, hit, err := cf.Confirm(interp.Config{Module: mod}, nil, cand)
+	reports, hit, err := cf.Confirm(interp.Config{Module: mod}, cand)
 	if err != nil {
 		t.Fatalf("confirm: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestConfirmRefutesProtectedPair(t *testing.T) {
 		Prefix: PrefixFor(ds.Trace, Pair{A: acc[0], B: acc[1]}),
 	}
 	cf := &Confirmer{Snap: nil}
-	reports, hit, err := cf.Confirm(interp.Config{Module: mod}, nil, cand)
+	reports, hit, err := cf.Confirm(interp.Config{Module: mod}, cand)
 	if err != nil {
 		t.Fatalf("confirm: %v", err)
 	}

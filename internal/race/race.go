@@ -10,11 +10,14 @@
 // the racing values, and the name of the racing memory ("@global+off"),
 // which is what OWL's downstream analyses consume.
 //
-// The detector honours benign annotations (Annotations): after OWL's
-// ad-hoc synchronization detector identifies a sync variable, the
-// corresponding accesses are suppressed on re-run — the paper's TSAN
-// markup step (§5.1). Annotations must not be mutated while a run is in
-// progress.
+// Annotations mark benign races: after OWL's ad-hoc synchronization
+// detector identifies a sync, its racing pair is annotated — the paper's
+// TSAN markup step (§5.1). An annotation only decides whether a race is
+// reported; it never adds a happens-before edge. So the pipeline applies
+// Annotations.Suppresses to the reports of an unannotated run instead of
+// detecting again: a detector with Benign set, over the same schedule,
+// reports exactly those that survive. Annotations must not be mutated
+// while a run is in progress.
 //
 // Detector is the epoch-based production detector. The package tests
 // hold ReferenceDetector, the original full vector-clock implementation,
@@ -158,6 +161,14 @@ func (a *Annotations) Vars() []string {
 
 // Len returns the number of suppression entries (variables plus pairs).
 func (a *Annotations) Len() int { return len(a.addrNames) + len(a.pairs)/2 }
+
+// Suppresses reports whether the annotations suppress the report: the
+// test the detector applies before it records a race, so dropping the
+// suppressed reports of an unannotated run leaves what an annotated run
+// over the same schedule records.
+func (a *Annotations) Suppresses(r *Report) bool {
+	return a.suppresses(r.AddrName, r.Prev.Instr, r.Cur.Instr)
+}
 
 func (a *Annotations) suppresses(addrName string, i1, i2 *ir.Instr) bool {
 	if a == nil {

@@ -108,8 +108,8 @@ type EngineConfig struct {
 	// only wall-clock work shrinks.
 	Snap *SnapCache
 	// Resume, when non-nil, pre-seeds the engine from a persistent
-	// ExploreState: the coverage map and seen-report set start at the
-	// state's accumulated values, so schedules the state has already
+	// ExploreState: the coverage map starts at the state's accumulated
+	// coverage and the seen-report set at its stored reports' IDs, so schedules the state has already
 	// covered score zero and the saturation early stop fires as soon as
 	// the program has nothing new to show. The engine never writes
 	// the state — callers fold results back with ExploreState.Absorb.

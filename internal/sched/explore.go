@@ -168,8 +168,9 @@ type ExploreResult struct {
 
 // Explore runs mkRun once per schedule in the bounded tree. mkRun must
 // construct a fresh machine wired to the provided scheduler, run it, and
-// may inspect it (typically: attach a race detector). Exploration is
-// deterministic.
+// may inspect it (typically: attach a race detector). The scheduler
+// records only the first MaxDecisions decisions of its trace, the ones
+// the search expands. Exploration is deterministic.
 func (e *Explorer) Explore(mkRun func(s interp.Scheduler) error) (ExploreResult, error) {
 	maxRuns := e.MaxRuns
 	if maxRuns <= 0 {
@@ -189,7 +190,7 @@ func (e *Explorer) Explore(mkRun func(s interp.Scheduler) error) (ExploreResult,
 		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		s := &DecisionSched{Decisions: d}
+		s := &DecisionSched{Decisions: d, limit: maxDec}
 		if err := mkRun(s); err != nil {
 			return res, fmt.Errorf("exploration run %d: %w", res.Runs, err)
 		}

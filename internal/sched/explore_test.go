@@ -150,10 +150,32 @@ func TestExploreIPBCoversSameTreeAsExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, _, ipbRes := ipbRuns(t, &Explorer{MaxRuns: 256, MaxDecisions: 6}, mod)
+	// Explore records only the 6 decisions it expands, so each IPB run
+	// is named by its first 6 decisions. Past them, every decision must
+	// take the non-preemptive default (keep the previous thread, else
+	// index 0); that makes the cut lossless.
 	ipbSeen := map[string]int{}
-	for _, tr := range traces {
-		ipbSeen[tr]++
+	tail := 0
+	ipbRes, err := (&Explorer{MaxRuns: 256, MaxDecisions: 6}).ExploreIPBRun(
+		func() interp.Config { return interp.Config{Module: mod, MaxSteps: 4096} },
+		func(m *interp.Machine, ds *DecisionSched) error {
+			n := min(6, len(ds.Trace))
+			for i, d := range ds.Trace[n:] {
+				tail++
+				if def := max(d.SameIdx, 0); d.Chosen != def {
+					t.Errorf("run %q: decision %d chose %d past the bound, want the default %d",
+						traceKey(ds), 6+i, d.Chosen, def)
+				}
+			}
+			ipbSeen[traceKey(&DecisionSched{Trace: ds.Trace[:n]})]++
+			return nil
+		},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail == 0 {
+		t.Error("no IPB run decided past the bound; the default check is vacuous")
 	}
 	if !dfsRes.Exhausted || !ipbRes.Exhausted {
 		t.Fatalf("exhausted: dfs=%v ipb=%v", dfsRes.Exhausted, ipbRes.Exhausted)

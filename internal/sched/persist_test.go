@@ -24,10 +24,11 @@ func scriptedCoverage(pt *pairTable, j *Job) {
 func TestExploreStateResumeEarlyStops(t *testing.T) {
 	pt := newPairTable()
 	state := NewExploreState()
+	shared := storedReport(0, 1, 1)
 	runner := func(jobs []*Job) error {
 		for _, j := range jobs {
 			scriptedCoverage(pt, j)
-			j.ReportIDs = []string{"race-shared"}
+			j.ReportIDs = []string{shared.ID}
 		}
 		return nil
 	}
@@ -37,7 +38,7 @@ func TestExploreStateResumeEarlyStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state.Absorb(first)
+	state.Absorb(first, []StableReport{shared})
 	if !state.Warm() || state.Explorations() != 1 {
 		t.Fatalf("state not warm after absorb: explorations=%d", state.Explorations())
 	}
@@ -63,7 +64,7 @@ func TestExploreStateResumeEarlyStops(t *testing.T) {
 	if sres.Runs != 12 {
 		t.Errorf("resumed runs = %d, want 12 (two dry rounds)", sres.Runs)
 	}
-	state.Absorb(second)
+	state.Absorb(second, nil)
 	if state.Pairs() != fres.CoveragePairs {
 		t.Errorf("absorbing a dry resume grew the state: %d -> %d pairs",
 			fres.CoveragePairs, state.Pairs())
@@ -89,7 +90,7 @@ func TestExploreStateResumeIsDeterministic(t *testing.T) {
 	if _, err := first.Explore(runner); err != nil {
 		t.Fatal(err)
 	}
-	state.Absorb(first)
+	state.Absorb(first, nil)
 
 	var runs [2]int
 	for i := range runs {
@@ -99,7 +100,7 @@ func TestExploreStateResumeIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs[i] = res.Runs
-		state.Absorb(e)
+		state.Absorb(e, nil)
 	}
 	if runs[0] != runs[1] {
 		t.Errorf("resume runs differ across repeats: %d vs %d", runs[0], runs[1])
@@ -113,5 +114,5 @@ func TestExploreStateNilSafety(t *testing.T) {
 	if s.Warm() || s.Pairs() != 0 || s.SeenReports() != 0 || s.Explorations() != 0 {
 		t.Error("nil state not inert")
 	}
-	s.Absorb(nil) // must not panic
+	s.Absorb(nil, nil) // must not panic
 }

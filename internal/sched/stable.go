@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/conanalysis/owl/internal/callstack"
 	"github.com/conanalysis/owl/internal/ir"
 )
 
@@ -55,6 +56,33 @@ func (p StablePair) resolve(m *ir.Module) (covKey, bool) {
 	return k, true
 }
 
+// StableAccess is one side of a stored race report: the fields of a
+// race.Access, with the instruction re-keyed by its stable position.
+// Stack entries are plain data (function name plus source position)
+// and are stored as they are.
+type StableAccess struct {
+	TID     int             `json:"tid"`
+	IsWrite bool            `json:"write,omitempty"`
+	Addr    int64           `json:"addr"`
+	Val     int64           `json:"val"`
+	Instr   ir.InstrPos     `json:"instr"`
+	Stack   callstack.Stack `json:"stack,omitempty"`
+	Step    int             `json:"step"`
+}
+
+// StableReport is one race report in stable form. The owl pipeline
+// renders each report of a resumable detect stage this way, with the ID
+// its detect stage credited to the engine, and binds the stored ones
+// back when the next stage resumes. The state dedups them by ID, and
+// their IDs are the seen set a resumed engine starts from.
+type StableReport struct {
+	ID       string       `json:"id"`
+	Prev     StableAccess `json:"prev"`
+	Cur      StableAccess `json:"cur"`
+	AddrName string       `json:"addr_name,omitempty"`
+	Count    int          `json:"count"`
+}
+
 func sortPairs(ps []StablePair) {
 	sort.Slice(ps, func(i, j int) bool {
 		a, b := ps[i], ps[j]
@@ -72,18 +100,20 @@ func sortPairs(ps []StablePair) {
 }
 
 // StateSnapshot is the serializable form of an ExploreState: coverage
-// pairs and seen-report IDs in sorted order (so identical states
-// marshal to identical bytes) plus the exploration count. Export
-// produces the full state; TakeDelta produces the growth since the last
-// drain, whose count is still absolute, not an increment, so that
-// folding any suffix of deltas on top of any checkpoint converges to
+// pairs in sorted order (so identical states marshal to identical
+// bytes), the stored reports in their first-seen order (which is part
+// of the state: a resumed detect stage returns them in it), plus the
+// exploration count. Export produces the full
+// state; TakeDelta produces the growth since the last drain, whose
+// count is still absolute, not an increment, so that folding any
+// suffix of deltas on top of any checkpoint converges to
 // the same counters. The snapshot cache is deliberately absent —
 // machine snapshots are in-memory page images and are rebuilt from
 // scratch after a restart.
 type StateSnapshot struct {
-	Pairs        []StablePair `json:"pairs,omitempty"`
-	Seen         []string     `json:"seen,omitempty"`
-	Explorations int          `json:"explorations"`
+	Pairs        []StablePair   `json:"pairs,omitempty"`
+	Reports      []StableReport `json:"reports,omitempty"`
+	Explorations int            `json:"explorations"`
 }
 
 // Export snapshots the state in stable form. Safe to call concurrently
@@ -99,18 +129,13 @@ func (s *ExploreState) Export() StateSnapshot {
 		snap.Pairs = append(snap.Pairs, stablePairOf(k))
 	}
 	sortPairs(snap.Pairs)
-	snap.Seen = make([]string, 0, len(s.seen))
-	for id := range s.seen {
-		snap.Seen = append(snap.Seen, id)
-	}
-	sort.Strings(snap.Seen)
+	snap.Reports = append([]StableReport(nil), s.reports...)
 	return snap
 }
 
 // SetJournal switches delta journaling on or off. With the journal on,
-// every Absorb and Merge records which pairs and report IDs were new;
-// TakeDelta drains them. Off (the default) keeps Absorb allocation-free
-// for callers that never persist.
+// every Absorb and Merge records which pairs and reports were new; TakeDelta drains them. Off (the default) keeps Absorb
+// allocation-free for callers that never persist.
 func (s *ExploreState) SetJournal(on bool) {
 	if s == nil {
 		return
@@ -125,32 +150,33 @@ func (s *ExploreState) SetJournal(on bool) {
 }
 
 // TakeDelta drains the journal: everything folded in since the previous
-// TakeDelta (or SetJournal), in sorted order, with the absolute
-// exploration count stamped in. Returns nil when journaling is off or
-// nothing accumulated.
+// TakeDelta (or SetJournal) — pairs sorted, reports in the order they
+// were stored — with the absolute exploration count stamped
+// in. Returns nil when journaling is off or nothing accumulated.
 func (s *ExploreState) TakeDelta() *StateSnapshot {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal == nil || (len(s.journal.Pairs) == 0 && len(s.journal.Seen) == 0 && s.journal.Explorations == 0) {
+	j := s.journal
+	if j == nil || (len(j.Pairs) == 0 && len(j.Reports) == 0 && j.Explorations == 0) {
 		return nil
 	}
-	d := s.journal
 	s.journal = &StateSnapshot{}
-	sortPairs(d.Pairs)
-	sort.Strings(d.Seen)
-	d.Explorations = s.explorations
-	return d
+	sortPairs(j.Pairs)
+	j.Explorations = s.explorations
+	return j
 }
 
 // Merge folds a snapshot into the state: a checkpoint or WAL delta at
 // recovery, or a peer's checkpoint. It re-binds every pair against the
-// frozen module m and refuses to guess: any pair that does not resolve
-// (the snapshot was taken from a different program) fails the whole
-// merge with the state untouched. Pairs and seen IDs union in (set
-// semantics), Explorations takes the max (both sides count real
+// frozen module m and refuses to guess: any pair or stored report
+// access that does not resolve (the snapshot was taken from a different
+// program), or a stored report without an ID, fails the whole merge
+// with the state untouched. Pairs and reports union in (set semantics;
+// reports whose ID the state does not hold are appended in the
+// snapshot's order), Explorations takes the max (both sides count real
 // absorbed explorations; max keeps the counter monotonic without
 // double-counting shared history), so folding the same snapshot twice
 // changes nothing. With journaling on, what was new lands in the
@@ -174,9 +200,20 @@ func (s *ExploreState) Merge(m *ir.Module, snap StateSnapshot) (bool, error) {
 		}
 		resolved[i] = k
 	}
+	for i, r := range snap.Reports {
+		if r.ID == "" {
+			return false, fmt.Errorf("sched: merge: stored report %d has no ID", i)
+		}
+		for _, pos := range [2]ir.InstrPos{r.Prev.Instr, r.Cur.Instr} {
+			if m.InstrAtPos(pos) == nil {
+				return false, fmt.Errorf("sched: merge: stored report %d access %s does not resolve in module %s",
+					i, pos, m.Name)
+			}
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	changed := s.fold(resolved, func(i int) StablePair { return snap.Pairs[i] }, snap.Seen)
+	changed := s.fold(resolved, func(i int) StablePair { return snap.Pairs[i] }, snap.Reports)
 	if snap.Explorations > s.explorations {
 		s.explorations = snap.Explorations
 		changed = true

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,8 +39,8 @@ func stableTestModule(t *testing.T) *ir.Module {
 	return m
 }
 
-// warmState builds a state carrying a few coverage pairs and report IDs
-// keyed against m, the way an absorbed exploration would have left it.
+// warmState builds a state carrying a few coverage pairs and stored
+// reports keyed against m, the way an absorbed exploration would have left it.
 func warmState(t *testing.T, m *ir.Module) *ExploreState {
 	t.Helper()
 	s := NewExploreState()
@@ -49,8 +50,7 @@ func warmState(t *testing.T, m *ir.Module) *ExploreState {
 		covKey{from: w.InstrAt(0), to: mn.InstrAt(1)},
 		covKey{from: mn.InstrAt(0), to: w.InstrAt(2)},
 		covKey{from: w.InstrAt(3), to: w.InstrAt(0)})
-	s.seen["race-b"] = true
-	s.seen["race-a"] = true
+	s.reports = append(s.reports, storedReport(3, 0, 1), storedReport(0, 2, 1))
 	s.explorations = 2
 	s.mu.Unlock()
 	return s
@@ -58,18 +58,18 @@ func warmState(t *testing.T, m *ir.Module) *ExploreState {
 
 // TestExportImportRoundTrip: Export against one parse of a module,
 // Merge into a fresh state against an independent re-parse — the restart path — must
-// reproduce pair count, seen set, exploration count, and an identical
-// re-export.
+// reproduce pair count, stored reports in order, exploration count, and
+// an identical re-export.
 func TestExportImportRoundTrip(t *testing.T) {
 	m1 := stableTestModule(t)
 	s1 := warmState(t, m1)
 
 	snap := s1.Export()
-	if len(snap.Pairs) != 3 || len(snap.Seen) != 2 || snap.Explorations != 2 {
+	if len(snap.Pairs) != 3 || len(snap.Reports) != 2 || snap.Explorations != 2 {
 		t.Fatalf("export = %+v", snap)
 	}
-	if snap.Seen[0] != "race-a" || snap.Seen[1] != "race-b" {
-		t.Errorf("seen not sorted: %v", snap.Seen)
+	if snap.Reports[0].ID != storedReport(3, 0, 1).ID || snap.Reports[1].ID != storedReport(0, 2, 1).ID {
+		t.Errorf("stored reports not in first-seen order: %+v", snap.Reports)
 	}
 
 	m2 := stableTestModule(t)
@@ -117,7 +117,7 @@ func TestImportRefusesToGuess(t *testing.T) {
 	before := warm.Export()
 	partlyBad := StateSnapshot{
 		Pairs:        []StablePair{{FromFn: "main", FromIx: 1, ToFn: "main", ToIx: 2}, bad.Pairs[0]},
-		Seen:         []string{"race-new"},
+		Reports:      []StableReport{storedReport(1, 2, 1)},
 		Explorations: 9,
 	}
 	if _, err := warm.Merge(m, partlyBad); err == nil {
@@ -143,11 +143,10 @@ func TestJournalCapturesAbsorbDelta(t *testing.T) {
 	e1 := NewEngine(EngineConfig{Budget: 6})
 	e1.cov.pairs[covKey{from: w.InstrAt(0), to: w.InstrAt(1)}] = struct{}{}
 	e1.cov.pairs[covKey{from: w.InstrAt(1), to: w.InstrAt(2)}] = struct{}{}
-	e1.seen["r1"] = true
-	s.Absorb(e1)
+	s.Absorb(e1, []StableReport{storedReport(0, 1, 1)})
 
 	d := s.TakeDelta()
-	if d == nil || len(d.Pairs) != 2 || len(d.Seen) != 1 || d.Explorations != 1 {
+	if d == nil || len(d.Pairs) != 2 || len(d.Reports) != 1 || d.Explorations != 1 {
 		t.Fatalf("delta = %+v", d)
 	}
 	if d.Pairs[0].FromIx > d.Pairs[1].FromIx {
@@ -161,10 +160,9 @@ func TestJournalCapturesAbsorbDelta(t *testing.T) {
 	// count, so the persistence layer records the submission.
 	e2 := NewEngine(EngineConfig{Budget: 6})
 	e2.cov.pairs[covKey{from: w.InstrAt(0), to: w.InstrAt(1)}] = struct{}{}
-	e2.seen["r1"] = true
-	s.Absorb(e2)
+	s.Absorb(e2, []StableReport{storedReport(1, 0, 1)})
 	d = s.TakeDelta()
-	if d == nil || len(d.Pairs) != 0 || len(d.Seen) != 0 || d.Explorations != 2 {
+	if d == nil || len(d.Pairs) != 0 || len(d.Reports) != 0 || d.Explorations != 2 {
 		t.Fatalf("saturated delta = %+v", d)
 	}
 }
@@ -177,7 +175,7 @@ func TestMergeDeltaIdempotent(t *testing.T) {
 	m := stableTestModule(t)
 	d := StateSnapshot{
 		Pairs:        []StablePair{{FromFn: "worker", FromIx: 0, ToFn: "worker", ToIx: 1}},
-		Seen:         []string{"r1"},
+		Reports:      []StableReport{storedReport(0, 1, 1)},
 		Explorations: 3,
 	}
 	s := NewExploreState()
@@ -195,15 +193,16 @@ func TestMergeDeltaIdempotent(t *testing.T) {
 	}
 	// A stale delta (lower absolute count) never regresses the counter.
 	s.SetJournal(true)
-	stale := StateSnapshot{Explorations: 1, Seen: []string{"r0", "r1"}}
+	r0 := storedReport(0, 3, 1)
+	stale := StateSnapshot{Explorations: 1, Reports: []StableReport{r0, storedReport(0, 1, 1)}}
 	if _, err := s.Merge(m, stale); err != nil {
 		t.Fatal(err)
 	}
 	if s.Explorations() != 3 || s.SeenReports() != 2 {
 		t.Fatalf("stale replay regressed state: expl=%d seen=%d", s.Explorations(), s.SeenReports())
 	}
-	if j := s.TakeDelta(); j == nil || len(j.Pairs) != 0 || !reflect.DeepEqual(j.Seen, []string{"r0"}) || j.Explorations != 3 {
-		t.Errorf("journal after stale merge = %+v, want only r0", j)
+	if j := s.TakeDelta(); j == nil || len(j.Pairs) != 0 || !reflect.DeepEqual(j.Reports, []StableReport{r0}) || j.Explorations != 3 {
+		t.Errorf("journal after stale merge = %+v, want only %s", j, r0.ID)
 	}
 	bad := StateSnapshot{Pairs: []StablePair{{FromFn: "gone", FromIx: 0, ToFn: "worker", ToIx: 0}}}
 	if _, err := s.Merge(m, bad); err == nil {
@@ -224,10 +223,11 @@ func TestImportedStateResumes(t *testing.T) {
 		i := int(j.Seed) % 3
 		return covKey{from: w.InstrAt(i), to: w.InstrAt((i + 1) % 4)}
 	}
+	shared := storedReport(0, 1, 1)
 	runner := func(jobs []*Job) error {
 		for _, j := range jobs {
 			j.Cov.pairs[pairFor(j)] = struct{}{}
-			j.ReportIDs = []string{"race-shared"}
+			j.ReportIDs = []string{shared.ID}
 		}
 		return nil
 	}
@@ -237,7 +237,7 @@ func TestImportedStateResumes(t *testing.T) {
 	if _, err := first.Explore(runner); err != nil {
 		t.Fatal(err)
 	}
-	orig.Absorb(first)
+	orig.Absorb(first, []StableReport{shared})
 
 	imported := NewExploreState()
 	if _, err := imported.Merge(stableTestModule(t), orig.Export()); err != nil {
@@ -266,5 +266,68 @@ func TestImportedStateResumes(t *testing.T) {
 	}
 	if !fromImported.EarlyStop {
 		t.Error("imported resume did not early-stop")
+	}
+}
+
+// storedReport is a stored report on the racing pair (worker#a,
+// worker#b), tagged by count so tests can tell versions apart. Its ID
+// names the unordered pair, as a race report's does.
+func storedReport(a, b, count int) StableReport {
+	return StableReport{
+		ID:       fmt.Sprintf("race worker#%d worker#%d", min(a, b), max(a, b)),
+		Prev:     StableAccess{TID: 1, IsWrite: true, Instr: ir.InstrPos{Func: "worker", Index: a}, Step: 4},
+		Cur:      StableAccess{TID: 2, Instr: ir.InstrPos{Func: "worker", Index: b}, Step: 9},
+		AddrName: "@x",
+		Count:    count,
+	}
+}
+
+// TestStoredReports pins the stored-report contract a resumed detect
+// stage leans on: Absorb appends the reports the state does not hold in
+// the order given, a report with a known ID (the same pair in either
+// order) keeps the first version, the journal carries exactly the new ones, and Export
+// → Merge into an empty state reproduces the list, order included.
+func TestStoredReports(t *testing.T) {
+	m := stableTestModule(t)
+	s := NewExploreState()
+	s.SetJournal(true)
+	s.Absorb(NewEngine(EngineConfig{Budget: 6}), []StableReport{storedReport(2, 0, 1), storedReport(1, 3, 1)})
+	s.TakeDelta()
+	s.Absorb(NewEngine(EngineConfig{Budget: 6}), []StableReport{storedReport(0, 2, 9), storedReport(0, 1, 1)})
+	want := []StableReport{storedReport(2, 0, 1), storedReport(1, 3, 1), storedReport(0, 1, 1)}
+	if got := s.Reports(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored reports\n got %+v\nwant %+v", got, want)
+	}
+	if d := s.TakeDelta(); d == nil || !reflect.DeepEqual(d.Reports, want[2:]) {
+		t.Fatalf("journal = %+v, want only the new report", d)
+	}
+	s.Absorb(nil, want) // no engine: nothing absorbed
+	if n := len(s.Reports()); n != 3 {
+		t.Fatalf("absorbing without an engine stored reports: %d", n)
+	}
+
+	again := NewExploreState()
+	changed, err := again.Merge(m, s.Export())
+	if err != nil || !changed {
+		t.Fatalf("merge of the export: changed=%v err=%v", changed, err)
+	}
+	if !reflect.DeepEqual(again.Reports(), want) {
+		t.Errorf("merged stored reports\n got %+v\nwant %+v", again.Reports(), want)
+	}
+	if changed, _ := again.Merge(m, s.Export()); changed {
+		t.Error("re-merging the same export changed the state")
+	}
+
+	bad := StateSnapshot{Reports: []StableReport{storedReport(0, 99, 1)}}
+	if _, err := again.Merge(m, bad); err == nil {
+		t.Error("a stored report naming no instruction merged silently")
+	}
+	noID := storedReport(0, 3, 1)
+	noID.ID = ""
+	if _, err := again.Merge(m, StateSnapshot{Reports: []StableReport{noID}}); err == nil {
+		t.Error("a stored report without an ID merged silently")
+	}
+	if len(again.Reports()) != 3 {
+		t.Error("a refused merge changed the stored reports")
 	}
 }

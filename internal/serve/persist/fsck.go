@@ -26,7 +26,8 @@ type FsckProgram struct {
 	// TruncatedBytes is how much torn/corrupt WAL tail was cut off (the
 	// whole file when even its header was unreadable).
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
-	// Submissions/Pairs/Seen summarize the durable state for reporting.
+	// Submissions/Pairs/Seen summarize the durable state for reporting;
+	// Seen counts the stored reports.
 	Submissions int `json:"submissions"`
 	Pairs       int `json:"pairs"`
 	Seen        int `json:"seen"`
@@ -59,7 +60,7 @@ func Fsck(dir string) (*FsckReport, error) {
 		rec.Log.Close()
 		ck := rec.Checkpoint
 		fp.OK, fp.Records, fp.TruncatedBytes = true, len(rec.Deltas), rp.truncated
-		fp.Submissions, fp.Pairs, fp.Seen = ck.Submissions, len(ck.State.Pairs), len(ck.State.Seen)
+		fp.Submissions, fp.Pairs, fp.Seen = ck.Submissions, len(ck.State.Pairs), len(ck.State.Reports)
 		for _, d := range rec.Deltas {
 			fp.Submissions = max(fp.Submissions, d.SubmissionsAfter)
 		}

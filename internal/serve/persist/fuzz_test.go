@@ -14,7 +14,7 @@ import (
 // accepts must re-encode to a blob it accepts again, and the
 // re-encoding must be a fixed point.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	for _, ck := range []Checkpoint{testCheckpoint(0, 1), formatCheckpoint()} {
+	for _, ck := range []Checkpoint{testCheckpoint(0, 1), formatCheckpoint(Version)} {
 		blob, err := EncodeCheckpoint(ck)
 		if err != nil {
 			f.Fatal(err)

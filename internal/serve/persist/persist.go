@@ -37,10 +37,30 @@ import (
 	"github.com/conanalysis/owl/internal/sched"
 )
 
-// Version is the blob format version. A checkpoint with a different
-// version does not rehydrate (it is quarantined); bump it whenever the
-// wire structs or the frame grammar change incompatibly.
-const Version = 1
+// Version is the blob format version every write stamps. Version 2
+// stores the program's reports in the state snapshot
+// (sched.StateSnapshot's "reports", each with its ID) in place of
+// version 1's seen-ID list. A version-1 checkpoint or WAL record still
+// decodes, but keeps only its counters and report-ID list (see
+// upgrade). A checkpoint with any other version does not rehydrate (it
+// is quarantined); bump Version whenever the wire structs or the frame
+// grammar change.
+const Version = 2
+
+// minVersion is the oldest checkpoint version that still decodes.
+const minVersion = 1
+
+// upgrade drops what a state snapshot of an older format version cannot
+// vouch for. A version-1 snapshot holds coverage pairs but not the
+// reports the jobs that covered them found, so a detect stage resuming
+// from those pairs would saturate without finding those reports again,
+// and no job would ever store them. Without the pairs the program's next
+// job explores cold and fills the stored set.
+func upgrade(version int, st *sched.StateSnapshot) {
+	if version < 2 && st != nil {
+		st.Pairs = nil
+	}
+}
 
 // ProgramSource is the program identity a checkpoint preserves — the
 // Spec fields that resolve() hashes into the store key. Recovery
@@ -80,11 +100,14 @@ type Delta struct {
 	State            *sched.StateSnapshot `json:"state,omitempty"`
 }
 
-// walRecord is the framed WAL payload: a delta stamped with its
-// sequence number.
+// walRecord is the framed WAL payload: a delta stamped with the format
+// version it was written in and its sequence number. Each record
+// carries its own version because a WAL recovered from an older format
+// gets current records appended. Version-1 records have none (0).
 type walRecord struct {
-	Seq   uint64 `json:"seq"`
-	Delta Delta  `json:"delta"`
+	Version int    `json:"version"`
+	Seq     uint64 `json:"seq"`
+	Delta   Delta  `json:"delta"`
 }
 
 // Options configures a Store.
@@ -286,9 +309,10 @@ func scanWAL(data []byte, afterSeq uint64) (deltas []Delta, goodOff int, maxSeq 
 			break
 		}
 		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Version > Version {
 			break
 		}
+		upgrade(rec.Version, rec.Delta.State)
 		if rec.Seq <= maxSeq {
 			// Sequence went backwards or repeated: everything from here
 			// on is from a writer we cannot reason about.
@@ -324,7 +348,7 @@ func EncodeCheckpoint(ck Checkpoint) ([]byte, error) {
 
 // DecodeCheckpoint validates and decodes a checkpoint blob produced by
 // EncodeCheckpoint (or read verbatim from a CHECKPOINT file): magic,
-// exactly one well-checksummed frame, matching format version. Key
+// exactly one well-checksummed frame, a format version it can read. Key
 // identity is the caller's to verify — it knows which key it asked for.
 func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	var ck Checkpoint
@@ -339,9 +363,10 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if err := json.Unmarshal(payload, &ck); err != nil {
 		return ck, fmt.Errorf("persist: checkpoint blob: %w", err)
 	}
-	if ck.Version != Version {
-		return ck, fmt.Errorf("persist: checkpoint blob: version %d, want %d", ck.Version, Version)
+	if ck.Version < minVersion || ck.Version > Version {
+		return ck, fmt.Errorf("persist: checkpoint blob: version %d, want %d to %d", ck.Version, minVersion, Version)
 	}
+	upgrade(ck.Version, &ck.State)
 	return ck, nil
 }
 
@@ -445,7 +470,7 @@ func (l *Log) Append(d Delta) error {
 	if l.broken {
 		return fmt.Errorf("persist: log for %s is broken (earlier append failed unrecoverably)", l.key)
 	}
-	buf, err := marshalFramed(walRecord{Seq: l.nextSeq, Delta: d})
+	buf, err := marshalFramed(walRecord{Version: Version, Seq: l.nextSeq, Delta: d})
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func testCheckpoint(seq uint64, submissions int) Checkpoint {
 		Seq:         seq,
 		Submissions: submissions,
 		Reports:     []string{"r0"},
-		State:       sched.StateSnapshot{Seen: []string{"r0"}, Explorations: submissions},
+		State:       sched.StateSnapshot{Reports: []sched.StableReport{{ID: "r0"}}, Explorations: submissions},
 	}
 }
 
@@ -32,7 +32,7 @@ func testDelta(i int) Delta {
 		Reports:          []string{"r" + strings.Repeat("x", i)},
 		State: &sched.StateSnapshot{
 			Pairs:        []sched.StablePair{{FromFn: "f", FromIx: i, ToFn: "g", ToIx: 0}},
-			Seen:         []string{"r" + strings.Repeat("x", i)},
+			Reports:      []sched.StableReport{{ID: "r" + strings.Repeat("x", i)}},
 			Explorations: i,
 		},
 	}

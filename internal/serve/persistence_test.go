@@ -4,13 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/conanalysis/owl/internal/faultinject"
+	"github.com/conanalysis/owl/internal/sched"
+	"github.com/conanalysis/owl/internal/serve/persist"
 )
 
 func mustSubmit(t *testing.T, s *Server, spec Spec) *Job {
@@ -480,5 +485,95 @@ func TestConcurrentCheckpointWhileAbsorbing(t *testing.T) {
 	defer s2.Shutdown(context.Background())
 	if got := s2.Programs(); !reflect.DeepEqual(got, live) {
 		t.Errorf("rebooted store diverged from live store:\n rebooted %+v\n live     %+v", got, live)
+	}
+}
+
+// downgradeCheckpoint rewrites a program's CHECKPOINT in format version
+// 1, as a server from before stored reports would have left it: the
+// coverage pairs and the stored reports' IDs as a seen list, no stored
+// reports.
+func downgradeCheckpoint(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := persist.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.State.Pairs) == 0 || len(ck.State.Reports) == 0 {
+		t.Fatalf("checkpoint holds %d pairs and %d reports; the downgrade tests nothing",
+			len(ck.State.Pairs), len(ck.State.Reports))
+	}
+	seen := make([]string, len(ck.State.Reports))
+	for i, r := range ck.State.Reports {
+		seen[i] = r.ID
+	}
+	sort.Strings(seen)
+	v1 := struct {
+		persist.Checkpoint
+		State any `json:"state"`
+	}{ck, struct {
+		Pairs        []sched.StablePair `json:"pairs"`
+		Seen         []string           `json:"seen"`
+		Explorations int                `json:"explorations"`
+	}{ck.State.Pairs, seen, ck.State.Explorations}}
+	v1.Version = 1
+	payload, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := sealCheckpoint(append([]byte("OWLCKPT1\x00\x00\x00\x00\x00\x00\x00\x00"), payload...))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVersion1StateRunsCold: a version-1 state holds coverage but none
+// of the reports its jobs found. Recovered as is, it would let the next
+// job saturate early and return only the few reports its short run saw.
+// So recovery keeps only its counters and report IDs: the first job on
+// it must explore cold and find the cold job's reports and attacks, and
+// later jobs resume from the state it filled, and (as on a cold state)
+// run short from the second one on.
+func TestVersion1StateRunsCold(t *testing.T) {
+	spec := Spec{Workload: "ssdb", Options: SpecOptions{Budget: 16}}
+	dir := t.TempDir()
+	s1 := mustNew(t, Config{Shards: 1, StateDir: dir})
+	first := waitJob(t, mustSubmit(t, s1, spec))
+	cold := first.Result
+	// Two more jobs warm the state until a resumed job runs short, as it
+	// would from a version-1 state that kept its coverage.
+	for i := 2; i <= 3; i++ {
+		waitJob(t, mustSubmit(t, s1, spec))
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	downgradeCheckpoint(t, filepath.Join(dir, "programs", first.Key, "CHECKPOINT"))
+
+	s2 := mustNew(t, Config{Shards: 1, StateDir: dir})
+	defer s2.Shutdown(context.Background())
+	if got := counterOf(s2.mc, "serve.persist_recovered"); got != 1 {
+		t.Fatalf("serve.persist_recovered = %d, want the version-1 program recovered", got)
+	}
+	for i := 2; i <= 4; i++ {
+		got := waitJob(t, mustSubmit(t, s2, spec)).Result
+		if i == 2 && got.ExecutedSchedules != cold.ExecutedSchedules {
+			t.Errorf("job on the version-1 state executed %d schedules, want the cold job's %d",
+				got.ExecutedSchedules, cold.ExecutedSchedules)
+		}
+		if i == 4 && got.ExecutedSchedules >= cold.ExecutedSchedules {
+			t.Errorf("second job after the refill executed %d schedules, want fewer than the cold job's %d",
+				got.ExecutedSchedules, cold.ExecutedSchedules)
+		}
+		if got.RawReports != cold.RawReports || got.NewReports != 0 || got.VerifiedAttacks != cold.VerifiedAttacks {
+			t.Errorf("submission %d: %d raw reports (%d new), %d attacks; the cold job had %d and %d",
+				i, got.RawReports, got.NewReports, got.VerifiedAttacks, cold.RawReports, cold.VerifiedAttacks)
+		}
+		if g, w := confirmedAttacks(got.SummaryText), confirmedAttacks(cold.SummaryText); !reflect.DeepEqual(g, w) {
+			t.Errorf("submission %d: confirmed attacks differ from the cold job's:\n got %q\nwant %q", i, g, w)
+		}
 	}
 }

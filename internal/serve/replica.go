@@ -221,7 +221,7 @@ func (s *Server) importOffer(ck *persist.Checkpoint) (int, error) {
 }
 
 // mergeSnapshot unions a peer checkpoint into live state: coverage and
-// seen-reports merge through ExploreState.Merge (journaled, so the
+// stored reports merge through ExploreState.Merge (journaled, so the
 // knowledge reaches the WAL with the next job), report IDs union into
 // the dedup set. Submission counts deliberately do NOT merge — they
 // count what THIS replica was asked to do. Returns false when the blob

@@ -26,7 +26,7 @@ func testCheckpoint(key string, explorations int) persist.Checkpoint {
 		Name: "t",
 		Seq:  uint64(explorations),
 		State: sched.StateSnapshot{
-			Seen:         []string{"r1"},
+			Reports:      []sched.StableReport{{ID: "r1"}},
 			Explorations: explorations,
 		},
 	}

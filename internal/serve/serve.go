@@ -8,7 +8,7 @@
 // program's sched.ExploreState without locking games; different
 // programs analyze in parallel across shards. A repeat submission of an
 // already-analyzed program starts from the accumulated coverage and
-// seen-report set, saturates early, and executes strictly fewer
+// stored reports, saturates early, and executes strictly fewer
 // schedules than the first submission at equal budget — resume, not
 // restart. See docs/SERVE.md.
 package serve

@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"regexp"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,6 +296,57 @@ func TestCrossSubmissionResume(t *testing.T) {
 	}
 	if progs[0].Explorations != 3 || progs[0].Submissions != 3 {
 		t.Errorf("program info = %+v, want explorations=3 submissions=3", progs[0])
+	}
+}
+
+// confirmedAttacks returns a summary's CONFIRMED ATTACK lines, sorted.
+func confirmedAttacks(summary string) []string {
+	var out []string
+	for _, line := range strings.Split(summary, "\n") {
+		if strings.HasPrefix(line, "CONFIRMED ATTACK: ") {
+			out = append(out, line)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestResumeKeepsColdReports: a resumed stage 1 stops at the saturation
+// floor and sees only a few schedules, so it must return the program's
+// stored reports next to what it found. For each of the benchmark's
+// serve programs, submitted as the benchmark submits them, the resumed
+// jobs must report the cold job's raw report set (same count, none new
+// to the store) and confirm the cold job's attacks. At this budget
+// resume shortens a program's runs from its third submission on.
+func TestResumeKeepsColdReports(t *testing.T) {
+	s := mustNew(t, Config{Shards: 2})
+	defer s.Shutdown(context.Background())
+	for _, name := range []string{"libsafe", "apache", "ssdb", "mysql"} {
+		spec := Spec{Workload: name, Options: SpecOptions{Budget: 16}}
+		cold := waitJob(t, mustSubmit(t, s, spec)).Result
+		if cold.RawReports == 0 || cold.VerifiedAttacks == 0 {
+			t.Fatalf("%s: cold job found %d reports and %d attacks; the check tests nothing",
+				name, cold.RawReports, cold.VerifiedAttacks)
+		}
+		for i := 2; i <= 3; i++ {
+			st := waitJob(t, mustSubmit(t, s, spec))
+			got := st.Result
+			if !st.Resume || (i == 3 && got.ExecutedSchedules >= cold.ExecutedSchedules) {
+				t.Errorf("%s submission %d: resume=%v with %d schedules (cold %d); the check needs a short resumed run",
+					name, i, st.Resume, got.ExecutedSchedules, cold.ExecutedSchedules)
+			}
+			if got.RawReports != cold.RawReports || got.NewReports != 0 || got.StoreReports != cold.RawReports {
+				t.Errorf("%s submission %d: %d raw reports (%d new, store %d), cold job had %d",
+					name, i, got.RawReports, got.NewReports, got.StoreReports, cold.RawReports)
+			}
+			if got.VerifiedAttacks != cold.VerifiedAttacks {
+				t.Errorf("%s submission %d: %d verified attacks, cold job had %d",
+					name, i, got.VerifiedAttacks, cold.VerifiedAttacks)
+			}
+			if g, w := confirmedAttacks(got.SummaryText), confirmedAttacks(cold.SummaryText); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s submission %d: confirmed attacks differ from the cold job's:\n got %q\nwant %q", name, i, g, w)
+			}
+		}
 	}
 }
 

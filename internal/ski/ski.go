@@ -139,8 +139,9 @@ type Detector struct {
 	// MaxRuns / MaxDecisions bound the exploration (see sched.Explorer).
 	MaxRuns      int
 	MaxDecisions int
-	// Benign, when non-nil, suppresses annotated races (OWL's §5.1
-	// re-run after ad-hoc synchronization annotation).
+	// Benign, when non-nil, suppresses annotated races. OWL's §5.1
+	// stage filters the raw reports instead; only its reference re-run
+	// (the eval package's tests) sets this.
 	Benign *race.Annotations
 }
 
@@ -162,6 +163,8 @@ func (d *Detector) Detect(cfg interp.Config) ([]*Report, int, error) {
 		runCfg := cfg
 		runCfg.Sched = s
 		runCfg.Observers = []interp.Observer{w}
+		// Reports are all a run yields; nothing reads its schedule.
+		runCfg.NoSchedule = true
 		m, err := interp.New(runCfg)
 		if err != nil {
 			return err
