@@ -4,8 +4,7 @@
 // pre-resolves everything the tree-walking interpreter re-derives per
 // step: register names become dense slot indices, operands become 16-bit
 // value references into per-function pools, phi nodes become per-edge
-// parallel move lists, and common instruction sequences are marked as
-// superinstructions the batched dispatch loop can run back-to-back.
+// parallel move lists.
 //
 // The compiled form is purely an acceleration structure: every word
 // still corresponds to exactly one ir.Instr (Instrs maps pc -> instr),
@@ -29,8 +28,7 @@ const FuncRefBase = int64(1) << 40
 //
 //	bits  0..7   opcode (Op* below)
 //	bits  8..11  sub: ir.BinKind, ir.CmpPred, or the ret has-value flag
-//	bits 12..15  fused: number of additional superinstruction component
-//	             words following this one (0 = not a superinstruction head)
+//	bits 12..15  unused
 //	bits 16..31  dst: destination slot, edge index (OpBr then-edge, OpJmp),
 //	             or call-site index (OpCall)
 //	bits 32..47  a: value reference (OpLoadG: raw global ordinal)
@@ -41,14 +39,12 @@ const FuncRefBase = int64(1) << 40
 // interpreter's dispatch loop decodes inline with shifts so the decode
 // cost is a handful of register ops.
 const (
-	SubShift   = 8
-	FusedShift = 12
-	DstShift   = 16
-	AShift     = 32
-	BShift     = 48
-	SubMask    = 0xf
-	FusedMask  = 0xf
-	DstMask    = 0xffff
+	SubShift = 8
+	DstShift = 16
+	AShift   = 32
+	BShift   = 48
+	SubMask  = 0xf
+	DstMask  = 0xffff
 )
 
 // Opcodes. OpNop is the per-block sentinel word: it is never dispatched
@@ -182,9 +178,6 @@ type FuncCode struct {
 	// belongs to, so the engine never has to maintain a current-block
 	// pointer at control transfers.
 	BlockOfPC []*ir.Block
-
-	// FusedHeads counts superinstruction heads emitted for the function.
-	FusedHeads int
 }
 
 // StartPC returns the first word of block b.
@@ -203,6 +196,4 @@ type Program struct {
 	// CompileNS is the wall-clock nanoseconds the (once-per-module)
 	// lowering took; exported as the bytecode.compile_ns metric.
 	CompileNS int64
-	// FusedHeads counts superinstruction heads across all functions.
-	FusedHeads int
 }

@@ -62,7 +62,6 @@ func compile(mod *ir.Module) (*Program, error) {
 			return nil, fmt.Errorf("bytecode: func @%s: %w", f.Name, err)
 		}
 		p.Funcs[f] = fc
-		p.FusedHeads += fc.FusedHeads
 	}
 	p.CompileNS = time.Since(start).Nanoseconds()
 	return p, nil
@@ -187,7 +186,6 @@ func (c *fnComp) compileFunc(f *ir.Func, z sizes) (*FuncCode, error) {
 			c.fc.BlockOfPC = append(c.fc.BlockOfPC, b)
 		}
 	}
-	c.fuse()
 	return c.fc, nil
 }
 
@@ -637,61 +635,4 @@ func (c *fnComp) callSite(in *ir.Instr) (int, error) {
 	}
 	c.fc.Calls = append(c.fc.Calls, cs)
 	return idx, nil
-}
-
-// fuse marks superinstruction heads: short in-block sequences the
-// batched dispatch loop may run back-to-back without re-entering the
-// outer scheduling loop, provided the scheduler keeps picking the same
-// thread (it is still consulted once per component, so traces and
-// events are unchanged). Greedy, non-overlapping, never across a block
-// boundary. Patterns: const+bin, cmp+br, load+cmp, and
-// mutex_lock/single access/mutex_unlock.
-func (c *fnComp) fuse() {
-	for _, b := range c.f.Blocks {
-		be := c.fc.EndPC(b)
-		pc := c.fc.StartPC(b)
-		for pc < be {
-			n := c.fuseLenAt(pc, be)
-			if n > 0 {
-				c.fc.Code[pc] |= uint64(n) << FusedShift
-				c.fc.FusedHeads++
-				pc += n + 1
-				continue
-			}
-			pc++
-		}
-	}
-}
-
-func (c *fnComp) fuseLenAt(pc, be int) int {
-	in := c.fc.Instrs[pc]
-	switch in.Op {
-	case ir.OpConst:
-		if pc+1 < be && c.fc.Instrs[pc+1].Op == ir.OpBin {
-			return 1
-		}
-	case ir.OpCmp:
-		if pc+1 < be && c.fc.Instrs[pc+1].Op == ir.OpBr {
-			return 1
-		}
-	case ir.OpLoad:
-		if pc+1 < be && c.fc.Instrs[pc+1].Op == ir.OpCmp {
-			return 1
-		}
-	case ir.OpCall:
-		if pc+2 < be && isIntrinsicCall(in, "mutex_lock") &&
-			isAccess(c.fc.Instrs[pc+1]) &&
-			isIntrinsicCall(c.fc.Instrs[pc+2], "mutex_unlock") {
-			return 2
-		}
-	}
-	return 0
-}
-
-func isIntrinsicCall(in *ir.Instr, name string) bool {
-	return in.Op == ir.OpCall && in.Args[0].Kind == ir.OperandFunc && in.Args[0].Name == name
-}
-
-func isAccess(in *ir.Instr) bool {
-	return in.Op == ir.OpLoad || in.Op == ir.OpStore
 }

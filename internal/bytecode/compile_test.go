@@ -1,7 +1,6 @@
 package bytecode
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/ir"
@@ -133,38 +132,6 @@ func TestCompileShapes(t *testing.T) {
 	}
 	if lock != 1 || unlock != 1 {
 		t.Fatalf("call kinds: lock=%d unlock=%d", lock, unlock)
-	}
-}
-
-func TestCompileFusion(t *testing.T) {
-	mod, p := mustCompile(t)
-	fc := p.Funcs[mod.Func("main")]
-	if fc.FusedHeads == 0 {
-		t.Fatal("no superinstruction heads found")
-	}
-	// entry has const+bin and load+cmp... the cmp is consumed by load+cmp,
-	// so cmp+br must not double-claim it; then-block has lock/store/unlock.
-	var heads []string
-	for pc, w := range fc.Code {
-		if n := int(w >> FusedShift & FusedMask); n > 0 {
-			heads = append(heads, OpName(byte(w)))
-			// Components must stay inside the block (never cover a sentinel).
-			for k := 1; k <= n; k++ {
-				if fc.Instrs[pc+k] == nil {
-					t.Fatalf("fused head at %d covers sentinel at %d", pc, pc+k)
-				}
-			}
-		}
-	}
-	joined := strings.Join(heads, ",")
-	if !strings.Contains(joined, "move") { // const+bin head (const lowers to move)
-		t.Errorf("missing const+bin head in %v", heads)
-	}
-	if !strings.Contains(joined, "load") { // load+cmp head
-		t.Errorf("missing load+cmp head in %v", heads)
-	}
-	if !strings.Contains(joined, "call") { // lock/access/unlock head
-		t.Errorf("missing lock/access/unlock head in %v", heads)
 	}
 	if fc.Disasm() == "" {
 		t.Fatal("empty disassembly")

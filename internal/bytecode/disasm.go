@@ -50,7 +50,6 @@ func (fc *FuncCode) Disasm() string {
 	for pc, w := range fc.Code {
 		op := byte(w)
 		sub := int(w >> SubShift & SubMask)
-		fused := int(w >> FusedShift & FusedMask)
 		dst := int(w >> DstShift & DstMask)
 		a := uint16(w >> AShift)
 		b := uint16(w >> BShift)
@@ -78,9 +77,6 @@ func (fc *FuncCode) Disasm() string {
 		case OpCall:
 			cs := &fc.Calls[dst]
 			fmt.Fprintf(&sb, " site%d kind=%d", dst, cs.Kind)
-		}
-		if fused > 0 {
-			fmt.Fprintf(&sb, "  ; fused+%d", fused)
 		}
 		sb.WriteByte('\n')
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the compiled execution engine: the token-threaded
-// dispatch over internal/bytecode words, the batched run loop, and the
-// compiled counterparts of exec's call paths. Fidelity contract: for
-// the same scheduler decisions, every observable — events, faults,
+// dispatch over internal/bytecode words, the planned-window loop, and
+// the compiled counterparts of exec's call paths. Fidelity contract:
+// for the same scheduler decisions, every observable — events, faults,
 // output, schedule trace, step count, arena contents — is identical to
 // the tree walker's. exec() is the specification; each case of
 // execWord mirrors the corresponding exec case including its fault
@@ -406,131 +406,42 @@ func (m *Machine) callIntrinsicCompiled(t *Thread, fr *Frame, in *ir.Instr, cs *
 	m.intrinsic(t, in, name, args, cs.DstSlot)
 }
 
-// runBytecode is the batched dispatch loop: Step's protocol — runnable
-// scan, scheduler choice, trace append, switch notification, execute —
-// unrolled so that the per-step overheads (runnable recomputation,
-// interface dispatch on Thread lookup, breakpoint checks) disappear
-// from the hot path. With a PlanningScheduler and a calm machine,
-// whole windows of choices are planned in one scheduler call and run
-// by runPlanned; otherwise each step consults the scheduler
-// individually, and superinstruction heads keep control inside
-// fusedRun for as long as the scheduler keeps picking the same thread.
-// Only entered when no breakpoint is attached; a machine with a
-// breakpoint goes through Step.
-func (m *Machine) runBytecode() {
-	maxSteps := m.cfg.MaxSteps
-	sched := m.cfg.Sched
-	planner, _ := sched.(PlanningScheduler)
-	needInstr := m.hasObs || m.hasSwitch
-	pend := ThreadID(-1)
-	for {
-		if m.exited || m.step >= maxSteps {
-			return
-		}
-		if planner != nil && pend < 0 && !m.schedDirty {
-			// A planner that declines to plan (k=0) falls through to one
-			// per-step pick, so a run can never spin without progress.
-			if len(m.runnableCached()) > 0 && m.runPlanned(planner, needInstr, maxSteps) > 0 {
-				continue
-			}
-			// Empty runnable set: the slow path below jumps the clock to
-			// the next wake-up or concludes the run.
-		}
-		var t *Thread
-		if pend >= 0 {
-			// The scheduler already chose this thread during a fused batch;
-			// honor the choice without consulting it again.
-			t = m.Thread(pend)
-			pend = -1
-			if t == nil || !t.Runnable(m.step) {
-				// Defensive, mirroring Step: a misbehaving choice falls back
-				// to the first runnable thread (the set is still clean).
-				t = m.Thread(m.runnableCached()[0])
-			}
-		} else {
-			runnable := m.runnableCached()
-			if len(runnable) == 0 {
-				if runnable = m.clockJump(); len(runnable) == 0 {
-					return
-				}
-			}
-			tid := sched.Next(runnable, m.step)
-			t = m.Thread(tid)
-			if t == nil || !t.Runnable(m.step) {
-				t = m.Thread(runnable[0])
-			}
-		}
-		if t.Status == StatusSleeping {
-			t.Status = StatusRunnable
-		}
-		m.traceAppend(t.ID)
-		fr := t.Top()
-		pc := fr.FPC
-		w := fr.code[pc]
-		var in *ir.Instr
-		// Only sentinel words (end-of-block) and unknown-op words encode
-		// OpNop, so the opcode alone distinguishes the one nil-instruction
-		// case; the hot path skips the Instrs load unless an observer
-		// wants instructions.
-		if byte(w) == bytecode.OpNop {
-			if in = fr.BC.Instrs[pc]; in == nil {
-				m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
-				continue
-			}
-		} else if needInstr {
-			in = fr.BC.Instrs[pc]
-		}
-		if m.hasSwitch {
-			if m.prevTID >= 0 && m.prevTID != t.ID {
-				for _, so := range m.cfg.SwitchObservers {
-					so.OnSwitch(m, m.prevTID, t.ID, m.prevInstr, in)
-				}
-			}
-			m.prevTID, m.prevInstr = t.ID, in
-		}
-		m.execWord(t, fr, in, w)
-		m.step++
-		if n := int(w >> bytecode.FusedShift & bytecode.FusedMask); n > 0 {
-			pend = m.fusedRun(t, fr, pc, n)
-		}
-	}
-}
-
-// runPlanned executes one pre-planned window of scheduler choices.
-// Preconditions (checked by the caller): machine not exited, below the
-// step bound, schedule state clean (no pending status transition, no
-// wake-up due), runnable set non-empty. The window is capped at the next
-// wake-up, so the clock alone cannot change the set inside it, and it
-// ends at the first status transition — the next choice must then see
-// the new runnable set, exactly as the per-step protocol would. The
-// consumed prefix is committed to the scheduler via Advance.
+// runPlanned executes one pre-planned window of scheduler choices and
+// returns how many steps it took; 0 means it declined, and the caller
+// takes one step through Step instead. It declines unless the machine
+// is not exited, below the step bound, its schedule state clean (no
+// pending status transition) and its runnable set non-empty. The window
+// is capped at the next wake-up, so the clock alone cannot change the
+// set inside it, and it ends at the first status transition — the next
+// choice must then see the new runnable set, exactly as Step would. The
+// consumed prefix is committed to the scheduler via Advance; a planner
+// that plans nothing (k=0) also declines, so a run never spins without
+// progress.
 //
 // Dispatch for the frequent ops is inlined here, mirroring the
 // corresponding execWord cases exactly (execWord is the specification;
 // any change there must be mirrored here): the inlining elides the
 // call and redundant decode on ~80% of steps.
-func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int) int {
+func (m *Machine) runPlanned(ps PlanningScheduler) int {
+	maxSteps := m.cfg.MaxSteps
+	if m.exited || m.step >= maxSteps || m.schedDirty || len(m.runnableCached()) == 0 {
+		return 0
+	}
 	if m.planBuf == nil {
 		m.planBuf = make([]ThreadID, 128)
 		m.planSize = 8
 	}
+	needInstr := m.hasObs || m.hasSwitch
 	n := min(m.planSize, maxSteps-m.step, m.nextWake()-m.step)
 	runnable := m.runnableBuf
 	startStep := m.step
 	k := ps.Plan(runnable, startStep, m.planBuf[:n])
 	consumed := 0
-	// Superinstruction accounting mirrors fusedRun: a head's batch
-	// counts once every component runs back-to-back on the same thread
-	// with no disturbance.
-	batchLeft, batchN, batchPC := 0, 0, 0
-	var batchT *Thread
-	var batchFr *Frame
 	for consumed < k {
 		if m.exited || m.schedDirty {
 			break
 		}
-		tid := m.planBuf[consumed]
-		t := m.Thread(tid)
+		t := m.Thread(m.planBuf[consumed])
 		if t == nil || !t.Runnable(m.step) {
 			// Defensive, mirroring Step: the set is still clean, so
 			// runnable[0] is a live runnable thread.
@@ -540,13 +451,6 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			t.Status = StatusRunnable // a due sleeper, woken by its pick as in Step
 		}
 		consumed++
-		if batchLeft > 0 {
-			kth := batchN - batchLeft + 1
-			if tid != batchT.ID || batchT.Status != StatusRunnable || batchT.Suspended ||
-				batchT.Top() != batchFr || batchFr.FPC != batchPC+kth {
-				batchLeft = 0
-			}
-		}
 		m.traceAppend(t.ID)
 		fr := t.top
 		pc := fr.FPC
@@ -664,15 +568,6 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 			m.execWord(t, fr, in, w)
 		}
 		m.step++
-		if batchLeft > 0 {
-			if batchLeft--; batchLeft == 0 {
-				m.superinstrHits++
-			}
-		}
-		if bn := int(w >> bytecode.FusedShift & bytecode.FusedMask); bn > 0 && batchLeft == 0 {
-			batchLeft, batchN, batchPC = bn, bn, pc
-			batchT, batchFr = t, fr
-		}
 	}
 	ps.Advance(runnable, startStep, consumed)
 	// Adapt the window to the observed calm interval: a fully-consumed
@@ -686,38 +581,4 @@ func (m *Machine) runPlanned(ps PlanningScheduler, needInstr bool, maxSteps int)
 		m.planSize = min(max(2*consumed, 8), len(m.planBuf))
 	}
 	return consumed
-}
-
-// fusedRun tries to execute the n component words following a
-// superinstruction head back-to-back. The scheduler is still consulted
-// before every component (schedulers are stateful; traces must be
-// identical), so fusion only elides the runnable-set and dispatch
-// overhead. Any disturbance — a status change, a control transfer out
-// of the straight-line sequence, the scheduler preferring another
-// thread — abandons the batch. Returns the thread the scheduler chose
-// for another thread (-1 if none), whose choice the caller must honor.
-func (m *Machine) fusedRun(t *Thread, fr *Frame, pc, n int) ThreadID {
-	sched := m.cfg.Sched
-	for k := 1; k <= n; k++ {
-		if m.exited || m.step >= m.cfg.MaxSteps || m.schedDirty || m.step >= m.nextWake() ||
-			t.Status != StatusRunnable || t.Suspended || t.Top() != fr || fr.FPC != pc+k {
-			return -1
-		}
-		tid := sched.Next(m.runnableBuf, m.step)
-		if tid != t.ID {
-			return tid
-		}
-		m.traceAppend(t.ID)
-		var in *ir.Instr
-		if m.hasObs || m.hasSwitch {
-			in = fr.BC.Instrs[fr.FPC]
-		}
-		if m.hasSwitch {
-			m.prevTID, m.prevInstr = t.ID, in // same thread: no OnSwitch
-		}
-		m.execWord(t, fr, in, fr.code[fr.FPC])
-		m.step++
-	}
-	m.superinstrHits++
-	return -1
 }

@@ -37,8 +37,8 @@ const (
 	EngineTree Engine = "tree"
 	// EngineBytecode (also selected by the empty string) executes the
 	// flat bytecode lowered once per module by internal/bytecode:
-	// pre-resolved operands, per-edge phi move lists, superinstruction
-	// batching — several times faster.
+	// pre-resolved operands, per-edge phi move lists, planned
+	// scheduling windows — several times faster.
 	EngineBytecode Engine = "bytecode"
 )
 
@@ -237,13 +237,11 @@ type Machine struct {
 	// operands and loadg/storeg words skip the name map and the arena's
 	// address search; the block pointers are stable for the machine's
 	// lifetime (globals are never freed). moveBuf is the edge-move
-	// scratch buffer (the compiled twin of phiBuf). superinstrHits
-	// counts fully-batched superinstructions.
-	prog           *bytecode.Program
-	globalBase     []int64
-	globalBlock    []*MemBlock
-	moveBuf        []int64
-	superinstrHits int64
+	// scratch buffer (the compiled twin of phiBuf).
+	prog        *bytecode.Program
+	globalBase  []int64
+	globalBlock []*MemBlock
+	moveBuf     []int64
 
 	// planBuf holds scheduler choices pre-planned by a
 	// PlanningScheduler; planSize adapts the window to how much of the
@@ -260,8 +258,8 @@ type Machine struct {
 	// those threads plus the sleepers the clock has reached. sleepers is
 	// a min-heap of pending wake-ups keyed by SleepUntil, so a step with
 	// no transition and no due wake costs O(1). rescan forces a full scan
-	// instead (New, Restore, exit). The batched loops cut a plan window
-	// at the first schedDirty and cap it at nextWake.
+	// instead (New, Restore, exit). runPlanned cuts a plan window at the
+	// first schedDirty and caps it at nextWake.
 	runnableBuf  []ThreadID
 	schedChanged []ThreadID
 	sleepers     []sleeper
@@ -427,13 +425,6 @@ func (m *Machine) Engine() Engine {
 	}
 	return EngineTree
 }
-
-// SuperinstrHits returns how many superinstructions the compiled
-// engine completed as a single batch (0 under EngineTree). The count
-// is a dispatch statistic, not part of the captured execution state:
-// it is not carried across Snapshot/Restore, so resumed runs only
-// count their own suffix.
-func (m *Machine) SuperinstrHits() int64 { return m.superinstrHits }
 
 // CompileNS returns the module-lowering wall-clock nanoseconds when
 // running compiled (0 under EngineTree). The lowering is memoized per
@@ -790,8 +781,18 @@ func (m *Machine) runnableIDs() []ThreadID {
 }
 
 // runnableCached returns the runnable set, re-checking only the threads
-// that transitioned since the last call and the sleepers now due.
+// that transitioned since the last call and the sleepers now due. The
+// common case, no transition and no sleeper, stays small enough to
+// inline into Step (rescan is never set without schedDirty).
 func (m *Machine) runnableCached() []ThreadID {
+	if m.schedDirty || len(m.sleepers) > 0 {
+		return m.refreshRunnable()
+	}
+	return m.runnableBuf
+}
+
+// refreshRunnable is runnableCached's out-of-line slow path.
+func (m *Machine) refreshRunnable() []ThreadID {
 	if m.rescan {
 		return m.runnableIDs()
 	}
@@ -908,10 +909,21 @@ func (m *Machine) Step() bool {
 		t.Status = StatusRunnable
 	}
 	m.traceAppend(t.ID)
-	in := t.Cur()
-	if in == nil {
-		m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
-		return true
+	fr := t.Top()
+	var in *ir.Instr
+	var w uint64
+	if fr.BC != nil {
+		w = fr.code[fr.FPC]
+	}
+	// Only sentinel words (end-of-block) and unknown-op words encode
+	// OpNop, so for a compiled frame the opcode alone says whether the
+	// instruction can be nil; the hot path skips the Instrs load unless
+	// a breakpoint or an observer reads it.
+	if fr.BC == nil || byte(w) == bytecode.OpNop || m.hasObs || m.hasSwitch || m.cfg.Breakpoint != nil {
+		if in = fr.Cur(); in == nil {
+			m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
+			return true
+		}
 	}
 	if m.cfg.Breakpoint != nil {
 		if m.cfg.Breakpoint(m, t, in) == BPSuspend {
@@ -935,8 +947,8 @@ func (m *Machine) Step() bool {
 		}
 		m.prevTID, m.prevInstr = t.ID, in
 	}
-	if fr := t.Top(); fr.BC != nil {
-		m.execWord(t, fr, in, fr.BC.Code[fr.FPC])
+	if fr.BC != nil {
+		m.execWord(t, fr, in, w)
 	} else {
 		m.exec(t, in)
 	}
@@ -998,17 +1010,23 @@ func (m *Machine) Run() *Result {
 }
 
 // RunLoop steps the machine until it can make no more progress,
-// without building a Result. Under the compiled engine it uses the
-// batched dispatch loop (unless a breakpoint is attached, which needs
-// Step's per-instruction hook); under the tree engine it is exactly
-// `for m.Step() {}`. The two are interchangeable: callers may hand-step
-// a machine and then let RunLoop finish it.
+// without building a Result. A compiled machine with a planning
+// scheduler and no breakpoint runs planned windows where it can;
+// every other step, and every step a window declines, goes through
+// Step. The two are interchangeable: callers may hand-step a machine
+// and then let RunLoop finish it.
 func (m *Machine) RunLoop() {
-	if m.prog != nil && m.cfg.Breakpoint == nil {
-		m.runBytecode()
-		return
+	planner, _ := m.cfg.Sched.(PlanningScheduler)
+	if m.prog == nil || m.cfg.Breakpoint != nil {
+		planner = nil
 	}
-	for m.Step() {
+	for {
+		if planner != nil && m.runPlanned(planner) > 0 {
+			continue
+		}
+		if !m.Step() {
+			return
+		}
 	}
 }
 

@@ -173,9 +173,9 @@ entry:
 
 // TestRunnableSetOracle checks the machine's incrementally maintained
 // runnable set against a fresh scan at every scheduler call, in three
-// modes: the batched RunLoop (planned windows, fused superinstructions,
-// sleepers), Step under a breakpoint that suspends and resumes threads,
-// and a machine restored from a mid-run snapshot. It covers every corpus
+// modes: RunLoop (planned windows, sleepers), Step under a breakpoint
+// that suspends and resumes threads, and a machine restored from a
+// mid-run snapshot. It covers every corpus
 // model and input recipe at both noise levels, plus contendedSrc under
 // both engines, each under scheduler seeds 1-4.
 func TestRunnableSetOracle(t *testing.T) {

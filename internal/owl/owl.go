@@ -885,15 +885,14 @@ func flushEngineMetrics(res *sched.EngineResult, mc *metrics.Collector) {
 // flushMachineMetrics threads one detect-run machine's compiled-engine
 // accounting into the collector; a no-op under the tree-walking oracle.
 // bytecode.compile_ns (a memoized per-module constant, so a last-wins
-// gauge) and the bytecode.superinstr_hits dispatch statistic are the
-// only metrics allowed to differ between engines — everything else the
-// pipeline emits is covered by the cross-engine parity test.
+// gauge) is the only metric allowed to differ between engines —
+// everything else the pipeline emits is covered by the cross-engine
+// parity test.
 func flushMachineMetrics(m *interp.Machine, mc *metrics.Collector) {
 	if m.Engine() != interp.EngineBytecode {
 		return
 	}
 	mc.Gauge("bytecode.compile_ns", float64(m.CompileNS()))
-	mc.Count("bytecode.superinstr_hits", m.SuperinstrHits())
 }
 
 // flushSnapMetrics threads one stage's snapshot-cache accounting into

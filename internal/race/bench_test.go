@@ -135,8 +135,8 @@ func BenchmarkBaselineNoDetector(b *testing.B) {
 }
 
 // BenchmarkBaselineNoDetectorBytecode is the compiled-engine arm of the
-// baseline: same program, same schedule, flat bytecode with
-// superinstructions and the batched no-observer run loop. (The one-time
+// baseline: same program, same schedule, flat bytecode run by RunLoop
+// with no observer attached. (The one-time
 // module lowering is memoized, so it amortizes to zero across
 // iterations — exactly how owl's explorers reuse a module.)
 func BenchmarkBaselineNoDetectorBytecode(b *testing.B) {
@@ -163,8 +163,8 @@ func BenchmarkDetectorOverheadBytecode(b *testing.B) {
 }
 
 // BenchmarkVerifyStepFullNoise is the step rung the verifiers run on:
-// one Step with a never-suspending breakpoint attached (so the batched
-// loop is off), on full-noise apache with its ~40 threads, sleepers and
+// one Step with a never-suspending breakpoint attached (so RunLoop would
+// plan no windows either), on full-noise apache with its ~40 threads, sleepers and
 // all. An op is one step; a finished run is rebuilt off the clock.
 func BenchmarkVerifyStepFullNoise(b *testing.B) {
 	w := workloads.Get("apache", workloads.NoiseFull)

@@ -374,27 +374,21 @@ func (d *Detector) mkAccess(meta accessMeta, isWrite bool, addr int64) Access {
 
 // report deduplicates by the unordered instruction pair. The string ID is
 // never computed here; both orderings of the pointer pair index the same
-// Report. On a dedup hit only variable-name suppressions can change the
-// outcome (pair and instruction suppressions are constant per pair and
-// already decided the first occurrence), so the address label is only
-// resolved when such annotations exist.
+// Report. Suppression is per pair too, so only a pair's first occurrence
+// consults the annotations.
 func (d *Detector) report(m *interp.Machine, prev accessMeta, prevW bool, cur accessMeta, curW bool, addr int64) {
 	key := [2]*ir.Instr{prev.instr, cur.instr}
 	if r := d.byPair[key]; r != nil {
-		if d.Benign.hasVars() && d.Benign.suppressesAddr(m.Mem().NameFor(addr)) {
-			return
-		}
 		r.Count++
 		return
 	}
-	addrName := m.Mem().NameFor(addr)
-	if d.Benign.suppresses(addrName, prev.instr, cur.instr) {
+	if d.Benign.suppresses(prev.instr, cur.instr) {
 		return
 	}
 	r := &Report{
 		Prev:     d.mkAccess(prev, prevW, addr),
 		Cur:      d.mkAccess(cur, curW, addr),
-		AddrName: addrName,
+		AddrName: m.Mem().NameFor(addr),
 		Count:    1,
 	}
 	d.byPair[key] = r

@@ -126,40 +126,57 @@ func TestDifferentialEpochVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialWithAnnotations re-runs the differential check with a
-// variable suppression active, exercising the dedup-hit suppression path
-// that only resolves address names when variable annotations exist.
+// TestDifferentialWithAnnotations re-runs the differential check with
+// pair suppressions active: every other racing pair an unannotated run
+// reports is annotated, and on the same schedule both detectors must
+// then report exactly the unannotated run's pairs minus those.
 func TestDifferentialWithAnnotations(t *testing.T) {
+	suppressed := 0
 	for progSeed := int64(1); progSeed <= 10; progSeed++ {
 		src := genProgram(rand.New(rand.NewSource(progSeed)))
 		mod, err := ir.Parse("diff_test.oir", src)
 		if err != nil {
 			t.Fatalf("prog %d: parse: %v", progSeed, err)
 		}
-		ann := NewAnnotations()
-		ann.AddVar("@g0")
-		d := NewDetector()
-		d.Benign = ann
-		ref := NewReferenceDetector()
-		ref.Benign = ann
-		m, err := interp.New(interp.Config{
-			Module: mod, Sched: sched.NewRandom(3),
-			Observers: []interp.Observer{d, ref},
-		})
-		if err != nil {
-			t.Fatalf("prog %d: new machine: %v", progSeed, err)
+		run := func(ann *Annotations) (*Detector, *ReferenceDetector) {
+			d := NewDetector()
+			d.Benign = ann
+			ref := NewReferenceDetector()
+			ref.Benign = ann
+			m, err := interp.New(interp.Config{
+				Module: mod, Sched: sched.NewRandom(3),
+				Observers: []interp.Observer{d, ref},
+			})
+			if err != nil {
+				t.Fatalf("prog %d: new machine: %v", progSeed, err)
+			}
+			m.Run()
+			return d, ref
 		}
-		m.Run()
+		raw, _ := run(nil)
+		ann := NewAnnotations()
+		var kept []*Report
+		for i, r := range raw.Reports() {
+			if i%2 == 0 {
+				ann.AddPair(r.Prev.Instr, r.Cur.Instr)
+				suppressed++
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		d, ref := run(ann)
 		got, want := reportSet(d.Reports()), reportSet(ref.Reports())
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("prog %d: annotated runs diverge\nepoch: %v\nreference: %v\nprogram:\n%s",
 				progSeed, got, want, src)
 		}
-		for _, r := range d.Reports() {
-			if r.AddrName == "@g0" {
-				t.Fatalf("prog %d: suppressed variable @g0 reported", progSeed)
-			}
+		if fmt.Sprint(got) != fmt.Sprint(reportSet(kept)) {
+			t.Fatalf("prog %d: annotated run %v, want the unannotated run's unsuppressed pairs %v",
+				progSeed, got, reportSet(kept))
 		}
+	}
+	if suppressed == 0 {
+		t.Fatal("no generated program raced: nothing was annotated")
 	}
 }
 

@@ -28,7 +28,6 @@ package race
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/conanalysis/owl/internal/callstack"
@@ -115,26 +114,18 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Annotations suppress benign races: by racing instruction pair (how
-// OWL's §5.1 pass annotates ad-hoc synchronizations — the TSAN-markup
-// analogue), by individual instruction, or by global/arena block name
-// (coarse, for manual suppressions). Pair suppression is the default the
-// pipeline uses: other racy accesses to the same variable keep being
+// Annotations suppress benign races by racing instruction pair: how
+// OWL's §5.1 pass annotates ad-hoc synchronizations (the TSAN-markup
+// analogue). Other racy accesses to the same variable keep being
 // reported, which is what lets OWL still find the SSDB attack behind an
 // ad-hoc-sync-shaped variable.
 type Annotations struct {
-	addrNames map[string]bool
-	instrs    map[*ir.Instr]bool
-	pairs     map[[2]*ir.Instr]bool
+	pairs map[[2]*ir.Instr]bool
 }
 
 // NewAnnotations returns an empty annotation set.
 func NewAnnotations() *Annotations {
-	return &Annotations{
-		addrNames: make(map[string]bool),
-		instrs:    make(map[*ir.Instr]bool),
-		pairs:     make(map[[2]*ir.Instr]bool),
-	}
+	return &Annotations{pairs: make(map[[2]*ir.Instr]bool)}
 }
 
 // AddPair suppresses the specific unordered racing pair (a, b).
@@ -143,62 +134,17 @@ func (a *Annotations) AddPair(x, y *ir.Instr) {
 	a.pairs[[2]*ir.Instr{y, x}] = true
 }
 
-// AddVar suppresses races on the named memory block (e.g. "@dying").
-func (a *Annotations) AddVar(name string) { a.addrNames[name] = true }
-
-// AddInstr suppresses races where either endpoint is the instruction.
-func (a *Annotations) AddInstr(in *ir.Instr) { a.instrs[in] = true }
-
-// Vars returns the annotated variable names, sorted.
-func (a *Annotations) Vars() []string {
-	out := make([]string, 0, len(a.addrNames))
-	for n := range a.addrNames {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of suppression entries (variables plus pairs).
-func (a *Annotations) Len() int { return len(a.addrNames) + len(a.pairs)/2 }
+// Len returns the number of suppressed pairs.
+func (a *Annotations) Len() int { return len(a.pairs) / 2 }
 
 // Suppresses reports whether the annotations suppress the report: the
 // test the detector applies before it records a race, so dropping the
 // suppressed reports of an unannotated run leaves what an annotated run
 // over the same schedule records.
 func (a *Annotations) Suppresses(r *Report) bool {
-	return a.suppresses(r.AddrName, r.Prev.Instr, r.Cur.Instr)
+	return a.suppresses(r.Prev.Instr, r.Cur.Instr)
 }
 
-func (a *Annotations) suppresses(addrName string, i1, i2 *ir.Instr) bool {
-	if a == nil {
-		return false
-	}
-	if a.suppressesAddr(addrName) {
-		return true
-	}
-	if a.pairs[[2]*ir.Instr{i1, i2}] {
-		return true
-	}
-	return a.instrs[i1] || a.instrs[i2]
-}
-
-// hasVars reports whether any variable-name suppressions exist. Unlike
-// pair and instruction suppressions (which are constant for a given
-// static race), variable suppressions can differ between dynamic
-// occurrences of one pair — "@a+1" vs "@a+2" — so only they force the
-// detectors to resolve the address name on the dedup hit path.
-func (a *Annotations) hasVars() bool { return a != nil && len(a.addrNames) > 0 }
-
-// suppressesAddr reports whether the address label (or its base block
-// name, with any "+off" suffix stripped) is annotated benign.
-func (a *Annotations) suppressesAddr(addrName string) bool {
-	if a == nil {
-		return false
-	}
-	base := addrName
-	if i := strings.IndexByte(base, '+'); i >= 0 {
-		base = base[:i]
-	}
-	return a.addrNames[base] || a.addrNames[addrName]
+func (a *Annotations) suppresses(i1, i2 *ir.Instr) bool {
+	return a != nil && a.pairs[[2]*ir.Instr{i1, i2}]
 }

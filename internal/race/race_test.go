@@ -191,37 +191,6 @@ func TestDynamicOccurrencesDeduplicate(t *testing.T) {
 	}
 }
 
-func TestBenignAnnotationSuppressesByVar(t *testing.T) {
-	ann := NewAnnotations()
-	ann.AddVar("@x")
-	d := detect(t, racySrc, sched.NewRoundRobin(1), ann)
-	if n := len(d.Reports()); n != 0 {
-		t.Fatalf("got %d reports, want 0 after annotation", n)
-	}
-}
-
-func TestBenignAnnotationSuppressesByInstr(t *testing.T) {
-	mod := ir.MustParse("race_test.oir", racySrc)
-	ann := NewAnnotations()
-	for _, in := range mod.Func("worker").Instrs() {
-		if in.Op == ir.OpStore {
-			ann.AddInstr(in)
-		}
-	}
-	d := NewDetector()
-	d.Benign = ann
-	m, err := interp.New(interp.Config{
-		Module: mod, Sched: sched.NewRoundRobin(1), Observers: []interp.Observer{d},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run()
-	if n := len(d.Reports()); n != 0 {
-		t.Fatalf("got %d reports, want 0 after instr annotation", n)
-	}
-}
-
 func TestReportStacksAndValues(t *testing.T) {
 	d := detect(t, racySrc, sched.NewRoundRobin(1), nil)
 	r := d.Reports()[0]

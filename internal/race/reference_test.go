@@ -155,11 +155,10 @@ func (d *ReferenceDetector) onWrite(m *interp.Machine, e *interp.Event) {
 }
 
 func (d *ReferenceDetector) report(m *interp.Machine, prev, cur Access) {
-	addrName := m.Mem().NameFor(cur.Addr)
-	if d.Benign.suppresses(addrName, prev.Instr, cur.Instr) {
+	if d.Benign.suppresses(prev.Instr, cur.Instr) {
 		return
 	}
-	r := &Report{Prev: prev, Cur: cur, AddrName: addrName, Count: 1}
+	r := &Report{Prev: prev, Cur: cur, AddrName: m.Mem().NameFor(cur.Addr), Count: 1}
 	if existing, ok := d.byID[r.ID()]; ok {
 		existing.Count++
 		return

@@ -27,11 +27,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
+	"github.com/conanalysis/owl/internal/metrics"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/sched"
 )
@@ -344,7 +344,8 @@ func (s *rewinder) rewind() {
 // each runs fn(i) for every i in idx on up to workers goroutines,
 // recording a failure (an error or a panic) in errs[i].
 func each(idx []int, workers int, errs []error, fn func(i int) error) {
-	one := func(i int) {
+	metrics.ForEach(nil, "", len(idx), workers, func(j int) {
+		i := idx[j]
 		defer func() {
 			if r := recover(); r != nil {
 				errs[i] = fmt.Errorf("race verifier: panic: %v", r)
@@ -353,26 +354,7 @@ func each(idx []int, workers int, errs []error, fn func(i int) error) {
 		if err := fn(i); err != nil {
 			errs[i] = err
 		}
-	}
-	workers = min(workers, len(idx))
-	if workers <= 1 {
-		for _, i := range idx {
-			one(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := int(next.Add(1)) - 1; j < len(idx); j = int(next.Add(1)) - 1 {
-				one(idx[j])
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // tryOnce performs one verification run from step 0 and reports whether

@@ -196,31 +196,35 @@ func (e *Explorer) Explore(mkRun func(s interp.Scheduler) error) (ExploreResult,
 		}
 		res.Runs++
 
-		// Schedule the unexplored siblings of every decision point at or
-		// beyond this vector's frontier, within the depth bound. Positions
-		// between the vector and the branch point pin the defaults this run
-		// actually took, so the child replays the same prefix.
-		limit := len(s.Trace)
-		if limit > maxDec {
-			limit = maxDec
-		}
-		for p := limit - 1; p >= len(d); p-- {
-			for c := int(s.Trace[p].Choices) - 1; c >= 0; c-- {
-				if c == int(s.Trace[p].Chosen) {
-					continue
-				}
-				next := make([]int, p+1)
-				copy(next, d)
-				for q := len(d); q < p; q++ {
-					next[q] = int(s.Trace[q].Chosen)
-				}
-				next[p] = c
-				stack = append(stack, next)
-			}
-		}
+		siblings(d, s.Trace, maxDec, func(next []int, _, _ int) {
+			stack = append(stack, next)
+		})
 	}
 	res.Exhausted = true
 	return res, nil
+}
+
+// siblings calls yield for the unexplored siblings of every decision
+// point at or beyond vec's frontier, within the first maxDec decisions
+// of the run's trace: deepest point first, highest choice first.
+// Positions between vec and the branch point p pin the defaults the run
+// actually took, so the child replays the same prefix and then takes
+// choice c at p.
+func siblings(vec []int, trace []Decision, maxDec int, yield func(next []int, p, c int)) {
+	for p := min(len(trace), maxDec) - 1; p >= len(vec); p-- {
+		for c := int(trace[p].Choices) - 1; c >= 0; c-- {
+			if c == int(trace[p].Chosen) {
+				continue
+			}
+			next := make([]int, p+1)
+			copy(next, vec)
+			for q := len(vec); q < p; q++ {
+				next[q] = int(trace[q].Chosen)
+			}
+			next[p] = c
+			yield(next, p, c)
+		}
+	}
 }
 
 // ipbNode is one pending schedule of a preemption-ordered exploration:
@@ -275,14 +279,11 @@ func (f *ipbFrontier) pop() (ipbNode, bool) {
 	return n, true
 }
 
-// expand generates the unexplored siblings of every decision point at or
-// beyond the executed node's frontier (exactly as Explore does), tagging
-// each child with the preemption count of its decided prefix.
+// expand pushes the unexplored siblings of the executed node (see
+// siblings, the rule Explore follows too), tagging each child with the
+// preemption count of its decided prefix.
 func (f *ipbFrontier) expand(node ipbNode, trace []Decision) {
-	limit := len(trace)
-	if limit > f.maxDec {
-		limit = f.maxDec
-	}
+	limit := min(len(trace), f.maxDec)
 	if limit <= len(node.vec) {
 		return
 	}
@@ -294,22 +295,11 @@ func (f *ipbFrontier) expand(node ipbNode, trace []Decision) {
 			preAt[p+1]++
 		}
 	}
-	for p := limit - 1; p >= len(node.vec); p-- {
-		for c := int(trace[p].Choices) - 1; c >= 0; c-- {
-			if c == int(trace[p].Chosen) {
-				continue
-			}
-			next := make([]int, p+1)
-			copy(next, node.vec)
-			for q := len(node.vec); q < p; q++ {
-				next[q] = int(trace[q].Chosen)
-			}
-			next[p] = c
-			pre := preAt[p]
-			if trace[p].SameIdx >= 0 && c != int(trace[p].SameIdx) {
-				pre++
-			}
-			f.push(ipbNode{vec: next, pre: pre})
+	siblings(node.vec, trace, f.maxDec, func(next []int, p, c int) {
+		pre := preAt[p]
+		if trace[p].SameIdx >= 0 && c != int(trace[p].SameIdx) {
+			pre++
 		}
-	}
+		f.push(ipbNode{vec: next, pre: pre})
+	})
 }

@@ -284,7 +284,7 @@ func (errTestType) Error() string { return "test error" }
 // for every planner, runnable set, and consumed prefix length k, calling
 // Plan then Advance(k) must leave the scheduler in exactly the state k
 // plain Next calls would, and the planned entries must be the picks Next
-// would have made. The interpreter's batched dispatch loop relies on
+// would have made. The interpreter's planned windows (runPlanned) rely on
 // this being exact — any divergence would silently change schedules.
 // RoundRobin and Random always fill the window; PCT may plan short (it
 // stops before a demotion step), so for it only the first min(k, n)

@@ -276,49 +276,16 @@ func (st *StageRun) ForEach(base, n, workers int, fn func(ctx context.Context, i
 	if n <= 0 {
 		return 0
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	mc := st.sup.cfg.Metrics
-	mc.SetWorkers(st.name, workers)
-
 	quar := make([]*Quarantined, n)
 	lostFlags := make([]bool, n)
 	retriedBy := make([]int, n)
-	one := func(i int) {
-		start := time.Now()
+	metrics.ForEach(st.sup.cfg.Metrics, st.name, n, workers, func(i int) {
 		q, lost, retried := st.runJob(base+i, fn)
-		mc.AddBusy(st.name, time.Since(start))
 		quar[i], lostFlags[i], retriedBy[i] = q, lost, retried
 		if q != nil && st.sup.cfg.CancelOnFault {
 			st.cancel()
 		}
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			one(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					one(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 
 	completed := 0
 	st.mu.Lock()
