@@ -179,7 +179,7 @@ predict:
 engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
-	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet|NoSchedule|RunLoop'
+	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet|NoSchedule|RunLoop|SpinFastForward'
 	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
 	$(GO) test -race -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/raceverify/

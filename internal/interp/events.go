@@ -49,20 +49,22 @@ func (k EventKind) String() string {
 
 // StackRef is a zero-allocation handle on a thread's call stack at one
 // instruction: the immutable caller chain (shared with the thread's
-// frames) plus the innermost function and position. Capturing one is a
-// few word copies, so the machine attaches a ref to every event that
+// frames) plus the innermost function and instruction, whose position
+// is the innermost entry's (none at an end of block). Capturing one is
+// three word copies, so the machine attaches a ref to every event that
 // any observer declared interest in; materializing the full
 // callstack.Stack is deferred to the rare consumer that actually prints
-// or analyzes it (a race report, a watched read).
+// or analyzes it (a race report, a watched read). Refs are kept by the
+// race detector's shadow memory for every address, so they stay small.
 type StackRef struct {
 	chain *callstack.Node
-	fn    string
-	pos   ir.Pos
+	fn    *ir.Func
+	in    *ir.Instr
 }
 
 // IsZero reports whether the ref captures nothing (no stack was
 // requested for the event, or the thread had no frames).
-func (r StackRef) IsZero() bool { return r.fn == "" && r.chain == nil }
+func (r StackRef) IsZero() bool { return r.fn == nil && r.chain == nil }
 
 // Depth returns the number of frames the materialized stack would have.
 func (r StackRef) Depth() int {
@@ -80,7 +82,11 @@ func (r StackRef) Materialize() callstack.Stack {
 	if r.IsZero() {
 		return nil
 	}
-	return r.chain.Materialize(callstack.Entry{Fn: r.fn, Pos: r.pos})
+	pos := ir.Pos{}
+	if r.in != nil {
+		pos = r.in.Pos
+	}
+	return r.chain.Materialize(callstack.Entry{Fn: r.fn.Name, Pos: pos})
 }
 
 // Event is one runtime event.

@@ -249,6 +249,9 @@ type Machine struct {
 	planBuf  []ThreadID
 	planSize int
 
+	// skipped counts the steps runHeld fast-forwarded over.
+	skipped int
+
 	// Scheduling state. runnableBuf is the runnable set handed to the
 	// scheduler, ascending by ThreadID — creation order, so exactly the
 	// order a scan of threads yields. It is maintained incrementally
@@ -958,9 +961,11 @@ func (m *Machine) Step() bool {
 
 // traceCap picks the schedule trace's initial capacity: enough that
 // short runs never regrow, bounded so machines with a huge step budget
-// don't pre-commit memory they won't use.
+// don't pre-commit memory they won't use. The runs that record a
+// schedule are mostly the verifiers' short ones; a longer run regrows
+// by doubling (traceAppend).
 func traceCap(maxSteps int) int {
-	const presize = 8192
+	const presize = 1024
 	if maxSteps < presize {
 		return maxSteps
 	}
@@ -1010,17 +1015,25 @@ func (m *Machine) Run() *Result {
 }
 
 // RunLoop steps the machine until it can make no more progress,
-// without building a Result. A compiled machine with a planning
-// scheduler and no breakpoint runs planned windows where it can;
-// every other step, and every step a window declines, goes through
-// Step. The two are interchangeable: callers may hand-step a machine
-// and then let RunLoop finish it.
+// without building a Result. A compiled machine with no breakpoint
+// runs held windows (runHeld) where its scheduler holds a pick and
+// every observer lets it fast-forward, and planned windows where its
+// scheduler plans; every other step, and every step a window declines,
+// goes through Step. The three are interchangeable: callers may
+// hand-step a machine and then let RunLoop finish it.
 func (m *Machine) RunLoop() {
 	planner, _ := m.cfg.Sched.(PlanningScheduler)
+	holder, _ := m.cfg.Sched.(HoldingScheduler)
 	if m.prog == nil || m.cfg.Breakpoint != nil {
-		planner = nil
+		planner, holder = nil, nil
+	}
+	if !m.spinCanSkip() {
+		holder = nil
 	}
 	for {
+		if holder != nil && m.runHeld(holder) > 0 {
+			continue
+		}
 		if planner != nil && m.runPlanned(planner) > 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,34 +12,105 @@ import (
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
-// stepOnly hides a scheduler's Plan, so nothing can run planned windows
-// with it.
+// stepOnly hides a scheduler's Plan, Hold and Skip, so nothing can run
+// planned or held windows with it.
 type stepOnly struct{ inner interp.Scheduler }
 
 func (s stepOnly) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return s.inner.Next(runnable, step)
 }
 
-// TestRunLoopMatchesStep checks RunLoop's one fork, planned windows,
-// against plain Step. For every corpus model and recipe at both noise
-// levels, under seeds 1-4 and each planning scheduler, a compiled
-// machine run by RunLoop must give the same Result (schedule, steps,
-// faults, output, exit code) as the same machine driven by `for
-// m.Step() {}` with the scheduler's Plan hidden, and race detectors
-// attached to each must report the same races in the same order. The
-// runs are repeated without observers, where windows skip loading
-// instructions.
+// runOut is what a run produced: its Result, the reports and counters
+// of an attached race detector, and the steps RunLoop fast-forwarded.
+type runOut struct {
+	res     *interp.Result
+	reports []*race.Report
+	stats   race.Stats
+	skipped int
+}
+
+// stepRun runs cfg under s by Step alone, the reference every RunLoop
+// path must match.
+func stepRun(t *testing.T, cfg interp.Config, s interp.Scheduler, observe bool) runOut {
+	t.Helper()
+	cfg.Sched = stepOnly{s}
+	d := race.NewDetector()
+	if observe {
+		cfg.Observers = []interp.Observer{d}
+	}
+	m := newMachine(t, cfg)
+	for m.Step() {
+	}
+	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats()}
+}
+
+// loopRun runs cfg under s by RunLoop.
+func loopRun(t *testing.T, cfg interp.Config, s interp.Scheduler, observe bool) runOut {
+	t.Helper()
+	cfg.Sched = s
+	d := race.NewDetector()
+	if observe {
+		cfg.Observers = []interp.Observer{d}
+	}
+	m := newMachine(t, cfg)
+	if m.Engine() != interp.EngineBytecode {
+		t.Fatalf("machine runs %s, want the compiled engine", m.Engine())
+	}
+	m.RunLoop()
+	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), skipped: m.SkippedSteps()}
+}
+
+// sameRun fails unless got, a RunLoop run, matches want, its Step
+// reference: the whole Result (schedule, steps, faults, output, exit
+// code, MaxStepsHit), the report stream with every Count and
+// Access.Step, and the detector's counters.
+func sameRun(t *testing.T, tag string, got, want runOut) {
+	t.Helper()
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Fatalf("%s: results differ\nRunLoop: %+v\nStep:    %+v", tag, got.res, want.res)
+	}
+	if (len(got.reports) > 0 || len(want.reports) > 0) && !reflect.DeepEqual(got.reports, want.reports) {
+		t.Fatalf("%s: race reports differ (%d by RunLoop, %d by Step)", tag, len(got.reports), len(want.reports))
+	}
+	if got.stats != want.stats {
+		t.Fatalf("%s: detector counters differ\nRunLoop: %+v\nStep:    %+v", tag, got.stats, want.stats)
+	}
+}
+
+// compareRunLoop runs cfg once by RunLoop and once by Step, each under
+// a fresh scheduler from mk, and returns the RunLoop run.
+func compareRunLoop(t *testing.T, tag string, cfg interp.Config, mk func() interp.Scheduler, observe bool) runOut {
+	t.Helper()
+	got := loopRun(t, cfg, mk(), observe)
+	sameRun(t, tag, got, stepRun(t, cfg, mk(), observe))
+	return got
+}
+
+// TestRunLoopMatchesStep checks RunLoop's forks, planned and held
+// windows, against plain Step. For every corpus model and recipe at
+// both noise levels, under seeds 1-4 and each planning scheduler — PCT
+// both over a Random run's length and over the program's whole step
+// bound, as the coverage engine configures it — a compiled machine run
+// by RunLoop must give the same Result as the same machine driven by
+// `for m.Step() {}` with the scheduler's Plan and Hold hidden, and race
+// detectors attached to each must report the same races in the same
+// order with the same counters. The runs are repeated without
+// observers, where windows skip loading instructions. Then the coverage
+// engine's own jobs, with their bounded decision schedulers behind the
+// snapshot cache, must match their Step references too.
 func TestRunLoopMatchesStep(t *testing.T) {
 	scheds := []struct {
 		name string
 		// horizon is a run's length under the seed, over which PCT
 		// scatters its priority changes.
-		mk func(seed uint64, horizon int) interp.PlanningScheduler
+		mk func(seed uint64, horizon, maxSteps int) interp.Scheduler
 	}{
-		{"random", func(seed uint64, _ int) interp.PlanningScheduler { return sched.NewRandom(seed) }},
-		{"pct", func(seed uint64, horizon int) interp.PlanningScheduler { return sched.NewPCT(seed, 3, horizon) }},
-		{"round-robin", func(seed uint64, _ int) interp.PlanningScheduler { return sched.NewRoundRobin(int(seed)) }},
+		{"random", func(seed uint64, _, _ int) interp.Scheduler { return sched.NewRandom(seed) }},
+		{"pct", func(seed uint64, horizon, _ int) interp.Scheduler { return sched.NewPCT(seed, 3, horizon) }},
+		{"pct-maxsteps", func(seed uint64, _, maxSteps int) interp.Scheduler { return sched.NewPCT(seed, 3, maxSteps) }},
+		{"round-robin", func(seed uint64, _, _ int) interp.Scheduler { return sched.NewRoundRobin(int(seed)) }},
 	}
+	skipped := map[string]int{}
 	for _, name := range workloads.Names() {
 		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
 			w := workloads.Get(name, lvl)
@@ -50,51 +122,80 @@ func TestRunLoopMatchesStep(t *testing.T) {
 						for _, observe := range []bool{true, false} {
 							tag := fmt.Sprintf("%s noise=%d recipe=%s seed=%d sched=%s observe=%v",
 								name, lvl, rec.Name, seed, s.name, observe)
-							steps := compareRunLoop(t, tag, cfg, func() interp.PlanningScheduler { return s.mk(seed, horizon) }, observe)
+							got := compareRunLoop(t, tag, cfg, func() interp.Scheduler { return s.mk(seed, horizon, w.MaxSteps) }, observe)
 							if horizon == 0 {
-								horizon = steps
+								horizon = got.res.Steps
 							}
+							skipped[s.name] += got.skipped
 						}
 					}
 				}
 			}
+			compareEngineJobs(t, name, lvl, w, skipped)
+		}
+	}
+	// The comparison must have reached held spins under the
+	// production configurations; Random and round-robin hold nothing.
+	for _, arm := range []string{"pct-maxsteps", "engine-pct", "engine-dfs"} {
+		if skipped[arm] == 0 {
+			t.Errorf("%s: no run fast-forwarded a step", arm)
+		}
+	}
+	for _, arm := range []string{"random", "round-robin", "engine-random"} {
+		if skipped[arm] != 0 {
+			t.Errorf("%s: runs fast-forwarded %d steps, want none", arm, skipped[arm])
 		}
 	}
 }
 
-// compareRunLoop runs cfg once by RunLoop and once by Step, each under
-// a fresh scheduler from mk, and returns the run's step count.
-func compareRunLoop(t *testing.T, tag string, cfg interp.Config, mk func() interp.PlanningScheduler, observe bool) int {
+// compareEngineJobs runs a coverage exploration of w's first recipe as
+// the detect stage configures it and checks every job against its Step
+// reference: Random and PCT jobs under fresh copies of their
+// schedulers, DFS jobs under a copy of their bounded decision
+// scheduler taken before the job runs behind the snapshot cache (so
+// many resume from a cached prefix). It adds the steps the jobs
+// fast-forwarded to skipped, by strategy.
+func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *workloads.Workload, skipped map[string]int) {
 	t.Helper()
-	var results [2]*interp.Result
-	var reports [2][]*race.Report
-	for i, planned := range []bool{true, false} {
-		c := cfg
-		c.Sched = mk()
-		if !planned {
-			c.Sched = stepOnly{c.Sched}
-		}
-		d := race.NewDetector()
-		if observe {
-			c.Observers = []interp.Observer{d}
-		}
-		m := newMachine(t, c)
-		if m.Engine() != interp.EngineBytecode {
-			t.Fatalf("%s: machine runs %s, want the compiled engine", tag, m.Engine())
-		}
-		if planned {
-			m.RunLoop()
-		} else {
-			for m.Step() {
+	const pctDepth = 3 // the engine's default
+	cfg := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: w.Recipes[0].Inputs, MaxSteps: w.MaxSteps}
+	eng := sched.NewEngine(sched.EngineConfig{Budget: 18, Seed: 1, PCTSteps: w.MaxSteps, Snap: sched.NewSnapCache(64)})
+	dfs := 0
+	_, err := eng.ExploreCtx(context.Background(), func(jobs []*sched.Job) error {
+		for i, j := range jobs {
+			var ref interp.Scheduler
+			switch s := j.Sched.(type) {
+			case *sched.Random:
+				ref = sched.NewRandom(j.Seed)
+			case *sched.PCT:
+				ref = sched.NewPCT(j.Seed, pctDepth, w.MaxSteps)
+			case *sched.DecisionSched:
+				c := *s
+				ref = &c
+				dfs++
+			default:
+				t.Fatalf("unexpected scheduler %T", j.Sched)
 			}
+			c := cfg
+			d := race.NewDetector()
+			c.Observers = []interp.Observer{d}
+			c.SwitchObservers = []interp.SwitchObserver{j.Cov}
+			c.Sched = j.Sched
+			m, err := j.Run(c)
+			if err != nil {
+				t.Fatalf("%s noise=%d job %d: %v", name, lvl, i, err)
+			}
+			got := runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), skipped: m.SkippedSteps()}
+			tag := fmt.Sprintf("%s noise=%d engine job %d (%s seed=%d)", name, lvl, i, j.Strategy, j.Seed)
+			sameRun(t, tag, got, stepRun(t, cfg, ref, true))
+			skipped["engine-"+j.Strategy.String()] += got.skipped
 		}
-		results[i], reports[i] = m.Result(), d.Reports()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("%s: results differ\nRunLoop: %+v\nStep:    %+v", tag, results[0], results[1])
+	if dfs == 0 {
+		t.Fatalf("%s noise=%d: the exploration ran no DFS job", name, lvl)
 	}
-	if !reflect.DeepEqual(reports[0], reports[1]) {
-		t.Fatalf("%s: race reports differ (%d by RunLoop, %d by Step)", tag, len(reports[0]), len(reports[1]))
-	}
-	return results[0].Steps
 }

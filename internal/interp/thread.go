@@ -159,11 +159,7 @@ func (t *Thread) stackRef() StackRef {
 	if fr == nil {
 		return StackRef{}
 	}
-	pos := ir.Pos{}
-	if in := fr.Cur(); in != nil {
-		pos = in.Pos
-	}
-	return StackRef{chain: fr.chain, fn: fr.Fn.Name, pos: pos}
+	return StackRef{chain: fr.chain, fn: fr.Fn, in: fr.Cur()}
 }
 
 // Stack captures the thread's call stack, outermost first. The innermost

@@ -82,10 +82,21 @@ type Detector struct {
 	order  []*Report
 
 	stats Stats
+
+	// spin is the period MarkSpin opened: the counters at its start, and
+	// loud once an event since changed more than last-read metadata.
+	spin spinMark
+}
+
+// spinMark is a Detector's open spin period.
+type spinMark struct {
+	events, fastpath int64
+	loud             bool
 }
 
 var _ interp.Observer = (*Detector)(nil)
 var _ interp.StackPolicy = (*Detector)(nil)
+var _ interp.SpinObserver = (*Detector)(nil)
 
 // NewDetector returns a fresh detector.
 func NewDetector() *Detector {
@@ -123,6 +134,7 @@ func (d *Detector) vc(tid interp.ThreadID) *vclock.VC {
 	}
 	v := d.vcs[tid]
 	if v == nil {
+		d.spin.loud = true
 		v = vclock.New()
 		v.Tick(int(tid))
 		d.vcs[tid] = v
@@ -220,15 +232,37 @@ func (a *accessMeta) set(e *interp.Event) {
 	a.tid, a.val, a.step, a.instr, a.sref = e.TID, e.Val, e.Step, e.Instr, e.StackRef()
 }
 
+// MarkSpin implements interp.SpinObserver.
+func (d *Detector) MarkSpin() {
+	d.spin = spinMark{events: d.stats.Events, fastpath: d.stats.FastpathHits}
+}
+
+// SpinQuiet implements interp.SpinObserver. A period is quiet when its
+// only reads took the same-epoch fast path, reporting nothing: a
+// repetition then moves only the last-read metadata, which the
+// repetition overwrites. Writes, sync events, reports (a new one or a
+// Count++) and every other read path are loud. Events the detector
+// ignores (branches, calls) are quiet.
+func (d *Detector) SpinQuiet() bool { return !d.spin.loud }
+
+// SkipSpin implements interp.SpinObserver: it credits k repetitions of
+// the quiet period's events to the counters, so they stay exact.
+func (d *Detector) SkipSpin(k int) {
+	d.stats.Events += int64(k) * (d.stats.Events - d.spin.events)
+	d.stats.FastpathHits += int64(k) * (d.stats.FastpathHits - d.spin.fastpath)
+}
+
 // OnEvent implements interp.Observer.
 func (d *Detector) OnEvent(m *interp.Machine, e *interp.Event) {
 	d.stats.Events++
 	switch e.Kind {
 	case interp.EvAcquire:
+		d.spin.loud = true
 		if l := d.locks[e.Addr]; l != nil {
 			d.vc(e.TID).Join(l)
 		}
 	case interp.EvRelease:
+		d.spin.loud = true
 		me := d.vc(e.TID)
 		l := d.locks[e.Addr]
 		if l == nil {
@@ -238,12 +272,14 @@ func (d *Detector) OnEvent(m *interp.Machine, e *interp.Event) {
 		l.CopyFrom(me)
 		me.Tick(int(e.TID))
 	case interp.EvSpawn:
+		d.spin.loud = true
 		parent := d.vc(e.TID)
 		child := parent.Copy()
 		child.Tick(int(e.Aux))
 		d.setVC(interp.ThreadID(e.Aux), child)
 		parent.Tick(int(e.TID))
 	case interp.EvJoin:
+		d.spin.loud = true
 		if cv := d.vcOf(interp.ThreadID(e.Aux)); cv != nil {
 			d.vc(e.TID).Join(cv)
 		}
@@ -272,15 +308,16 @@ func (d *Detector) onRead(m *interp.Machine, e *interp.Event) {
 		d.report(m, s.wMeta, true, metaOf(e), false, e.Addr)
 	}
 	cur := me.EpochOf(int(e.TID))
+	if len(s.shared) == 0 && s.read == cur {
+		// Same-epoch read: only the report metadata moves (the last read
+		// at an address wins, and is what a later racing write reports
+		// against).
+		d.stats.FastpathHits++
+		s.rMeta.set(e)
+		return
+	}
+	d.spin.loud = true
 	if len(s.shared) == 0 {
-		if s.read == cur {
-			// Same-epoch read: only the report metadata moves (the last
-			// read at an address wins, and is what a later racing write
-			// reports against).
-			d.stats.FastpathHits++
-			s.rMeta.set(e)
-			return
-		}
 		if s.read.IsZero() || s.read.TID() == int(e.TID) {
 			s.read = cur
 			s.rMeta.set(e)
@@ -320,6 +357,7 @@ func (s *shadowSlot) insertShared(re readEntry) {
 }
 
 func (d *Detector) onWrite(m *interp.Machine, e *interp.Event) {
+	d.spin.loud = true
 	me := d.vc(e.TID)
 	s := d.slot(e.Addr)
 	cur := me.EpochOf(int(e.TID))
@@ -377,6 +415,7 @@ func (d *Detector) mkAccess(meta accessMeta, isWrite bool, addr int64) Access {
 // Report. Suppression is per pair too, so only a pair's first occurrence
 // consults the annotations.
 func (d *Detector) report(m *interp.Machine, prev accessMeta, prevW bool, cur accessMeta, curW bool, addr int64) {
+	d.spin.loud = true
 	key := [2]*ir.Instr{prev.instr, cur.instr}
 	if r := d.byPair[key]; r != nil {
 		r.Count++

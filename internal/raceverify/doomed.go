@@ -1,7 +1,6 @@
 package raceverify
 
 import (
-	"slices"
 	"sync"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -30,8 +29,10 @@ import (
 // States are sampled when a thread arrives at an instruction through a
 // backward branch. Every cycle takes one (in the outermost frame it
 // runs in, the pc must come back), so a cycling thread repeats a sampled
-// state within two turns of its loop. Only compiled frames are sampled;
-// under the tree-walking engine the proof never fires.
+// state within two turns of its loop. The comparison is the
+// interpreter's interp.CycleLog, the one the machine's spin fast-forward
+// uses. Only compiled frames are sampled; under the tree-walking engine
+// the proof never fires.
 type holdProof struct {
 	instrA, instrB *ir.Instr
 
@@ -49,28 +50,9 @@ type holdProof struct {
 	cycling []int
 	blocker interp.ThreadID
 
-	// The window's samples. index maps a sample's key to its newest
-	// sample; samples with the same key chain through prev. A key match
-	// is only a candidate: the repeat is confirmed by comparing the stored
-	// words and functions.
-	index   map[stateKey]int32
-	samples []sample
-	words   []int64
-	fns     []*ir.Func
-}
-
-// stateKey indexes samples: the thread, the instruction it is about to
-// execute and a hash of its frames.
-type stateKey struct {
-	tid  interp.ThreadID
-	at   *ir.Instr
-	hash uint64
-}
-
-// sample is one recorded thread state: words[w0:w1] and fns[f0:f1].
-type sample struct {
-	w0, w1, f0, f1 int
-	prev           int32
+	// log holds the window's samples (tagged with their step, which the
+	// proof does not read).
+	log interp.CycleLog
 }
 
 // proofs recycles proofs, and with them the buffers their windows grew.
@@ -79,11 +61,10 @@ var proofs = sync.Pool{New: func() any { return new(holdProof) }}
 // newHoldProof returns a proof for the pair, to hand back with release.
 func newHoldProof(instrA, instrB *ir.Instr) *holdProof {
 	p := proofs.Get().(*holdProof)
-	clear(p.index)
+	p.log.Reset()
 	*p = holdProof{
 		instrA: instrA, instrB: instrB, heldA: -1, heldB: -1, epoch: 1, blocker: -1,
-		last: p.last[:0], cycling: p.cycling[:0], index: p.index,
-		samples: p.samples[:0], words: p.words[:0], fns: p.fns[:0],
+		last: p.last[:0], cycling: p.cycling[:0], log: p.log,
 	}
 	return p
 }
@@ -116,7 +97,7 @@ func (p *holdProof) observe(m *interp.Machine, t *interp.Thread, in *ir.Instr, h
 		return false
 	}
 	if p.cycling[id] != p.epoch {
-		if !p.repeats(t, in) {
+		if _, ok := p.log.Repeat(t, m.StepCount()); !ok {
 			return false
 		}
 		p.cycling[id] = p.epoch
@@ -127,10 +108,7 @@ func (p *holdProof) observe(m *interp.Machine, t *interp.Thread, in *ir.Instr, h
 // void starts a new window.
 func (p *holdProof) void() {
 	p.epoch++
-	if len(p.samples) > 0 {
-		clear(p.index)
-		p.samples, p.words, p.fns = p.samples[:0], p.words[:0], p.fns[:0]
-	}
+	p.log.Reset()
 }
 
 // sideEffect reports whether executing in can change state other
@@ -157,51 +135,6 @@ func sideEffect(m *interp.Machine, t *interp.Thread, in *ir.Instr) bool {
 		}
 		return true
 	}
-	return false
-}
-
-// repeats records t's state and reports whether it equals a state t
-// had earlier in the window.
-func (p *holdProof) repeats(t *interp.Thread, in *ir.Instr) bool {
-	for _, fr := range t.Frames {
-		if fr.BC == nil {
-			return false
-		}
-	}
-	w0, f0 := len(p.words), len(p.fns)
-	for _, fr := range t.Frames {
-		// The pc and slots are the frame's whole local state: prevEdge
-		// only names the previous block for snapshots and steers nothing.
-		p.fns = append(p.fns, fr.Fn)
-		p.words = append(p.words, int64(fr.FPC), int64(len(fr.Slots)))
-		p.words = append(p.words, fr.Slots...)
-		p.words = append(p.words, int64(len(fr.Allocas)))
-		for _, b := range fr.Allocas {
-			p.words = append(p.words, b.Base)
-		}
-	}
-	w1, f1 := len(p.words), len(p.fns)
-	hash := uint64(14695981039346656037)
-	for _, w := range p.words[w0:] {
-		hash = (hash ^ uint64(w)) * 1099511628211
-	}
-	key := stateKey{tid: t.ID, at: in, hash: hash}
-	if p.index == nil {
-		p.index = make(map[stateKey]int32)
-	}
-	head, ok := p.index[key]
-	for i := head; ok && i >= 0; i = p.samples[i].prev {
-		s := p.samples[i]
-		if slices.Equal(p.words[s.w0:s.w1], p.words[w0:w1]) && slices.Equal(p.fns[s.f0:s.f1], p.fns[f0:f1]) {
-			p.words, p.fns = p.words[:w0], p.fns[:f0]
-			return true
-		}
-	}
-	if !ok {
-		head = -1
-	}
-	p.index[key] = int32(len(p.samples))
-	p.samples = append(p.samples, sample{w0: w0, w1: w1, f0: f0, f1: f1, prev: head})
 	return false
 }
 

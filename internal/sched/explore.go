@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/conanalysis/owl/internal/interp"
 )
@@ -137,6 +138,41 @@ func (s *DecisionSched) Next(runnable []interp.ThreadID, step int) interp.Thread
 	}
 	s.lastTID, s.hasLast = runnable[choice], true
 	return runnable[choice]
+}
+
+// Hold implements interp.HoldingScheduler. A lone runnable thread is
+// always the pick. Past its vector and its recording bound the
+// scheduler keeps the last thread for as long as it stays runnable:
+// each pick then takes the non-preemptive default and records nothing.
+// An unbounded scheduler (limit 0) records every decision, so it holds
+// only a lone thread.
+func (s *DecisionSched) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
+	if len(runnable) == 1 {
+		return runnable[0], math.MaxInt, true
+	}
+	if s.pos < len(s.Decisions) || s.limit == 0 || len(s.Trace) < s.limit || !s.hasLast {
+		return 0, 0, false
+	}
+	for _, id := range runnable {
+		if id == s.lastTID {
+			return id, math.MaxInt, true
+		}
+	}
+	return 0, 0, false
+}
+
+// Skip implements interp.HoldingScheduler: k held picks move only the
+// decision position (every pick among several threads consumes one)
+// and the last thread.
+func (s *DecisionSched) Skip(runnable []interp.ThreadID, step, k int) {
+	if k == 0 {
+		return
+	}
+	if len(runnable) == 1 {
+		s.lastTID, s.hasLast = runnable[0], true
+		return
+	}
+	s.pos += k
 }
 
 // Explorer performs bounded systematic schedule exploration (the SKI-style

@@ -7,6 +7,7 @@
 package sched
 
 import (
+	"math"
 	"slices"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -294,24 +295,14 @@ func (s *PCT) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return best
 }
 
-// Plan implements interp.PlanningScheduler. Between draws and demotions
-// Next is stateless and keeps picking the top-priority thread, so the
-// window is that thread, cut before the first demotion step inside it.
-// Plan declines (returns 0) when a runnable thread has no priority yet
-// or step itself demotes: both change state, which Next must do.
+// Plan implements interp.PlanningScheduler: the window is the hold (see
+// Hold), cut to the buffer. It declines (returns 0) where Hold does.
 func (s *PCT) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	for _, id := range runnable {
-		if int(id) >= len(s.prio) || s.prio[id] == 0 {
-			return 0
-		}
+	best, until, ok := s.Hold(runnable, step)
+	if !ok {
+		return 0
 	}
-	n := len(buf)
-	for _, at := range s.demoteAt {
-		if at >= step && at-step < n {
-			n = at - step
-		}
-	}
-	best := s.top(runnable)
+	n := min(len(buf), until-step)
 	for i := range buf[:n] {
 		buf[i] = best
 	}
@@ -321,6 +312,33 @@ func (s *PCT) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) 
 // Advance implements interp.PlanningScheduler. A planned window holds no
 // draw and no demotion, so its picks change no state.
 func (s *PCT) Advance(runnable []interp.ThreadID, step, k int) {}
+
+// Hold implements interp.HoldingScheduler. Between draws and demotions
+// Next is stateless and keeps picking the top-priority thread, so it is
+// held until the next demotion step. Hold declines when a runnable
+// thread has no priority yet or step itself demotes: both change state,
+// which Next must do.
+func (s *PCT) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
+	for _, id := range runnable {
+		if int(id) >= len(s.prio) || s.prio[id] == 0 {
+			return 0, 0, false
+		}
+	}
+	until := math.MaxInt
+	for _, at := range s.demoteAt {
+		if at >= step && at < until {
+			until = at
+		}
+	}
+	if until == step {
+		return 0, 0, false
+	}
+	return s.top(runnable), until, true
+}
+
+// Skip implements interp.HoldingScheduler. A hold's picks change no
+// state.
+func (s *PCT) Skip(runnable []interp.ThreadID, step, k int) {}
 
 // Replay replays a recorded schedule exactly; once the recording is
 // exhausted (or the recorded thread is not runnable — which can happen

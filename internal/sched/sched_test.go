@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -371,6 +372,116 @@ func TestPlanAdvanceMatchesNext(t *testing.T) {
 		}
 	}
 	t.Run("pct-declines", testPCTPlanDeclines)
+	t.Run("hold-skip", testHoldSkip)
+}
+
+// testHoldSkip is the HoldingScheduler contract: when Hold reports a
+// thread until some step, every Next call up to that step picks it, and
+// Skip(k) leaves the scheduler exactly as k Next calls would, with no
+// pick made. PCT holds until its next demotion; a bounded decision
+// scheduler, alone or behind the snapshot cache's wrapper, holds its
+// last thread past its vector and its recording bound, and any thread
+// that is the only one runnable. Where a pick is not fixed Hold must
+// decline.
+func testHoldSkip(t *testing.T) {
+	sets := [][]interp.ThreadID{ids(0), ids(0, 1), ids(1, 3, 7), ids(0, 2, 4, 5, 9)}
+	type mk struct {
+		name string
+		// holds says whether Hold must succeed after the warm-up over a
+		// set of several threads, lone whether it must over one thread;
+		// never that it must not over several.
+		holds, lone, never bool
+		new                func() interp.HoldingScheduler
+	}
+	var makers []mk
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, d := range []int{1, 2, 4} {
+			seed, d := seed, d
+			makers = append(makers, mk{fmt.Sprintf("pct-s%d-d%d", seed, d), d == 1, false, false,
+				func() interp.HoldingScheduler { return NewPCT(seed, d, 12) }})
+		}
+	}
+	for _, limit := range []int{1, 2, 5} {
+		limit := limit
+		makers = append(makers,
+			mk{fmt.Sprintf("dfs-limit%d", limit), limit <= 2, true, false,
+				func() interp.HoldingScheduler { return &DecisionSched{Decisions: []int{1, 0}, limit: limit} }},
+			mk{fmt.Sprintf("snap-dfs-limit%d", limit), limit <= 2, true, false,
+				func() interp.HoldingScheduler {
+					return &snapSched{ds: &DecisionSched{Decisions: []int{1, 0}, limit: limit}, maxDepth: 2, stores: storeRunBudget}
+				}})
+	}
+	makers = append(makers, mk{"dfs-unbounded", false, true, true,
+		func() interp.HoldingScheduler { return &DecisionSched{Decisions: []int{1}} }})
+	for _, m := range makers {
+		for _, runnable := range sets {
+			const warm = 3
+			probe := m.new()
+			for w := 0; w < warm; w++ {
+				probe.Next(runnable, w)
+			}
+			tid, until, ok := probe.Hold(runnable, warm)
+			switch {
+			case len(runnable) == 1 && m.lone && !ok:
+				t.Fatalf("%s: Hold declined a lone runnable thread", m.name)
+			case len(runnable) > 1 && m.holds && !ok:
+				t.Fatalf("%s runnable=%v: Hold declined past the warm-up", m.name, runnable)
+			case len(runnable) > 1 && m.never && ok:
+				t.Fatalf("%s runnable=%v: an unbounded decision scheduler held", m.name, runnable)
+			case !ok:
+				continue
+			}
+			if until <= warm {
+				t.Fatalf("%s runnable=%v: Hold until step %d from step %d", m.name, runnable, until, warm)
+			}
+			for k := 0; k <= min(until-warm, 9); k++ {
+				oracle, subject := m.new(), m.new()
+				for w := 0; w < warm; w++ {
+					oracle.Next(runnable, w)
+					subject.Next(runnable, w)
+				}
+				for i := 0; i < k; i++ {
+					if got := oracle.Next(runnable, warm+i); got != tid {
+						t.Fatalf("%s runnable=%v: pick %d of the hold is %d, Hold said %d until step %d",
+							m.name, runnable, i, got, tid, until)
+					}
+				}
+				subject.Skip(runnable, warm, k)
+				if !reflect.DeepEqual(oracle, subject) {
+					t.Fatalf("%s runnable=%v k=%d: Skip left %+v, %d Next calls %+v", m.name, runnable, k, subject, k, oracle)
+				}
+			}
+		}
+	}
+	// Hold declines where Next would change state: an undrawn thread, a
+	// demotion at the step itself; a decision scheduler still inside
+	// its vector or its recording bound.
+	p := &PCT{r: newRNG(2), demoteAt: []int{5}}
+	p.Next(ids(1, 3), 0)
+	if _, _, ok := p.Hold(ids(1, 3, 7), 1); ok {
+		t.Fatal("PCT held over an undrawn thread")
+	}
+	if _, until, ok := p.Hold(ids(1, 3), 1); !ok || until != 5 {
+		t.Fatalf("PCT Hold from step 1 = until %d (ok %v), want until the step-5 demotion", until, ok)
+	}
+	if _, _, ok := p.Hold(ids(1, 3), 5); ok {
+		t.Fatal("PCT held at its demotion step")
+	}
+	ds := &DecisionSched{Decisions: []int{1, 1}, limit: 3}
+	for step := 0; step < 3; step++ {
+		if _, _, ok := ds.Hold(ids(0, 1), step); ok {
+			t.Fatalf("decision scheduler held at decision %d, inside its vector or bound", step)
+		}
+		ds.Next(ids(0, 1), step)
+	}
+	if tid, _, ok := ds.Hold(ids(0, 1), 3); !ok || tid != 1 {
+		t.Fatalf("decision scheduler past its bound: Hold = %d (ok %v), want its last thread 1", tid, ok)
+	}
+	ss := &snapSched{ds: &DecisionSched{Decisions: nil, limit: 1}, maxDepth: 4}
+	ss.ds.Next(ids(0, 1), 0)
+	if _, _, ok := ss.Hold(ids(0, 1), 1); ok {
+		t.Fatal("the snapshot wrapper held where its Next would store a boundary")
+	}
 }
 
 // testPCTPlanDeclines pins the two points where PCT's Plan must hand

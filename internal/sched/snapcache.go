@@ -290,6 +290,19 @@ func (s *snapSched) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return s.ds.Next(runnable, step)
 }
 
+// Hold implements interp.HoldingScheduler. It forwards the decision
+// scheduler's hold once Next would store no boundary: past the deepest
+// boundary the cache keys, or with the run's store budget spent.
+func (s *snapSched) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
+	if len(runnable) > 1 && s.stores < storeRunBudget && s.ds.pos < s.maxDepth {
+		return 0, 0, false
+	}
+	return s.ds.Hold(runnable, step)
+}
+
+// Skip implements interp.HoldingScheduler.
+func (s *snapSched) Skip(runnable []interp.ThreadID, step, k int) { s.ds.Skip(runnable, step, k) }
+
 // RunMachine executes one schedule to completion and returns the
 // machine, resuming from the deepest cached ancestor of the decision
 // vector when possible and feeding new decision boundaries back into

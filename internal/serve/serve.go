@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,6 +125,14 @@ func (c Config) withDefaults() Config {
 // state, report IDs).
 const DefaultMaxPrograms = 64
 
+// KeptJobs is how many finished jobs a server keeps for status queries:
+// the most recent ones. An older finished job is forgotten, and its GET
+// returns 404; a queued or running job is never dropped. A finished
+// job's status, summary text included, is about 3 KB, so the bound
+// caps what finished jobs hold at a few MiB however long the server
+// runs.
+const KeptJobs = 1024
+
 // Server is the analysis service. Create with New, serve its Handler,
 // stop with Shutdown.
 type Server struct {
@@ -136,7 +145,11 @@ type Server struct {
 	draining bool
 	seq      int
 	jobs     map[string]*Job
-	jobOrder []string
+	jobOrder []string // submission order; may name forgotten jobs
+	// finished lists the kept finished jobs, oldest first; keepJobs is
+	// KeptJobs, lowered by tests.
+	finished []string
+	keepJobs int
 	tenants  map[string]int // queued+running jobs per tenant
 	queued   []int          // per-shard queue occupancy (for 429 + queue_depth)
 
@@ -156,13 +169,14 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		store:   newStore(cfg.MaxPrograms, cfg.Metrics),
-		mc:      cfg.Metrics,
-		jobs:    make(map[string]*Job),
-		tenants: make(map[string]int),
-		queued:  make([]int, cfg.Shards),
-		shards:  make([]chan *Job, cfg.Shards),
+		cfg:      cfg,
+		store:    newStore(cfg.MaxPrograms, cfg.Metrics),
+		mc:       cfg.Metrics,
+		jobs:     make(map[string]*Job),
+		keepJobs: KeptJobs,
+		tenants:  make(map[string]int),
+		queued:   make([]int, cfg.Shards),
+		shards:   make([]chan *Job, cfg.Shards),
 	}
 	if cfg.StateDir != "" {
 		pstore, recovered, err := persist.Open(cfg.StateDir, persist.Options{
@@ -278,7 +292,9 @@ func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	ordered := make([]*Job, 0, len(s.jobOrder))
 	for _, id := range s.jobOrder {
-		ordered = append(ordered, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			ordered = append(ordered, j)
+		}
 	}
 	s.mu.Unlock()
 	out := make([]JobStatus, len(ordered))
@@ -383,6 +399,26 @@ func (s *Server) execute(j *Job) {
 	terminal := s.run(j)
 	s.finish(j)
 	j.update(terminal)
+	s.retire(j.Status().ID)
+}
+
+// retire records a finished job and forgets the oldest finished jobs
+// beyond keepJobs. The submission order drops forgotten IDs once they
+// are half of it, so it stays proportional to the jobs kept.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, id)
+	for len(s.finished) > s.keepJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	if len(s.jobOrder) > 2*len(s.jobs) {
+		s.jobOrder = slices.DeleteFunc(s.jobOrder, func(id string) bool {
+			_, ok := s.jobs[id]
+			return !ok
+		})
+	}
 }
 
 // run executes the pipeline and returns the terminal status mutation.

@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -472,5 +475,65 @@ entry:
 	}
 	if s.store.len() != 2 {
 		t.Errorf("store has %d programs, want 2", s.store.len())
+	}
+}
+
+// TestFinishedJobsBounded: a server keeps only its most recent finished
+// jobs. Past a lowered bound, the oldest finished jobs are forgotten —
+// Job misses them, GET answers 404 and the job list skips them — while
+// jobs still in flight are all kept, however many there are.
+func TestFinishedJobsBounded(t *testing.T) {
+	s := mustNew(t, Config{Shards: 1, QueueDepth: 100})
+	defer s.Shutdown(context.Background())
+	s.mu.Lock()
+	s.keepJobs = 2
+	s.mu.Unlock()
+	release := gateRunJob(s)
+	var jobs []*Job
+	for i := 0; i < 5; i++ {
+		j, err := s.Submit(libsafeSpec("bounded"))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if _, ok := s.Job(j.Status().ID); !ok {
+			t.Fatalf("in-flight job %s was dropped", j.Status().ID)
+		}
+	}
+	release()
+	for _, j := range jobs {
+		waitJob(t, j)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// One shard runs the jobs in submission order, so the last two
+	// finished last.
+	for i, j := range jobs {
+		id := j.Status().ID
+		_, kept := s.Job(id)
+		resp := mustGet(t, ts, "/v1/jobs/"+id)
+		resp.Body.Close()
+		want, wantCode := i >= 3, http.StatusNotFound
+		if want {
+			wantCode = http.StatusOK
+		}
+		if kept != want || resp.StatusCode != wantCode {
+			t.Errorf("job %d (%s): kept=%v GET=%d, want kept=%v GET=%d", i, id, kept, resp.StatusCode, want, wantCode)
+		}
+	}
+	var ids []string
+	for _, st := range s.Jobs() {
+		ids = append(ids, st.ID)
+	}
+	if want := []string{jobs[3].Status().ID, jobs[4].Status().ID}; !slices.Equal(ids, want) {
+		t.Errorf("Jobs() = %v, want %v", ids, want)
+	}
+	s.mu.Lock()
+	orderLen, kept := len(s.jobOrder), len(s.jobs)
+	s.mu.Unlock()
+	if orderLen > 2*kept {
+		t.Errorf("submission order holds %d IDs for %d kept jobs", orderLen, kept)
 	}
 }
