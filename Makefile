@@ -158,17 +158,22 @@ predict:
 # table another program's run left dirty reports what a fresh one does,
 # at workers 1 and 3), the cross-engine snapshot interchange, the
 # runnable-set oracle (the incrementally maintained set against a fresh
-# thread scan at every scheduler call), the schedule-less machine
+# thread scan at every scheduler call, past 128 threads, under
+# suspend/resume churn and in recycled restores), the recycled-restore
+# aliasing test (a snapshot restored into a machine that ran another
+# attempt runs as a fresh restore does), the schedule-less machine
 # differential (NoSchedule runs equal traced ones, cold, across
 # Snapshot/Restore and under breakpoints), the verifier suite with its
 # two oracles — the doomed-hold oracle (every corpus report verified with and without the
 # proof) and the shared-prefix oracle (every corpus report verified from
 # each seed's shared prefix at workers 1 and 3 and from step 0), each
-# requiring identical hints — the verifier outcome pins, and the
-# pipeline-level oracle parity test. The oracles are built without -race
-# (minutes under it), so the verifier suite runs once with -race, where
-# a workers=3 batch resumes one snapshot concurrently, and once without,
-# which adds both oracles. Last come the scheduler planning contract
+# requiring identical hints — the watched-set oracles (the race
+# verifier's batch and the vulnerability verifier's outcomes, watching
+# only what they act on, against machines watching every instruction),
+# the verifier outcome pins, and the pipeline-level oracle parity test.
+# The oracles are built without -race (minutes under it), so the
+# verifier suite runs once with -race, where a workers=3 batch resumes
+# one snapshot concurrently, and once without, which adds the oracles. Last come the scheduler planning contract
 # (Plan + Advance(k) against k Next calls, PCT included) and the DFS
 # trace-bound oracle (bounded decision traces against full ones over the
 # corpus, also built without -race). The ad-hoc filter oracle closes it:
@@ -180,7 +185,7 @@ engine-diff:
 	$(GO) test -race -count=1 ./internal/bytecode/
 	$(GO) test -race -count=1 ./internal/race/ -run 'Differential|Bytecode'
 	$(GO) test -race -count=1 ./internal/interp/ -run 'Engine|Snapshot|RunnableSet|NoSchedule|RunLoop|SpinFastForward'
-	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch'
+	$(GO) test -count=1 ./internal/vulnverify/ -run 'Engine|BranchWatch|WatchAll'
 	$(GO) test -race -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/raceverify/
 	$(GO) test -count=1 ./internal/owl/ -run 'OraclePipelineParity|VerifierCountsPinned'

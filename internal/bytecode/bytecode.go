@@ -143,6 +143,10 @@ type CallSite struct {
 // FuncCode is one function's compiled form.
 type FuncCode struct {
 	Fn *ir.Func
+	// Idx is the function's position in the module's Funcs, so tables
+	// kept per machine (the interpreter's watched-word bitmaps) can be
+	// indexed without a map.
+	Idx int
 
 	// Code is the flat word array: all basic blocks in ir order, each
 	// followed by one OpNop sentinel. Instrs maps each pc to the ir

@@ -61,6 +61,7 @@ func compile(mod *ir.Module) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bytecode: func @%s: %w", f.Name, err)
 		}
+		fc.Idx = i
 		p.Funcs[f] = fc
 	}
 	p.CompileNS = time.Since(start).Nanoseconds()

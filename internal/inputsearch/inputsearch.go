@@ -196,6 +196,10 @@ func (s *Searcher) scoreOnce(f *vuln.Finding, inputs []int64, seed uint64) (floa
 	if err != nil {
 		return 0, false, fmt.Errorf("inputsearch: %w", err)
 	}
+	m.Watch(f.Site)
+	for br := range hintSet {
+		m.Watch(br)
+	}
 	m.Run()
 	if reached {
 		return 1, true, nil

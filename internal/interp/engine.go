@@ -417,11 +417,6 @@ func (m *Machine) callIntrinsicCompiled(t *Thread, fr *Frame, in *ir.Instr, cs *
 // consumed prefix is committed to the scheduler via Advance; a planner
 // that plans nothing (k=0) also declines, so a run never spins without
 // progress.
-//
-// Dispatch for the frequent ops is inlined here, mirroring the
-// corresponding execWord cases exactly (execWord is the specification;
-// any change there must be mirrored here): the inlining elides the
-// call and redundant decode on ~80% of steps.
 func (m *Machine) runPlanned(ps PlanningScheduler) int {
 	maxSteps := m.cfg.MaxSteps
 	if m.exited || m.step >= maxSteps || m.schedDirty || len(m.runnableCached()) == 0 {
@@ -432,7 +427,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler) int {
 		m.planSize = 8
 	}
 	needInstr := m.hasObs || m.hasSwitch
-	n := min(m.planSize, maxSteps-m.step, m.nextWake()-m.step)
+	n := min(m.planSize, maxSteps-m.step, m.wakeAt-m.step)
 	runnable := m.runnableBuf
 	startStep := m.step
 	k := ps.Plan(runnable, startStep, m.planBuf[:n])
@@ -450,24 +445,24 @@ func (m *Machine) runPlanned(ps PlanningScheduler) int {
 		if t.Status == StatusSleeping {
 			t.Status = StatusRunnable // a due sleeper, woken by its pick as in Step
 		}
+		t.imaged = false
 		consumed++
 		m.traceAppend(t.ID)
 		fr := t.top
 		pc := fr.FPC
 		w := fr.code[pc]
-		bc := fr.BC
 		var in *ir.Instr
 		// Only sentinel words (end-of-block) and unknown-op words encode
 		// OpNop, so the opcode alone distinguishes the one nil-instruction
 		// case; the hot path skips the Instrs load unless an observer
 		// wants instructions.
 		if byte(w) == bytecode.OpNop {
-			if in = bc.Instrs[pc]; in == nil {
+			if in = fr.BC.Instrs[pc]; in == nil {
 				m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
 				continue
 			}
 		} else if needInstr {
-			in = bc.Instrs[pc]
+			in = fr.BC.Instrs[pc]
 		}
 		if m.hasSwitch {
 			if m.prevTID >= 0 && m.prevTID != t.ID {
@@ -477,96 +472,7 @@ func (m *Machine) runPlanned(ps PlanningScheduler) int {
 			}
 			m.prevTID, m.prevInstr = t.ID, in
 		}
-		switch byte(w) {
-		case bytecode.OpLoadG:
-			gb := m.globalBlock[uint16(w>>bytecode.AShift)]
-			v := gb.Words[0]
-			fr.Slots[w>>bytecode.DstShift&bytecode.DstMask] = v
-			if m.hasObs {
-				m.emit(EvRead, t.ID, gb.Base, v, 0, in)
-			}
-			fr.FPC++
-		case bytecode.OpStoreG:
-			val, ok := refFast(m, fr, uint16(w>>bytecode.AShift))
-			if !ok {
-				var f *Fault
-				if val, f = m.evalRef(t, fr, uint16(w>>bytecode.AShift)); f != nil {
-					m.faultAt(t, fr, in, f)
-					break
-				}
-			}
-			gb := m.globalBlock[uint16(w>>bytecode.BShift)]
-			m.mem.wordsForWrite(gb)[0] = val
-			if m.hasObs {
-				m.emit(EvWrite, t.ID, gb.Base, val, 0, in)
-			}
-			fr.FPC++
-		case bytecode.OpBin:
-			av, ok := refFast(m, fr, uint16(w>>bytecode.AShift))
-			var f *Fault
-			if !ok {
-				av, f = m.evalRef(t, fr, uint16(w>>bytecode.AShift))
-			}
-			if f == nil {
-				bv, ok := refFast(m, fr, uint16(w>>bytecode.BShift))
-				if !ok {
-					bv, f = m.evalRef(t, fr, uint16(w>>bytecode.BShift))
-				}
-				if f == nil {
-					var v int64
-					if v, f = binOp(ir.BinKind(w>>bytecode.SubShift&bytecode.SubMask), av, bv); f == nil {
-						fr.Slots[w>>bytecode.DstShift&bytecode.DstMask] = v
-						fr.FPC++
-						break
-					}
-				}
-			}
-			m.faultAt(t, fr, in, f)
-		case bytecode.OpCmp:
-			av, ok := refFast(m, fr, uint16(w>>bytecode.AShift))
-			if !ok {
-				av, _ = m.evalRef(t, fr, uint16(w>>bytecode.AShift))
-			}
-			bv, ok := refFast(m, fr, uint16(w>>bytecode.BShift))
-			if !ok {
-				bv, _ = m.evalRef(t, fr, uint16(w>>bytecode.BShift))
-			}
-			if cmpOp(ir.CmpPred(w>>bytecode.SubShift&bytecode.SubMask), av, bv) {
-				fr.Slots[w>>bytecode.DstShift&bytecode.DstMask] = 1
-			} else {
-				fr.Slots[w>>bytecode.DstShift&bytecode.DstMask] = 0
-			}
-			fr.FPC++
-		case bytecode.OpBr:
-			c, ok := refFast(m, fr, uint16(w>>bytecode.AShift))
-			if !ok {
-				c, _ = m.evalRef(t, fr, uint16(w>>bytecode.AShift))
-			}
-			taken := c != 0
-			if m.hasObs {
-				m.emit(EvBranch, t.ID, 0, boolToInt(taken), 0, in)
-			}
-			e := &bc.Edges[uint16(w>>bytecode.BShift)]
-			if taken {
-				e = &bc.Edges[w>>bytecode.DstShift&bytecode.DstMask]
-			}
-			if len(e.Moves) == 0 {
-				fr.prevEdge = e.Idx
-				fr.FPC = e.PC
-			} else {
-				m.takeEdge(t, fr, e)
-			}
-		case bytecode.OpJmp:
-			e := &bc.Edges[w>>bytecode.DstShift&bytecode.DstMask]
-			if len(e.Moves) == 0 {
-				fr.prevEdge = e.Idx
-				fr.FPC = e.PC
-			} else {
-				m.takeEdge(t, fr, e)
-			}
-		default:
-			m.execWord(t, fr, in, w)
-		}
+		m.execWord(t, fr, in, w)
 		m.step++
 	}
 	ps.Advance(runnable, startStep, consumed)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/conanalysis/owl/internal/bytecode"
@@ -78,8 +79,9 @@ const (
 	BPSuspend
 )
 
-// BreakpointFunc inspects the instruction a thread is about to execute and
-// may suspend just that thread ("thread-specific breakpoints", §5.2).
+// BreakpointFunc inspects a watched instruction a thread is about to
+// execute and may suspend just that thread ("thread-specific
+// breakpoints", §5.2). See Machine.Watch.
 type BreakpointFunc func(m *Machine, t *Thread, in *ir.Instr) BPAction
 
 // Config configures a machine run.
@@ -100,7 +102,10 @@ type Config struct {
 	// SwitchObserver); kept separate from Observers so attaching one does
 	// not put a per-event callback on the hot path.
 	SwitchObservers []SwitchObserver
-	// Breakpoint, when set, is consulted before each instruction.
+	// Breakpoint, when set, is called before a thread executes an
+	// instruction in the machine's watched set (Machine.Watch) and at
+	// the picks arrival watching marks (Machine.WatchArrivals); every
+	// other step runs without it.
 	Breakpoint BreakpointFunc
 	// HaltOnFault stops the whole machine at the first fault (default:
 	// only the faulting thread halts, as with a per-thread crash handler).
@@ -187,6 +192,9 @@ type Machine struct {
 	// choices taken since, so a restore never copies the prefix.
 	tracePrefix []ThreadID
 	trace       []ThreadID
+	// traceShared marks trace as handed out (flatTrace), so RestoreInto
+	// must not reuse it.
+	traceShared bool
 
 	globals map[string]int64 // global name -> base address
 	funcIDs map[string]int64 // function name -> func ref value
@@ -252,20 +260,38 @@ type Machine struct {
 	// skipped counts the steps runHeld fast-forwarded over.
 	skipped int
 
+	// images holds each thread's image as of the last Snapshot; a
+	// thread still marked imaged is unchanged since, and the next
+	// snapshot shares its image instead of copying the thread again.
+	images []*threadImage
+
+	// watch is the watched-instruction set (watch.go). watching is set
+	// when Step must test each pick against it: a breakpoint is
+	// installed and something is watched or arrival marks may be
+	// pending (marks). arrivals arms the marking of backward branches.
+	watch              watchSet
+	watching, arrivals bool
+	marks              bool
+
 	// Scheduling state. runnableBuf is the runnable set handed to the
 	// scheduler, ascending by ThreadID — creation order, so exactly the
 	// order a scan of threads yields. It is maintained incrementally
 	// rather than rebuilt per step: every change of a thread's Status or
 	// Suspended flag goes through markSched, which appends the thread to
 	// schedChanged and sets schedDirty, and runnableCached re-checks just
-	// those threads plus the sleepers the clock has reached. sleepers is
-	// a min-heap of pending wake-ups keyed by SleepUntil, so a step with
-	// no transition and no due wake costs O(1). rescan forces a full scan
-	// instead (New, Restore, exit). runPlanned cuts a plan window at the
-	// first schedDirty and caps it at nextWake.
+	// those threads plus the sleepers the clock has reached. runnableBits
+	// is the same set as a bitset over ThreadIDs: it answers a re-check's
+	// membership test, and a popcount gives the rank to insert or delete
+	// at. sleepers is a min-heap of pending wake-ups keyed by SleepUntil
+	// and wakeAt caches its earliest (math.MaxInt when empty), so a step
+	// with no transition before the next wake-up costs O(1). rescan
+	// forces a full scan instead (New, Restore, exit). runPlanned cuts a
+	// plan window at the first schedDirty and caps it at wakeAt.
 	runnableBuf  []ThreadID
+	runnableBits []uint64
 	schedChanged []ThreadID
 	sleepers     []sleeper
+	wakeAt       int
 	schedDirty   bool
 	rescan       bool
 
@@ -412,8 +438,8 @@ func compileFor(eng Engine, mod *ir.Module) (*bytecode.Program, error) {
 // address and block tables (after the arena holds every global).
 func (m *Machine) initGlobalTables() {
 	gs := m.mod.Globals
-	m.globalBase = make([]int64, len(gs))
-	m.globalBlock = make([]*MemBlock, len(gs))
+	m.globalBase = slices.Grow(m.globalBase[:0], len(gs))[:len(gs)]
+	m.globalBlock = slices.Grow(m.globalBlock[:0], len(gs))[:len(gs)]
 	for i, g := range gs {
 		addr := m.globals[g.Name]
 		m.globalBase[i] = addr
@@ -691,6 +717,7 @@ type sleeper struct {
 // The list stays bounded by the thread count: a longer backlog (callers
 // flipping threads without stepping) degrades to one full scan.
 func (m *Machine) markSched(t *Thread) {
+	t.imaged = false
 	m.schedDirty = true
 	if len(m.schedChanged) < len(m.threads) {
 		m.schedChanged = append(m.schedChanged, t.ID)
@@ -711,6 +738,7 @@ func (m *Machine) pushSleeper(t *Thread) {
 		i = p
 	}
 	m.sleepers = h
+	m.wakeAt = h[0].until
 }
 
 // popSleeper removes the earliest wake-up and returns its thread.
@@ -721,6 +749,7 @@ func (m *Machine) popSleeper() ThreadID {
 	h[0] = h[last]
 	m.sleepers = h[:last]
 	siftDown(m.sleepers, 0)
+	m.wakeAt = m.nextWake()
 	return tid
 }
 
@@ -766,18 +795,24 @@ func (m *Machine) runnableIDs() []ThreadID {
 	}
 	ids := m.runnableBuf[:0]
 	h := m.sleepers[:0]
+	set := m.runnableBits[:0]
+	for range (n + 63) / 64 {
+		set = append(set, 0)
+	}
 	for _, t := range m.threads {
 		if t.Status == StatusSleeping && t.SleepUntil > m.step {
 			h = append(h, sleeper{until: t.SleepUntil, tid: t.ID})
 		}
 		if t.Runnable(m.step) {
 			ids = append(ids, t.ID)
+			set[t.ID>>6] |= 1 << (t.ID & 63)
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}
-	m.runnableBuf, m.sleepers = ids, h
+	m.runnableBuf, m.runnableBits, m.sleepers = ids, set, h
+	m.wakeAt = m.nextWake()
 	m.schedChanged = m.schedChanged[:0]
 	m.schedDirty, m.rescan = false, false
 	return ids
@@ -785,10 +820,10 @@ func (m *Machine) runnableIDs() []ThreadID {
 
 // runnableCached returns the runnable set, re-checking only the threads
 // that transitioned since the last call and the sleepers now due. The
-// common case, no transition and no sleeper, stays small enough to
+// common case, no transition and no wake-up due, stays small enough to
 // inline into Step (rescan is never set without schedDirty).
 func (m *Machine) runnableCached() []ThreadID {
-	if m.schedDirty || len(m.sleepers) > 0 {
+	if m.schedDirty || m.step >= m.wakeAt {
 		return m.refreshRunnable()
 	}
 	return m.runnableBuf
@@ -814,11 +849,24 @@ func (m *Machine) refreshRunnable() []ThreadID {
 
 // recheck brings one thread's membership of the runnable set up to date.
 func (m *Machine) recheck(id ThreadID) {
-	i, in := slices.BinarySearch(m.runnableBuf, id)
-	switch want := m.threads[id].Runnable(m.step); {
-	case want && !in:
+	w, bit := int(id>>6), uint64(1)<<(id&63)
+	for w >= len(m.runnableBits) {
+		m.runnableBits = append(m.runnableBits, 0) // spawned since the last scan
+	}
+	want := m.threads[id].Runnable(m.step)
+	if want == (m.runnableBits[w]&bit != 0) {
+		return
+	}
+	m.runnableBits[w] ^= bit
+	// The rank of id among the members: those in lower words, plus the
+	// lower bits of its own.
+	i := bits.OnesCount64(m.runnableBits[w] & (bit - 1))
+	for _, x := range m.runnableBits[:w] {
+		i += bits.OnesCount64(x)
+	}
+	if want {
 		m.runnableBuf = slices.Insert(m.runnableBuf, i, id)
-	case !want && in:
+	} else {
 		m.runnableBuf = slices.Delete(m.runnableBuf, i, i+1)
 	}
 }
@@ -911,6 +959,7 @@ func (m *Machine) Step() bool {
 	if t.Status == StatusSleeping {
 		t.Status = StatusRunnable
 	}
+	t.imaged = false
 	m.traceAppend(t.ID)
 	fr := t.Top()
 	var in *ir.Instr
@@ -922,14 +971,21 @@ func (m *Machine) Step() bool {
 	// OpNop, so for a compiled frame the opcode alone says whether the
 	// instruction can be nil; the hot path skips the Instrs load unless
 	// a breakpoint or an observer reads it.
-	if fr.BC == nil || byte(w) == bytecode.OpNop || m.hasObs || m.hasSwitch || m.cfg.Breakpoint != nil {
+	if fr.BC == nil || byte(w) == bytecode.OpNop || m.hasObs || m.hasSwitch {
 		if in = fr.Cur(); in == nil {
 			m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
 			return true
 		}
 	}
-	if m.cfg.Breakpoint != nil {
-		if m.cfg.Breakpoint(m, t, in) == BPSuspend {
+	// A pick is watched when its instruction is in the watched set
+	// (watch.go) or the thread arrived through a backward branch.
+	if m.watching && (t.arrived || fr.BC != nil && wordIn(m.watch.bits, fr) || fr.BC == nil && m.watch.instrs[in]) {
+		if in == nil {
+			in = fr.BC.Instrs[fr.FPC]
+		}
+		act := m.cfg.Breakpoint(m, t, in)
+		t.arrived = false
+		if act == BPSuspend {
 			t.Suspended = true
 			m.markSched(t)
 			// The suspension consumed the scheduling slot but not the
@@ -951,9 +1007,18 @@ func (m *Machine) Step() bool {
 		m.prevTID, m.prevInstr = t.ID, in
 	}
 	if fr.BC != nil {
+		pc := fr.FPC
 		m.execWord(t, fr, in, w)
+		if m.arrivals && (byte(w) == bytecode.OpBr || byte(w) == bytecode.OpJmp) && fr.FPC <= pc {
+			t.arrived = true
+		}
 	} else {
 		m.exec(t, in)
+		if m.arrivals && (in.Op == ir.OpBr || in.Op == ir.OpJmp) {
+			if next := fr.Cur(); next != nil && next.Index <= in.Index {
+				t.arrived = true
+			}
+		}
 	}
 	m.step++
 	return true
@@ -1004,6 +1069,7 @@ func (m *Machine) flatTrace() []ThreadID {
 		m.trace = append(append(joined, m.tracePrefix...), m.trace...)
 		m.tracePrefix = nil
 	}
+	m.traceShared = true
 	return m.trace[:len(m.trace):len(m.trace)]
 }
 
@@ -1136,6 +1202,26 @@ func (m *Machine) Pending(tid ThreadID) (PendingAccess, bool) {
 	default:
 		return PendingAccess{}, false
 	}
+}
+
+// PendingBranch returns the block the thread's next instruction, a
+// conditional branch, is about to enter.
+func (m *Machine) PendingBranch(tid ThreadID) (*ir.Block, bool) {
+	t := m.Thread(tid)
+	if t == nil || t.Top() == nil {
+		return nil, false
+	}
+	in := t.Cur()
+	if in == nil || in.Op != ir.OpBr {
+		return nil, false
+	}
+	c, _ := m.eval(t, in.Args[0])
+	target := in.Args[2].Name
+	if c != 0 {
+		target = in.Args[1].Name
+	}
+	b := t.Top().Fn.Block(target)
+	return b, b != nil
 }
 
 func (m *Machine) exec(t *Thread, in *ir.Instr) {

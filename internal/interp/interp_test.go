@@ -562,6 +562,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Watch(storeInstr)
 	for m.Step() {
 	}
 	if !hit {

@@ -355,6 +355,7 @@ func (m *Machine) intrinsic(t *Thread, in *ir.Instr, name string, args []int64, 
 			if th.Status != StatusFaulted {
 				th.Status = StatusDone
 			}
+			th.imaged = false
 		}
 
 	case "abort":

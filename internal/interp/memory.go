@@ -375,24 +375,46 @@ func (a *Arena) Snapshot() *ArenaSnap {
 	return &ArenaSnap{images: append([]*blockImage(nil), a.images...), next: a.next}
 }
 
-// restore materializes a new arena from the snapshot. Every block shares
-// words with its image (copy-on-write on both sides), and the restored
-// arena starts fully imaged so an immediate re-snapshot is cheap.
-func (s *ArenaSnap) restore() *Arena {
-	a := &Arena{
+// restore materializes an arena from the snapshot into old, an arena
+// of a finished run whose block headers and tables it reuses (nil
+// allocates afresh). Every block shares words with its image
+// (copy-on-write on both sides), and the restored arena starts fully
+// imaged so an immediate re-snapshot is cheap.
+func (s *ArenaSnap) restore(old *Arena) *Arena {
+	a := old
+	if a == nil {
+		a = new(Arena)
+	}
+	oldBlocks := a.blocks
+	blocks := oldBlocks[:0]
+	*a = Arena{
 		next:     s.next,
 		tracking: true,
-		blocks:   make([]*MemBlock, len(s.images)),
-		images:   append([]*blockImage(nil), s.images...),
+		images:   append(a.images[:0], s.images...),
+		dirtyIDs: a.dirtyIDs[:0],
 	}
 	for id, img := range s.images {
-		a.blocks[id] = &MemBlock{
+		var b *MemBlock
+		if id < len(oldBlocks) {
+			b = oldBlocks[id]
+		} else {
+			b = new(MemBlock)
+		}
+		*b = MemBlock{
 			ID: id, Base: img.base, Size: img.size, Words: img.words,
 			Kind: img.kind, Name: img.name, Freed: img.freed,
 			AllocStack: img.allocStack, FreeStack: img.freeStack,
 			cow: true,
 		}
+		blocks = append(blocks, b)
 	}
+	// Drop what the finished run held past the snapshot's extent, so a
+	// machine kept for reuse does not keep it alive.
+	if len(oldBlocks) > len(blocks) {
+		clear(oldBlocks[len(blocks):])
+	}
+	clear(a.images[len(a.images):cap(a.images)])
+	a.blocks = blocks
 	return a
 }
 

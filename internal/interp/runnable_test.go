@@ -60,7 +60,8 @@ func (o *oracleSched) Advance(runnable []interp.ThreadID, step, k int) {
 
 // holdingBreakpoint mimics the race verifier's thread-specific
 // breakpoints: it suspends a thread at every 61st memory access while
-// fewer than two are held, and drive releases them again.
+// fewer than two are held, and drive, which watches every load and
+// store, releases them again.
 type holdingBreakpoint struct {
 	held     []interp.ThreadID
 	accesses int
@@ -82,6 +83,13 @@ func (h *holdingBreakpoint) bp(m *interp.Machine, t *interp.Thread, in *ir.Instr
 // first runnable thread through Suspend every 500 steps, and releases
 // everything when only suspended threads block progress.
 func (h *holdingBreakpoint) drive(m *interp.Machine) {
+	for _, f := range m.Mod().Funcs {
+		for _, in := range f.Instrs() {
+			if in.Op == ir.OpLoad || in.Op == ir.OpStore {
+				m.Watch(in)
+			}
+		}
+	}
 	for i := 1; ; i++ {
 		if len(h.held) > 0 && (len(h.held) == 2 || i%40 == 0) {
 			m.Resume(h.held[0])
@@ -171,13 +179,63 @@ entry:
 }
 `
 
+// wideSrc runs 150 interpreter threads, so the runnable set's bitset
+// spans three words, with sleepers and a contended mutex spread across
+// all of them.
+const wideSrc = `
+global @m = 0
+global @x = 0
+
+func @worker(%id) {
+entry:
+  jmp head
+head:
+  %i = phi [entry: 0], [body: %i2]
+  %c = icmp lt %i, 3
+  br %c, body, done
+body:
+  %d = rem %id, 5
+  call @io_delay(%d)
+  call @mutex_lock(@m)
+  %v = load @x
+  %v2 = add %v, 1
+  store %v2, @x
+  call @mutex_unlock(@m)
+  %i2 = add %i, 1
+  jmp head
+done:
+  ret %id
+}
+func @main() {
+entry:
+  jmp spawn
+spawn:
+  %n = phi [entry: 0], [spawn: %n2]
+  %t = call @spawn(@worker, %n)
+  %n2 = add %n, 1
+  %c = icmp lt %n2, 150
+  br %c, spawn, wait
+wait:
+  %x = load @x
+  %more = icmp lt %x, 450
+  br %more, nap, done
+nap:
+  call @io_delay(7)
+  jmp wait
+done:
+  ret 0
+}
+`
+
 // TestRunnableSetOracle checks the machine's incrementally maintained
-// runnable set against a fresh scan at every scheduler call, in three
+// runnable set against a fresh scan at every scheduler call, in five
 // modes: RunLoop (planned windows, sleepers), Step under a breakpoint
-// that suspends and resumes threads, and a machine restored from a
-// mid-run snapshot. It covers every corpus
-// model and input recipe at both noise levels, plus contendedSrc under
-// both engines, each under scheduler seeds 1-4.
+// that suspends and resumes threads, Step under suspend/resume churn
+// between steps, a machine restored from a mid-run snapshot, and the
+// same snapshot restored into machines that ran other schedules to
+// their end. It covers every corpus model and input recipe at both
+// noise levels, plus contendedSrc and wideSrc (more than 128 threads)
+// under both engines, each under scheduler seeds 1-4.
 func TestRunnableSetOracle(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
@@ -189,8 +247,15 @@ func TestRunnableSetOracle(t *testing.T) {
 		}
 	}
 	mod := ir.MustParse("contended.oir", contendedSrc)
+	wide := ir.MustParse("wide.oir", wideSrc)
 	for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineBytecode} {
 		checkOracleModes(t, "contended engine="+string(eng), interp.Config{Module: mod, MaxSteps: 20000, Engine: eng})
+		checkOracleModes(t, "wide engine="+string(eng), interp.Config{Module: wide, MaxSteps: 40000, Engine: eng})
+	}
+	// wideSrc is only worth its time if it does cross two bitset words.
+	m, _ := newOracleMachine(t, interp.Config{Module: wide, MaxSteps: 40000}, 1)
+	if res := m.Run(); len(m.Threads()) <= 128 || res.Stall != interp.StallDone {
+		t.Fatalf("wideSrc ran %d threads to %v, want more than 128 to the end", len(m.Threads()), res.Stall)
 	}
 }
 
@@ -200,6 +265,7 @@ func checkOracleModes(t *testing.T, tag string, cfg interp.Config) {
 		tag := fmt.Sprintf("%s seed=%d", tag, seed)
 		checkRunLoop(t, tag, cfg, seed)
 		checkBreakpointSteps(t, tag, cfg, seed)
+		checkChurn(t, tag, cfg, seed)
 		checkRestored(t, tag, cfg, seed)
 	}
 }
@@ -234,20 +300,62 @@ func checkBreakpointSteps(t *testing.T, tag string, cfg interp.Config, seed uint
 	}
 }
 
+// checkChurn suspends and resumes threads between steps: every step
+// flips one thread there and back, every third step keeps one
+// suspended, and the oldest of three held is let go.
+func checkChurn(t *testing.T, tag string, cfg interp.Config, seed uint64) {
+	m, o := newOracleMachine(t, cfg, seed)
+	var held []interp.ThreadID
+	for i := 0; i < 2*cfg.MaxSteps; i++ {
+		ths := m.Threads()
+		id := ths[(i*7+int(seed))%len(ths)].ID
+		m.Suspend(id)
+		m.Resume(id)
+		if i%3 == 0 {
+			m.Suspend(id)
+			held = append(held, id)
+		}
+		if len(held) > 2 {
+			m.Resume(held[0])
+			held = held[1:]
+		}
+		if !m.Step() {
+			if len(held) == 0 {
+				break
+			}
+			for _, id := range held {
+				m.Resume(id)
+			}
+			held = held[:0]
+		}
+	}
+	if o.err != nil {
+		t.Fatalf("%s churn: %v", tag, o.err)
+	}
+}
+
+// checkRestored resumes a mid-run snapshot in a fresh machine, then
+// twice more in machines recycled by RestoreInto: first the machine
+// that ran the whole schedule from step 0, then the restore before.
 func checkRestored(t *testing.T, tag string, cfg interp.Config, seed uint64) {
 	ref, _ := newOracleMachine(t, cfg, seed)
 	ref.RunLoop()
 	m, _ := newOracleMachine(t, cfg, seed)
 	for m.StepCount() < ref.StepCount()/2 && m.Step() {
 	}
-	o := &oracleSched{inner: sched.NewRandom(seed + 100)}
-	r, err := interp.Restore(m.Snapshot(), interp.Config{Sched: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.m = r
-	r.RunLoop()
-	if o.err != nil {
-		t.Fatalf("%s restored at step %d: %v", tag, m.StepCount(), o.err)
+	snap := m.Snapshot()
+	// RestoreInto(ref, ...) returns ref, so the third restore recycles
+	// the second.
+	for k, into := range []*interp.Machine{nil, ref, ref} {
+		o := &oracleSched{inner: sched.NewRandom(seed + 100 + uint64(k))}
+		r, err := interp.RestoreInto(into, snap, interp.Config{Sched: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.m = r
+		r.RunLoop()
+		if o.err != nil {
+			t.Fatalf("%s restored (%d) at step %d: %v", tag, k, m.StepCount(), o.err)
+		}
 	}
 }

@@ -27,7 +27,7 @@ type Snapshot struct {
 	fs  *fsSnap
 
 	step    int
-	threads []threadImage
+	threads []*threadImage // shared with later snapshots while unchanged
 
 	globals        map[string]int64 // immutable after New; shared
 	funcIDs        map[string]int64
@@ -158,8 +158,8 @@ func (s *fsSnap) restore() *FS {
 	return f
 }
 
-func snapshotThread(t *Thread) threadImage {
-	ti := threadImage{
+func snapshotThread(t *Thread) *threadImage {
+	ti := &threadImage{
 		id: t.ID, status: t.Status, suspended: t.Suspended,
 		waitAddr: t.WaitAddr, joinTarget: t.JoinTarget,
 		sleepUntil: t.SleepUntil, result: t.Result, spawnInstr: t.SpawnInstr,
@@ -210,16 +210,30 @@ func snapshotThread(t *Thread) threadImage {
 	return ti
 }
 
-func (ti threadImage) restore(m *Machine) *Thread {
-	t := &Thread{
+// restore rebuilds the thread into old, a thread of a run the machine
+// has finished with, reusing its frames and slot buffers (nil allocates
+// afresh).
+func (ti *threadImage) restore(m *Machine, old *Thread) *Thread {
+	t := old
+	if t == nil {
+		t = new(Thread)
+	}
+	oldFrames := t.Frames
+	frames := oldFrames[:0]
+	*t = Thread{
 		ID: ti.id, Status: ti.status, Suspended: ti.suspended,
 		WaitAddr: ti.waitAddr, JoinTarget: ti.joinTarget,
 		SleepUntil: ti.sleepUntil, Result: ti.result, SpawnInstr: ti.spawnInstr,
-		Frames: make([]*Frame, len(ti.frames)),
 	}
 	blocks := m.mem.Blocks()
 	for i, fi := range ti.frames {
 		var fr *Frame
+		if i < len(oldFrames) {
+			fr = oldFrames[i]
+		} else {
+			fr = new(Frame)
+		}
+		slots, allocas := fr.Slots[:0], fr.Allocas[:0]
 		if m.prog != nil {
 			// Rebuild a compiled frame from the canonical image: the
 			// block-relative pc maps back to a word pc (end-of-block maps
@@ -228,10 +242,15 @@ func (ti threadImage) restore(m *Machine) *Thread {
 			// a slot can only be ones the function never reads; dropping
 			// them is value-preserving.
 			fc := m.prog.Funcs[fi.fn]
-			fr = &Frame{
+			if cap(slots) < fc.NumSlots {
+				slots = make([]int64, fc.NumSlots)
+			} else {
+				slots = slots[:fc.NumSlots]
+			}
+			*fr = Frame{
 				Fn: fi.fn, Block: fi.block, PrevBlock: fi.prevBlock,
 				CallInstr: fi.callInstr, chain: fi.chain,
-				BC: fc, code: fc.Code, Slots: make([]int64, fc.NumSlots),
+				BC: fc, code: fc.Code, Slots: slots,
 				prevEdge: -1,
 			}
 			if fi.pc >= len(fi.block.Instrs) {
@@ -242,6 +261,7 @@ func (ti threadImage) restore(m *Machine) *Thread {
 			if fi.bc == fc {
 				copy(fr.Slots, fi.slots)
 			} else {
+				clear(fr.Slots)
 				fi.eachReg(func(k string, v int64) {
 					if s, ok := fc.SlotOf[k]; ok {
 						fr.Slots[s] = v
@@ -249,7 +269,7 @@ func (ti threadImage) restore(m *Machine) *Thread {
 				})
 			}
 		} else {
-			fr = &Frame{
+			*fr = Frame{
 				Fn: fi.fn, Block: fi.block, PC: fi.pc, PrevBlock: fi.prevBlock,
 				CallInstr: fi.callInstr, chain: fi.chain,
 				Regs: make(map[string]int64, len(fi.regs)+len(fi.slots)),
@@ -257,13 +277,17 @@ func (ti threadImage) restore(m *Machine) *Thread {
 			fi.eachReg(func(k string, v int64) { fr.Regs[k] = v })
 		}
 		if len(fi.allocas) > 0 {
-			fr.Allocas = make([]*MemBlock, len(fi.allocas))
-			for j, id := range fi.allocas {
-				fr.Allocas[j] = blocks[id]
+			for _, id := range fi.allocas {
+				allocas = append(allocas, blocks[id])
 			}
+			fr.Allocas = allocas
 		}
-		t.Frames[i] = fr
+		frames = append(frames, fr)
 	}
+	if len(oldFrames) > len(frames) {
+		clear(oldFrames[len(frames):])
+	}
+	t.Frames = frames
 	if n := len(t.Frames); n > 0 {
 		t.top = t.Frames[n-1]
 	}
@@ -279,7 +303,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		mem:       m.mem.Snapshot(),
 		fs:        m.fs.snapshot(),
 		step:      m.step,
-		threads:   make([]threadImage, len(m.threads)),
+		threads:   make([]*threadImage, len(m.threads)),
 		globals:   m.globals,
 		funcIDs:   m.funcIDs,
 		funcs:     m.funcs[:len(m.funcs):len(m.funcs)],
@@ -309,8 +333,15 @@ func (m *Machine) Snapshot() *Snapshot {
 	// first copies them (see ownNames).
 	s.intrinsicByRef = m.intrinsicByRef
 	m.namesShared = true
+	if n := len(m.threads); len(m.images) < n {
+		m.images = append(m.images, make([]*threadImage, n-len(m.images))...)
+	}
 	for i, t := range m.threads {
-		s.threads[i] = snapshotThread(t)
+		if !t.imaged {
+			m.images[i] = snapshotThread(t)
+			t.imaged = true
+		}
+		s.threads[i] = m.images[i]
 	}
 	return s
 }
@@ -323,7 +354,19 @@ func (m *Machine) Snapshot() *Snapshot {
 // would).
 // Module, Entry, Args, Inputs, and HaltOnFault come from the snapshot:
 // they are part of the captured execution, not of the resuming run.
+// The watched set starts empty.
 func Restore(s *Snapshot, cfg Config) (*Machine, error) {
+	return RestoreInto(nil, s, cfg)
+}
+
+// RestoreInto is Restore into m, a machine whose run the caller has
+// finished with, reusing its threads, frames, slots, arena block
+// headers, watch bitmaps and scheduling and trace buffers, so a run of
+// many short resumes allocates little; m nil allocates a new machine.
+// It returns m. What the earlier run handed out stays valid — Result
+// and Snapshot views, faults, output — but its threads, frames and
+// arena blocks are m's again: pointers to them must not be used after.
+func RestoreInto(m *Machine, s *Snapshot, cfg Config) (*Machine, error) {
 	if s == nil {
 		return nil, ErrNilSnapshot
 	}
@@ -350,13 +393,29 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
+	if m == nil {
+		m = new(Machine)
+	}
+	// The finished run's buffers, for the new run to take over. A trace
+	// that Result or Snapshot handed out is not reused, nor one longer
+	// than reusedTraceCap (a machine kept for reuse would hold it), nor
+	// are the watch bitmaps of another program.
+	old := *m
+	if old.traceShared || cap(old.trace) > reusedTraceCap {
+		old.trace = nil
+	}
+	if old.prog == prog {
+		old.watch.reset()
+	} else {
+		old.watch = watchSet{}
+	}
+	*m = Machine{
 		prog:           prog,
 		schedDirty:     true,
 		rescan:         true,
 		cfg:            mcfg,
 		mod:            mcfg.Module,
-		mem:            s.mem.restore(),
+		mem:            s.mem.restore(old.mem),
 		fs:             s.fs.restore(),
 		step:           s.step,
 		globals:        s.globals,
@@ -379,11 +438,21 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		hasObs:         len(mcfg.Observers) > 0,
 		hasSwitch:      len(mcfg.SwitchObservers) > 0,
 		stackMemoStep:  -1,
+		watch:          old.watch,
+		runnableBuf:    old.runnableBuf[:0],
+		runnableBits:   old.runnableBits[:0],
+		schedChanged:   old.schedChanged[:0],
+		sleepers:       old.sleepers[:0],
+		argBuf:         old.argBuf[:0],
+		moveBuf:        old.moveBuf[:0],
+		globalBase:     old.globalBase,
+		globalBlock:    old.globalBlock,
+		locks:          append(old.locks[:0], s.locks...),
 	}
 	if !mcfg.NoSchedule {
 		m.tracePrefix = s.trace
+		m.trace = old.trace[:0]
 	}
-	m.locks = append([]lockEntry(nil), s.locks...)
 	for _, o := range mcfg.Observers {
 		sp, declared := o.(StackPolicy)
 		for k := EvRead; k < evKindCount; k++ {
@@ -393,16 +462,28 @@ func Restore(s *Snapshot, cfg Config) (*Machine, error) {
 		}
 	}
 	if m.prog != nil {
-		// The restored arena has fresh block objects; rebuild the
-		// ordinal-indexed tables against it.
+		// The restored arena's block objects are not the snapshot
+		// machine's; rebuild the ordinal-indexed tables against them.
 		m.initGlobalTables()
 	}
-	m.threads = make([]*Thread, len(s.threads))
+	m.threads = old.threads[:0]
 	for i, ti := range s.threads {
-		m.threads[i] = ti.restore(m)
+		var t *Thread
+		if i < len(old.threads) {
+			t = old.threads[i]
+		}
+		m.threads = append(m.threads, ti.restore(m, t))
+	}
+	if len(old.threads) > len(m.threads) {
+		clear(old.threads[len(m.threads):])
 	}
 	return m, nil
 }
+
+// reusedTraceCap bounds the schedule trace RestoreInto reuses, in
+// entries: enough for a typical short resume, such as a race-verifier
+// attempt, and small next to the snapshot it resumes.
+const reusedTraceCap = 4096
 
 // ErrNilSnapshot is returned by Restore for a nil snapshot.
 var ErrNilSnapshot = errors.New("interp: nil snapshot")

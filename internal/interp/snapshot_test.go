@@ -414,8 +414,19 @@ entry:
 	}
 }
 
+// watchEvery watches every instruction of m's module, so m's
+// breakpoint sees each step as a per-step hook would.
+func watchEvery(m *Machine) {
+	for _, f := range m.Mod().Funcs {
+		for _, in := range f.Instrs() {
+			m.Watch(in)
+		}
+	}
+}
+
 // suspendCall returns a breakpoint that suspends the thread presented at
-// its n-th call (counting from 1) and lets every other call continue.
+// its n-th call (counting from 1) and lets every other call continue;
+// its machine watches every instruction.
 func suspendCall(n int) BreakpointFunc {
 	calls := 0
 	return func(*Machine, *Thread, *ir.Instr) BPAction {
@@ -488,6 +499,7 @@ func TestSnapshotTraceAcrossRestores(t *testing.T) {
 			s := &snapRand{state: uint64(progSeed)}
 			cfg.Sched, cfg.Breakpoint = s, bp
 			m := mustMachine(t, cfg)
+			watchEvery(m)
 			for i := 0; i < k; i++ {
 				if !m.Step() {
 					t.Fatalf("prog %d: run ended at step %d of %d", progSeed, i, k)
@@ -501,6 +513,7 @@ func TestSnapshotTraceAcrossRestores(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prog %d: restore: %v", progSeed, err)
 			}
+			watchEvery(r)
 			return r, &c
 		}
 		ref, _ := fresh(0, nil)

@@ -246,7 +246,7 @@ func (m *Machine) runHeld(hs HoldingScheduler) int {
 	runnable := m.runnableBuf
 	start := m.step
 	tid, until, ok := hs.Hold(runnable, start)
-	end := min(until, maxSteps, m.nextWake())
+	end := min(until, maxSteps, m.wakeAt)
 	if !ok || end-start < spinMinHold {
 		return 0
 	}
@@ -257,6 +257,7 @@ func (m *Machine) runHeld(hs HoldingScheduler) int {
 	if t.Status == StatusSleeping {
 		t.Status = StatusRunnable // a due sleeper, woken by its pick as in Step
 	}
+	t.imaged = false
 	needInstr := m.hasObs || m.hasSwitch
 	var sw spinWatch
 	picks := 0

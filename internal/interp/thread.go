@@ -137,6 +137,14 @@ type Thread struct {
 
 	// SpawnInstr is the call that created the thread (nil for main).
 	SpawnInstr *ir.Instr
+
+	// arrived marks a backward branch taken while the machine watched
+	// arrivals (see Machine.WatchArrivals).
+	arrived bool
+	// imaged marks the machine's last snapshot image of the thread
+	// (Machine.images) as current: cleared whenever the thread is picked
+	// or its status changes.
+	imaged bool
 }
 
 // Top returns the innermost frame, or nil if the thread has exited.

@@ -1,8 +1,11 @@
 package owl
 
 import (
+	"context"
 	"testing"
 
+	"github.com/conanalysis/owl/internal/race"
+	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/sched"
 	"github.com/conanalysis/owl/internal/supervise"
 	"github.com/conanalysis/owl/internal/workloads"
@@ -29,4 +32,39 @@ func BenchmarkDetectRun(b *testing.B) {
 			Sched: sched.NewPCT(seed, 3, p.MaxSteps), Cov: cov.NewRun(),
 		}})
 	}
+}
+
+// BenchmarkVerifyAll is the race-verify stage of a verify-heavy job:
+// VerifyAll, at workers 1, over the reports default owl.Run hands the
+// verifier on full-noise apache, memcached and ssdb. It reports ns per
+// verifier step (Batch.Steps counts the base walks and every resumed
+// attempt's steps); run it with -benchmem for B/op and allocs/op.
+func BenchmarkVerifyAll(b *testing.B) {
+	type job struct {
+		mk   raceverify.MachineFactory
+		reps []*race.Report
+	}
+	var jobs []job
+	for _, name := range []string{"apache", "memcached", "ssdb"} {
+		w := workloads.Get(name, workloads.NoiseFull)
+		recipe := ""
+		if len(w.Attacks) > 0 {
+			recipe = w.Attacks[0].InputRecipe
+		}
+		p := Program{Module: w.Module, Entry: w.Entry, Inputs: w.Recipe(recipe).Inputs, MaxSteps: w.MaxSteps}
+		res, err := Run(p, Options{})
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		jobs = append(jobs, job{factory(p, ""), res.Annotated})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			steps += raceverify.New().VerifyAll(context.Background(), j.mk, j.reps, 1).Steps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(steps, 1)), "ns/step")
 }

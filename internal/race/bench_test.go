@@ -164,8 +164,10 @@ func BenchmarkDetectorOverheadBytecode(b *testing.B) {
 
 // BenchmarkVerifyStepFullNoise is the step rung the verifiers run on:
 // one Step with a never-suspending breakpoint attached (so RunLoop would
-// plan no windows either), on full-noise apache with its ~40 threads, sleepers and
-// all. An op is one step; a finished run is rebuilt off the clock.
+// plan no windows either) and nothing watched, which is every step
+// between two watched instructions, on full-noise apache with its ~40
+// threads, sleepers and all. An op is one step; a finished run is
+// rebuilt off the clock.
 func BenchmarkVerifyStepFullNoise(b *testing.B) {
 	w := workloads.Get("apache", workloads.NoiseFull)
 	rec := w.Recipe(w.Attacks[0].InputRecipe)

@@ -271,7 +271,8 @@ done:
 
 // TestBreakpointSleepersBytecodeStepIsAllocationFree extends the
 // per-step allocation pin to the verifiers' stepping mode: Step with a
-// breakpoint attached while threads sleep and wake, which exercises the
+// breakpoint attached and every instruction watched, with arrival
+// watching armed, while threads sleep and wake, which exercises the
 // incremental runnable set's transition list and sleeper heap. Once
 // they have grown to the thread count, a step must not touch the heap.
 func TestBreakpointSleepersBytecodeStepIsAllocationFree(t *testing.T) {
@@ -286,6 +287,12 @@ func TestBreakpointSleepersBytecodeStepIsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new machine: %v", err)
 	}
+	for _, f := range mod.Funcs {
+		for _, in := range f.Instrs() {
+			m.Watch(in)
+		}
+	}
+	m.WatchArrivals(true)
 	slept := 0
 	for i := 0; i < 50_000; i++ {
 		if !m.Step() {

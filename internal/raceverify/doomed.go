@@ -3,6 +3,7 @@ package raceverify
 import (
 	"sync"
 
+	"github.com/conanalysis/owl/internal/bytecode"
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 )
@@ -27,44 +28,56 @@ import (
 // instead (§5.2's blocked livelock), so that case is not doomed.
 //
 // States are sampled when a thread arrives at an instruction through a
-// backward branch. Every cycle takes one (in the outermost frame it
-// runs in, the pc must come back), so a cycling thread repeats a sampled
-// state within two turns of its loop. The comparison is the
-// interpreter's interp.CycleLog, the one the machine's spin fast-forward
-// uses. Only compiled frames are sampled; under the tree-walking engine
-// the proof never fires.
+// backward branch taken while a thread is held (interp.Thread.Arrived).
+// Every cycle takes one (in the outermost frame it runs in, the pc must
+// come back), so a cycling thread repeats a sampled state within two
+// turns of its loop. The comparison is the interpreter's
+// interp.CycleLog, the one the machine's spin fast-forward uses. Only
+// compiled frames are sampled; under the tree-walking engine the proof
+// never fires.
+//
+// The proof acts only on the pair, on instructions with a side effect
+// and on arrivals, so the attempt watches exactly those while a thread
+// is held (attempt.arm): every other step leaves the proof as it was,
+// and the machine's watched set drops them without moving the step at
+// which a doomed hold is cut.
 type holdProof struct {
 	instrA, instrB *ir.Instr
 
 	// heldA and heldB are the held set the window belongs to; epoch
 	// numbers the window, so cycling marks from older windows are stale
-	// without being cleared.
+	// without being cleared. armed records whether the machine watches
+	// the proof's observation points.
 	heldA, heldB interp.ThreadID
 	epoch        int
+	armed        bool
 
-	// last is each thread's previous instruction; cycling[tid] == epoch
-	// once the thread repeated a sampled state in this window. blocker
-	// is the thread that stopped the last settled check, re-checked
-	// first next time.
-	last    []*ir.Instr
+	// cycling[tid] == epoch once the thread repeated a sampled state in
+	// this window. blocker is the thread that stopped the last settled
+	// check, re-checked first next time.
 	cycling []int
 	blocker interp.ThreadID
 
 	// log holds the window's samples (tagged with their step, which the
 	// proof does not read).
 	log interp.CycleLog
+
+	// effects holds the module's instructions that may have a side
+	// effect (see mayEffect).
+	effects *interp.InstrSet
 }
 
 // proofs recycles proofs, and with them the buffers their windows grew.
 var proofs = sync.Pool{New: func() any { return new(holdProof) }}
 
-// newHoldProof returns a proof for the pair, to hand back with release.
-func newHoldProof(instrA, instrB *ir.Instr) *holdProof {
+// newHoldProof returns a proof for the pair in a module with the given
+// effect set, to hand back with release.
+func newHoldProof(instrA, instrB *ir.Instr, fx *interp.InstrSet) *holdProof {
 	p := proofs.Get().(*holdProof)
 	p.log.Reset()
 	*p = holdProof{
 		instrA: instrA, instrB: instrB, heldA: -1, heldB: -1, epoch: 1, blocker: -1,
-		last: p.last[:0], cycling: p.cycling[:0], log: p.log,
+		cycling: p.cycling[:0], log: p.log, effects: fx,
 	}
 	return p
 }
@@ -82,19 +95,16 @@ func (p *holdProof) observe(m *interp.Machine, t *interp.Thread, in *ir.Instr, h
 	if heldA < 0 && heldB < 0 {
 		return false
 	}
-	id := int(t.ID)
-	for id >= len(p.last) {
-		p.last = append(p.last, nil)
-		p.cycling = append(p.cycling, 0)
-	}
-	prev := p.last[id]
-	p.last[id] = in
-	if in == p.instrA || in == p.instrB || sideEffect(m, t, in) {
+	if in == p.instrA || in == p.instrB || p.sideEffect(t, in) {
 		p.void()
 		return false
 	}
-	if prev == nil || (prev.Op != ir.OpBr && prev.Op != ir.OpJmp) || prev.Fn != in.Fn || in.Index > prev.Index {
+	if !t.Arrived() {
 		return false
+	}
+	id := int(t.ID)
+	for id >= len(p.cycling) {
+		p.cycling = append(p.cycling, 0)
 	}
 	if p.cycling[id] != p.epoch {
 		if _, ok := p.log.Repeat(t, m.StepCount()); !ok {
@@ -111,22 +121,29 @@ func (p *holdProof) void() {
 	p.log.Reset()
 }
 
-// sideEffect reports whether executing in can change state other
-// threads read, or make this thread's future depend on more than its
-// own frames: stores, allocas, returns that end the thread or free
+// sideEffect reports whether thread t executing in can change state
+// other threads read, or make t's future depend on more than its own
+// frames: stores, allocas, returns that end the thread or free
 // allocas, and every call but user functions and the pure intrinsics.
-func sideEffect(m *interp.Machine, t *interp.Thread, in *ir.Instr) bool {
-	switch in.Op {
-	case ir.OpStore, ir.OpAlloca:
-		return true
-	case ir.OpRet:
+func (p *holdProof) sideEffect(t *interp.Thread, in *ir.Instr) bool {
+	if in.Op == ir.OpRet {
 		return len(t.Frames) == 1 || len(t.Top().Allocas) > 0
+	}
+	return p.effects.Has(t)
+}
+
+// mayEffect reports whether in can have a side effect (see sideEffect)
+// on some execution; every return may.
+func mayEffect(mod *ir.Module, in *ir.Instr) bool {
+	switch in.Op {
+	case ir.OpStore, ir.OpAlloca, ir.OpRet:
+		return true
 	case ir.OpCall:
 		c := in.Callee()
 		if c.Kind != ir.OperandFunc {
 			return true // indirect: the callee is only known at run time
 		}
-		if m.Mod().Func(c.Name) != nil {
+		if mod.Func(c.Name) != nil {
 			return false // a user function: its instructions are observed one by one
 		}
 		switch c.Name {
@@ -136,6 +153,26 @@ func sideEffect(m *interp.Machine, t *interp.Thread, in *ir.Instr) bool {
 		return true
 	}
 	return false
+}
+
+// moduleEffects returns mod's instructions that may have a side effect,
+// prepared for watching: the words an armed proof watches. A batch
+// computes it once; it is not kept on the module, so a server holding
+// many programs does not hold it too.
+func moduleEffects(mod *ir.Module) (*interp.InstrSet, error) {
+	prog, err := bytecode.Compile(mod)
+	if err != nil {
+		return nil, err
+	}
+	var ins []*ir.Instr
+	for _, f := range mod.Funcs {
+		for _, in := range f.Instrs() {
+			if mayEffect(mod, in) {
+				ins = append(ins, in)
+			}
+		}
+	}
+	return interp.NewInstrSet(prog, ins), nil
 }
 
 // settled reports whether every live thread but the held ones is

@@ -14,3 +14,11 @@ func FromStepZero(v *Verifier) *Verifier {
 	c.fromStart = true
 	return &c
 }
+
+// WatchEveryInstruction returns a copy of v whose machines watch every
+// instruction, so its breakpoints are called at every step.
+func WatchEveryInstruction(v *Verifier) *Verifier {
+	c := *v
+	c.watchEvery = true
+	return &c
+}

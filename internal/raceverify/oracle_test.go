@@ -67,6 +67,33 @@ func TestSharedPrefixOracle(t *testing.T) {
 	})
 }
 
+// TestWatchAllOracle verifies every annotated report of every built-in
+// workload, at both noise levels and with every input recipe, with the
+// machines watching only what the verifier acts on — the racing pair,
+// and while a thread is held the proof's side-effect words and
+// arrivals — at workers 1 and 3, and once more with every instruction
+// watched, so the breakpoints run at every step as a per-step hook
+// would. The batches must be identical: hints (Schedule included),
+// errors and steps.
+func TestWatchAllOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("verifies the whole corpus three times")
+	}
+	watched := raceverify.New()
+	ref := raceverify.WatchEveryInstruction(raceverify.New())
+	corpus(t, func(t *testing.T, tag string, mk raceverify.MachineFactory, reps []*race.Report) {
+		want := ref.VerifyAll(context.Background(), mk, reps, 1)
+		for _, workers := range []int{1, 3} {
+			got := watched.VerifyAll(context.Background(), mk, reps, workers)
+			tag := fmt.Sprintf("%s workers=%d, watching the pair and the armed proof", tag, workers)
+			sameHints(t, tag, reps, got, want)
+			if got.Steps != want.Steps {
+				t.Errorf("%s: %d steps, with every instruction watched %d", tag, got.Steps, want.Steps)
+			}
+		}
+	})
+}
+
 // sameHints fails unless got verified every report as want did.
 func sameHints(t *testing.T, tag string, reps []*race.Report, got, want *raceverify.Batch) {
 	t.Helper()

@@ -21,6 +21,22 @@
 // each seed's schedule runs once, and every report's attempt resumes
 // from a snapshot taken where its first racing instruction first fires
 // (see VerifyAll).
+//
+// The verifier's breakpoints, like LLDB's address breakpoints, cost
+// nothing until they are hit: the machine calls the breakpoint only at
+// instructions it watches (interp.Machine.Watch). The base walk watches the pending
+// reports' racing instructions that have not fired yet. An attempt
+// watches its pair, and, while a thread is held, the hold proof's
+// observation points: the instructions with a side effect and each
+// thread's first pick after a backward branch
+// (interp.Machine.WatchArrivals). Every other step would find the
+// breakpoint with nothing to do: the base walk acts only on a pending
+// instruction, the pair logic only on the pair, and the proof only on
+// the pair, a side effect or an arrival, and only while a thread is
+// held. So the unwatched steps leave every decision — captures,
+// releases, the cut of a doomed hold — on the step it was on, and hints,
+// attempts and steps are those of a breakpoint called at every step
+// (TestWatchAllOracle, TestFullNoiseVerifierCountsPinned).
 package raceverify
 
 import (
@@ -107,6 +123,10 @@ type Verifier struct {
 	// instead of resuming it from the seed's shared prefix: the
 	// reference the shared prefix's oracle test compares against.
 	fromStart bool
+	// watchEvery watches every instruction of every machine, so the
+	// breakpoints see each step as a per-step hook would: the reference
+	// the watched-set differential test compares against.
+	watchEvery bool
 }
 
 // New returns a verifier with default budgets.
@@ -161,8 +181,22 @@ func (v *Verifier) VerifyAll(ctx context.Context, mk MachineFactory, reps []*rac
 	if attempts <= 0 {
 		attempts = 8
 	}
+	var fx *interp.InstrSet
+	if len(pending) > 0 {
+		var err error
+		if fx, err = moduleEffects(reps[pending[0]].Prev.Instr.Fn.Mod); err != nil {
+			for _, i := range pending {
+				b.Errs[i] = fmt.Errorf("race verifier: %w", err)
+			}
+			pending = nil
+		}
+	}
 	var steps atomic.Int64
 	deferred := make([]schedule, len(reps))
+	// Attempt machines to recycle (interp.RestoreInto), one per worker
+	// at most. A plain free list, not a sync.Pool: the runtime keeps a
+	// pool's items alive for up to two collections after its batch ends.
+	free := make(chan *interp.Machine, max(workers, 1))
 	for seed := 1; seed <= attempts && len(pending) > 0; seed++ {
 		if err := ctx.Err(); err != nil {
 			for _, i := range pending {
@@ -175,13 +209,13 @@ func (v *Verifier) VerifyAll(ctx context.Context, mk MachineFactory, reps []*rac
 		}
 		if v.fromStart {
 			each(pending, workers, b.Errs, func(i int) error {
-				caught, n, err := v.tryOnce(mk, uint64(seed), b.Hints[i])
+				caught, n, err := v.tryOnce(mk, fx, uint64(seed), b.Hints[i])
 				steps.Add(n)
 				b.Hints[i].Verified = caught
 				return err
 			})
 		} else {
-			v.shareSeed(mk, b, deferred, pending, uint64(seed), workers, &steps)
+			v.shareSeed(mk, fx, free, b, deferred, pending, uint64(seed), workers, &steps)
 		}
 		pending = slices.DeleteFunc(pending, func(i int) bool {
 			return b.Hints[i].Verified || b.Errs[i] != nil
@@ -225,8 +259,11 @@ func (d schedule) join() []interp.ThreadID {
 // resumes every report first firing there, and runs iteration k again.
 // A caught attempt's schedule goes to deferred (see schedule): the base
 // trace at the snapshot has k entries, as every base iteration before
-// k appended one.
-func (v *Verifier) shareSeed(mk MachineFactory, b *Batch, deferred []schedule, pending []int, seed uint64, workers int, steps *atomic.Int64) {
+// k appended one. The base watches only the racing instructions that
+// have not fired yet, so every other step runs without a breakpoint
+// call; the attempts restore into machines from free. fx is the
+// module's side-effect words (moduleEffects).
+func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *interp.Machine, b *Batch, deferred []schedule, pending []int, seed uint64, workers int, steps *atomic.Int64) {
 	// users maps each racing instruction that has not yet reached the
 	// breakpoint to the pending reports it belongs to; started marks the
 	// reports whose attempt has begun.
@@ -241,12 +278,15 @@ func (v *Verifier) shareSeed(mk MachineFactory, b *Batch, deferred []schedule, p
 	started := make([]bool, len(b.Hints))
 	var group []int
 	held := interp.ThreadID(-1)
-	record := func(_ *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
+	record := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
 		rs, ok := users[in]
 		if !ok {
 			return interp.BPContinue
 		}
 		delete(users, in)
+		if !v.watchEvery {
+			m.Unwatch(in)
+		}
 		for _, i := range rs {
 			if !started[i] {
 				started[i] = true
@@ -281,6 +321,10 @@ func (v *Verifier) shareSeed(mk MachineFactory, b *Batch, deferred []schedule, p
 		fail(fmt.Errorf("race verifier: build machine: %w", err))
 		return
 	}
+	v.watchAll(m)
+	for in := range users {
+		m.Watch(in)
+	}
 	left := len(pending)
 	for k := 0; k < v.maxSteps() && left > 0; k++ {
 		if !m.Step() {
@@ -293,11 +337,22 @@ func (v *Verifier) shareSeed(mk MachineFactory, b *Batch, deferred []schedule, p
 		s.rewind()
 		snap, from, at := m.Snapshot(), m.StepCount(), k
 		each(group, workers, b.Errs, func(i int) error {
-			a := v.newAttempt(b.Hints[i])
-			rm, err := interp.Restore(snap, interp.Config{Sched: s.cur.Clone(), Breakpoint: a.breakpoint})
+			a := v.newAttempt(b.Hints[i], fx)
+			var old *interp.Machine
+			select {
+			case old = <-free:
+			default:
+			}
+			rm, err := interp.RestoreInto(old, snap, interp.Config{Sched: s.cur.Clone(), Breakpoint: a.breakpoint})
 			if err != nil {
 				return fmt.Errorf("race verifier: resume at iteration %d: %w", at, err)
 			}
+			defer func() {
+				select {
+				case free <- rm:
+				default:
+				}
+			}()
 			b.Hints[i].Verified = a.run(rm, at)
 			steps.Add(int64(rm.StepCount() - from))
 			return nil
@@ -359,8 +414,8 @@ func each(idx []int, workers int, errs []error, fn func(i int) error) {
 
 // tryOnce performs one verification run from step 0 and reports whether
 // the racing moment was caught, and the steps the run took.
-func (v *Verifier) tryOnce(mk MachineFactory, seed uint64, hint *Hint) (bool, int64, error) {
-	a := v.newAttempt(hint)
+func (v *Verifier) tryOnce(mk MachineFactory, fx *interp.InstrSet, seed uint64, hint *Hint) (bool, int64, error) {
+	a := v.newAttempt(hint, fx)
 	m, err := mk(sched.NewRandom(seed), a.breakpoint)
 	if err != nil {
 		return false, 0, fmt.Errorf("race verifier: build machine: %w", err)
@@ -379,6 +434,7 @@ func (v *Verifier) maxSteps() int {
 // attempt is one verification run of one report: the thread-specific
 // breakpoints' state and the loop that steps the machine.
 type attempt struct {
+	v              *Verifier
 	instrA, instrB *ir.Instr
 	hint           *Hint
 	maxSteps       int
@@ -387,26 +443,30 @@ type attempt struct {
 	heldA, heldB interp.ThreadID
 	passOnce     map[interp.ThreadID]int
 	proof        *holdProof
+	effects      *interp.InstrSet // the proof's side-effect words
 	doomed       bool
 }
 
-func (v *Verifier) newAttempt(hint *Hint) *attempt {
+func (v *Verifier) newAttempt(hint *Hint, fx *interp.InstrSet) *attempt {
 	a := &attempt{
+		v: v, effects: fx,
 		instrA: hint.Report.Prev.Instr, instrB: hint.Report.Cur.Instr, hint: hint,
 		maxSteps: v.maxSteps(), holdBudget: v.HoldBudget,
-		heldA: -1, heldB: -1, passOnce: map[interp.ThreadID]int{},
+		heldA: -1, heldB: -1,
 	}
 	if a.holdBudget <= 0 {
 		a.holdBudget = 15000
 	}
 	if !v.keepDoomed {
-		a.proof = newHoldProof(a.instrA, a.instrB)
+		a.proof = newHoldProof(a.instrA, a.instrB, fx)
 	}
 	return a
 }
 
 // breakpoint suspends the first thread to reach each racing instruction
 // (two different threads), except threads owed a pass after a release.
+// The machine calls it at the pair and, while a thread is held, at the
+// proof's observation points (see arm).
 func (a *attempt) breakpoint(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
 	if a.proof != nil && a.proof.observe(m, t, in, a.heldA, a.heldB) {
 		a.doomed = true
@@ -420,10 +480,12 @@ func (a *attempt) breakpoint(m *interp.Machine, t *interp.Thread, in *ir.Instr) 
 	}
 	if in == a.instrA && a.heldA < 0 && t.ID != a.heldB {
 		a.heldA = t.ID
+		a.arm(m)
 		return interp.BPSuspend
 	}
 	if in == a.instrB && a.heldB < 0 && t.ID != a.heldA {
 		a.heldB = t.ID
+		a.arm(m)
 		return interp.BPSuspend
 	}
 	return interp.BPContinue
@@ -432,8 +494,38 @@ func (a *attempt) breakpoint(m *interp.Machine, t *interp.Thread, in *ir.Instr) 
 // release lets a held thread run on past its breakpoint once.
 func (a *attempt) release(m *interp.Machine, held *interp.ThreadID) {
 	m.Resume(*held)
+	if a.passOnce == nil {
+		a.passOnce = make(map[interp.ThreadID]int)
+	}
 	a.passOnce[*held]++
 	*held = -1
+	a.arm(m)
+}
+
+// arm brings the proof's observation points in line with the held
+// set. While a thread is held, the machine also stops at every word
+// with a side effect and at each thread's first pick after a backward
+// branch, which are all the steps the proof acts on. While none is
+// held the proof acts on nothing, and only the pair stays watched.
+func (a *attempt) arm(m *interp.Machine) {
+	if a.proof == nil {
+		return
+	}
+	on := a.heldA >= 0 || a.heldB >= 0
+	if on == a.proof.armed {
+		return
+	}
+	a.proof.armed = on
+	m.WatchArrivals(on)
+	if a.v.watchEvery {
+		return // every instruction stays watched
+	}
+	m.WatchSet(a.effects, on)
+	if !on {
+		// The pair may have a side effect: it stays watched.
+		m.Watch(a.instrA)
+		m.Watch(a.instrB)
+	}
 }
 
 // run steps machine m, whose breakpoint is a.breakpoint, from loop
@@ -446,6 +538,9 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 	if a.proof != nil {
 		defer a.proof.release()
 	}
+	a.v.watchAll(machine)
+	machine.Watch(a.instrA)
+	machine.Watch(a.instrB)
 	heldSince := -1
 	for i := from; i < a.maxSteps; i++ {
 		if a.heldA >= 0 && a.heldB >= 0 {
@@ -492,6 +587,18 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 		}
 	}
 	return false
+}
+
+// watchAll watches every instruction of m's module under watchEvery.
+func (v *Verifier) watchAll(m *interp.Machine) {
+	if !v.watchEvery {
+		return
+	}
+	for _, f := range m.Mod().Funcs {
+		for _, in := range f.Instrs() {
+			m.Watch(in)
+		}
+	}
 }
 
 // racingMoment checks that the two suspended threads' pending accesses

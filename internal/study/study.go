@@ -311,6 +311,14 @@ func prefixProperty(w *workloads.Workload, spec workloads.AttackSpec) (bool, boo
 		return false, false
 	}
 	inputs := w.Recipe(spec.InputRecipe).Inputs
+	probes := []*ir.Instr{site}
+	for _, f := range w.Module.Funcs {
+		for _, in := range f.Instrs() {
+			if in.Op == ir.OpLoad && racyAccess(in, spec) {
+				probes = append(probes, in)
+			}
+		}
+	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		var bugStack, siteStack callstack.Stack
 		bp := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
@@ -328,6 +336,9 @@ func prefixProperty(w *workloads.Workload, spec workloads.AttackSpec) (bool, boo
 		})
 		if err != nil {
 			return false, false
+		}
+		for _, in := range probes {
+			m.Watch(in)
 		}
 		m.Run()
 		if bugStack != nil && siteStack != nil {

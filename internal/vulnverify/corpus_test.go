@@ -2,6 +2,7 @@ package vulnverify_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,4 +67,52 @@ func TestBranchWatchOracleCorpus(t *testing.T) {
 		t.Fatalf("vacuous comparison: %d outcomes with %d branch hints", outcomes, branches)
 	}
 	t.Logf("%d outcomes, %d branch hints identical", outcomes, branches)
+}
+
+// TestWatchAllOracleCorpus pins the probe's watched set — the site and
+// the hint branches — to a machine watching every instruction, whose
+// probe runs at every step as a per-step hook would: every finding the
+// pipeline verifies, on every workload at both noise levels and at
+// workers 1 and 3, must get the same Outcome from both.
+func TestWatchAllOracleCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipelines at both noise levels take seconds")
+	}
+	outcomes := 0
+	for _, name := range workloads.Names() {
+		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
+			w := workloads.Get(name, lvl)
+			recipe := ""
+			if len(w.Attacks) > 0 {
+				recipe = w.Attacks[0].InputRecipe
+			}
+			p := owl.Program{Module: w.Module, Entry: w.Entry, Inputs: w.Recipe(recipe).Inputs, MaxSteps: w.MaxSteps}
+			mk := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
+				return interp.New(interp.Config{
+					Module: p.Module, Entry: p.Entry, Inputs: p.Inputs,
+					MaxSteps: p.MaxSteps, Sched: s, Breakpoint: bp,
+				})
+			}
+			for _, workers := range []int{1, 3} {
+				res, err := owl.Run(p, owl.Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, got := range res.Outcomes {
+					want, err := vulnverify.New().VerifyWatchAll(mk, got.Finding)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a, b := outcomeText(want), outcomeText(got); a != b || !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s noise=%d workers=%d: finding at %s: outcomes diverge\n--- every instruction watched ---\n%s--- site and hint branches ---\n%s",
+							name, lvl, workers, got.Finding.Site.Loc(), a, b)
+					}
+					outcomes++
+				}
+			}
+		}
+	}
+	if outcomes == 0 {
+		t.Fatal("vacuous comparison: no outcomes")
+	}
 }

@@ -79,14 +79,15 @@ func New() *Verifier { return &Verifier{Attempts: 8, MaxSteps: 200000} }
 // Verify re-runs the program and reports whether the finding's site is
 // reachable, with branch hints otherwise. The factory receives the
 // scheduler and an instruction probe (as an interp.BreakpointFunc that
-// never suspends).
+// never suspends); the machine watches the site and the hint branches,
+// so the probe runs only there.
 func (v *Verifier) Verify(mk raceverify.MachineFactory, f *vuln.Finding) (*Outcome, error) {
-	return v.verify(mk, f, runWatched)
+	return v.verify(mk, f, runProbed)
 }
 
-// stepLoop runs one verification machine to its end, sampling the
-// hint-branch outcomes into w.
-type stepLoop func(m *interp.Machine, maxSteps int, w *branchWatch) *interp.Result
+// stepLoop runs one verification machine to its end, at most maxSteps
+// steps, with the hint-branch outcomes sampled into w.
+type stepLoop func(m *interp.Machine, f *vuln.Finding, maxSteps int, w *branchWatch) *interp.Result
 
 func (v *Verifier) verify(mk raceverify.MachineFactory, f *vuln.Finding, run stepLoop) (*Outcome, error) {
 	attempts := v.Attempts
@@ -107,7 +108,9 @@ func (v *Verifier) verify(mk raceverify.MachineFactory, f *vuln.Finding, run ste
 				reached = true
 			}
 			if in.Op == ir.OpBr && w.hints[in] {
-				w.pending, w.thread = in, t
+				if target, ok := m.PendingBranch(t.ID); ok {
+					w.record(in, target)
+				}
 			}
 			return interp.BPContinue
 		}
@@ -115,7 +118,7 @@ func (v *Verifier) verify(mk raceverify.MachineFactory, f *vuln.Finding, run ste
 		if err != nil {
 			return nil, fmt.Errorf("vulnerability verifier: build machine: %w", err)
 		}
-		res := run(m, v.maxSteps(), w)
+		res := run(m, f, v.maxSteps(), w)
 
 		if reached {
 			out.Reached = true
@@ -139,42 +142,37 @@ func (v *Verifier) maxSteps() int {
 }
 
 // branchWatch samples hint-branch outcomes. The machine's probe sees
-// each instruction just before it executes; when it is a hint branch
-// the probe notes it and its thread as pending.
+// each hint branch just before it executes, and the block it is about
+// to enter tells which arm it takes.
 type branchWatch struct {
-	hints   map[*ir.Instr]bool
-	stats   map[*ir.Instr]*BranchOutcome
-	pending *ir.Instr
-	thread  *interp.Thread
+	hints map[*ir.Instr]bool
+	stats map[*ir.Instr]*BranchOutcome
 }
 
-// record counts one execution of hint branch in by thread t, which has
-// just run it: t's new block tells which arm it took.
-func (w *branchWatch) record(in *ir.Instr, t *interp.Thread) {
-	fr := t.Top()
-	if fr == nil || fr.CurBlock() == nil {
-		return
-	}
+// record counts one execution of hint branch in, into block target.
+func (w *branchWatch) record(in *ir.Instr, target *ir.Block) {
 	bo := w.stats[in]
 	if bo == nil {
 		bo = &BranchOutcome{Branch: in}
 		w.stats[in] = bo
 	}
-	bo.Taken = fr.CurBlock().Name == in.Args[1].Name
+	bo.Taken = target.Name == in.Args[1].Name
 	bo.Executions++
 }
 
-// runWatched steps the machine to its end, recording each hint branch
-// the probe saw pending once the step has executed it.
-func runWatched(m *interp.Machine, maxSteps int, w *branchWatch) *interp.Result {
-	for i := 0; i < maxSteps; i++ {
-		w.pending = nil
-		if !m.Step() {
-			break
-		}
-		if w.pending != nil {
-			w.record(w.pending, w.thread)
-		}
+// runProbed watches the finding's site and hint branches, then steps
+// the machine to its end.
+func runProbed(m *interp.Machine, f *vuln.Finding, maxSteps int, w *branchWatch) *interp.Result {
+	m.Watch(f.Site)
+	for br := range w.hints {
+		m.Watch(br)
+	}
+	return runSteps(m, maxSteps)
+}
+
+// runSteps steps m until it stops or maxSteps steps were taken.
+func runSteps(m *interp.Machine, maxSteps int) *interp.Result {
+	for i := 0; i < maxSteps && m.Step(); i++ {
 	}
 	return m.Result()
 }
