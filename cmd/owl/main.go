@@ -46,8 +46,8 @@ func main() {
 func flags() (*flag.FlagSet, *cliflags.Shared, *ownFlags) {
 	fs := flag.NewFlagSet("owl", flag.ContinueOnError)
 	shared := cliflags.Register(fs, cliflags.Defaults{
-		Workers:      1,
-		WorkersUsage: "pipeline worker pool size (0 = NumCPU, 1 = sequential)",
+		Workers:      0,
+		WorkersUsage: "pipeline worker pool size (0 = GOMAXPROCS, 1 = sequential)",
 	})
 	fs.IntVar(&shared.Pipeline.DetectRuns, "runs", 8, "seeded detection executions")
 	own := &ownFlags{
@@ -94,9 +94,6 @@ func run(args []string) error {
 	}
 
 	opts := shared.Pipeline
-	if opts.Workers == 0 {
-		opts.Workers = runtime.NumCPU()
-	}
 	// The collector always runs (it also backs the truncation warning
 	// below); the JSON snapshot is emitted only when -metrics is set.
 	opts.Metrics = metrics.New()

@@ -30,8 +30,8 @@ func TestOwnDefaults(t *testing.T) {
 	if shared.Noise != "light" {
 		t.Errorf("noise default = %q, want light", shared.Noise)
 	}
-	if shared.Pipeline.Workers != 1 {
-		t.Errorf("workers default = %d, want 1 (sequential)", shared.Pipeline.Workers)
+	if shared.Pipeline.Workers != 0 {
+		t.Errorf("workers default = %d, want 0 (GOMAXPROCS; output is the same for every width)", shared.Pipeline.Workers)
 	}
 	if shared.Pipeline.FailFast {
 		t.Error("fail-fast must default off for cmd/owl (pipeline degrades)")

@@ -35,7 +35,8 @@ type Config struct {
 	// pool. DetectRuns (default 8) also seeds the study, and MaxSteps
 	// (when > 0) also overrides the kernel workloads' step budget.
 	// Workers bounds each pipeline's inner pool; BuildTablesParallel
-	// already fans out across workloads, so nesting pools is opt-in.
+	// already fans out across workloads, so there a zero Workers means
+	// 1 and nesting pools is opt-in.
 	// FailFast makes a faulted stage fail the build with an error naming
 	// the workload and stage; owl-tables sets it by default, since a
 	// degraded stage would silently skew a table row.

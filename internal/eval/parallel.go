@@ -19,7 +19,8 @@ var evalWorkloadFn = EvalWorkload
 
 // BuildTablesParallel evaluates every workload and runs its exploit
 // campaign, fanned out over a bounded worker pool (workers <= 0 means
-// NumCPU), with the §3 study (which is independent of the table
+// NumCPU; a zero cfg.Pipeline.Workers means 1 here, so pools do not
+// nest unless asked to), with the §3 study (which is independent of the table
 // evaluations) overlapped with the pool instead of serialized after it.
 // Everything a worker touches is freshly constructed (each workload gets
 // its own module and machines), so the workers share nothing; results
@@ -44,6 +45,11 @@ func BuildTablesParallel(cfg Config, workers int) (*Tables, error) {
 	defer mc.Stage("eval.total")()
 	if workers <= 0 {
 		workers = runtime.NumCPU()
+	}
+	// The pool already fans out across workloads: each workload's
+	// pipeline runs sequentially unless the caller asks for more.
+	if cfg.Pipeline.Workers == 0 {
+		cfg.Pipeline.Workers = 1
 	}
 	names := workloads.Names()
 	if workers > len(names) {

@@ -1139,12 +1139,22 @@ func (m *Machine) Result() *Result {
 
 // Schedule returns a private copy of the thread choices taken so far —
 // what Result().Schedule holds, without building the rest of a Result.
-func (m *Machine) Schedule() []ThreadID {
-	n := len(m.tracePrefix) + len(m.trace)
-	if n == 0 {
+func (m *Machine) Schedule() []ThreadID { return m.ScheduleSince(0) }
+
+// ScheduleSince returns a private copy of the thread choices taken
+// after the first n, or nil if there are none.
+func (m *Machine) ScheduleSince(n int) []ThreadID {
+	p := len(m.tracePrefix)
+	total := p + len(m.trace)
+	if n >= total {
 		return nil
 	}
-	return append(append(make([]ThreadID, 0, n), m.tracePrefix...), m.trace...)
+	out := make([]ThreadID, 0, total-n)
+	if n < p {
+		out = append(out, m.tracePrefix[n:]...)
+		n = p
+	}
+	return append(out, m.trace[n-p:]...)
 }
 
 // Resume clears the suspension flag of a thread (breakpoint release).

@@ -294,6 +294,10 @@ func (ti *threadImage) restore(m *Machine, old *Thread) *Thread {
 	return t
 }
 
+// Schedule returns the thread choices the snapshotted run had taken. The
+// slice is read-only: it shares the snapshotted machine's trace buffer.
+func (s *Snapshot) Schedule() []ThreadID { return s.trace }
+
 // Snapshot captures the machine's complete execution state between
 // steps. The machine remains usable; its arena pages go copy-on-write
 // and are copied back lazily as either side writes.

@@ -11,7 +11,7 @@ import (
 // ThreadID identifies a thread within one machine run. The main thread is
 // always 0; spawned threads get increasing IDs in spawn order, which is
 // deterministic for a fixed schedule.
-type ThreadID int
+type ThreadID int32
 
 // ThreadStatus is a thread's scheduling state.
 type ThreadStatus int

@@ -2,6 +2,8 @@ package owl
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/race"
@@ -35,10 +37,12 @@ func BenchmarkDetectRun(b *testing.B) {
 }
 
 // BenchmarkVerifyAll is the race-verify stage of a verify-heavy job:
-// VerifyAll, at workers 1, over the reports default owl.Run hands the
-// verifier on full-noise apache, memcached and ssdb. It reports ns per
+// VerifyAll over the reports default owl.Run hands the verifier on
+// full-noise apache, memcached and ssdb, one seed at a time (workers=1)
+// and with GOMAXPROCS seeds at once. It reports wall-clock ns per
 // verifier step (Batch.Steps counts the base walks and every resumed
-// attempt's steps); run it with -benchmem for B/op and allocs/op.
+// attempt's steps of a one-seed-at-a-time run, whatever the worker
+// count); run it with -benchmem for B/op and allocs/op.
 func BenchmarkVerifyAll(b *testing.B) {
 	type job struct {
 		mk   raceverify.MachineFactory
@@ -58,13 +62,16 @@ func BenchmarkVerifyAll(b *testing.B) {
 		}
 		jobs = append(jobs, job{factory(p, ""), res.Annotated})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			steps += raceverify.New().VerifyAll(context.Background(), j.mk, j.reps, 1).Steps
-		}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				for _, j := range jobs {
+					steps += raceverify.New().VerifyAll(context.Background(), j.mk, j.reps, workers).Steps
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(steps, 1)), "ns/step")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(steps, 1)), "ns/step")
 }

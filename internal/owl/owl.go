@@ -29,6 +29,7 @@ package owl
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -157,12 +158,14 @@ type Options struct {
 	MaxSteps int
 
 	// Workers bounds the worker pool the pipeline fans its inner loops
-	// over: the seeded detection runs, the per-report race verifications,
-	// and the per-finding vulnerability verifications. Every run builds
-	// its own machine against the frozen (read-only) module, so workers
+	// over: the seeded detection runs, the race verifier's seeds, and
+	// the per-finding vulnerability verifications. Every run builds its
+	// own machine against the frozen (read-only) module, so workers
 	// share nothing and results merge deterministically in seed/report
-	// order — Result is byte-identical for any worker count. Values <= 1
-	// keep the pipeline fully sequential.
+	// order — Result is byte-identical for any worker count. 0 (the
+	// default) means runtime.GOMAXPROCS(0); 1 keeps the pipeline fully
+	// sequential, which a caller that already runs pipelines side by
+	// side (a server shard, a table build) should ask for.
 	Workers int
 
 	// Metrics, when non-nil, receives per-stage wall/busy timings,
@@ -341,7 +344,7 @@ func Run(p Program, opts Options) (*Result, error) {
 		opts.DetectRuns = 8
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = 1
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Budget <= 0 {
 		opts.Budget = opts.DetectRuns

@@ -48,26 +48,30 @@ func TestFullNoiseVerifierCountsPinned(t *testing.T) {
 				verified++
 			}
 		}
-		// Re-verify every report as the pipeline does: the hints must
-		// reproduce, and the batch counts the steps it executes — both
-		// base walks per seed plus each resumed attempt's steps after its
-		// snapshot.
-		b := raceverify.New().VerifyAll(context.Background(), factory(p, ""), res.Annotated, 1)
-		for i, rep := range res.Annotated {
-			h := b.Hints[i]
-			if b.Errs[i] != nil {
-				t.Fatalf("%s: re-verify %s: %v", w.name, rep.ID(), b.Errs[i])
-			}
-			if h.Verified != res.Hints[i].Verified || h.Attempts != res.Hints[i].Attempts {
-				t.Fatalf("%s: re-verifying %s gives verified=%v attempts=%d, the pipeline %v/%d",
-					w.name, rep.ID(), h.Verified, h.Attempts, res.Hints[i].Verified, res.Hints[i].Attempts)
-			}
+		if len(res.Annotated) != w.reports || verified != w.verified || attempts != w.attempts {
+			t.Errorf("%s: reports=%d verified=%d attempts=%d, want %d/%d/%d",
+				w.name, len(res.Annotated), verified, attempts, w.reports, w.verified, w.attempts)
 		}
-		steps := b.Steps
-		if len(res.Annotated) != w.reports || verified != w.verified || attempts != w.attempts || steps != w.steps {
-			t.Errorf("%s: reports=%d verified=%d attempts=%d steps=%d, want %d/%d/%d/%d",
-				w.name, len(res.Annotated), verified, attempts, steps,
-				w.reports, w.verified, w.attempts, w.steps)
+		// Re-verify every report as the pipeline does, one seed at a
+		// time and with seeds in parallel: the hints must reproduce, and
+		// the batch counts the steps a one-seed-at-a-time run executes —
+		// the base walk per seed plus each resumed attempt's steps after
+		// its snapshot — whatever the worker count.
+		for _, workers := range []int{1, 2, 3} {
+			b := raceverify.New().VerifyAll(context.Background(), factory(p, ""), res.Annotated, workers)
+			for i, rep := range res.Annotated {
+				h := b.Hints[i]
+				if b.Errs[i] != nil {
+					t.Fatalf("%s workers=%d: re-verify %s: %v", w.name, workers, rep.ID(), b.Errs[i])
+				}
+				if h.Verified != res.Hints[i].Verified || h.Attempts != res.Hints[i].Attempts {
+					t.Fatalf("%s workers=%d: re-verifying %s gives verified=%v attempts=%d, the pipeline %v/%d",
+						w.name, workers, rep.ID(), h.Verified, h.Attempts, res.Hints[i].Verified, res.Hints[i].Attempts)
+				}
+			}
+			if b.Steps != w.steps {
+				t.Errorf("%s workers=%d: steps=%d, want %d", w.name, workers, b.Steps, w.steps)
+			}
 		}
 	}
 }

@@ -182,11 +182,19 @@ func (d *Detector) Release() {
 	tablePool.Put(&t)
 }
 
+// minTable is a new shadow table's capacity. The built-in models'
+// detection runs touch at most a few hundred arena words (light noise:
+// 19–136), and a pooled table keeps what it grew to, so a small start
+// costs a couple of early doublings instead of a mostly idle table per
+// concurrent run.
+const minTable = 64
+
 // slot returns the shadow word for addr. Arena addresses are dense above
 // interp.ArenaBase, so the table is flat and the lookup one subtraction;
 // addresses below the base (never produced by the arena, but observers
 // must not crash on hostile events) fall back to a map. A detector's
-// first table comes from the pool when it holds one.
+// first table comes from the pool when it holds one; a new table starts
+// at minTable slots and doubles.
 func (d *Detector) slot(addr int64) *shadowSlot {
 	i := addr - interp.ArenaBase
 	if i < 0 {
@@ -211,8 +219,8 @@ func (d *Detector) slot(addr int64) *shadowSlot {
 			if n <= i {
 				n = i + 1
 			}
-			if n < 1024 {
-				n = 1024
+			if n < minTable {
+				n = minTable
 			}
 			grown := make([]shadowSlot, i+1, n)
 			copy(grown, d.slots)

@@ -5,7 +5,6 @@ package raceverify_test
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -92,19 +91,6 @@ func TestWatchAllOracle(t *testing.T) {
 			}
 		}
 	})
-}
-
-// sameHints fails unless got verified every report as want did.
-func sameHints(t *testing.T, tag string, reps []*race.Report, got, want *raceverify.Batch) {
-	t.Helper()
-	for i, rep := range reps {
-		if got.Errs[i] != nil || want.Errs[i] != nil {
-			t.Fatalf("%s: %s: error %v, reference error %v", tag, rep.ID(), got.Errs[i], want.Errs[i])
-		}
-		if !reflect.DeepEqual(got.Hints[i], want.Hints[i]) {
-			t.Errorf("%s: %s: %+v, reference %+v", tag, rep.ID(), got.Hints[i], want.Hints[i])
-		}
-	}
 }
 
 // TestDoomedHoldOracle verifies every annotated report of every built-in

@@ -19,8 +19,8 @@
 // The paper re-runs the program from the start for every report and
 // attempt. Here a stage's reports are verified together, seed by seed:
 // each seed's schedule runs once, and every report's attempt resumes
-// from a snapshot taken where its first racing instruction first fires
-// (see VerifyAll).
+// from a snapshot taken where its first racing instruction first fires.
+// Seeds run in parallel and merge in seed order (see VerifyAll).
 //
 // The verifier's breakpoints, like LLDB's address breakpoints, cost
 // nothing until they are hit: the machine calls the breakpoint only at
@@ -139,9 +139,13 @@ type Batch struct {
 	// Errs holds each report's failure: an error or panic in its
 	// verification, or the context's error for a report it cut short.
 	Errs []error
-	// Steps counts the interpreter steps the batch executed: the base
-	// walk of every seed plus the steps each resumed attempt took after
-	// its snapshot.
+	// Steps counts the interpreter steps a batch that runs one seed at
+	// a time executes, whatever the worker count: per seed, the base
+	// walk up to the last firing among the reports still pending there
+	// (or to the walk's end if one of them never fires), plus the steps
+	// those reports' attempts took after their snapshots. Work seeds
+	// running in parallel did for reports an earlier seed settled is
+	// not counted.
 	Steps int64
 }
 
@@ -152,22 +156,31 @@ func (v *Verifier) Verify(mk MachineFactory, rep *race.Report) (*Hint, error) {
 	return b.Hints[0], b.Errs[0]
 }
 
-// VerifyAll verifies every report, seed-major. Attempt i of every report
-// runs sched.NewRandom(i+1), and until either of a report's racing
+// VerifyAll verifies every report, seed-major: attempt s of every
+// report runs sched.NewRandom(s), and each report takes the first seed
+// that verifies or fails it. Until either of a report's racing
 // instructions first reaches the breakpoint, nothing is held and the
 // run is the same for every report. So per seed, the reports still
-// unverified share one prefix, walked once by a base machine (see
-// shareSeed): each report's attempt resumes from a snapshot of the base
-// at the loop iteration k at which its earlier racing instruction first
-// fires, with its own breakpoint and a copy of the scheduler. A report
-// neither of whose instructions fires fails the attempt without
-// running: from step 0 it could only stall or exhaust the step budget.
-// Only one snapshot is live at a time; up to workers resumes of one
-// snapshot run at once.
+// pending share one prefix, walked once by a base machine (see walk):
+// each report's attempt resumes from a snapshot of the base at the loop
+// iteration k at which its earlier racing instruction first fires, with
+// its own breakpoint and a copy of the scheduler. A report neither of
+// whose instructions fires fails the attempt without running: from step
+// 0 it could only stall or exhaust the step budget.
+//
+// Up to workers seeds run at once, each on one goroutine. Seed s tries
+// every report no earlier seed has settled (verified or failed) yet,
+// and at a report's firing skips it if an earlier seed has settled it
+// since. Taking a firing back is exact (see walk), so the base walk's
+// trajectory does not depend on which reports it watches, and a
+// report's attempt on seed s is the same whichever seeds run beside
+// it. The merge gives each report its first verification or failure in
+// seed order and drops the attempts later seeds made for it, so the
+// batch is the same for every worker count.
 //
 // The hints are those Verify gives each report alone. An error or panic
 // quarantines only its report, which takes no later seed; the context
-// is checked between seeds.
+// is checked before each seed.
 func (v *Verifier) VerifyAll(ctx context.Context, mk MachineFactory, reps []*race.Report, workers int) *Batch {
 	b := &Batch{Hints: make([]*Hint, len(reps)), Errs: make([]error, len(reps))}
 	var pending []int
@@ -186,96 +199,150 @@ func (v *Verifier) VerifyAll(ctx context.Context, mk MachineFactory, reps []*rac
 		var err error
 		if fx, err = moduleEffects(reps[pending[0]].Prev.Instr.Fn.Mod); err != nil {
 			for _, i := range pending {
-				b.Errs[i] = fmt.Errorf("race verifier: %w", err)
+				b.Errs[i], b.Hints[i] = fmt.Errorf("race verifier: %w", err), nil
 			}
 			pending = nil
 		}
 	}
-	var steps atomic.Int64
-	deferred := make([]schedule, len(reps))
-	// Attempt machines to recycle (interp.RestoreInto), one per worker
-	// at most. A plain free list, not a sync.Pool: the runtime keeps a
-	// pool's items alive for up to two collections after its batch ends.
-	free := make(chan *interp.Machine, max(workers, 1))
-	for seed := 1; seed <= attempts && len(pending) > 0; seed++ {
-		if err := ctx.Err(); err != nil {
-			for _, i := range pending {
-				b.Errs[i] = err
-			}
-			break
-		}
-		for _, i := range pending {
-			b.Hints[i].Attempts = seed
-		}
-		if v.fromStart {
-			each(pending, workers, b.Errs, func(i int) error {
-				caught, n, err := v.tryOnce(mk, fx, uint64(seed), b.Hints[i])
-				steps.Add(n)
-				b.Hints[i].Verified = caught
-				return err
-			})
-		} else {
-			v.shareSeed(mk, fx, free, b, deferred, pending, uint64(seed), workers, &steps)
-		}
-		pending = slices.DeleteFunc(pending, func(i int) bool {
-			return b.Hints[i].Verified || b.Errs[i] != nil
-		})
+	if len(pending) == 0 {
+		return b
 	}
-	for i, err := range b.Errs {
-		if err != nil {
-			b.Hints[i] = nil
-		} else if d := deferred[i]; d.base != nil {
-			b.Hints[i].Schedule = d.join()
-		}
+	workers = max(min(workers, attempts), 1)
+	c := &batchRun{
+		v: v, mk: mk, reps: reps, fx: fx, pending: pending,
+		settled: make([]atomic.Int32, len(reps)),
+		free:    make(chan *interp.Machine, workers),
 	}
-	b.Steps = steps.Load()
+	runs := make([]*seedRun, attempts)
+	metrics.ForEach(nil, "", attempts, workers, func(j int) {
+		runs[j] = c.seed(ctx, j+1)
+	})
+	b.merge(runs, pending)
 	return b
 }
 
-// schedule is a caught attempt's schedule, kept in two parts until the
-// batch ends: the first n entries of the base walk's trace, shared by
-// every report its seed verified, and the attempt's own steps. Reports
-// are mostly verified on the first seeds, so assembling each schedule
-// at once would hold all of them through every later seed.
-type schedule struct {
-	base *[]interp.ThreadID
-	n    int
-	own  []interp.ThreadID
+// batchRun is what the seeds of one VerifyAll share.
+type batchRun struct {
+	v       *Verifier
+	mk      MachineFactory
+	reps    []*race.Report
+	fx      *interp.InstrSet // the module's side-effect words (moduleEffects)
+	pending []int            // the reports with both racing instructions
+	// settled[i] is the lowest seed that has verified or failed report
+	// i so far, 0 for none.
+	settled []atomic.Int32
+	// free holds attempt machines to recycle (interp.RestoreInto), one
+	// per worker at most. A plain free list, not a sync.Pool: the
+	// runtime keeps a pool's items alive for up to two collections after
+	// its batch ends.
+	free chan *interp.Machine
 }
 
-func (d schedule) join() []interp.ThreadID {
-	if d.n+len(d.own) == 0 {
+// seedRun is one seed's attempts, indexed by report.
+type seedRun struct {
+	tries []try
+	errs  []error
+	// base is the base walk's trace up to the latest snapshot an attempt
+	// was caught from (a view of the walk's buffer until the walk ends);
+	// end counts the steps the base walk took.
+	base []interp.ThreadID
+	end  int64
+}
+
+// try is one report's attempt on one seed.
+type try struct {
+	// ran is set once the attempt started: resumed from the snapshot the
+	// base took at iteration at, after from steps (both 0 from step 0).
+	ran   bool
+	at    int
+	from  int64
+	steps int64 // the attempt's steps after its snapshot
+	hint  *Hint // a caught attempt's hint; its Schedule holds only the picks after the snapshot
+}
+
+// settledBefore reports whether a seed before seed has settled report i.
+func (c *batchRun) settledBefore(i, seed int) bool {
+	s := c.settled[i].Load()
+	return s != 0 && int(s) < seed
+}
+
+// settle records that seed settled report i.
+func (c *batchRun) settle(i, seed int) {
+	for {
+		s := c.settled[i].Load()
+		if s != 0 && int(s) <= seed || c.settled[i].CompareAndSwap(s, int32(seed)) {
+			return
+		}
+	}
+}
+
+// seed runs one seed's attempt of every report no earlier seed has
+// settled, or returns nil if there is none.
+func (c *batchRun) seed(ctx context.Context, seed int) *seedRun {
+	var pend []int
+	for _, i := range c.pending {
+		if !c.settledBefore(i, seed) {
+			pend = append(pend, i)
+		}
+	}
+	if len(pend) == 0 {
 		return nil
 	}
-	return append(append(make([]interp.ThreadID, 0, d.n+len(d.own)), (*d.base)[:d.n]...), d.own...)
+	run := &seedRun{tries: make([]try, len(c.reps)), errs: make([]error, len(c.reps))}
+	switch {
+	case ctx.Err() != nil:
+		for _, i := range pend {
+			run.errs[i] = ctx.Err()
+		}
+	case c.v.fromStart:
+		each(pend, run.errs, func(i int) error {
+			h, n, err := c.v.tryOnce(c.mk, c.fx, uint64(seed), c.reps[i])
+			run.tries[i] = try{ran: true, steps: n, hint: h}
+			return err
+		})
+	default:
+		c.walk(run, pend, seed)
+	}
+	c.settleAll(run, pend, seed)
+	return run
 }
 
-// shareSeed runs one seed's attempt of every pending report from the
-// seed's shared prefix, in one walk of a base machine. When a pending
-// report's earlier racing instruction first reaches the breakpoint, at
-// loop iteration k, the breakpoint suspends the presenting thread; the
-// walk takes back the suspension and the scheduler's draw, which leaves
-// the base at the step boundary before iteration k, snapshots it,
-// resumes every report first firing there, and runs iteration k again.
-// A caught attempt's schedule goes to deferred (see schedule): the base
-// trace at the snapshot has k entries, as every base iteration before
-// k appended one. The base watches only the racing instructions that
-// have not fired yet, so every other step runs without a breakpoint
-// call; the attempts restore into machines from free. fx is the
-// module's side-effect words (moduleEffects).
-func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *interp.Machine, b *Batch, deferred []schedule, pending []int, seed uint64, workers int, steps *atomic.Int64) {
+// settleAll records the reports among idx that run verified or failed.
+func (c *batchRun) settleAll(run *seedRun, idx []int, seed int) {
+	for _, i := range idx {
+		if run.tries[i].hint != nil || run.errs[i] != nil {
+			c.settle(i, seed)
+		}
+	}
+}
+
+// walk runs one seed's attempt of the reports pend from the seed's
+// shared prefix, in one walk of a base machine. When a report's earlier
+// racing instruction first reaches the breakpoint, at loop iteration k,
+// the breakpoint suspends the presenting thread; the walk takes back
+// the suspension and the scheduler's draw, which leaves the base at the
+// step boundary before iteration k, snapshots it, resumes every report
+// first firing there, and runs iteration k again. The base trace at the
+// snapshot has k entries, as every base iteration before k appended
+// one. The base watches only the racing instructions that have not
+// fired yet, so every other step runs without a breakpoint call; the
+// attempts restore into a machine from c.free. The walk ends when every
+// report has fired or been settled by an earlier seed.
+func (c *batchRun) walk(run *seedRun, pend []int, seed int) {
+	v := c.v
 	// users maps each racing instruction that has not yet reached the
-	// breakpoint to the pending reports it belongs to; started marks the
-	// reports whose attempt has begun.
-	users := make(map[*ir.Instr][]int, 2*len(pending))
-	for _, i := range pending {
-		rep := b.Hints[i].Report
+	// breakpoint to the reports it belongs to; started marks the reports
+	// whose instruction has fired.
+	users := make(map[*ir.Instr][]int, 2*len(pend))
+	for _, i := range pend {
+		rep := c.reps[i]
 		users[rep.Prev.Instr] = append(users[rep.Prev.Instr], i)
 		if rep.Cur.Instr != rep.Prev.Instr {
 			users[rep.Cur.Instr] = append(users[rep.Cur.Instr], i)
 		}
 	}
-	started := make([]bool, len(b.Hints))
+	started := make([]bool, len(c.reps))
+	left := len(pend)
 	var group []int
 	held := interp.ThreadID(-1)
 	record := func(m *interp.Machine, t *interp.Thread, in *ir.Instr) interp.BPAction {
@@ -288,8 +355,12 @@ func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *
 			m.Unwatch(in)
 		}
 		for _, i := range rs {
-			if !started[i] {
-				started[i] = true
+			if started[i] {
+				continue
+			}
+			started[i] = true
+			left--
+			if !c.settledBefore(i, seed) {
 				group = append(group, i)
 			}
 		}
@@ -302,9 +373,9 @@ func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *
 	// A failure of the base walk fails every report whose attempt had
 	// not run yet.
 	fail := func(err error) {
-		for _, i := range pending {
+		for _, i := range pend {
 			if !started[i] || slices.Contains(group, i) {
-				b.Errs[i] = err
+				run.errs[i] = err
 			}
 		}
 	}
@@ -314,9 +385,8 @@ func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *
 		}
 	}()
 
-	base := new([]interp.ThreadID)
-	s := &rewinder{cur: sched.NewRandom(seed), prev: sched.NewRandom(seed)}
-	m, err := mk(s, record)
+	s := &rewinder{cur: *sched.NewRandom(uint64(seed))}
+	m, err := c.mk(s, record)
 	if err != nil {
 		fail(fmt.Errorf("race verifier: build machine: %w", err))
 		return
@@ -325,8 +395,15 @@ func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *
 	for in := range users {
 		m.Watch(in)
 	}
-	left := len(pending)
+	var spare *interp.Machine
+	select {
+	case spare = <-c.free:
+	default:
+	}
 	for k := 0; k < v.maxSteps() && left > 0; k++ {
+		if k&4095 == 0 && !c.live(pend, started, seed) {
+			break // the reports left to fire were all settled by earlier seeds
+		}
 		if !m.Step() {
 			break
 		}
@@ -335,93 +412,159 @@ func (v *Verifier) shareSeed(mk MachineFactory, fx *interp.InstrSet, free chan *
 		}
 		m.Resume(held)
 		s.rewind()
-		snap, from, at := m.Snapshot(), m.StepCount(), k
-		each(group, workers, b.Errs, func(i int) error {
-			a := v.newAttempt(b.Hints[i], fx)
-			var old *interp.Machine
-			select {
-			case old = <-free:
-			default:
-			}
-			rm, err := interp.RestoreInto(old, snap, interp.Config{Sched: s.cur.Clone(), Breakpoint: a.breakpoint})
+		snap, from, at := m.Snapshot(), int64(m.StepCount()), k
+		each(group, run.errs, func(i int) error {
+			a := v.newAttempt(c.reps[i], c.fx)
+			run.tries[i] = try{ran: true, at: at, from: from}
+			rm, err := interp.RestoreInto(spare, snap, interp.Config{Sched: s.cur.Clone(), Breakpoint: a.breakpoint})
 			if err != nil {
 				return fmt.Errorf("race verifier: resume at iteration %d: %w", at, err)
 			}
-			defer func() {
-				select {
-				case free <- rm:
-				default:
-				}
-			}()
-			b.Hints[i].Verified = a.run(rm, at)
-			steps.Add(int64(rm.StepCount() - from))
+			spare = rm
+			h := a.run(rm, at)
+			run.tries[i].steps = int64(rm.StepCount()) - from
+			run.tries[i].hint = h
+			if h != nil {
+				run.base = snap.Schedule()
+			}
 			return nil
 		})
-		// One copy of the base trace serves the seed: later snapshots
-		// only extend it.
-		for _, i := range group {
-			if full := b.Hints[i].Schedule; full != nil {
-				*base = full[:at]
-				deferred[i] = schedule{base: base, n: at, own: slices.Clone(full[at:])}
-				b.Hints[i].Schedule = nil
-			}
-		}
-		left -= len(group)
+		c.settleAll(run, group, seed)
 		group = group[:0]
 		k-- // run iteration k again, past the breakpoint this time
 	}
-	steps.Add(int64(m.StepCount()))
+	run.end = int64(m.StepCount())
+	// One copy of the base trace serves the seed (earlier snapshots'
+	// traces are prefixes of the latest one's) and frees the walk's
+	// buffer.
+	run.base = slices.Clone(run.base)
+	select {
+	case c.free <- spare:
+	default:
+	}
+}
+
+// live reports whether a report of pend that has not fired yet is
+// still unsettled by the seeds before seed.
+func (c *batchRun) live(pend []int, started []bool, seed int) bool {
+	for _, i := range pend {
+		if !started[i] && !c.settledBefore(i, seed) {
+			return true
+		}
+	}
+	return false
+}
+
+// merge gives each pending report the outcome of the first seed that
+// verified or failed it (with that seed as its Attempts), or the
+// budget's Attempts if none did, and counts Steps seed-major.
+func (b *Batch) merge(runs []*seedRun, pending []int) {
+	first := make([]int, len(b.Hints)) // the settling seed, 0 for none
+	for j, run := range runs {
+		if run == nil {
+			continue
+		}
+		for _, i := range pending {
+			if first[i] == 0 && (run.tries[i].hint != nil || run.errs[i] != nil) {
+				first[i] = j + 1
+			}
+		}
+	}
+	for j, run := range runs {
+		if run != nil {
+			b.Steps += run.steps(pending, first, j+1)
+		}
+	}
+	for _, i := range pending {
+		s := first[i]
+		switch {
+		case s == 0:
+			b.Hints[i].Attempts = len(runs)
+		case runs[s-1].errs[i] != nil:
+			b.Errs[i], b.Hints[i] = runs[s-1].errs[i], nil
+		default:
+			t := runs[s-1].tries[i]
+			h := t.hint
+			h.Verified, h.Attempts = true, s
+			h.Schedule = join(runs[s-1].base[:t.at], h.Schedule)
+			b.Hints[i] = h
+		}
+	}
+}
+
+// steps counts the steps seed spent on the reports pending there (those
+// first settled on or after it): the base walk up to the last firing
+// among them, or to its end if one never fired, plus their attempts. A
+// one-seed-at-a-time run takes exactly these; the rest was speculation.
+func (run *seedRun) steps(pending, first []int, seed int) int64 {
+	base, n := int64(0), int64(0)
+	for _, i := range pending {
+		if first[i] != 0 && first[i] < seed {
+			continue
+		}
+		t := run.tries[i]
+		if !t.ran {
+			base = max(base, run.end)
+			continue
+		}
+		base = max(base, t.from)
+		n += t.steps
+	}
+	return base + n
+}
+
+// join returns a caught attempt's whole schedule: the base walk's picks
+// before its snapshot, then its own.
+func join(base, own []interp.ThreadID) []interp.ThreadID {
+	if len(base) == 0 {
+		return own
+	}
+	return append(append(make([]interp.ThreadID, 0, len(base)+len(own)), base...), own...)
 }
 
 // rewinder is the base walk's scheduler: a seeded sched.Random that can
-// take back its latest draw. prev trails cur by that draw; it catches
-// up by drawing from a set of the same size, which is all a draw
-// depends on.
+// take back its latest draw. It saves the generator's state before each
+// draw and restores it on rewind.
 type rewinder struct {
-	cur, prev *sched.Random
-	last      []interp.ThreadID // the set of the latest draw; nil after a rewind
+	cur, saved sched.Random
 }
 
 // Next implements interp.Scheduler.
 func (s *rewinder) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
-	if s.last != nil {
-		s.prev.Next(s.last, step)
-	}
-	s.last = runnable
+	s.saved = s.cur
 	return s.cur.Next(runnable, step)
 }
 
 // rewind takes back the latest draw.
-func (s *rewinder) rewind() {
-	s.cur, s.last = s.prev.Clone(), nil
-}
+func (s *rewinder) rewind() { s.cur = s.saved }
 
-// each runs fn(i) for every i in idx on up to workers goroutines,
-// recording a failure (an error or a panic) in errs[i].
-func each(idx []int, workers int, errs []error, fn func(i int) error) {
-	metrics.ForEach(nil, "", len(idx), workers, func(j int) {
-		i := idx[j]
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("race verifier: panic: %v", r)
+// each runs fn(i) for every i in idx in turn, recording a failure (an
+// error or a panic) in errs[i].
+func each(idx []int, errs []error, fn func(i int) error) {
+	for _, i := range idx {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("race verifier: panic: %v", r)
+				}
+			}()
+			if err := fn(i); err != nil {
+				errs[i] = err
 			}
 		}()
-		if err := fn(i); err != nil {
-			errs[i] = err
-		}
-	})
+	}
 }
 
-// tryOnce performs one verification run from step 0 and reports whether
-// the racing moment was caught, and the steps the run took.
-func (v *Verifier) tryOnce(mk MachineFactory, fx *interp.InstrSet, seed uint64, hint *Hint) (bool, int64, error) {
-	a := v.newAttempt(hint, fx)
+// tryOnce performs one verification run of rep from step 0 and returns
+// the hint if the racing moment was caught, and the steps the run took.
+func (v *Verifier) tryOnce(mk MachineFactory, fx *interp.InstrSet, seed uint64, rep *race.Report) (*Hint, int64, error) {
+	a := v.newAttempt(rep, fx)
 	m, err := mk(sched.NewRandom(seed), a.breakpoint)
 	if err != nil {
-		return false, 0, fmt.Errorf("race verifier: build machine: %w", err)
+		return nil, 0, fmt.Errorf("race verifier: build machine: %w", err)
 	}
-	caught := a.run(m, 0)
-	return caught, int64(m.StepCount()), nil
+	h := a.run(m, 0)
+	return h, int64(m.StepCount()), nil
 }
 
 func (v *Verifier) maxSteps() int {
@@ -436,7 +579,7 @@ func (v *Verifier) maxSteps() int {
 type attempt struct {
 	v              *Verifier
 	instrA, instrB *ir.Instr
-	hint           *Hint
+	rep            *race.Report
 	maxSteps       int
 	holdBudget     int
 
@@ -447,10 +590,10 @@ type attempt struct {
 	doomed       bool
 }
 
-func (v *Verifier) newAttempt(hint *Hint, fx *interp.InstrSet) *attempt {
+func (v *Verifier) newAttempt(rep *race.Report, fx *interp.InstrSet) *attempt {
 	a := &attempt{
 		v: v, effects: fx,
-		instrA: hint.Report.Prev.Instr, instrB: hint.Report.Cur.Instr, hint: hint,
+		instrA: rep.Prev.Instr, instrB: rep.Cur.Instr, rep: rep,
 		maxSteps: v.maxSteps(), holdBudget: v.HoldBudget,
 		heldA: -1, heldB: -1,
 	}
@@ -529,12 +672,13 @@ func (a *attempt) arm(m *interp.Machine) {
 }
 
 // run steps machine m, whose breakpoint is a.breakpoint, from loop
-// iteration from and reports whether the racing moment was caught.
+// iteration from and returns the hint if the racing moment was caught.
 // MaxSteps and HoldBudget count loop iterations, not machine steps (a
 // suspension takes an iteration but no step), and a resumed attempt
 // starts at the iteration its snapshot was taken before, so its bounds
-// fall where a run from step 0 puts them.
-func (a *attempt) run(machine *interp.Machine, from int) bool {
+// fall where a run from step 0 puts them. The hint's Schedule holds the
+// picks after the first from: the attempt's own.
+func (a *attempt) run(machine *interp.Machine, from int) *Hint {
 	if a.proof != nil {
 		defer a.proof.release()
 	}
@@ -544,8 +688,8 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 	heldSince := -1
 	for i := from; i < a.maxSteps; i++ {
 		if a.heldA >= 0 && a.heldB >= 0 {
-			if racingMoment(machine, a.heldA, a.heldB, a.hint) {
-				return true
+			if h := racingMoment(machine, a.heldA, a.heldB, a.rep, from); h != nil {
+				return h
 			}
 			// Suspended at the pair but not on the same address (e.g. two
 			// different array elements): release the earlier capture and
@@ -559,7 +703,7 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 			} else if i-heldSince > a.holdBudget {
 				// The partner is not coming: give up this attempt rather
 				// than spin the rest of the step budget away.
-				return false
+				return nil
 			}
 		default:
 			heldSince = -1
@@ -567,11 +711,11 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 		if a.doomed {
 			// No thread can ever reach the partner instruction (see
 			// holdProof): the hold could only time out.
-			return false
+			return nil
 		}
 		if !machine.Step() {
 			if machine.Stall() != interp.StallSuspended {
-				return false
+				return nil
 			}
 			// Livelock: the program cannot make progress while a
 			// breakpoint holds a thread others wait on. Temporarily
@@ -582,11 +726,11 @@ func (a *attempt) run(machine *interp.Machine, from int) bool {
 			case a.heldB >= 0:
 				a.release(machine, &a.heldB)
 			default:
-				return false
+				return nil
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // watchAll watches every instruction of m's module under watchEvery.
@@ -602,19 +746,21 @@ func (v *Verifier) watchAll(m *interp.Machine) {
 }
 
 // racingMoment checks that the two suspended threads' pending accesses
-// conflict, and if so extracts the security hints.
-func racingMoment(m *interp.Machine, ta, tb interp.ThreadID, hint *Hint) bool {
+// conflict, and if so returns the security hints, with the schedule
+// after the first from picks.
+func racingMoment(m *interp.Machine, ta, tb interp.ThreadID, rep *race.Report, from int) *Hint {
 	pa, okA := m.Pending(ta)
 	pb, okB := m.Pending(tb)
 	if !okA || !okB {
-		return false
+		return nil
 	}
 	if pa.Addr != pb.Addr {
-		return false
+		return nil
 	}
 	if !pa.IsWrite && !pb.IsWrite {
-		return false
+		return nil
 	}
+	hint := &Hint{Report: rep}
 	// Order so that rd is the read side when there is one.
 	rd, wr := pa, pb
 	if pa.IsWrite && !pb.IsWrite {
@@ -629,11 +775,11 @@ func racingMoment(m *interp.Machine, ta, tb interp.ThreadID, hint *Hint) bool {
 	if !rd.IsWrite && rd.Val == 0 && neverWritten(m, pa.Addr) {
 		hint.ReadsUninitialized = true
 	}
-	hint.Schedule = m.Schedule()
+	hint.Schedule = m.ScheduleSince(from)
 	// Release both threads so the caller can finish the run if desired.
 	m.Resume(ta)
 	m.Resume(tb)
-	return true
+	return hint
 }
 
 // pointerUse reports whether the value loaded by in is later used as an

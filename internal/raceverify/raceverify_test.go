@@ -469,9 +469,10 @@ entry:
 }
 
 // TestVerifyAllWorkersShareSnapshot verifies a batch whose reports come
-// in copies, so each seed's snapshots are resumed by several workers at
-// once (the -race suite runs it), and requires the hints of one worker
-// and of verifying every attempt from step 0.
+// in copies, so each seed's snapshots serve several attempts and, at
+// workers 3, several seeds run at once (the -race suite runs it), and
+// requires the hints of one worker and of verifying every attempt from
+// step 0.
 func TestVerifyAllWorkersShareSnapshot(t *testing.T) {
 	for _, src := range []string{racySrc, nullWriteSrc} {
 		reports, mk := harness(t, src)
@@ -500,30 +501,28 @@ func TestVerifyAllWorkersShareSnapshot(t *testing.T) {
 // TestEachIsolatesFailures: an error or a panic in one report's job
 // is recorded for that report alone, and every other job still runs.
 func TestEachIsolatesFailures(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		errs := make([]error, 6)
-		var ran atomic.Int64
-		each([]int{0, 1, 2, 3, 4, 5}, workers, errs, func(i int) error {
-			ran.Add(1)
-			switch i {
-			case 2:
-				panic("boom")
-			case 4:
-				return errors.New("bad")
-			}
-			return nil
-		})
-		if ran.Load() != 6 {
-			t.Errorf("workers=%d: %d jobs ran, want 6", workers, ran.Load())
+	errs := make([]error, 6)
+	ran := 0
+	each([]int{0, 1, 2, 3, 4, 5}, errs, func(i int) error {
+		ran++
+		switch i {
+		case 2:
+			panic("boom")
+		case 4:
+			return errors.New("bad")
 		}
-		for i, err := range errs {
-			if (err != nil) != (i == 2 || i == 4) {
-				t.Errorf("workers=%d: job %d error %v", workers, i, err)
-			}
+		return nil
+	})
+	if ran != 6 {
+		t.Errorf("%d jobs ran, want 6", ran)
+	}
+	for i, err := range errs {
+		if (err != nil) != (i == 2 || i == 4) {
+			t.Errorf("job %d error %v", i, err)
 		}
-		if errs[2] == nil || !strings.Contains(errs[2].Error(), "panic: boom") {
-			t.Errorf("workers=%d: panicking job recorded %v", workers, errs[2])
-		}
+	}
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "panic: boom") {
+		t.Errorf("panicking job recorded %v", errs[2])
 	}
 }
 
@@ -572,5 +571,110 @@ func TestResumedAttemptKeepsIterationBudget(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("MaxSteps=%d: from the shared prefix %+v, from step 0 %+v", maxSteps, got, want)
 		}
+	}
+}
+
+// TestLaterSeedSettlesFirst replays the interleaving in which a later
+// seed catches a report before an earlier seed, which catches it too,
+// has finished: seed 2 runs to its end first, then seed 1. The merge
+// must give the report seed 1's outcome, Attempts and Schedule
+// included, and count the steps a one-seed-at-a-time batch takes; a
+// seed after both must skip the report.
+func TestLaterSeedSettlesFirst(t *testing.T) {
+	reports, mk := harness(t, racySrc)
+	if len(reports) == 0 {
+		t.Fatal("no race reports")
+	}
+	reps := reports[:1]
+	v := New()
+	v.Attempts = 2
+	want := v.VerifyAll(context.Background(), mk, reps, 1)
+	if want.Errs[0] != nil || !want.Hints[0].Verified || want.Hints[0].Attempts != 1 {
+		t.Fatalf("reference: %+v, error %v; want verified on the first seed", want.Hints[0], want.Errs[0])
+	}
+	fx, err := moduleEffects(reps[0].Prev.Instr.Fn.Mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &batchRun{
+		v: v, mk: mk, reps: reps, fx: fx, pending: []int{0},
+		settled: make([]atomic.Int32, 1), free: make(chan *interp.Machine, 1),
+	}
+	runs := make([]*seedRun, 2)
+	runs[1] = c.seed(context.Background(), 2)
+	if runs[1] == nil || runs[1].tries[0].hint == nil {
+		t.Fatal("seed 2 does not catch the race on its own")
+	}
+	runs[0] = c.seed(context.Background(), 1)
+	if runs[0] == nil || runs[0].tries[0].hint == nil {
+		t.Fatal("seed 1 skipped the report a later seed settled")
+	}
+	if c.seed(context.Background(), 3) != nil {
+		t.Error("seed 3 tried a report seed 1 settled")
+	}
+	got := &Batch{Hints: []*Hint{{Report: reps[0]}}, Errs: make([]error, 1)}
+	got.merge(runs, c.pending)
+	if !reflect.DeepEqual(got.Hints[0], want.Hints[0]) {
+		t.Errorf("merged %+v, one seed at a time %+v", got.Hints[0], want.Hints[0])
+	}
+	if got.Steps != want.Steps {
+		t.Errorf("merged %d steps, one seed at a time %d", got.Steps, want.Steps)
+	}
+}
+
+// panicAfter is a scheduler that panics from step limit on.
+type panicAfter struct {
+	interp.Scheduler
+	limit int
+}
+
+func (s panicAfter) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+	if step >= s.limit {
+		panic("boom")
+	}
+	return s.Scheduler.Next(runnable, step)
+}
+
+// TestBaseWalkPanicKeepsCaughtReports: a panic late in a seed's base
+// walk fails the report whose instructions had not fired, while the
+// report the walk caught earlier keeps its hint, Schedule included.
+func TestBaseWalkPanicKeepsCaughtReports(t *testing.T) {
+	reports, mk := harness(t, racySrc+`
+func @dead() {
+entry:
+  store 1, @x
+  ret 0
+}
+`)
+	if len(reports) == 0 {
+		t.Fatal("no race reports")
+	}
+	rep := reports[0]
+	dead := access(t, rep.Prev.Instr.Fn.Mod, "dead", "x")
+	never := &race.Report{
+		Prev: race.Access{IsWrite: true, Instr: dead}, Cur: race.Access{IsWrite: true, Instr: dead}, AddrName: "@x",
+	}
+	v := New()
+	v.Attempts = 1
+	want, err := v.Verify(mk, rep)
+	if err != nil || !want.Verified {
+		t.Fatalf("reference: %+v, error %v; want verified on the first seed", want, err)
+	}
+	m, err := mk(sched.NewRandom(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The walk runs to the program's end, as @dead never runs; it
+	// panics one step short of it, after rep's attempt.
+	limit := m.Run().Steps - 1
+	panicky := func(s interp.Scheduler, bp interp.BreakpointFunc) (*interp.Machine, error) {
+		return mk(panicAfter{s, limit}, bp)
+	}
+	b := v.VerifyAll(context.Background(), panicky, []*race.Report{rep, never}, 1)
+	if b.Errs[0] != nil || !reflect.DeepEqual(b.Hints[0], want) {
+		t.Errorf("caught report: %+v, error %v; want %+v", b.Hints[0], b.Errs[0], want)
+	}
+	if b.Errs[1] == nil || !strings.Contains(b.Errs[1].Error(), "panic: boom") {
+		t.Errorf("unfired report: error %v, want the walk's panic", b.Errs[1])
 	}
 }

@@ -191,16 +191,17 @@ func (r *rng) intn(n int) int {
 }
 
 // Random picks a uniformly random runnable thread each step, seeded.
-type Random struct{ r *rng }
+// Its generator is held by value, so copying a Random copies its state.
+type Random struct{ r rng }
 
 // NewRandom returns a seeded random scheduler.
-func NewRandom(seed uint64) *Random { return &Random{r: newRNG(seed)} }
+func NewRandom(seed uint64) *Random { return &Random{r: *newRNG(seed)} }
 
 // Clone returns a scheduler whose generator continues from s's current
 // state; the two draw independently from then on.
 func (s *Random) Clone() *Random {
-	r := *s.r
-	return &Random{r: &r}
+	c := *s
+	return &c
 }
 
 // Next implements interp.Scheduler.
@@ -214,7 +215,7 @@ func (s *Random) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 // single-element set, so replaying k picks consumes the same number of
 // generator states as k Next calls.
 func (s *Random) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	r := *s.r
+	r := s.r
 	for i := range buf {
 		buf[i] = runnable[r.intn(len(runnable))]
 	}
