@@ -375,8 +375,9 @@ func New(cfg Config) (*Machine, error) {
 		mod:           cfg.Module,
 		mem:           NewArena(),
 		fs:            NewFS(),
-		globals:       make(map[string]int64),
-		funcIDs:       make(map[string]int64),
+		globals:       make(map[string]int64, len(cfg.Module.Globals)),
+		funcIDs:       make(map[string]int64, len(cfg.Module.Funcs)),
+		funcs:         make([]*ir.Func, 0, len(cfg.Module.Funcs)),
 		interns:       make(map[string]int64),
 		hasObs:        len(cfg.Observers) > 0,
 		hasSwitch:     len(cfg.SwitchObservers) > 0,
@@ -1082,22 +1083,20 @@ func (m *Machine) Run() *Result {
 
 // RunLoop steps the machine until it can make no more progress,
 // without building a Result. A compiled machine with no breakpoint
-// runs held windows (runHeld) where its scheduler holds a pick and
-// every observer lets it fast-forward, and planned windows where its
-// scheduler plans; every other step, and every step a window declines,
-// goes through Step. The three are interchangeable: callers may
-// hand-step a machine and then let RunLoop finish it.
+// runs held windows (runHeld) where its scheduler holds a pick,
+// fast-forwarding proven spins when every observer lets it, and planned
+// windows where its scheduler plans; every other step, and every step a
+// window declines, goes through Step. The three are interchangeable:
+// callers may hand-step a machine and then let RunLoop finish it.
 func (m *Machine) RunLoop() {
 	planner, _ := m.cfg.Sched.(PlanningScheduler)
 	holder, _ := m.cfg.Sched.(HoldingScheduler)
 	if m.prog == nil || m.cfg.Breakpoint != nil {
 		planner, holder = nil, nil
 	}
-	if !m.spinCanSkip() {
-		holder = nil
-	}
+	skip := m.spinCanSkip()
 	for {
-		if holder != nil && m.runHeld(holder) > 0 {
+		if holder != nil && m.runHeld(holder, skip) > 0 {
 			continue
 		}
 		if planner != nil && m.runPlanned(planner) > 0 {

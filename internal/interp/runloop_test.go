@@ -21,12 +21,28 @@ func (s stepOnly) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 }
 
 // runOut is what a run produced: its Result, the reports and counters
-// of an attached race detector, and the steps RunLoop fast-forwarded.
+// of an attached race detector, the switch pairs of an attached
+// coverage recorder, and the steps RunLoop fast-forwarded.
 type runOut struct {
 	res     *interp.Result
 	reports []*race.Report
 	stats   race.Stats
+	cov     *sched.RunCoverage
 	skipped int
+}
+
+// observed attaches, when observe is set, a race detector and a
+// coverage recorder to cfg, the observers a detect run has; the
+// returned detector is fresh either way.
+func observed(cfg *interp.Config, observe bool) (*race.Detector, *sched.RunCoverage) {
+	d := race.NewDetector()
+	if !observe {
+		return d, nil
+	}
+	cov := sched.NewCoverage().NewRun()
+	cfg.Observers = []interp.Observer{d}
+	cfg.SwitchObservers = []interp.SwitchObserver{cov}
+	return d, cov
 }
 
 // stepRun runs cfg under s by Step alone, the reference every RunLoop
@@ -34,36 +50,30 @@ type runOut struct {
 func stepRun(t *testing.T, cfg interp.Config, s interp.Scheduler, observe bool) runOut {
 	t.Helper()
 	cfg.Sched = stepOnly{s}
-	d := race.NewDetector()
-	if observe {
-		cfg.Observers = []interp.Observer{d}
-	}
+	d, cov := observed(&cfg, observe)
 	m := newMachine(t, cfg)
 	for m.Step() {
 	}
-	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats()}
+	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), cov: cov}
 }
 
 // loopRun runs cfg under s by RunLoop.
 func loopRun(t *testing.T, cfg interp.Config, s interp.Scheduler, observe bool) runOut {
 	t.Helper()
 	cfg.Sched = s
-	d := race.NewDetector()
-	if observe {
-		cfg.Observers = []interp.Observer{d}
-	}
+	d, cov := observed(&cfg, observe)
 	m := newMachine(t, cfg)
 	if m.Engine() != interp.EngineBytecode {
 		t.Fatalf("machine runs %s, want the compiled engine", m.Engine())
 	}
 	m.RunLoop()
-	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), skipped: m.SkippedSteps()}
+	return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), cov: cov, skipped: m.SkippedSteps()}
 }
 
 // sameRun fails unless got, a RunLoop run, matches want, its Step
 // reference: the whole Result (schedule, steps, faults, output, exit
 // code, MaxStepsHit), the report stream with every Count and
-// Access.Step, and the detector's counters.
+// Access.Step, the detector's counters and the coverage pair set.
 func sameRun(t *testing.T, tag string, got, want runOut) {
 	t.Helper()
 	if !reflect.DeepEqual(got.res, want.res) {
@@ -75,6 +85,17 @@ func sameRun(t *testing.T, tag string, got, want runOut) {
 	if got.stats != want.stats {
 		t.Fatalf("%s: detector counters differ\nRunLoop: %+v\nStep:    %+v", tag, got.stats, want.stats)
 	}
+	if got.cov != nil && !samePairs(got.cov, want.cov) {
+		t.Fatalf("%s: coverage pairs differ (%d by RunLoop, %d by Step)", tag, got.cov.Len(), want.cov.Len())
+	}
+}
+
+// samePairs reports whether two runs observed the same switch pairs:
+// as many, and none of b's new once a's are merged.
+func samePairs(a, b *sched.RunCoverage) bool {
+	c := sched.NewCoverage()
+	c.Merge(a)
+	return a.Len() == b.Len() && c.Merge(b) == 0
 }
 
 // compareRunLoop runs cfg once by RunLoop and once by Step, each under
@@ -94,10 +115,14 @@ func compareRunLoop(t *testing.T, tag string, cfg interp.Config, mk func() inter
 // by RunLoop must give the same Result as the same machine driven by
 // `for m.Step() {}` with the scheduler's Plan and Hold hidden, and race
 // detectors attached to each must report the same races in the same
-// order with the same counters. The runs are repeated without
+// order with the same counters, and coverage recorders attached to each
+// must observe the same switch pairs. The runs are repeated without
 // observers, where windows skip loading instructions. Then the coverage
 // engine's own jobs, with their bounded decision schedulers behind the
-// snapshot cache, must match their Step references too.
+// snapshot cache, must match their Step references too. The gated noise
+// workers of light-noise apache, chrome and mysql poll in turn above a
+// starved thread, so PCT's runs there must fast-forward whole-machine
+// cycles.
 func TestRunLoopMatchesStep(t *testing.T) {
 	scheds := []struct {
 		name string
@@ -111,6 +136,7 @@ func TestRunLoopMatchesStep(t *testing.T) {
 		{"round-robin", func(seed uint64, _, _ int) interp.Scheduler { return sched.NewRoundRobin(int(seed)) }},
 	}
 	skipped := map[string]int{}
+	pctLight := map[string]int{} // PCT's skipped steps by light-noise model
 	for _, name := range workloads.Names() {
 		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
 			w := workloads.Get(name, lvl)
@@ -127,6 +153,9 @@ func TestRunLoopMatchesStep(t *testing.T) {
 								horizon = got.res.Steps
 							}
 							skipped[s.name] += got.skipped
+							if s.name != "random" && s.name != "round-robin" && lvl == workloads.NoiseLight {
+								pctLight[name] += got.skipped
+							}
 						}
 					}
 				}
@@ -144,6 +173,11 @@ func TestRunLoopMatchesStep(t *testing.T) {
 	for _, arm := range []string{"random", "round-robin", "engine-random"} {
 		if skipped[arm] != 0 {
 			t.Errorf("%s: runs fast-forwarded %d steps, want none", arm, skipped[arm])
+		}
+	}
+	for _, name := range []string{"apache", "chrome", "mysql"} {
+		if pctLight[name] == 0 {
+			t.Errorf("light-noise %s: no PCT run fast-forwarded a step", name)
 		}
 	}
 }
@@ -185,7 +219,7 @@ func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *w
 			if err != nil {
 				t.Fatalf("%s noise=%d job %d: %v", name, lvl, i, err)
 			}
-			got := runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), skipped: m.SkippedSteps()}
+			got := runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), cov: j.Cov, skipped: m.SkippedSteps()}
 			tag := fmt.Sprintf("%s noise=%d engine job %d (%s seed=%d)", name, lvl, i, j.Strategy, j.Seed)
 			sameRun(t, tag, got, stepRun(t, cfg, ref, true))
 			skipped["engine-"+j.Strategy.String()] += got.skipped
@@ -197,5 +231,42 @@ func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *w
 	}
 	if dfs == 0 {
 		t.Fatalf("%s noise=%d: the exploration ran no DFS job", name, lvl)
+	}
+}
+
+// noSpin hides an observer's optional methods, as an observer that does
+// not implement interp.SpinObserver (the atomicity detector, the
+// predict recorder) would.
+type noSpin struct{ interp.Observer }
+
+// TestHeldWindowWithoutSkip: a machine whose observer cannot
+// fast-forward still runs PCT's holds as windows, every thread the holds
+// pick, and must match Step with no step skipped.
+func TestHeldWindowWithoutSkip(t *testing.T) {
+	for _, name := range []string{"apache", "chrome", "mysql"} {
+		w := workloads.Get(name, workloads.NoiseLight)
+		cfg := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: w.Recipes[0].Inputs, MaxSteps: w.MaxSteps}
+		for seed := uint64(1); seed <= 4; seed++ {
+			run := func(s interp.Scheduler) runOut {
+				c := cfg
+				d := race.NewDetector()
+				c.Observers = []interp.Observer{noSpin{d}}
+				c.Sched = s
+				m := newMachine(t, c)
+				if _, ok := s.(stepOnly); ok {
+					for m.Step() {
+					}
+				} else {
+					m.RunLoop()
+				}
+				return runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), skipped: m.SkippedSteps()}
+			}
+			tag := fmt.Sprintf("%s seed=%d", name, seed)
+			got := run(sched.NewPCT(seed, 3, w.MaxSteps))
+			sameRun(t, tag, got, run(stepOnly{sched.NewPCT(seed, 3, w.MaxSteps)}))
+			if got.skipped != 0 {
+				t.Fatalf("%s: fast-forwarded %d steps under an observer that cannot skip", tag, got.skipped)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/race"
 	"github.com/conanalysis/owl/internal/raceverify"
 	"github.com/conanalysis/owl/internal/sched"
@@ -15,25 +16,54 @@ import (
 
 // BenchmarkDetectRun is one detect-stage run as coverage exploration
 // executes it: light-noise apache under a PCT schedule, with a coverage
-// recorder and the race detector, through the stage runner. Run it with
-// -benchmem: B/op and allocs/op are what one detection run allocates.
+// recorder and the race detector. The apache arm runs it through the
+// stage runner; run it with -benchmem: B/op and allocs/op are what one
+// detection run allocates. The gated-pollers arm runs the PCT seeds
+// under which apache's gated noise workers poll in turn above a starved
+// thread until the step bound, the runs the whole-machine spin
+// fast-forward jumps, and reports the interpreter steps each run
+// executed and skipped.
 func BenchmarkDetectRun(b *testing.B) {
 	w := workloads.Get("apache", workloads.NoiseLight)
 	rec := w.Recipe(w.Attacks[0].InputRecipe)
 	p := Program{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps}
-	st := supervise.New(supervise.Config{}).Stage("owl.detect")
-	defer st.Close()
-	r := newRunner(p, Options{Workers: 1}, st, attachRace(nil, nil), raceKind)
 	cov := sched.NewCoverage()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seed := uint64(i%8 + 1)
-		r.batch([]*sched.Job{{
-			Strategy: sched.StrategyPCT, Seed: seed,
-			Sched: sched.NewPCT(seed, 3, p.MaxSteps), Cov: cov.NewRun(),
-		}})
-	}
+	b.Run("apache", func(b *testing.B) {
+		st := supervise.New(supervise.Config{}).Stage("owl.detect")
+		defer st.Close()
+		r := newRunner(p, Options{Workers: 1}, st, attachRace(nil, nil), raceKind)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed := uint64(i%8 + 1)
+			r.batch([]*sched.Job{{
+				Strategy: sched.StrategyPCT, Seed: seed,
+				Sched: sched.NewPCT(seed, 3, p.MaxSteps), Cov: cov.NewRun(),
+			}})
+		}
+	})
+	b.Run("gated-pollers", func(b *testing.B) {
+		seeds := []uint64{6, 11, 17, 24}
+		executed, skipped := 0, 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d := race.NewDetector()
+			m, err := interp.New(interp.Config{
+				Module: p.Module, Entry: p.Entry, Inputs: p.Inputs, MaxSteps: p.MaxSteps,
+				Sched: sched.NewPCT(seeds[i%len(seeds)], 3, p.MaxSteps), NoSchedule: true,
+				Observers:       []interp.Observer{d},
+				SwitchObservers: []interp.SwitchObserver{cov.NewRun()},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.RunLoop()
+			executed += m.StepCount() - m.SkippedSteps()
+			skipped += m.SkippedSteps()
+			d.Release()
+		}
+		b.ReportMetric(float64(executed)/float64(b.N), "executed/op")
+		b.ReportMetric(float64(skipped)/float64(b.N), "skipped/op")
+	})
 }
 
 // BenchmarkVerifyAll is the race-verify stage of a verify-heavy job:

@@ -246,11 +246,12 @@ func (d *Detector) MarkSpin() {
 }
 
 // SpinQuiet implements interp.SpinObserver. A period is quiet when its
-// only reads took the same-epoch fast path, reporting nothing: a
-// repetition then moves only the last-read metadata, which the
-// repetition overwrites. Writes, sync events, reports (a new one or a
-// Count++) and every other read path are loud. Events the detector
-// ignores (branches, calls) are quiet.
+// only reads were same-epoch reads, reporting nothing: the fast path,
+// or a thread re-reading at the epoch it has stored in read-shared mode
+// (several threads polling one flag). A repetition then moves only the
+// last-read metadata, which the repetition overwrites. Writes, sync
+// events, reports (a new one or a Count++) and every other read path
+// are loud. Events the detector ignores (branches, calls) are quiet.
 func (d *Detector) SpinQuiet() bool { return !d.spin.loud }
 
 // SkipSpin implements interp.SpinObserver: it credits k repetitions of
@@ -324,8 +325,8 @@ func (d *Detector) onRead(m *interp.Machine, e *interp.Event) {
 		s.rMeta.set(e)
 		return
 	}
-	d.spin.loud = true
 	if len(s.shared) == 0 {
+		d.spin.loud = true
 		if s.read.IsZero() || s.read.TID() == int(e.TID) {
 			s.read = cur
 			s.rMeta.set(e)
@@ -344,18 +345,32 @@ func (d *Detector) onRead(m *interp.Machine, e *interp.Event) {
 		s.insertShared(readEntry{tid: e.TID, tick: cur.Tick(), meta: metaOf(e)})
 		return
 	}
+	if i, ok := s.sharedAt(e.TID); ok && s.shared[i].tick == cur.Tick() {
+		// A repeated read at the thread's stored epoch: as on the
+		// fast path, only its metadata moves.
+		s.shared[i].meta.set(e)
+		return
+	}
+	d.spin.loud = true
 	s.insertShared(readEntry{tid: e.TID, tick: cur.Tick(), meta: metaOf(e)})
+}
+
+// sharedAt returns the index of tid's read in read-shared mode, or
+// where it would go and false.
+func (s *shadowSlot) sharedAt(tid interp.ThreadID) (int, bool) {
+	i := 0
+	for i < len(s.shared) && s.shared[i].tid < tid {
+		i++
+	}
+	return i, i < len(s.shared) && s.shared[i].tid == tid
 }
 
 // insertShared upserts one thread's read keeping shared sorted by tid.
 // Thread counts are small (the interpreter models a handful of explicit
 // threads), so the scan is linear.
 func (s *shadowSlot) insertShared(re readEntry) {
-	i := 0
-	for i < len(s.shared) && s.shared[i].tid < re.tid {
-		i++
-	}
-	if i < len(s.shared) && s.shared[i].tid == re.tid {
+	i, ok := s.sharedAt(re.tid)
+	if ok {
 		s.shared[i] = re
 		return
 	}

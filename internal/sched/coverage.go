@@ -10,6 +10,8 @@
 package sched
 
 import (
+	"maps"
+
 	"github.com/conanalysis/owl/internal/interp"
 	"github.com/conanalysis/owl/internal/ir"
 )
@@ -30,6 +32,10 @@ type covKey struct {
 // of the worker count.
 type Coverage struct {
 	pairs map[covKey]struct{}
+	// free holds merged runs' pair sets, cleared, for NewRun to reuse:
+	// growing a new set for every run was a quarter of what an
+	// explore-light job allocated.
+	free []map[covKey]struct{}
 }
 
 // NewCoverage returns an empty coverage map.
@@ -43,7 +49,20 @@ func (c *Coverage) Pairs() int { return len(c.pairs) }
 // NewRun returns an empty per-run recorder to attach to one machine via
 // interp.Config.SwitchObservers.
 func (c *Coverage) NewRun() *RunCoverage {
+	if n := len(c.free); n > 0 {
+		pairs := c.free[n-1]
+		c.free = c.free[:n-1]
+		return &RunCoverage{pairs: pairs}
+	}
 	return &RunCoverage{pairs: make(map[covKey]struct{})}
+}
+
+// recycle hands a merged run's pair set back for NewRun to reuse; rc
+// must not be used after.
+func (c *Coverage) recycle(rc *RunCoverage) {
+	clear(rc.pairs)
+	c.free = append(c.free, rc.pairs)
+	rc.pairs = nil
 }
 
 // Merge folds one run's pairs into the global map and returns how many of
@@ -66,12 +85,27 @@ func (c *Coverage) Merge(rc *RunCoverage) int {
 // deterministically afterwards.
 type RunCoverage struct {
 	pairs map[covKey]struct{}
+	// mark is the pair count at the open spin period's start.
+	mark int
 }
+
+var _ interp.SpinObserver = (*RunCoverage)(nil)
 
 // OnSwitch implements interp.SwitchObserver.
 func (rc *RunCoverage) OnSwitch(m *interp.Machine, from, to interp.ThreadID, fromInstr, toInstr *ir.Instr) {
 	rc.pairs[covKey{from: fromInstr, to: toInstr}] = struct{}{}
 }
+
+// MarkSpin implements interp.SpinObserver.
+func (rc *RunCoverage) MarkSpin() { rc.mark = len(rc.pairs) }
+
+// SpinQuiet implements interp.SpinObserver: a period is quiet when it
+// added no new pair, so a repetition of its switches adds none either.
+func (rc *RunCoverage) SpinQuiet() bool { return len(rc.pairs) == rc.mark }
+
+// SkipSpin implements interp.SpinObserver: the pairs are a set, so
+// repetitions of a quiet period change nothing.
+func (rc *RunCoverage) SkipSpin(k int) {}
 
 // Len returns the number of distinct pairs this run observed.
 func (rc *RunCoverage) Len() int { return len(rc.pairs) }
@@ -103,7 +137,8 @@ func (rc *RunCoverage) RestoreState(state any) bool {
 	if !ok {
 		return false
 	}
-	rc.pairs = copyPairs(s.pairs)
+	clear(rc.pairs)
+	maps.Copy(rc.pairs, s.pairs)
 	return true
 }
 

@@ -203,7 +203,8 @@ func (e *Engine) Coverage() *Coverage { return e.cov }
 
 // Explore spends the budget. runner executes one round's jobs — it may
 // run them concurrently, but must have filled every job's ReportIDs (and
-// let the machines feed the jobs' Cov recorders) by the time it returns.
+// let the machines feed the jobs' Cov recorders) by the time it returns;
+// a job's Cov is recycled once its round merges.
 // The engine itself touches shared state only between runner calls, in
 // job order, so the outcome is independent of the runner's parallelism.
 func (e *Engine) Explore(runner func(jobs []*Job) error) (*EngineResult, error) {
@@ -361,7 +362,7 @@ func (e *Engine) buildJobs(alloc [numStrategies]int) []*Job {
 // merge folds one executed round into the engine state, in job order:
 // coverage pairs and report IDs are credited to the first job that
 // observed them, and DFS jobs expand their schedule children into the
-// frontier.
+// frontier. A job's coverage recorder is recycled once merged.
 func (e *Engine) merge(jobs []*Job) RoundStats {
 	var rs RoundStats
 	for _, j := range jobs {
@@ -370,6 +371,7 @@ func (e *Engine) merge(jobs []*Job) RoundStats {
 		rs.Alloc[j.Strategy]++
 		e.res.Runs++
 		fresh := e.cov.Merge(j.Cov)
+		e.cov.recycle(j.Cov)
 		st.NewCoverage += fresh
 		rs.NewCoverage += fresh
 		for _, id := range j.ReportIDs {

@@ -289,3 +289,56 @@ func TestCoverageMergeCountsOnlyFresh(t *testing.T) {
 		t.Errorf("run lens = %d/%d, want 2/2", a.Len(), b.Len())
 	}
 }
+
+// TestRunCoverageSpin is RunCoverage's interp.SpinObserver contract: a
+// period is quiet exactly when its switches add no pair, and SkipSpin(k)
+// followed by one more delivery of a quiet period leaves the recorder as
+// k+1 deliveries do. A recorder recycled after its merge starts empty.
+func TestRunCoverageSpin(t *testing.T) {
+	a, b, c := &ir.Instr{}, &ir.Instr{}, &ir.Instr{}
+	period := func(rc *RunCoverage) {
+		rc.OnSwitch(nil, 0, 1, a, b)
+		rc.OnSwitch(nil, 1, 0, b, a)
+	}
+	cov := NewCoverage()
+	rc := cov.NewRun()
+	rc.MarkSpin()
+	if !rc.SpinQuiet() {
+		t.Fatal("a period with no switch is loud")
+	}
+	period(rc)
+	if rc.SpinQuiet() {
+		t.Fatal("a period that added two pairs is quiet")
+	}
+	rc.MarkSpin()
+	period(rc)
+	if !rc.SpinQuiet() {
+		t.Fatal("a repeated period is loud")
+	}
+	ref := cov.NewRun()
+	for range 5 {
+		period(ref)
+	}
+	rc.SkipSpin(3)
+	period(rc)
+	if !samePairSet(rc, ref) {
+		t.Fatalf("SkipSpin(3) + one period left %d pairs, 5 periods %d", rc.Len(), ref.Len())
+	}
+	rc.MarkSpin()
+	rc.OnSwitch(nil, 0, 1, a, c)
+	if rc.SpinQuiet() {
+		t.Fatal("a period with a new pair after quiet ones is quiet")
+	}
+	if got := cov.Merge(rc); got != 3 {
+		t.Fatalf("merge = %d new pairs, want 3", got)
+	}
+	cov.recycle(rc)
+	if again := cov.NewRun(); again.Len() != 0 {
+		t.Fatalf("a recycled recorder starts with %d pairs", again.Len())
+	}
+}
+
+// samePairSet reports whether two recorders hold the same pairs.
+func samePairSet(a, b *RunCoverage) bool {
+	return reflect.DeepEqual(a.pairs, b.pairs)
+}

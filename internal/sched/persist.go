@@ -115,6 +115,7 @@ func (s *ExploreState) Reports() []StableReport {
 func (s *ExploreState) seed(e *Engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e.cov.pairs = make(map[covKey]struct{}, len(s.pairs))
 	for _, k := range s.pairs {
 		e.cov.pairs[k] = struct{}{}
 	}

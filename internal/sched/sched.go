@@ -296,29 +296,13 @@ func (s *PCT) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return best
 }
 
-// Plan implements interp.PlanningScheduler: the window is the hold (see
-// Hold), cut to the buffer. It declines (returns 0) where Hold does.
-func (s *PCT) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	best, until, ok := s.Hold(runnable, step)
-	if !ok {
-		return 0
-	}
-	n := min(len(buf), until-step)
-	for i := range buf[:n] {
-		buf[i] = best
-	}
-	return n
-}
-
-// Advance implements interp.PlanningScheduler. A planned window holds no
-// draw and no demotion, so its picks change no state.
-func (s *PCT) Advance(runnable []interp.ThreadID, step, k int) {}
-
 // Hold implements interp.HoldingScheduler. Between draws and demotions
-// Next is stateless and keeps picking the top-priority thread, so it is
-// held until the next demotion step. Hold declines when a runnable
-// thread has no priority yet or step itself demotes: both change state,
-// which Next must do.
+// Next is stateless and picks the top-priority runnable thread, a
+// function of the runnable set alone, so it is held until the next
+// demotion step. Hold declines when a runnable thread has no priority
+// yet or step itself demotes: both change state, which Next must do.
+// PCT does not plan: a machine that cannot fast-forward runs its holds
+// as windows all the same.
 func (s *PCT) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
 	for _, id := range runnable {
 		if int(id) >= len(s.prio) || s.prio[id] == 0 {

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"github.com/conanalysis/owl/internal/interp"
@@ -287,10 +286,9 @@ func (errTestType) Error() string { return "test error" }
 // plain Next calls would, and the planned entries must be the picks Next
 // would have made. The interpreter's planned windows (runPlanned) rely on
 // this being exact — any divergence would silently change schedules.
-// RoundRobin and Random always fill the window; PCT may plan short (it
-// stops before a demotion step), so for it only the first min(k, n)
-// picks are consumed; its undrawn and demote-now declines are pinned
-// by the pct-declines subtest.
+// RoundRobin and Random always fill the window. PCT does not plan; its
+// holds, and their undrawn and demote-now declines, are pinned by the
+// hold-skip subtest.
 func TestPlanAdvanceMatchesNext(t *testing.T) {
 	sets := [][]interp.ThreadID{
 		ids(0),
@@ -300,9 +298,8 @@ func TestPlanAdvanceMatchesNext(t *testing.T) {
 		ids(0, 2, 4, 5, 9),
 	}
 	type mk struct {
-		name  string
-		short bool // may plan fewer entries than the window
-		new   func() interp.Scheduler
+		name string
+		new  func() interp.Scheduler
 	}
 	var makers []mk
 	for q := 1; q <= 4; q++ {
@@ -318,18 +315,6 @@ func TestPlanAdvanceMatchesNext(t *testing.T) {
 			name: "random",
 			new:  func() interp.Scheduler { return NewRandom(seed) },
 		})
-	}
-	// PCT over a 12-step horizon: its demotions land inside the windows
-	// planned from the warm-up's end at step 3, and at their first steps.
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, d := range []int{2, 4} {
-			seed, d := seed, d
-			makers = append(makers, mk{
-				name:  fmt.Sprintf("pct-s%d-d%d", seed, d),
-				short: true,
-				new:   func() interp.Scheduler { return NewPCT(seed, d, 12) },
-			})
-		}
 	}
 	for _, m := range makers {
 		for _, runnable := range sets {
@@ -347,10 +332,9 @@ func TestPlanAdvanceMatchesNext(t *testing.T) {
 					}
 					buf := make([]interp.ThreadID, window)
 					n := subject.Plan(runnable, warm, buf)
-					if n > window || (!m.short && n != window) {
+					if n != window {
 						t.Fatalf("%s runnable=%v: Plan filled %d of %d", m.name, runnable, n, window)
 					}
-					k := min(k, n)
 					for i := 0; i < k; i++ {
 						if w := oracle.(interp.Scheduler).Next(runnable, warm+i); buf[i] != w {
 							t.Fatalf("%s runnable=%v window=%d: plan[%d]=%d, Next would pick %d",
@@ -371,7 +355,6 @@ func TestPlanAdvanceMatchesNext(t *testing.T) {
 			}
 		}
 	}
-	t.Run("pct-declines", testPCTPlanDeclines)
 	t.Run("hold-skip", testHoldSkip)
 }
 
@@ -481,58 +464,5 @@ func testHoldSkip(t *testing.T) {
 	ss.ds.Next(ids(0, 1), 0)
 	if _, _, ok := ss.Hold(ids(0, 1), 1); ok {
 		t.Fatal("the snapshot wrapper held where its Next would store a boundary")
-	}
-}
-
-// testPCTPlanDeclines pins the two points where PCT's Plan must hand
-// the step back to Next — a runnable thread with no drawn priority, and
-// a demotion at the current step — and the cut before a demotion inside
-// the window. Plan must never change scheduler state.
-func testPCTPlanDeclines(t *testing.T) {
-	plan := func(s *PCT, runnable []interp.ThreadID, step, window int) ([]interp.ThreadID, int) {
-		t.Helper()
-		before := *s
-		before.prio = slices.Clone(s.prio)
-		rs := *s.r
-		buf := make([]interp.ThreadID, window)
-		n := s.Plan(runnable, step, buf)
-		if !slices.Equal(s.prio, before.prio) || *s.r != rs || s.demoteBase != before.demoteBase {
-			t.Fatalf("Plan(%v, step %d) changed scheduler state", runnable, step)
-		}
-		return buf[:n], n
-	}
-
-	// Undrawn: thread 7 first becomes runnable after the warm-up.
-	s := NewPCT(1, 1, 100)
-	for step := 0; step < 3; step++ {
-		s.Next(ids(1, 3), step)
-	}
-	if _, n := plan(s, ids(1, 3, 7), 3, 8); n != 0 {
-		t.Fatalf("Plan with undrawn thread 7 planned %d steps, want 0", n)
-	}
-	if got, n := plan(s, ids(1, 3), 3, 8); n != 8 || got[0] != s.Next(ids(1, 3), 3) {
-		t.Fatalf("Plan over drawn threads = %v (%d), want 8 picks of the top thread", got, n)
-	}
-
-	// Demotions at steps 5 and 9, over threads with gaps in their IDs.
-	s = &PCT{r: newRNG(2), demoteAt: []int{9, 5}}
-	runnable := ids(1, 3, 7)
-	for step := 0; step < 3; step++ {
-		s.Next(runnable, step)
-	}
-	top := s.Next(runnable, 3)
-	got, n := plan(s, runnable, 3, 8)
-	if n != 2 || got[0] != top || got[1] != top {
-		t.Fatalf("Plan from step 3 = %v, want 2 picks of %d cut before the step-5 demotion", got, top)
-	}
-	if _, n := plan(s, runnable, 5, 8); n != 0 {
-		t.Fatalf("Plan at demotion step 5 planned %d steps, want 0", n)
-	}
-	s.Next(runnable, 4)
-	if demoted := s.Next(runnable, 5); demoted == top {
-		t.Fatalf("step 5 demotion kept thread %d on top", top)
-	}
-	if got, n := plan(s, runnable, 6, 8); n != 3 || got[0] == top {
-		t.Fatalf("Plan from step 6 = %v (%d), want 3 picks of the new top, cut before step 9", got, n)
 	}
 }

@@ -392,14 +392,16 @@ func (s *Server) finish(j *Job) {
 }
 
 // execute runs one job's pipeline on its shard goroutine. The admission
-// accounting (queue slot, tenant quota) is released *before* the
-// terminal status is published: a client that observed the job finish
-// must be able to submit the next one without racing the bookkeeping.
+// accounting (queue slot, tenant quota) is released and the job is
+// retired among the finished ones *before* its terminal status is
+// published: a client that observed the job finish must be able to
+// submit the next one without racing the bookkeeping, and must not
+// find an older finished job that this one's retirement forgets.
 func (s *Server) execute(j *Job) {
 	terminal := s.run(j)
 	s.finish(j)
-	j.update(terminal)
 	s.retire(j.Status().ID)
+	j.update(terminal)
 }
 
 // retire records a finished job and forgets the oldest finished jobs
