@@ -158,9 +158,9 @@ predict:
 # table another program's run left dirty reports what a fresh one does,
 # at workers 1 and 3), the cross-engine snapshot interchange, the
 # runnable-set oracle (the incrementally maintained set against a fresh
-# thread scan at every scheduler call, past 128 threads, under
-# suspend/resume churn and in recycled restores), the recycled-restore
-# aliasing test (a snapshot restored into a machine that ran another
+# thread scan at every scheduler call, past 128 threads, in PCT's held
+# windows, under suspend/resume churn and in recycled restores), the
+# recycled-restore aliasing test (a snapshot restored into a machine that ran another
 # attempt runs as a fresh restore does), the schedule-less machine
 # differential (NoSchedule runs equal traced ones, cold, across
 # Snapshot/Restore and under breakpoints), the verifier suite with its
@@ -173,8 +173,9 @@ predict:
 # the verifier outcome pins, and the pipeline-level oracle parity test.
 # The oracles are built without -race (minutes under it), so the
 # verifier suite runs once with -race, where a workers=3 batch resumes
-# one snapshot concurrently, and once without, which adds the oracles. Last come the scheduler planning contract
-# (Plan + Advance(k) against k Next calls, PCT included) and the DFS
+# one snapshot concurrently, and once without, which adds the oracles.
+# Last come the scheduler holding contract (Hold + Skip(k) against k
+# Next calls, for PCT and the bounded decision schedulers) and the DFS
 # trace-bound oracle (bounded decision traces against full ones over the
 # corpus, also built without -race). The ad-hoc filter oracle closes it:
 # on every application workload, noise level and detect mode at workers 1

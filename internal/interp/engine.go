@@ -9,13 +9,13 @@ import (
 )
 
 // This file is the compiled execution engine: the token-threaded
-// dispatch over internal/bytecode words, the planned-window loop, and
-// the compiled counterparts of exec's call paths. Fidelity contract:
-// for the same scheduler decisions, every observable — events, faults,
-// output, schedule trace, step count, arena contents — is identical to
-// the tree walker's. exec() is the specification; each case of
-// execWord mirrors the corresponding exec case including its fault
-// texts and its order of evaluation, emission, and PC advance.
+// dispatch over internal/bytecode words and the compiled counterparts
+// of exec's call paths. Fidelity contract: for the same scheduler
+// decisions, every observable — events, faults, output, schedule trace,
+// step count, arena contents — is identical to the tree walker's.
+// exec() is the specification; each case of execWord mirrors the
+// corresponding exec case including its fault texts and its order of
+// evaluation, emission, and PC advance.
 
 // evalRef resolves a 16-bit value reference in a compiled frame. Slot,
 // constant, and global references can never fault; RefOther falls back
@@ -404,87 +404,4 @@ func (m *Machine) callIntrinsicCompiled(t *Thread, fr *Frame, in *ir.Instr, cs *
 	}
 	m.argBuf = args[:0]
 	m.intrinsic(t, in, name, args, cs.DstSlot)
-}
-
-// runPlanned executes one pre-planned window of scheduler choices and
-// returns how many steps it took; 0 means it declined, and the caller
-// takes one step through Step instead. It declines unless the machine
-// is not exited, below the step bound, its schedule state clean (no
-// pending status transition) and its runnable set non-empty. The window
-// is capped at the next wake-up, so the clock alone cannot change the
-// set inside it, and it ends at the first status transition — the next
-// choice must then see the new runnable set, exactly as Step would. The
-// consumed prefix is committed to the scheduler via Advance; a planner
-// that plans nothing (k=0) also declines, so a run never spins without
-// progress.
-func (m *Machine) runPlanned(ps PlanningScheduler) int {
-	maxSteps := m.cfg.MaxSteps
-	if m.exited || m.step >= maxSteps || m.schedDirty || len(m.runnableCached()) == 0 {
-		return 0
-	}
-	if m.planBuf == nil {
-		m.planBuf = make([]ThreadID, 128)
-		m.planSize = 8
-	}
-	needInstr := m.hasObs || m.hasSwitch
-	n := min(m.planSize, maxSteps-m.step, m.wakeAt-m.step)
-	runnable := m.runnableBuf
-	startStep := m.step
-	k := ps.Plan(runnable, startStep, m.planBuf[:n])
-	consumed := 0
-	for consumed < k {
-		if m.exited || m.schedDirty {
-			break
-		}
-		t := m.Thread(m.planBuf[consumed])
-		if t == nil || !t.Runnable(m.step) {
-			// Defensive, mirroring Step: the set is still clean, so
-			// runnable[0] is a live runnable thread.
-			t = m.Thread(runnable[0])
-		}
-		if t.Status == StatusSleeping {
-			t.Status = StatusRunnable // a due sleeper, woken by its pick as in Step
-		}
-		t.imaged = false
-		consumed++
-		m.traceAppend(t.ID)
-		fr := t.top
-		pc := fr.FPC
-		w := fr.code[pc]
-		var in *ir.Instr
-		// Only sentinel words (end-of-block) and unknown-op words encode
-		// OpNop, so the opcode alone distinguishes the one nil-instruction
-		// case; the hot path skips the Instrs load unless an observer
-		// wants instructions.
-		if byte(w) == bytecode.OpNop {
-			if in = fr.BC.Instrs[pc]; in == nil {
-				m.fault(t, nil, &Fault{Kind: FaultBadCall, Msg: "fell off end of block"})
-				continue
-			}
-		} else if needInstr {
-			in = fr.BC.Instrs[pc]
-		}
-		if m.hasSwitch {
-			if m.prevTID >= 0 && m.prevTID != t.ID {
-				for _, so := range m.cfg.SwitchObservers {
-					so.OnSwitch(m, m.prevTID, t.ID, m.prevInstr, in)
-				}
-			}
-			m.prevTID, m.prevInstr = t.ID, in
-		}
-		m.execWord(t, fr, in, w)
-		m.step++
-	}
-	ps.Advance(runnable, startStep, consumed)
-	// Adapt the window to the observed calm interval: a fully-consumed
-	// plan doubles it, one cut short shrinks toward what survived, so
-	// transition-heavy phases don't pay for discarded plan entries.
-	if consumed == k {
-		if m.planSize *= 2; m.planSize > len(m.planBuf) {
-			m.planSize = len(m.planBuf)
-		}
-	} else {
-		m.planSize = min(max(2*consumed, 8), len(m.planBuf))
-	}
-	return consumed
 }

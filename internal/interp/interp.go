@@ -38,8 +38,8 @@ const (
 	EngineTree Engine = "tree"
 	// EngineBytecode (also selected by the empty string) executes the
 	// flat bytecode lowered once per module by internal/bytecode:
-	// pre-resolved operands, per-edge phi move lists, planned
-	// scheduling windows — several times faster.
+	// pre-resolved operands, per-edge phi move lists, held scheduling
+	// windows — several times faster.
 	EngineBytecode Engine = "bytecode"
 )
 
@@ -50,24 +50,6 @@ type Scheduler interface {
 	// Next returns one element of runnable (which is non-empty and sorted
 	// ascending). step is the machine's global step counter.
 	Next(runnable []ThreadID, step int) ThreadID
-}
-
-// PlanningScheduler is an optional Scheduler extension that lets the
-// compiled engine batch its per-step consultations. Plan writes the
-// choices the next len(buf) Next calls would make — assuming the
-// runnable set stays exactly `runnable` and step increments by one per
-// call — into buf WITHOUT advancing scheduler state, returning how
-// many entries it planned (0 disables the fast path for this window).
-// Advance then applies the state change of the first k of those calls.
-// The engine commits exactly the prefix it executed, so a batch cut
-// short by a status transition (block, wake, spawn, exit, fault)
-// leaves the scheduler in precisely the state per-step Next calls
-// would have produced: Plan + Advance(k) must be observably identical
-// to k Next calls for every k ≤ the planned count.
-type PlanningScheduler interface {
-	Scheduler
-	Plan(runnable []ThreadID, step int, buf []ThreadID) int
-	Advance(runnable []ThreadID, step, k int)
 }
 
 // BPAction is a breakpoint handler's decision.
@@ -251,12 +233,6 @@ type Machine struct {
 	globalBlock []*MemBlock
 	moveBuf     []int64
 
-	// planBuf holds scheduler choices pre-planned by a
-	// PlanningScheduler; planSize adapts the window to how much of the
-	// last plan survived before a status transition cut it short.
-	planBuf  []ThreadID
-	planSize int
-
 	// skipped counts the steps runHeld fast-forwarded over.
 	skipped int
 
@@ -285,8 +261,8 @@ type Machine struct {
 	// at. sleepers is a min-heap of pending wake-ups keyed by SleepUntil
 	// and wakeAt caches its earliest (math.MaxInt when empty), so a step
 	// with no transition before the next wake-up costs O(1). rescan
-	// forces a full scan instead (New, Restore, exit). runPlanned cuts a
-	// plan window at the first schedDirty and caps it at wakeAt.
+	// forces a full scan instead (New, Restore, exit). runHeld ends a
+	// segment at the first schedDirty and caps it at wakeAt.
 	runnableBuf  []ThreadID
 	runnableBits []uint64
 	schedChanged []ThreadID
@@ -1084,22 +1060,18 @@ func (m *Machine) Run() *Result {
 // RunLoop steps the machine until it can make no more progress,
 // without building a Result. A compiled machine with no breakpoint
 // runs held windows (runHeld) where its scheduler holds a pick,
-// fast-forwarding proven spins when every observer lets it, and planned
-// windows where its scheduler plans; every other step, and every step a
-// window declines, goes through Step. The three are interchangeable:
-// callers may hand-step a machine and then let RunLoop finish it.
+// fast-forwarding proven spins when every observer lets it; every other
+// step, and every step a window declines, goes through Step. The two
+// are interchangeable: callers may hand-step a machine and then let
+// RunLoop finish it.
 func (m *Machine) RunLoop() {
-	planner, _ := m.cfg.Sched.(PlanningScheduler)
 	holder, _ := m.cfg.Sched.(HoldingScheduler)
 	if m.prog == nil || m.cfg.Breakpoint != nil {
-		planner, holder = nil, nil
+		holder = nil
 	}
 	skip := m.spinCanSkip()
 	for {
 		if holder != nil && m.runHeld(holder, skip) > 0 {
-			continue
-		}
-		if planner != nil && m.runPlanned(planner) > 0 {
 			continue
 		}
 		if !m.Step() {

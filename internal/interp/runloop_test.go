@@ -12,8 +12,8 @@ import (
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
-// stepOnly hides a scheduler's Plan, Hold and Skip, so nothing can run
-// planned or held windows with it.
+// stepOnly hides a scheduler's Hold and Skip, so nothing can run held
+// windows with it.
 type stepOnly struct{ inner interp.Scheduler }
 
 func (s stepOnly) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
@@ -107,22 +107,23 @@ func compareRunLoop(t *testing.T, tag string, cfg interp.Config, mk func() inter
 	return got
 }
 
-// TestRunLoopMatchesStep checks RunLoop's forks, planned and held
-// windows, against plain Step. For every corpus model and recipe at
-// both noise levels, under seeds 1-4 and each planning scheduler — PCT
-// both over a Random run's length and over the program's whole step
-// bound, as the coverage engine configures it — a compiled machine run
-// by RunLoop must give the same Result as the same machine driven by
-// `for m.Step() {}` with the scheduler's Plan and Hold hidden, and race
-// detectors attached to each must report the same races in the same
-// order with the same counters, and coverage recorders attached to each
-// must observe the same switch pairs. The runs are repeated without
-// observers, where windows skip loading instructions. Then the coverage
-// engine's own jobs, with their bounded decision schedulers behind the
-// snapshot cache, must match their Step references too. The gated noise
-// workers of light-noise apache, chrome and mysql poll in turn above a
-// starved thread, so PCT's runs there must fast-forward whole-machine
-// cycles.
+// TestRunLoopMatchesStep checks RunLoop's held windows against plain
+// Step. For every corpus model and recipe at both noise levels, under
+// seeds 1-4 and PCT both over a Random run's length and over the
+// program's whole step bound, as the coverage engine configures it, a
+// compiled machine run by RunLoop must give the same Result as the same
+// machine driven by `for m.Step() {}` with the scheduler's Hold hidden,
+// and race detectors attached to each must report the same races in the
+// same order with the same counters, and coverage recorders attached to
+// each must observe the same switch pairs. The runs are repeated
+// without observers, where windows skip loading instructions. Then the
+// coverage engine's own PCT and DFS jobs, the latter with their bounded
+// decision schedulers behind the snapshot cache, must match their Step
+// references too. The gated noise workers of light-noise apache, chrome
+// and mysql poll in turn above a starved thread, so PCT's runs there
+// must fast-forward whole-machine cycles. Schedulers that hold nothing
+// (Random, round-robin) run every RunLoop step through Step itself, so
+// they are not compared.
 func TestRunLoopMatchesStep(t *testing.T) {
 	scheds := []struct {
 		name string
@@ -130,10 +131,8 @@ func TestRunLoopMatchesStep(t *testing.T) {
 		// scatters its priority changes.
 		mk func(seed uint64, horizon, maxSteps int) interp.Scheduler
 	}{
-		{"random", func(seed uint64, _, _ int) interp.Scheduler { return sched.NewRandom(seed) }},
 		{"pct", func(seed uint64, horizon, _ int) interp.Scheduler { return sched.NewPCT(seed, 3, horizon) }},
 		{"pct-maxsteps", func(seed uint64, _, maxSteps int) interp.Scheduler { return sched.NewPCT(seed, 3, maxSteps) }},
-		{"round-robin", func(seed uint64, _, _ int) interp.Scheduler { return sched.NewRoundRobin(int(seed)) }},
 	}
 	skipped := map[string]int{}
 	pctLight := map[string]int{} // PCT's skipped steps by light-noise model
@@ -143,17 +142,14 @@ func TestRunLoopMatchesStep(t *testing.T) {
 			for _, rec := range w.Recipes {
 				cfg := interp.Config{Module: w.Module, Entry: w.Entry, Inputs: rec.Inputs, MaxSteps: w.MaxSteps}
 				for seed := uint64(1); seed <= 4; seed++ {
-					horizon := 0
+					horizon := stepRun(t, cfg, sched.NewRandom(seed), false).res.Steps
 					for _, s := range scheds {
 						for _, observe := range []bool{true, false} {
 							tag := fmt.Sprintf("%s noise=%d recipe=%s seed=%d sched=%s observe=%v",
 								name, lvl, rec.Name, seed, s.name, observe)
 							got := compareRunLoop(t, tag, cfg, func() interp.Scheduler { return s.mk(seed, horizon, w.MaxSteps) }, observe)
-							if horizon == 0 {
-								horizon = got.res.Steps
-							}
 							skipped[s.name] += got.skipped
-							if s.name != "random" && s.name != "round-robin" && lvl == workloads.NoiseLight {
+							if lvl == workloads.NoiseLight {
 								pctLight[name] += got.skipped
 							}
 						}
@@ -164,15 +160,10 @@ func TestRunLoopMatchesStep(t *testing.T) {
 		}
 	}
 	// The comparison must have reached held spins under the
-	// production configurations; Random and round-robin hold nothing.
+	// production configurations.
 	for _, arm := range []string{"pct-maxsteps", "engine-pct", "engine-dfs"} {
 		if skipped[arm] == 0 {
 			t.Errorf("%s: no run fast-forwarded a step", arm)
-		}
-	}
-	for _, arm := range []string{"random", "round-robin", "engine-random"} {
-		if skipped[arm] != 0 {
-			t.Errorf("%s: runs fast-forwarded %d steps, want none", arm, skipped[arm])
 		}
 	}
 	for _, name := range []string{"apache", "chrome", "mysql"} {
@@ -183,12 +174,13 @@ func TestRunLoopMatchesStep(t *testing.T) {
 }
 
 // compareEngineJobs runs a coverage exploration of w's first recipe as
-// the detect stage configures it and checks every job against its Step
-// reference: Random and PCT jobs under fresh copies of their
-// schedulers, DFS jobs under a copy of their bounded decision
-// scheduler taken before the job runs behind the snapshot cache (so
-// many resume from a cached prefix). It adds the steps the jobs
-// fast-forwarded to skipped, by strategy.
+// the detect stage configures it and checks every PCT and DFS job
+// against its Step reference: PCT jobs under a fresh copy of their
+// scheduler, DFS jobs under a copy of their bounded decision scheduler
+// taken before the job runs behind the snapshot cache (so many resume
+// from a cached prefix). Random jobs run, so the exploration goes as in
+// the detect stage, but hold nothing and are not compared. It adds the
+// steps the jobs fast-forwarded to skipped, by strategy.
 func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *workloads.Workload, skipped map[string]int) {
 	t.Helper()
 	const pctDepth = 3 // the engine's default
@@ -200,7 +192,6 @@ func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *w
 			var ref interp.Scheduler
 			switch s := j.Sched.(type) {
 			case *sched.Random:
-				ref = sched.NewRandom(j.Seed)
 			case *sched.PCT:
 				ref = sched.NewPCT(j.Seed, pctDepth, w.MaxSteps)
 			case *sched.DecisionSched:
@@ -218,6 +209,9 @@ func compareEngineJobs(t *testing.T, name string, lvl workloads.NoiseLevel, w *w
 			m, err := j.Run(c)
 			if err != nil {
 				t.Fatalf("%s noise=%d job %d: %v", name, lvl, i, err)
+			}
+			if ref == nil {
+				continue
 			}
 			got := runOut{res: m.Result(), reports: d.Reports(), stats: d.Stats(), cov: j.Cov, skipped: m.SkippedSteps()}
 			tag := fmt.Sprintf("%s noise=%d engine job %d (%s seed=%d)", name, lvl, i, j.Strategy, j.Seed)

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -11,17 +12,24 @@ import (
 	"github.com/conanalysis/owl/internal/workloads"
 )
 
-// oracleSched wraps a planning scheduler and checks, at every Next and
-// Plan call, that the runnable set the machine hands over equals a fresh
+// oracleSched wraps a scheduler and checks, at every Next and Hold
+// call, that the runnable set the machine hands over equals a fresh
 // scan of its threads: the IDs of live threads with Runnable(step), in
-// ID order. Advance must receive the set its Plan saw, unchanged by the
-// window it commits. The first mismatch is kept in err.
+// ID order. A Hold is passed on when the inner scheduler holds, and
+// declined otherwise. Skip must receive a set a Hold of the same window
+// saw, unchanged by the picks it commits: the current hold's, or for a
+// fast-forward, that of a hold of the confirming turn. The first
+// mismatch is kept in err, and every Hold after it declines, so a
+// window fed a wrong set cannot spin without progress.
 type oracleSched struct {
-	inner interp.PlanningScheduler
+	inner interp.Scheduler
 	m     *interp.Machine
 	calls int
-	plan  []interp.ThreadID
-	err   error
+	// held holds the sets the window's holds were granted for, keyed
+	// by heldKey.
+	held map[string]bool
+	key  []byte
+	err  error
 }
 
 func (o *oracleSched) check(call string, runnable []interp.ThreadID, step int) {
@@ -40,22 +48,43 @@ func (o *oracleSched) check(call string, runnable []interp.ThreadID, step int) {
 	}
 }
 
+func (o *oracleSched) heldKey(runnable []interp.ThreadID) string {
+	o.key = o.key[:0]
+	for _, id := range runnable {
+		o.key = binary.AppendUvarint(o.key, uint64(id))
+	}
+	return string(o.key)
+}
+
 func (o *oracleSched) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	o.check("Next", runnable, step)
+	clear(o.held)
 	return o.inner.Next(runnable, step)
 }
 
-func (o *oracleSched) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	o.check("Plan", runnable, step)
-	o.plan = append(o.plan[:0], runnable...)
-	return o.inner.Plan(runnable, step, buf)
+func (o *oracleSched) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
+	o.check("Hold", runnable, step)
+	hs, ok := o.inner.(interp.HoldingScheduler)
+	if !ok || o.err != nil {
+		return 0, 0, false
+	}
+	tid, until, ok := hs.Hold(runnable, step)
+	if !ok {
+		clear(o.held)
+		return 0, 0, false
+	}
+	if o.held == nil {
+		o.held = map[string]bool{}
+	}
+	o.held[o.heldKey(runnable)] = true
+	return tid, until, true
 }
 
-func (o *oracleSched) Advance(runnable []interp.ThreadID, step, k int) {
-	if o.err == nil && !slices.Equal(runnable, o.plan) {
-		o.err = fmt.Errorf("Advance at step %d: runnable %v, but Plan saw %v", step, runnable, o.plan)
+func (o *oracleSched) Skip(runnable []interp.ThreadID, step, k int) {
+	if o.err == nil && !o.held[o.heldKey(runnable)] {
+		o.err = fmt.Errorf("Skip at step %d: runnable %v, which no Hold of the window saw", step, runnable)
 	}
-	o.inner.Advance(runnable, step, k)
+	o.inner.(interp.HoldingScheduler).Skip(runnable, step, k)
 }
 
 // holdingBreakpoint mimics the race verifier's thread-specific
@@ -229,13 +258,16 @@ done:
 
 // TestRunnableSetOracle checks the machine's incrementally maintained
 // runnable set against a fresh scan at every scheduler call, in five
-// modes: RunLoop (planned windows, sleepers), Step under a breakpoint
-// that suspends and resumes threads, Step under suspend/resume churn
-// between steps, a machine restored from a mid-run snapshot, and the
-// same snapshot restored into machines that ran other schedules to
-// their end. It covers every corpus model and input recipe at both
-// noise levels, plus contendedSrc and wideSrc (more than 128 threads)
-// under both engines, each under scheduler seeds 1-4.
+// modes: RunLoop (held windows under PCT, sleepers), Step under a
+// breakpoint that suspends and resumes threads, Step under
+// suspend/resume churn between steps, a machine restored from a mid-run
+// snapshot, and the same snapshot restored into machines that ran other
+// schedules to their end. The RunLoop and restored modes run under
+// Random, which holds nothing, and under PCT, whose holds runHeld
+// re-asks at every runnable-set change. It covers every corpus model
+// and input recipe at both noise levels, plus contendedSrc and wideSrc
+// (more than 128 threads) under both engines, each under scheduler
+// seeds 1-4.
 func TestRunnableSetOracle(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {
@@ -253,7 +285,7 @@ func TestRunnableSetOracle(t *testing.T) {
 		checkOracleModes(t, "wide engine="+string(eng), interp.Config{Module: wide, MaxSteps: 40000, Engine: eng})
 	}
 	// wideSrc is only worth its time if it does cross two bitset words.
-	m, _ := newOracleMachine(t, interp.Config{Module: wide, MaxSteps: 40000}, 1)
+	m, _ := newOracleMachine(t, interp.Config{Module: wide, MaxSteps: 40000}, sched.NewRandom(1))
 	if res := m.Run(); len(m.Threads()) <= 128 || res.Stall != interp.StallDone {
 		t.Fatalf("wideSrc ran %d threads to %v, want more than 128 to the end", len(m.Threads()), res.Stall)
 	}
@@ -263,16 +295,29 @@ func checkOracleModes(t *testing.T, tag string, cfg interp.Config) {
 	t.Helper()
 	for seed := uint64(1); seed <= 4; seed++ {
 		tag := fmt.Sprintf("%s seed=%d", tag, seed)
-		checkRunLoop(t, tag, cfg, seed)
+		for _, s := range oracleScheds {
+			checkRunLoop(t, tag+" sched="+s.name, cfg, s.mk(seed, cfg.MaxSteps))
+			checkRestored(t, tag+" sched="+s.name, cfg, seed, s.mk)
+		}
 		checkBreakpointSteps(t, tag, cfg, seed)
 		checkChurn(t, tag, cfg, seed)
-		checkRestored(t, tag, cfg, seed)
 	}
 }
 
-func newOracleMachine(t *testing.T, cfg interp.Config, seed uint64) (*interp.Machine, *oracleSched) {
+// oracleScheds are the schedulers RunLoop runs under in the oracle's
+// modes: Random steps every pick, PCT over the step bound (as the
+// coverage engine configures it) holds.
+var oracleScheds = []struct {
+	name string
+	mk   func(seed uint64, maxSteps int) interp.Scheduler
+}{
+	{"random", func(seed uint64, _ int) interp.Scheduler { return sched.NewRandom(seed) }},
+	{"pct", func(seed uint64, maxSteps int) interp.Scheduler { return sched.NewPCT(seed, 3, maxSteps) }},
+}
+
+func newOracleMachine(t *testing.T, cfg interp.Config, inner interp.Scheduler) (*interp.Machine, *oracleSched) {
 	t.Helper()
-	o := &oracleSched{inner: sched.NewRandom(seed)}
+	o := &oracleSched{inner: inner}
 	cfg.Sched = o
 	m, err := interp.New(cfg)
 	if err != nil {
@@ -282,8 +327,8 @@ func newOracleMachine(t *testing.T, cfg interp.Config, seed uint64) (*interp.Mac
 	return m, o
 }
 
-func checkRunLoop(t *testing.T, tag string, cfg interp.Config, seed uint64) {
-	m, o := newOracleMachine(t, cfg, seed)
+func checkRunLoop(t *testing.T, tag string, cfg interp.Config, s interp.Scheduler) {
+	m, o := newOracleMachine(t, cfg, s)
 	m.RunLoop()
 	if o.err != nil {
 		t.Fatalf("%s RunLoop: %v", tag, o.err)
@@ -293,7 +338,7 @@ func checkRunLoop(t *testing.T, tag string, cfg interp.Config, seed uint64) {
 func checkBreakpointSteps(t *testing.T, tag string, cfg interp.Config, seed uint64) {
 	h := &holdingBreakpoint{}
 	cfg.Breakpoint = h.bp
-	m, o := newOracleMachine(t, cfg, seed)
+	m, o := newOracleMachine(t, cfg, sched.NewRandom(seed))
 	h.drive(m)
 	if o.err != nil {
 		t.Fatalf("%s breakpoint Step: %v", tag, o.err)
@@ -304,7 +349,7 @@ func checkBreakpointSteps(t *testing.T, tag string, cfg interp.Config, seed uint
 // flips one thread there and back, every third step keeps one
 // suspended, and the oldest of three held is let go.
 func checkChurn(t *testing.T, tag string, cfg interp.Config, seed uint64) {
-	m, o := newOracleMachine(t, cfg, seed)
+	m, o := newOracleMachine(t, cfg, sched.NewRandom(seed))
 	var held []interp.ThreadID
 	for i := 0; i < 2*cfg.MaxSteps; i++ {
 		ths := m.Threads()
@@ -337,17 +382,18 @@ func checkChurn(t *testing.T, tag string, cfg interp.Config, seed uint64) {
 // checkRestored resumes a mid-run snapshot in a fresh machine, then
 // twice more in machines recycled by RestoreInto: first the machine
 // that ran the whole schedule from step 0, then the restore before.
-func checkRestored(t *testing.T, tag string, cfg interp.Config, seed uint64) {
-	ref, _ := newOracleMachine(t, cfg, seed)
+// Every machine runs under a scheduler from mk.
+func checkRestored(t *testing.T, tag string, cfg interp.Config, seed uint64, mk func(seed uint64, maxSteps int) interp.Scheduler) {
+	ref, _ := newOracleMachine(t, cfg, mk(seed, cfg.MaxSteps))
 	ref.RunLoop()
-	m, _ := newOracleMachine(t, cfg, seed)
+	m, _ := newOracleMachine(t, cfg, mk(seed, cfg.MaxSteps))
 	for m.StepCount() < ref.StepCount()/2 && m.Step() {
 	}
 	snap := m.Snapshot()
 	// RestoreInto(ref, ...) returns ref, so the third restore recycles
 	// the second.
 	for k, into := range []*interp.Machine{nil, ref, ref} {
-		o := &oracleSched{inner: sched.NewRandom(seed + 100 + uint64(k))}
+		o := &oracleSched{inner: mk(seed+100+uint64(k), cfg.MaxSteps)}
 		r, err := interp.RestoreInto(into, snap, interp.Config{Sched: o})
 		if err != nil {
 			t.Fatal(err)

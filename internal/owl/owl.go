@@ -28,6 +28,7 @@ package owl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -210,9 +211,10 @@ type Options struct {
 }
 
 // Validate rejects option values no pipeline can run: an unknown
-// explore mode and negative counts or deadlines. Zero always means the
-// documented default. Run calls it first; front ends call it to reject
-// a bad flag or request before doing any work.
+// explore mode, negative counts or deadlines, and PredictReversal
+// without Predict, which the pipeline would ignore. Zero always means
+// the documented default. Run calls it first; front ends call it to
+// reject a bad flag or request before doing any work.
 func (o Options) Validate() error {
 	switch o.Explore {
 	case "", ExploreFixed, ExploreCoverage:
@@ -235,6 +237,9 @@ func (o Options) Validate() error {
 	}
 	if o.StageTimeout < 0 {
 		return fmt.Errorf("negative stage timeout (%v) is invalid", o.StageTimeout)
+	}
+	if o.PredictReversal && !o.Predict {
+		return errors.New("predict-reversal is invalid without predict")
 	}
 	return nil
 }

@@ -183,6 +183,7 @@ func TestPipelineRejectsInvalidOptions(t *testing.T) {
 		"negative timeout":   {Program{Module: mod}, Options{StageTimeout: -time.Second}},
 		"negative steps":     {Program{Module: mod, MaxSteps: -7}, Options{}},
 		"negative max-steps": {Program{Module: mod}, Options{MaxSteps: -7}},
+		"reversal only":      {Program{Module: mod}, Options{Explore: ExploreCoverage, PredictReversal: true}},
 	} {
 		mc := metrics.New()
 		tc.opts.Metrics = mc
@@ -197,6 +198,9 @@ func TestPipelineRejectsInvalidOptions(t *testing.T) {
 		if err := (Options{Explore: mode}).Validate(); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", mode, err)
 		}
+	}
+	if err := (Options{Predict: true, PredictReversal: true}).Validate(); err != nil {
+		t.Errorf("Validate(predict with reversal) = %v, want nil", err)
 	}
 }
 

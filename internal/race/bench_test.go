@@ -148,8 +148,8 @@ func BenchmarkBaselineNoDetectorBytecode(b *testing.B) {
 }
 
 // BenchmarkDetectorOverheadBytecode measures the epoch detector on the
-// compiled engine — the observer path disables step batching's
-// zero-interface-call property but keeps slot-file and dispatch wins.
+// compiled engine: the observer costs an interface call per event, and
+// the slot-file and dispatch wins stay.
 func BenchmarkDetectorOverheadBytecode(b *testing.B) {
 	mod := ir.MustParse("bench.oir", benchSrc)
 	b.ReportAllocs()
@@ -164,7 +164,7 @@ func BenchmarkDetectorOverheadBytecode(b *testing.B) {
 
 // BenchmarkVerifyStepFullNoise is the step rung the verifiers run on:
 // one Step with a never-suspending breakpoint attached (so RunLoop would
-// plan no windows either) and nothing watched, which is every step
+// hold no windows either) and nothing watched, which is every step
 // between two watched instructions, on full-noise apache with its ~40
 // threads, sleepers and all. An op is one step; a finished run is
 // rebuilt off the clock.

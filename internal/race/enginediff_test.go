@@ -138,9 +138,8 @@ func TestDifferentialEngines(t *testing.T) {
 // TestDifferentialEnginesCorpus extends the transcript gate from
 // generated programs to the built-in workload corpus: every model at
 // both noise levels, under each input recipe and scheduler seeds 1-4.
-// Full-noise models run long, thread-heavy schedules that cut the
-// compiled engine's plan window short at depths the generated grid
-// never reaches.
+// Full-noise models run long, thread-heavy schedules whose runnable
+// sets change at depths the generated grid never reaches.
 func TestDifferentialEnginesCorpus(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, lvl := range []workloads.NoiseLevel{workloads.NoiseLight, workloads.NoiseFull} {

@@ -29,139 +29,26 @@ func NewRoundRobin(quantum int) *RoundRobin {
 	return &RoundRobin{Quantum: quantum, last: -1}
 }
 
-// Next implements interp.Scheduler.
-func (s *RoundRobin) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
-	id, last, used := rrPick(runnable, s.last, s.used, s.Quantum)
-	s.last, s.used = last, used
-	return id
-}
-
-// rrPick is one rotation decision as a pure function of the scheduler
-// state, shared by Next and the batched Plan/Advance so the three are
-// equivalent by construction: hold last while the quantum allows,
+// Next implements interp.Scheduler: hold last while the quantum allows,
 // otherwise the first runnable id strictly greater than last, wrapping.
-func rrPick(runnable []interp.ThreadID, last interp.ThreadID, used, quantum int) (interp.ThreadID, interp.ThreadID, int) {
-	if last >= 0 && used < quantum {
+func (s *RoundRobin) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
+	if s.last >= 0 && s.used < s.Quantum {
 		for _, id := range runnable {
-			if id == last {
-				return id, last, used + 1
+			if id == s.last {
+				s.used++
+				return id
 			}
 		}
 	}
+	next := runnable[0]
 	for _, id := range runnable {
-		if id > last {
-			return id, id, 1
+		if id > s.last {
+			next = id
+			break
 		}
 	}
-	return runnable[0], runnable[0], 1
-}
-
-// Plan implements interp.PlanningScheduler. With a fixed runnable set
-// the rotation is fully periodic — finish the current thread's
-// quantum, then runs of Quantum picks rotating through the set — so
-// the window is filled in whole runs rather than per-entry rrPick
-// simulation. Equivalence with Next: rrPick holds `last` while
-// used < Quantum and last is still runnable, then rotates and resets
-// used to 1; each filled run below reproduces exactly those picks.
-func (s *RoundRobin) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	q := s.Quantum
-	if q < 1 {
-		q = 1 // Quantum 0 rotates every pick, same as 1 (used<0 never holds)
-	}
-	if q == 1 {
-		// Fully interleaved: the sequence is plain cyclic iteration
-		// over the set, starting at last's successor.
-		n := len(runnable)
-		j := rrSuccIdx(runnable, s.last)
-		for i := range buf {
-			buf[i] = runnable[j]
-			if j++; j == n {
-				j = 0
-			}
-		}
-		return len(buf)
-	}
-	i := 0
-	last, used := s.last, s.used
-	if last >= 0 && used < q && rrContains(runnable, last) {
-		for ; i < len(buf) && used < q; i++ {
-			buf[i] = last
-			used++
-		}
-	}
-	for i < len(buf) {
-		last = rrSucc(runnable, last)
-		for j := 0; j < q && i < len(buf); j++ {
-			buf[i] = last
-			i++
-		}
-	}
-	return len(buf)
-}
-
-// Advance implements interp.PlanningScheduler: the state after k picks,
-// computed run-by-run like Plan.
-func (s *RoundRobin) Advance(runnable []interp.ThreadID, step, k int) {
-	q := s.Quantum
-	if q < 1 {
-		q = 1
-	}
-	if q == 1 {
-		if k > 0 {
-			s.last = runnable[(rrSuccIdx(runnable, s.last)+k-1)%len(runnable)]
-			s.used = 1
-		}
-		return
-	}
-	last, used := s.last, s.used
-	if last >= 0 && used < q && rrContains(runnable, last) {
-		take := q - used
-		if take > k {
-			take = k
-		}
-		used += take
-		k -= take
-	}
-	for k > 0 {
-		last = rrSucc(runnable, last)
-		take := q
-		if take > k {
-			take = k
-		}
-		used = take
-		k -= take
-	}
-	s.last, s.used = last, used
-}
-
-func rrContains(runnable []interp.ThreadID, id interp.ThreadID) bool {
-	for _, r := range runnable {
-		if r == id {
-			return true
-		}
-	}
-	return false
-}
-
-// rrSucc is rrPick's rotation rule: the first id strictly greater than
-// last, wrapping to the front.
-func rrSucc(runnable []interp.ThreadID, last interp.ThreadID) interp.ThreadID {
-	for _, id := range runnable {
-		if id > last {
-			return id
-		}
-	}
-	return runnable[0]
-}
-
-// rrSuccIdx is rrSucc returning the index instead of the id.
-func rrSuccIdx(runnable []interp.ThreadID, last interp.ThreadID) int {
-	for i, id := range runnable {
-		if id > last {
-			return i
-		}
-	}
-	return 0
+	s.last, s.used = next, 1
+	return next
 }
 
 // rng is a self-contained xorshift64* PRNG; math/rand would also be
@@ -207,26 +94,6 @@ func (s *Random) Clone() *Random {
 // Next implements interp.Scheduler.
 func (s *Random) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 	return runnable[s.r.intn(len(runnable))]
-}
-
-// Plan implements interp.PlanningScheduler: the draws are simulated on
-// a copy of the generator state, and Advance replays exactly the
-// consumed prefix on the real state. intn draws nothing for a
-// single-element set, so replaying k picks consumes the same number of
-// generator states as k Next calls.
-func (s *Random) Plan(runnable []interp.ThreadID, step int, buf []interp.ThreadID) int {
-	r := s.r
-	for i := range buf {
-		buf[i] = runnable[r.intn(len(runnable))]
-	}
-	return len(buf)
-}
-
-// Advance implements interp.PlanningScheduler.
-func (s *Random) Advance(runnable []interp.ThreadID, step, k int) {
-	for ; k > 0; k-- {
-		s.r.intn(len(runnable))
-	}
 }
 
 // PCT approximates the PCT algorithm (Burckhardt et al.): threads get
@@ -301,8 +168,8 @@ func (s *PCT) Next(runnable []interp.ThreadID, step int) interp.ThreadID {
 // function of the runnable set alone, so it is held until the next
 // demotion step. Hold declines when a runnable thread has no priority
 // yet or step itself demotes: both change state, which Next must do.
-// PCT does not plan: a machine that cannot fast-forward runs its holds
-// as windows all the same.
+// A machine that cannot fast-forward runs its holds as windows all the
+// same.
 func (s *PCT) Hold(runnable []interp.ThreadID, step int) (interp.ThreadID, int, bool) {
 	for _, id := range runnable {
 		if int(id) >= len(s.prio) || s.prio[id] == 0 {
